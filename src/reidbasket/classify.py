@@ -5,7 +5,8 @@ The engine walks the same road the classification arguments do:
 1. enumerate the feasible level-0 baskets from the P_{-1}..P_{-4} ranges
    and the r >= 5 tail (bounded a priori by gamma >= 0, which caps every
    local index at 24 and the total entry weight at Sigma(r - 1/r) <= 24);
-2. close each level-0 candidate under packing, pruning with the monotone
+2. close the level-0 candidates under packing (``packing.closure``, all
+   roots of one P_{-1} in one search), pruning with the monotone
    clauses (gamma >= 0 downward-closed; -K^3 and P_{-m} upper bounds
    downward-closed because both only grow along packings);
 3. re-verify every survivor against the full constraint set and the
@@ -30,11 +31,12 @@ from .core import (
     anti_volume,
     gamma,
     geometric_filter,
+    parse_rational,
     plurigenus_sequence,
     r_index,
     r_max,
 )
-from .packing import ClosureLimits, ClosureTruncated, single_packings
+from .packing import ClosureLimits, closure
 
 __all__ = [
     "ClassificationConstraints",
@@ -71,7 +73,6 @@ class ClassificationConstraints:
     rmax_range: tuple[int, int] | None = None
     rx_exact: int | None = None
     rx_max: int | None = None
-    rx_in: frozenset[int] | None = None
     allowed_indices: frozenset[int] | None = None
     filters: FilterConfig = FilterConfig()
     tail_max_index: int = 24
@@ -125,8 +126,6 @@ class ClassificationConstraints:
         if self.rx_exact is not None and rx != self.rx_exact:
             return False
         if self.rx_max is not None and rx > self.rx_max:
-            return False
-        if self.rx_in is not None and rx not in self.rx_in:
             return False
         return True
 
@@ -286,36 +285,14 @@ def _expand_and_admit(
     constraints: ClassificationConstraints, p1: int, roots: list[Basket]
 ) -> set[WeightedBasket]:
     """Close the given level-0 roots under packing and keep the admitted ones."""
-    prune_ok = _prune_factory(constraints, p1)
-    seen: set[Basket] = set()
-    frontier: list[Basket] = []
-    for b in roots:
-        if b not in seen and prune_ok(b):
-            seen.add(b)
-            frontier.append(b)
-    while frontier:
-        nxt: list[Basket] = []
-        for current in frontier:
-            for child in single_packings(current):
-                if child in seen:
-                    continue
-                if len(seen) >= constraints.limits.max_visited:
-                    raise ClosureTruncated(
-                        f"classification search truncated at {len(seen)} states"
-                    )
-                if not prune_ok(child):
-                    continue
-                seen.add(child)
-                nxt.append(child)
-        frontier = nxt
-    results: set[WeightedBasket] = set()
-    for basket in seen:
-        if not basket.all_terminal:
-            continue
-        wb = WeightedBasket(basket, p1)
-        if constraints.admits(wb):
-            results.add(wb)
-    return results
+
+    def emit(basket: Basket) -> bool:
+        return basket.all_terminal and constraints.admits(WeightedBasket(basket, p1))
+
+    found = closure(
+        *roots, prune=_prune_factory(constraints, p1), emit=emit, limits=constraints.limits
+    ).require_complete()
+    return {WeightedBasket(basket, p1) for basket in found.baskets}
 
 
 def classify(constraints: ClassificationConstraints, jobs: int = 1) -> list[WeightedBasket]:
@@ -431,13 +408,13 @@ def _numerator_assignments(profile: tuple[int, ...]):
 # constraints file format
 #
 #   p[1]=1  p[2]=1  p[8]=2  sigma5=0..3  k3=(0,1/30)  rmax=2..24
-#   rx=840             (or rx<=660, rx in {330,660})
+#   rx=840             (or rx<=660)
 #   indices={2,3,5,7,8}
 #   filters=default    (or filters=none, or filters=volume,gamma,...)
 #
 # Tokens are whitespace-separated; '#' starts a comment.  Interval ends for
-# k3 accept integers, fractions p/q and exact decimals like 0.21; '(' / ')'
-# mean strict, '[' / ']' inclusive.
+# k3 are read by ``core.parse_rational``: integers, fractions p/q and exact
+# decimals like 0.21, -1.5 or 1e-3; '(' / ')' mean strict, '[' / ']' inclusive.
 # ---------------------------------------------------------------------------
 
 _FILTER_FIELDS = {
@@ -454,23 +431,13 @@ _FILTER_FIELDS = {
 }
 
 
-def _parse_exact(token: str) -> Fraction:
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
-    if "." in token:
-        whole, frac = token.split(".")
-        scale = 10 ** len(frac)
-        sign = -1 if whole.startswith("-") else 1
-        return Fraction(int(whole) * scale + sign * int(frac or 0), scale)
-    return Fraction(int(token))
-
-
 def _parse_int_range(token: str) -> tuple[int, int]:
     if ".." in token:
         lo, hi = token.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"empty range {token!r} (lower end above upper end)")
+        return lo, hi
     v = int(token)
     return v, v
 
@@ -505,9 +472,9 @@ def parse_constraints(text: str) -> ClassificationConstraints:
             if body[0] not in "([" or body[-1] not in ")]":
                 raise ValueError(f"bad k3 interval {body!r}")
             lo_s, hi_s = body[1:-1].split(",")
-            kwargs["k3_min"] = _parse_exact(lo_s)
+            kwargs["k3_min"] = parse_rational(lo_s)
             kwargs["k3_min_strict"] = body[0] == "("
-            kwargs["k3_max"] = _parse_exact(hi_s)
+            kwargs["k3_max"] = parse_rational(hi_s)
             kwargs["k3_max_strict"] = body[-1] == ")"
         elif token.startswith("rmax="):
             kwargs["rmax_range"] = _parse_int_range(token[len("rmax="):])

@@ -24,6 +24,7 @@ from .core import (
     format_rational,
     gamma,
     parse_basket,
+    parse_rational,
     plurigenus_sequence,
     r_index,
     r_max,
@@ -48,18 +49,6 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        if "." in text:
-            whole, frac = text.split(".", 1)
-            scale = 10 ** len(frac)
-            sign = -1 if whole.startswith("-") else 1
-            return Fraction(int(whole) * scale + sign * int(frac or 0), scale)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reidbasket",
@@ -78,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pack = sub.add_parser("pack", help="closure of a basket under packing")
     p_pack.add_argument("--basket", required=True)
-    p_pack.add_argument("--gamma-min", type=_parse_fraction, default=None)
-    p_pack.add_argument("--k3-max", type=_parse_fraction, default=None)
+    p_pack.add_argument("--gamma-min", type=parse_rational, default=None)
+    p_pack.add_argument("--k3-max", type=parse_rational, default=None)
     p_pack.add_argument("--p1", type=int, default=0,
                         help="weight used for volume columns and --k3-max")
     p_pack.add_argument("--coprime-only", action="store_true")

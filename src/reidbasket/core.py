@@ -27,6 +27,7 @@ __all__ = [
     "parse_basket",
     "format_basket",
     "format_rational",
+    "parse_rational",
     "sigma",
     "sigma_prime",
     "delta_n",
@@ -232,6 +233,18 @@ def format_rational(q: Fraction | int) -> str:
     """Serialize exactly: "p/q" in lowest terms, plain "p" for integers."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read an exact rational: "p", "p/q" or an exact decimal like "0.21" or "1e-3".
+
+    The inverse of ``format_rational``.  Bad text, a zero denominator
+    included, raises ValueError naming the token.
+    """
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 from .core import (
     Basket,
@@ -24,8 +24,6 @@ from .core import (
     WeightedBasket,
     anti_volume,
     gamma,
-    plurigenus,
-    r_max,
     sigma,
     sigma_prime,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "dominates",
     "gamma_at_least",
     "volume_at_most",
-    "plurigenus_at_most",
     "all_of",
     "coprime_only",
 ]
@@ -143,23 +140,23 @@ class ClosureTruncated(RuntimeError):
 
 
 def closure(
-    basket: Basket,
+    *roots: Basket,
     prune: Predicate | None = None,
     emit: Predicate | None = None,
     limits: ClosureLimits = ClosureLimits(),
 ) -> ClosureResult:
-    """All packings of ``basket`` (itself included) passing the filters.
+    """All packings of the ``roots`` (the roots included) passing the filters.
 
-    ``prune`` must be downward-closed along packing (helpers below build
-    safe clauses); a basket failing it is cut together with its whole
-    subtree.  ``emit`` is applied only at output and may be arbitrary.
-    The result is deduplicated by canonical form and canonically sorted,
-    so any traversal order yields the same answer.
+    Each root that passes ``prune`` seeds the search; the result is the
+    union of the roots' closures, each basket visited once.  ``prune`` must
+    be downward-closed along packing (helpers below build safe clauses); a
+    basket failing it is cut together with its whole subtree.  ``emit`` is
+    applied only at output and may be arbitrary.  The result is
+    deduplicated by canonical form and canonically sorted, so any traversal
+    order yields the same answer.
     """
-    if prune is not None and not prune(basket):
-        return ClosureResult(baskets=(), visited=0, truncated=False)
-    seen = {basket}
-    frontier = [basket]
+    seen = {b for b in roots if prune is None or prune(b)}
+    frontier = sorted(seen)
     truncated = False
     while frontier:
         nxt: list[Basket] = []
@@ -196,26 +193,13 @@ def dominates(basket: Basket, other: Basket) -> bool:
         return False
     if sigma_prime(basket) < sigma_prime(other):
         return False
-    target_len = len(other)
-    sp_target = sigma_prime(other)
-    seen = {basket}
-    frontier = [basket]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            for child in single_packings(current):
-                if child in seen:
-                    continue
-                if child == other:
-                    return True
-                if len(child) <= target_len:
-                    continue
-                if sigma_prime(child) < sp_target:
-                    continue
-                seen.add(child)
-                nxt.append(child)
-        frontier = nxt
-    return False
+    # every basket on a path to ``other`` is longer and has sigma' >= its own
+    target_len, sp_target = len(other), sigma_prime(other)
+    reach = closure(
+        basket,
+        prune=lambda b: b == other or (len(b) > target_len and sigma_prime(b) >= sp_target),
+    ).require_complete()
+    return other in reach.baskets
 
 
 # -- prune / emission clause helpers ----------------------------------------
@@ -232,11 +216,6 @@ def volume_at_most(bound: Fraction | int, p1: int, strict: bool = False) -> Pred
     if strict:
         return lambda basket: anti_volume(WeightedBasket(basket, p1)) < bound
     return lambda basket: anti_volume(WeightedBasket(basket, p1)) <= bound
-
-
-def plurigenus_at_most(m: int, bound: int, p1: int) -> Predicate:
-    """Prune-safe for m >= 2: P_{-m} never decreases along packing."""
-    return lambda basket: plurigenus(WeightedBasket(basket, p1), m) <= bound
 
 
 def all_of(*predicates: Predicate) -> Predicate:

@@ -215,6 +215,9 @@ class TestConstraintsText:
         c = parse_constraints("p[1]=0 k3=[1/330,0.21)")
         assert c.k3_max == Fraction(21, 100)
         assert not c.k3_min_strict and c.k3_max_strict
+        c = parse_constraints("p[1]=0 k3=(-1.5,1e-3]")
+        assert c.k3_min == Fraction(-3, 2) and c.k3_max == Fraction(1, 1000)
+        assert c.k3_min_strict and not c.k3_max_strict
 
     def test_rx_and_indices(self):
         c = parse_constraints("p[1]=1 rx=840 indices={2,3,5,7,8}")
@@ -230,6 +233,11 @@ class TestConstraintsText:
         c = parse_constraints("# header\np[1]=1 # inline\np[2]=0..3\n")
         assert c.p_fixed == {1: 1}
         assert c.p_ranges == {2: (0, 3)}
+
+    def test_rejects_inverted_ranges(self):
+        for text in ("p[1]=1 p[2]=1..0", "p[1]=1 sigma5=3..2", "p[1]=1 rmax=9..5"):
+            with pytest.raises(ValueError, match="empty range"):
+                parse_constraints(text)
 
     def test_rejects_garbage_and_empty(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,20 @@ class TestClassify:
         code, _, err = run_cli("classify", "--constraints", "/nonexistent/c.txt")
         assert code == 2
 
+    def test_zero_denominator_is_usage_error(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=1 k3=(0,1/0)\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
+        assert code == 2
+        assert "'1/0'" in err and out == ""
+
+    def test_inverted_range_is_usage_error(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=1 p[2]=1..0\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
+        assert code == 2
+        assert "'1..0'" in err and out == ""
+
 
 class TestCriteria:
     def test_text_report(self):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from reidbasket.core import (
     geometric_filter,
     l_term,
     parse_basket,
+    parse_rational,
     plurigenus,
     plurigenus_closed,
     plurigenus_sequence,
@@ -92,6 +94,18 @@ class TestGrammar:
         assert format_rational(Fraction(1, 330)) == "1/330"
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-6)) == "-6"
+
+    @given(st.fractions())
+    def test_parse_rational_inverts_format_rational(self, q):
+        assert parse_rational(format_rational(q)) == q
+
+    def test_parse_rational_reads_a_bare_decimal_point(self):
+        assert parse_rational(" .5 ") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", ["1/0", "3/-4", "", "1/2/3", "x"])
+    def test_parse_rational_names_the_bad_token(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"not an exact rational: {bad!r}")):
+            parse_rational(bad)
 
 
 class TestInvariants:

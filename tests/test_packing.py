@@ -178,6 +178,22 @@ class TestClosure:
             pruned = set(closure(basket, prune=volume_at_most(bound, p1)).baskets)
             assert free == pruned
 
+    def test_several_roots_give_the_union_of_their_closures(self):
+        rng = random.Random(11)
+        prune = gamma_at_least(0)
+        for _ in range(20):
+            a = random_basket(rng, max_entries=5, rmax=8, min_entries=2)
+            b = random_basket(rng, max_entries=5, rmax=8, min_entries=2)
+            union = set(closure(a, prune=prune).baskets) | set(closure(b, prune=prune).baskets)
+            both = closure(a, b, prune=prune)
+            assert both.baskets == tuple(sorted(union))
+            assert both.visited == len(union)
+            assert not both.truncated
+
+    def test_no_roots_give_an_empty_closure(self):
+        assert closure() == closure(B((1, 2), (1, 3)), prune=lambda basket: False)
+        assert closure().baskets == () and closure().visited == 0
+
 
 class TestDominates:
     def test_examples(self):
