@@ -111,7 +111,11 @@ def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
             lower = med
         else:
             upper = med
-    assert upper.numerator * lower.denominator - upper.denominator * lower.numerator == 1
+    if upper.numerator * lower.denominator - upper.denominator * lower.numerator != 1:
+        raise AssertionError(
+            f"invariant violated: Farey neighbors {upper}, {lower} of {frac} "
+            f"at level {level} are not unimodular"
+        )
     return upper, lower
 
 
@@ -125,8 +129,16 @@ def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...
     qn, pn = lower.numerator, lower.denominator
     m_low = r * ql - b * pl     # copies of the lower point (qn, pn)
     m_high = -r * qn + b * pn   # copies of the upper point (ql, pl)
-    assert m_low >= 1 and m_high >= 1
-    assert m_low * qn + m_high * ql == b and m_low * pn + m_high * pl == r
+    if m_low < 1 or m_high < 1:
+        raise AssertionError(
+            f"invariant violated: unpacking ({b},{r}) at level {level} "
+            f"needs positive multiplicities, got {m_low} and {m_high}"
+        )
+    if m_low * qn + m_high * ql != b or m_low * pn + m_high * pl != r:
+        raise AssertionError(
+            f"invariant violated: unpacking ({b},{r}) at level {level} "
+            f"does not sum back to the pair"
+        )
     return ((qn, pn, m_low), (ql, pl, m_high))
 
 
@@ -145,13 +157,17 @@ def epsilon_n(basket: Basket, n: int) -> int:
 
     The chain jumps from level 0 straight to level 5, so the predecessor
     of level 5 is level 0.  Always a non-negative integer; anything else
-    indicates a broken invariant and is asserted away.
+    indicates a broken invariant and raises AssertionError (an explicit
+    check, so it also runs under ``python -O``).
     """
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
     prev = 0 if n == 5 else n - 1
     value = delta_n(unpack(basket, prev), n) - delta_n(basket, n)
-    assert value.denominator == 1 and value >= 0, f"epsilon_{n} = {value}"
+    if value.denominator != 1 or value < 0:
+        raise AssertionError(
+            f"invariant violated: epsilon_{n} = {value} is not a non-negative integer"
+        )
     return int(value)
 
 

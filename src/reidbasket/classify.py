@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -431,6 +432,9 @@ _FILTER_FIELDS = {
 }
 
 
+_P_TOKEN = re.compile(r"p\[(-?\d+)\]=(.*)")
+
+
 def _parse_int_range(token: str) -> tuple[int, int]:
     if ".." in token:
         lo, hi = token.split("..")
@@ -457,10 +461,14 @@ def parse_constraints(text: str) -> ClassificationConstraints:
         if "=" not in token and not token.startswith("rx"):
             raise ValueError(f"bad constraints token {token!r}")
         if token.startswith("p["):
-            close = token.index("]")
-            m = int(token[2:close])
-            value = token[close + 2:]
-            lo, hi = _parse_int_range(value)
+            match = _P_TOKEN.fullmatch(token)
+            if match is None or int(match.group(1)) < 1:
+                raise ValueError(f"bad plurigenus token {token!r} (expected p[m]=... with m >= 1)")
+            m = int(match.group(1))
+            try:
+                lo, hi = _parse_int_range(match.group(2))
+            except ValueError as exc:
+                raise ValueError(f"bad plurigenus token {token!r}: {exc}") from None
             if lo == hi:
                 p_fixed[m] = lo
             else:
@@ -469,9 +477,10 @@ def parse_constraints(text: str) -> ClassificationConstraints:
             kwargs["sigma5"] = _parse_int_range(token[len("sigma5="):])
         elif token.startswith("k3="):
             body = token[len("k3="):]
-            if body[0] not in "([" or body[-1] not in ")]":
-                raise ValueError(f"bad k3 interval {body!r}")
-            lo_s, hi_s = body[1:-1].split(",")
+            ends = body[1:-1].split(",")
+            if len(body) < 2 or body[0] not in "([" or body[-1] not in ")]" or len(ends) != 2:
+                raise ValueError(f"bad k3 interval {token!r} (expected k3=(lo,hi) with ( or [ ends)")
+            lo_s, hi_s = ends
             kwargs["k3_min"] = parse_rational(lo_s)
             kwargs["k3_min_strict"] = body[0] == "("
             kwargs["k3_max"] = parse_rational(hi_s)

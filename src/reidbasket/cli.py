@@ -2,7 +2,8 @@
 
 Subcommands: eval, canonical, pack, classify, criteria, verify.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 resource truncation.  All output is deterministic byte-for-byte for a
+3 resource truncation, 4 internal error (any other exception, reported
+on one stderr line).  All output is deterministic byte-for-byte for a
 fixed command line: canonical ordering everywhere, no timestamps.
 """
 
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

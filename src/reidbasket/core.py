@@ -6,8 +6,12 @@ Together with the first anti-plurigenus P_{-1}, a basket determines the
 anti-canonical volume -K^3 and the whole sequence of anti-plurigenera
 P_{-m} through Reid's orbifold Riemann-Roch formula.
 
-Everything here is computed in exact rational arithmetic (``fractions``);
-there is deliberately no floating point anywhere in this module.
+Everything here is exact; there is deliberately no floating point anywhere
+in this module.  The plurigenus kernel works on integers: P_{-m} is carried
+as the numerator S_m over the fixed denominator D = 2 r_X, so the recursion
+never normalizes a fraction, and ``Fraction`` appears only at the public
+boundary.  ``plurigenus_closed`` evaluates the Riemann-Roch closed form in
+``Fraction``s as the independent oracle for that kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -261,22 +266,32 @@ def sigma_prime(basket: Basket) -> Fraction:
     return sum((Fraction(p.b * p.b, p.r) for p in basket), Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _delta_entry(b: int, r: int, n: int) -> Fraction:
-    # Orbifold correction of one pair at level n.  The first summand reduces
-    # b*n modulo r; the second deliberately uses the unreduced product b*n,
-    # so it can go negative.  This reading is pinned down by the identities
-    # Delta^3 = n_{1,2} and Delta^4 = 2 n_{1,2} + n_{1,3} on unpacked baskets.
-    s = (b * n) % r
-    num = s * (r - s) - b * n * (r - b * n)
-    return Fraction(num, 2 * r)
+def _delta_weights(basket: Basket, rx: int) -> list[tuple[int, int, int]]:
+    # (b, r, multiplicity * rx / r) per distinct pair: the weights that put
+    # every pair's correction over the common denominator 2 rx
+    return [(p.b, p.r, k * (rx // p.r)) for p, k in basket.counts()]
+
+
+def _scaled_delta(weights: list[tuple[int, int, int]], n: int) -> int:
+    # 2 rx * Delta^n.  Per pair the correction is num / (2r), where the first
+    # summand of num reduces b*n modulo r and the second deliberately uses
+    # the unreduced product b*n, so it can go negative.  This reading is
+    # pinned down by the identities Delta^3 = n_{1,2} and
+    # Delta^4 = 2 n_{1,2} + n_{1,3} on unpacked baskets.
+    total = 0
+    for b, r, w in weights:
+        bn = b * n
+        s = bn % r
+        total += (s * (r - s) - bn * (r - bn)) * w
+    return total
 
 
 def delta_n(basket: Basket, n: int) -> Fraction:
     """The correction term Delta^n(B) of the plurigenus recursion, n >= 2."""
     if n < 2:
         raise ValueError(f"delta_n needs n >= 2, got {n}")
-    return sum((_delta_entry(p.b, p.r, n) for p in basket), Fraction(0))
+    rx = r_index(basket)
+    return Fraction(_scaled_delta(_delta_weights(basket, rx), n), 2 * rx)
 
 
 def gamma(basket: Basket) -> Fraction:
@@ -284,12 +299,12 @@ def gamma(basket: Basket) -> Fraction:
 
     Geometric baskets satisfy gamma >= 0 (the Kollar-Miyaoka-Mori-Takagi
     positivity constraint), which bounds both the number of entries and
-    every local index.
+    every local index.  Summed as integers over lcm(r_i), one Fraction.
     """
-    total = Fraction(24)
-    for p in basket:
-        total += Fraction(1, p.r) - p.r
-    return total
+    rx = math.lcm(*(p.r for p in basket))
+    return Fraction(
+        sum(rx // p.r for p in basket) + (24 - sum(p.r for p in basket)) * rx, rx
+    )
 
 
 def anti_volume(wb: WeightedBasket) -> Fraction:
@@ -316,11 +331,36 @@ def r_max(basket: Basket) -> int:
 #                  - Delta^{m+1}(B)
 # seeded at P_{-1} = p1.  Note -K^3 + sigma' = 2*p1 + sigma - 6.
 #
+# The kernel runs it on integers: S_m = D * P_{-m} with D = 2 r_X, so a
+# step adds m^2 (2 p1 + sigma - 6) r_X + 2D - m sigma r_X - D Delta^m, and
+# D Delta^m is an integer because every pair's correction is scaled by
+# r_X / r_i.  P_{-m} is integral iff D divides S_m.
+#
 # Closed form (Reid Riemann-Roch):
 #   P_{-n} = n(n+1)(2n+1)/12 * (-K^3) + (2n+1) - l(-n)
 # with the orbifold term l(-n) below.  The two routes agree identically;
 # they are kept separate on purpose as mutual oracles.
 # ---------------------------------------------------------------------------
+
+def _scaled_plurigenera(wb: WeightedBasket, rx: int) -> Iterator[tuple[int, int]]:
+    """Yield (m, S_m) for m = 1, 2, ... without end, where P_{-m} = S_m / (2 rx).
+
+    ``rx`` must be r_index(wb.basket); callers pass it because they need
+    the denominator D = 2 rx themselves.
+    """
+    d = 2 * rx
+    sig = sigma(wb.basket)
+    quad = (2 * wb.p1 + sig - 6) * rx
+    lin = sig * rx
+    weights = _delta_weights(wb.basket, rx)
+    s = wb.p1 * d
+    yield 1, s
+    m = 1
+    while True:
+        m += 1
+        s += m * m * quad + 2 * d - m * lin - _scaled_delta(weights, m)
+        yield m, s
+
 
 def plurigenus(wb: WeightedBasket, m: int) -> Fraction:
     """P_{-m} by the recursion, as an exact Fraction.
@@ -340,17 +380,10 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
     """[unused, P_{-1}, ..., P_{-upto}] computed in one sweep (index = m)."""
     if upto < 1:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
-    sig = sigma(wb.basket)
-    vol_plus_sp = Fraction(2 * wb.p1 + sig - 6)  # -K^3 + sigma'
-    seq: list[Fraction] = [Fraction(0), Fraction(wb.p1)]
-    for m1 in range(2, upto + 1):
-        step = (
-            Fraction(m1 * m1, 2) * vol_plus_sp
-            + 2
-            - Fraction(m1, 2) * sig
-            - delta_n(wb.basket, m1)
-        )
-        seq.append(seq[-1] + step)
+    rx = r_index(wb.basket)
+    d = 2 * rx
+    seq = [Fraction(0)]
+    seq.extend(Fraction(s, d) for _, s in islice(_scaled_plurigenera(wb, rx), upto))
     return seq
 
 
@@ -453,28 +486,36 @@ def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) 
         elif rx == 840 and r_max(basket) != 8:
             failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {r_max(basket)}")
 
+    # every sequence check compares the integers S_m = D * P_{-m}; a
+    # Fraction is built only to word a failure
     horizon = max(config.horizon, 8)
-    seq = plurigenus_sequence(wb, horizon)
+    rx = r_index(basket)
+    d = 2 * rx
+    s = [0]
+    s.extend(v for _, v in islice(_scaled_plurigenera(wb, rx), horizon))
+
+    def p(m: int) -> str:
+        return format_rational(Fraction(s[m], d))
 
     if config.integrality:
         for m in range(1, horizon + 1):
-            if seq[m].denominator != 1 or seq[m] < 0:
-                failures.append(
-                    f"integrality: P[-{m}] = {format_rational(seq[m])}"
-                )
+            if s[m] % d or s[m] < 0:
+                failures.append(f"integrality: P[-{m}] = {p(m)}")
                 break
     if config.p_positive_from_6:
         for m in range(6, horizon + 1):
-            if not seq[m] > 0:
-                failures.append(f"p_positive_from_6: P[-{m}] = {format_rational(seq[m])}")
+            if s[m] <= 0:
+                failures.append(f"p_positive_from_6: P[-{m}] = {p(m)}")
                 break
-    if config.p8_at_least_2 and not seq[8] >= 2:
-        failures.append(f"p8_at_least_2: P[-8] = {format_rational(seq[8])}")
+    if config.p8_at_least_2 and s[8] < 2 * d:
+        failures.append(f"p8_at_least_2: P[-8] = {p(8)}")
     if config.sigma_identity:
-        if sigma(basket) != 10 - 5 * seq[1] + seq[2]:
+        sig = sigma(basket)
+        rhs = 10 * d - 5 * s[1] + s[2]
+        if sig * d != rhs:
             failures.append(
-                f"sigma_identity: sigma = {sigma(basket)}, "
-                f"10 - 5*P[-1] + P[-2] = {format_rational(10 - 5 * seq[1] + seq[2])}"
+                f"sigma_identity: sigma = {sig}, "
+                f"10 - 5*P[-1] + P[-2] = {format_rational(Fraction(rhs, d))}"
             )
     if config.superadditivity:
         done = False
@@ -482,9 +523,9 @@ def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) 
             if done:
                 break
             for n in range(m, horizon - m + 1):
-                if seq[m] > 0 and seq[n] > 0 and seq[m + n] < seq[m] + seq[n] - 1:
+                if s[m] > 0 and s[n] > 0 and s[m + n] < s[m] + s[n] - d:
                     failures.append(
-                        f"superadditivity: P[-{m + n}] = {format_rational(seq[m + n])} "
+                        f"superadditivity: P[-{m + n}] = {p(m + n)} "
                         f"< P[-{m}] + P[-{n}] - 1"
                     )
                     done = True

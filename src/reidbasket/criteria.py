@@ -25,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .core import (
     Basket,
     WeightedBasket,
+    _scaled_plurigenera,
     anti_volume,
     format_basket,
     format_rational,
@@ -211,12 +213,19 @@ def first_not_pencil(wb: WeightedBasket, window: int = 1, limit: int = 400) -> i
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _, _, lam = _lambda_for(wb)
-    seq = plurigenus_sequence(wb, limit + window)
-    good = [False, *(seq[n] > lam * n + 1 for n in range(1, limit + window))]
-    for m in range(1, limit + 1):
-        if all(good[m: m + window]):
-            return m
+    _, rx, lam = _lambda_for(wb)
+    # P_{-n} = S_n / D, so P_{-n} > lam * n + 1 reads, in integers,
+    # S_n * lam.den > (lam.num * n + lam.den) * D; the sequence is extended
+    # only until the first certified window ends
+    d, num, den = 2 * rx, lam.numerator, lam.denominator
+    run = 0
+    for n, s in islice(_scaled_plurigenera(wb, rx), max(limit + window - 1, 0)):
+        if s * den > (num * n + den) * d:
+            run += 1
+            if run == window:
+                return n - window + 1
+        else:
+            run = 0
     raise RuntimeError(f"no pencil-free m found below {limit}")
 
 
@@ -519,9 +528,10 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
 
     m_big, rx, lam = _lambda_for(wb)
     n1 = first_not_pencil(wb, window=policy.n1_window, limit=policy.n1_limit)
-    seq = plurigenus_sequence(wb, max(8, n1))
-    m0 = next(m for m in range(1, len(seq)) if seq[m] >= 2)
-    nu0 = next(m for m in range(1, len(seq)) if seq[m] >= 1)
+    d = 2 * rx
+    scaled = list(islice(_scaled_plurigenera(wb, rx), max(8, n1)))
+    m0 = next(m for m, s in scaled if s >= 2 * d)
+    nu0 = next(m for m, s in scaled if s >= d)
     rmax = r_max(wb.basket)
     k3 = anti_volume(wb)
 

@@ -107,7 +107,7 @@ def single_packings(basket: Basket) -> list[Basket]:
             two = list(rest)
             two.remove(pb)
             out.add(Basket(two + [merge_pairs(pa, pb)]))
-    return sorted(out)
+    return sorted(out, key=Basket.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def closure(
     order yields the same answer.
     """
     seen = {b for b in roots if prune is None or prune(b)}
-    frontier = sorted(seen)
+    frontier = sorted(seen, key=Basket.sort_key)
     truncated = False
     while frontier:
         nxt: list[Basket] = []
@@ -175,7 +175,7 @@ def closure(
             if truncated:
                 break
         frontier = nxt
-    kept = sorted(b for b in seen if emit is None or emit(b))
+    kept = sorted((b for b in seen if emit is None or emit(b)), key=Basket.sort_key)
     return ClosureResult(baskets=tuple(kept), visited=len(seen), truncated=truncated)
 
 

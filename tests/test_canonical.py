@@ -168,6 +168,23 @@ class TestEpsilon:
                 assert dominates(upper, lower)
 
 
+def test_invariant_checks_survive_optimize_flag():
+    # epsilon_n's non-negativity check must fire even when asserts are stripped
+    import subprocess
+    import sys
+
+    code = (
+        "from fractions import Fraction\n"
+        "from reidbasket import canonical\n"
+        "from reidbasket.core import Basket\n"
+        "canonical.delta_n = lambda basket, n: Fraction(-len(basket))\n"
+        "canonical.epsilon_n(Basket.of((2, 5)), 5)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "AssertionError: invariant violated: epsilon_5 = -1" in proc.stderr
+
+
 class TestFromPlurigenera:
     def test_b0_example(self):
         assert b0_from_plurigenera(1, 2, 2, 3) == B(*([(1, 2)] * 5 + [(1, 3), (1, 4)]))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,16 @@ class TestConstraintsText:
         for text in ("p[1]=1 p[2]=1..0", "p[1]=1 sigma5=3..2", "p[1]=1 rmax=9..5"):
             with pytest.raises(ValueError, match="empty range"):
                 parse_constraints(text)
+
+    @pytest.mark.parametrize("token", ["k3=", "k3=(1/2)", "k3=[0,1,2]", "k3=(", "k3=0,1"])
+    def test_malformed_k3_names_the_token(self, token):
+        with pytest.raises(ValueError, match=f"bad k3 interval '{re.escape(token)}'"):
+            parse_constraints(f"p[1]=1 {token}")
+
+    @pytest.mark.parametrize("token", ["p[0]=3", "p[-2]=1", "p[]=1", "p[x]=1", "p[1=1"])
+    def test_plurigenus_index_below_one_names_the_token(self, token):
+        with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
+            parse_constraints(f"p[1]=1 p[2]=1 p[8]=2 {token}")
 
     def test_rejects_garbage_and_empty(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,25 @@ class TestClassify:
         assert code == 2
         assert "'1..0'" in err and out == ""
 
+    @pytest.mark.parametrize("token", ["k3=", "k3=(1/2)", "k3=[0,1,2]"])
+    def test_malformed_k3_is_usage_error(self, tmp_path, token):
+        path = tmp_path / "c.txt"
+        path.write_text(f"p[1]=1 {token}\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
+        assert code == 2
+        assert f"'{token}'" in err and out == ""
+
+    @pytest.mark.parametrize("text, token", [
+        ("p[1]=1 p[2]=1 p[8]=2 p[0]=3", "p[0]=3"),
+        ("p[1]=1 p[-2]=1", "p[-2]=1"),
+    ])
+    def test_plurigenus_index_below_one_is_usage_error(self, tmp_path, text, token):
+        path = tmp_path / "c.txt"
+        path.write_text(text + "\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
+        assert code == 2
+        assert f"'{token}'" in err and out == ""
+
 
 class TestCriteria:
     def test_text_report(self):
@@ -205,3 +224,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "sigma' = 4/5" in proc.stdout
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch):
+    import reidbasket.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", broken)
+    code, out, err = run_cli("eval", "--basket", "(2,5)", "--p1", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == "internal error: RuntimeError: boom\n" and out == ""
+
+
+def test_verify_all_under_optimize_flag():
+    # the invariant checks are explicit, so stripping asserts changes nothing
+    import subprocess
+    import sys
+
+    def run(*flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "reidbasket", "verify", "--all", "--jobs", "1"],
+            capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout
+
+    plain = run()
+    assert plain[0] == 0
+    assert run("-O") == plain

@@ -1,0 +1,222 @@
+"""The integer plurigenus kernel and its fast paths against plain Fraction references.
+
+Each reference below is written out here in ``Fraction``s, independently of
+the package's integer kernel: the recursion, the geometric filter, the
+eager pencil scan and gamma.  The fast paths must agree with them exactly,
+failure messages included.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_basket
+from reidbasket.core import (
+    Basket,
+    FilterConfig,
+    WeightedBasket,
+    anti_volume,
+    delta_n,
+    format_rational,
+    gamma,
+    geometric_filter,
+    plurigenus_sequence,
+    r_index,
+    r_max,
+    sigma,
+)
+from reidbasket.criteria import first_not_pencil, lambda_of
+from reidbasket.fixtures import available_tables, load_table
+
+SINGLE_CHECKS = tuple(
+    f.name for f in dataclasses.fields(FilterConfig) if f.type in (bool, "bool")
+)
+
+
+def reference_delta(basket: Basket, n: int) -> Fraction:
+    total = Fraction(0)
+    for p in basket:
+        s = (p.b * n) % p.r
+        total += Fraction(s * (p.r - s) - p.b * n * (p.r - p.b * n), 2 * p.r)
+    return total
+
+
+def reference_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
+    sig = sum(p.b for p in wb.basket)
+    seq = [Fraction(0), Fraction(wb.p1)]
+    for m in range(2, upto + 1):
+        step = (Fraction(m * m, 2) * (2 * wb.p1 + sig - 6) + 2
+                - Fraction(m, 2) * sig - reference_delta(wb.basket, m))
+        seq.append(seq[-1] + step)
+    return seq
+
+
+def reference_filter(wb: WeightedBasket, config: FilterConfig) -> tuple[str, ...]:
+    failures: list[str] = []
+    basket = wb.basket
+    vol = anti_volume(wb)
+    if config.volume_positive and not vol > 0:
+        failures.append(f"volume_positive: -K^3 = {format_rational(vol)} <= 0")
+    if config.min_volume and not vol >= Fraction(1, 330):
+        failures.append(f"min_volume: -K^3 = {format_rational(vol)} < 1/330")
+    if config.gamma_nonneg:
+        g = 24 + sum((Fraction(1, p.r) - p.r for p in basket), Fraction(0))
+        if g < 0:
+            failures.append(f"gamma_nonneg: gamma = {format_rational(g)} < 0")
+    if config.rmax_le_24 and len(basket) and r_max(basket) > 24:
+        failures.append(f"rmax_le_24: r_max = {r_max(basket)}")
+    if config.index_bound:
+        rx = r_index(basket)
+        if rx > 660 and rx != 840:
+            failures.append(f"index_bound: r_X = {rx}")
+        elif rx == 840 and r_max(basket) != 8:
+            failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {r_max(basket)}")
+    horizon = max(config.horizon, 8)
+    seq = reference_sequence(wb, horizon)
+    if config.integrality:
+        for m in range(1, horizon + 1):
+            if seq[m].denominator != 1 or seq[m] < 0:
+                failures.append(f"integrality: P[-{m}] = {format_rational(seq[m])}")
+                break
+    if config.p_positive_from_6:
+        for m in range(6, horizon + 1):
+            if not seq[m] > 0:
+                failures.append(f"p_positive_from_6: P[-{m}] = {format_rational(seq[m])}")
+                break
+    if config.p8_at_least_2 and not seq[8] >= 2:
+        failures.append(f"p8_at_least_2: P[-8] = {format_rational(seq[8])}")
+    if config.sigma_identity and sigma(basket) != 10 - 5 * seq[1] + seq[2]:
+        failures.append(
+            f"sigma_identity: sigma = {sigma(basket)}, "
+            f"10 - 5*P[-1] + P[-2] = {format_rational(10 - 5 * seq[1] + seq[2])}"
+        )
+    if config.superadditivity:
+        pairs = ((m, n) for m in range(1, horizon) for n in range(m, horizon - m + 1))
+        for m, n in pairs:
+            if seq[m] > 0 and seq[n] > 0 and seq[m + n] < seq[m] + seq[n] - 1:
+                failures.append(
+                    f"superadditivity: P[-{m + n}] = {format_rational(seq[m + n])} "
+                    f"< P[-{m}] + P[-{n}] - 1"
+                )
+                break
+    return tuple(failures)
+
+
+def eager_first_not_pencil(wb: WeightedBasket, window: int, limit: int) -> int:
+    rx = r_index(wb.basket)
+    m_big = rx * anti_volume(wb)
+    lam = lambda_of(int(m_big), rx)
+    seq = reference_sequence(wb, limit + window)
+    good = [False, *(seq[n] > lam * n + 1 for n in range(1, limit + window))]
+    for m in range(1, limit + 1):
+        if all(good[m:m + window]):
+            return m
+    raise RuntimeError(f"no pencil-free m found below {limit}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
+def table_weighted_baskets() -> list[WeightedBasket]:
+    out = []
+    for table_id in available_tables():
+        fixture = load_table(table_id)
+        if fixture.kind == "pipeline":
+            out.extend(WeightedBasket(row.basket, fixture.p1) for row in fixture.rows)
+    return out
+
+
+def seeded_weighted_baskets(
+    seed: int, count: int, coprime: bool = True, rmax: int = 24
+) -> list[WeightedBasket]:
+    rng = random.Random(seed)
+    return [
+        WeightedBasket(random_basket(rng, max_entries=9, rmax=rmax, coprime=coprime), rng.randint(0, 3))
+        for _ in range(count)
+    ]
+
+
+class TestRecursion:
+    def test_sequence_and_delta_match_fraction_recursion(self):
+        for wb in seeded_weighted_baskets(31, 150, coprime=False):
+            assert plurigenus_sequence(wb, 30) == reference_sequence(wb, 30)
+            for n in (2, 3, 7, 29):
+                assert delta_n(wb.basket, n) == reference_delta(wb.basket, n)
+
+    def test_empty_basket(self):
+        wb = WeightedBasket(Basket(), 2)
+        assert plurigenus_sequence(wb, 10) == reference_sequence(wb, 10)
+
+
+class TestGeometricFilter:
+    CONFIGS = (FilterConfig(), FilterConfig.none()) + tuple(
+        dataclasses.replace(FilterConfig.none(), **{name: True}) for name in SINGLE_CHECKS
+    )
+
+    def test_failures_identical_to_fraction_filter(self):
+        cases = table_weighted_baskets()[::7] + seeded_weighted_baskets(32, 150)
+        cases += seeded_weighted_baskets(33, 60, coprime=False, rmax=30)
+        seen: set[str] = set()
+        passed = 0
+        for wb in cases:
+            for config in self.CONFIGS:
+                result = geometric_filter(wb, config)
+                expected = reference_filter(wb, config)
+                assert result.failures == expected, (str(wb), config)
+                assert result.ok == (not expected)
+                seen.update(f.split(":")[0] for f in expected)
+            passed += geometric_filter(wb).ok
+        # the sample exercises every check that can fail and includes
+        # geometric baskets; the recursion gives P_{-2} = 5 P_{-1} + sigma - 10
+        # on every basket, so the sigma identity never fails
+        assert seen == set(SINGLE_CHECKS) - {"sigma_identity"}
+        assert passed > 0
+        assert {wb.p1 for wb in cases} == {0, 1, 2, 3}
+
+    def test_horizon_beyond_default(self):
+        config = FilterConfig(horizon=40)
+        for wb in seeded_weighted_baskets(34, 40):
+            assert geometric_filter(wb, config).failures == reference_filter(wb, config)
+
+
+class TestFirstNotPencil:
+    def cases(self) -> list[WeightedBasket]:
+        cases = table_weighted_baskets()[::5] + seeded_weighted_baskets(35, 120)[:60]
+        return [wb for wb in cases if anti_volume(wb) > 0]
+
+    @pytest.mark.parametrize("window", [1, 6])
+    def test_lazy_scan_matches_eager_scan(self, window):
+        results = []
+        for wb in self.cases():
+            got = outcome(first_not_pencil, wb, window)
+            assert got == outcome(eager_first_not_pencil, wb, window, 400), str(wb)
+            results.append(got)
+        assert any(isinstance(r, int) and r > 1 for r in results)
+
+    @pytest.mark.parametrize("window", [1, 6])
+    def test_small_limit_still_raises(self, window):
+        raised = 0
+        for wb in self.cases():
+            got = outcome(first_not_pencil, wb, window, 4)
+            assert got == outcome(eager_first_not_pencil, wb, window, 4), str(wb)
+            raised += isinstance(got, str)
+        assert raised > 0
+        with pytest.raises(RuntimeError, match="below 4"):
+            first_not_pencil(WeightedBasket(Basket.of((1, 2), (2, 5), (1, 3), (2, 11)), 1), window, 4)
+
+
+class TestGamma:
+    def test_matches_fraction_sum(self):
+        rng = random.Random(36)
+        baskets = [Basket()] + [
+            random_basket(rng, max_entries=12, rmax=30, coprime=rng.random() < 0.5)
+            for _ in range(500)
+        ]
+        for basket in baskets:
+            assert gamma(basket) == 24 + sum((Fraction(1, p.r) - p.r for p in basket), Fraction(0))
