@@ -29,13 +29,15 @@ from .core import (
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
-    anti_volume,
+    _scaled_gamma,
+    _scaled_plurigenera,
+    _scaled_volume,
     gamma,
     geometric_filter,
     parse_rational,
-    plurigenus_sequence,
     r_index,
     r_max,
+    sigma,
 )
 from .packing import ClosureLimits, closure
 
@@ -52,6 +54,12 @@ _GAMMA_BUDGET = Fraction(24)
 
 def _entry_cost(r: int) -> Fraction:
     return r - Fraction(1, r)
+
+
+def _compare(num: int, den: int, bound: Fraction) -> int:
+    """Sign of num/den - bound for den > 0, by cross-multiplied integers."""
+    a, b = num * bound.denominator, bound.numerator * den
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -100,16 +108,15 @@ class ClassificationConstraints:
 
     # -- emission checks ----------------------------------------------------
 
-    def volume_ok(self, vol: Fraction) -> bool:
+    def volume_ok(self, num: int, den: int) -> bool:
+        """Whether -K^3 = num / den (den > 0) lies within the k3 bounds."""
         if self.k3_min is not None:
-            if self.k3_min_strict and not vol > self.k3_min:
-                return False
-            if not self.k3_min_strict and not vol >= self.k3_min:
+            c = _compare(num, den, self.k3_min)
+            if c < 0 or (c == 0 and self.k3_min_strict):
                 return False
         if self.k3_max is not None:
-            if self.k3_max_strict and not vol < self.k3_max:
-                return False
-            if not self.k3_max_strict and not vol <= self.k3_max:
+            c = _compare(num, den, self.k3_max)
+            if c > 0 or (c == 0 and self.k3_max_strict):
                 return False
         return True
 
@@ -131,8 +138,13 @@ class ClassificationConstraints:
         return True
 
     def admits(self, wb: WeightedBasket) -> bool:
-        """Full re-verification of one candidate (the mandatory final pass)."""
-        if not self.volume_ok(anti_volume(wb)):
+        """Full re-verification of one candidate (the mandatory final pass).
+
+        Compares integers only: -K^3 as its numerator over r_X and P_{-m}
+        as S_m over D = 2 r_X.
+        """
+        rx = r_index(wb.basket)
+        if not self.volume_ok(_scaled_volume(wb, rx), rx):
             return False
         if not self.indices_ok(wb.basket):
             return False
@@ -147,16 +159,18 @@ class ClassificationConstraints:
                 return False
         ms = self.constrained_ms()
         if ms:
-            seq = plurigenus_sequence(wb, max(ms))
-            for m in ms:
-                lo, hi = self.p_bounds(m)
-                v = seq[m]
-                if v.denominator != 1:
-                    return False
-                if lo is not None and v < lo:
-                    return False
-                if hi is not None and v > hi:
-                    return False
+            d = 2 * rx
+            for m, s in _scaled_plurigenera(wb, rx):
+                if m in self.p_fixed or m in self.p_ranges:
+                    lo, hi = self.p_bounds(m)
+                    if s % d:
+                        return False
+                    if lo is not None and s < lo * d:
+                        return False
+                    if hi is not None and s > hi * d:
+                        return False
+                if m == ms[-1]:
+                    break
         return geometric_filter(wb, self.filters).ok
 
 
@@ -243,40 +257,46 @@ def _tails(constraints, p1, p2, p3, p4, sigma5_cap):
 
 
 def _prune_factory(constraints: ClassificationConstraints, p1: int):
-    """Downward-closed clause used during closure expansion."""
-    upper_ms: list[tuple[int, int]] = []
+    """Downward-closed clause used during closure expansion.
+
+    Compares integers only, like ``admits``: gamma and -K^3 as numerators
+    over r_X, P_{-m} as S_m over D = 2 r_X.
+    """
+    upper: dict[int, int] = {}
     for m in constraints.constrained_ms():
         if m == 1:
             continue
         _, hi = constraints.p_bounds(m)
         if hi is not None:
-            upper_ms.append((m, hi))
-    top = max((m for m, _ in upper_ms), default=0)
+            upper[m] = hi
+    top = max(upper, default=0)
     use_gamma = constraints.filters.gamma_nonneg
     k3_hi, k3_hi_strict = constraints.k3_max, constraints.k3_max_strict
-    min_vol = Fraction(1, 330) if constraints.filters.min_volume else None
+    min_volume = constraints.filters.min_volume
 
     def prune_ok(basket: Basket) -> bool:
-        if use_gamma and gamma(basket) < 0:
+        rx = r_index(basket)
+        if use_gamma and _scaled_gamma(basket, rx) < 0:
             return False
         wb = WeightedBasket(basket, p1)
-        vol = anti_volume(wb)
         if k3_hi is not None:
-            if k3_hi_strict and vol >= k3_hi:
+            c = _compare(_scaled_volume(wb, rx), rx, k3_hi)
+            if c > 0 or (c == 0 and k3_hi_strict):
                 return False
-            if not k3_hi_strict and vol > k3_hi:
-                return False
-        if min_vol is not None:
+        if min_volume:
             # -K^3 only grows along packing, so no *lower* prune is sound;
             # but sigma' > 0 caps the reachable volume from above:
-            # final -K^3 < 2 p1 + sigma - 6, and sigma is a packing invariant
-            if 2 * p1 + sum(p.b for p in basket) - 6 < min_vol:
+            # final -K^3 < 2 p1 + sigma - 6, and sigma is a packing invariant;
+            # an integer below 1/330 is <= 0
+            if 2 * p1 + sigma(basket) - 6 <= 0:
                 return False
         if top:
-            seq = plurigenus_sequence(wb, top)
-            for m, hi in upper_ms:
-                if seq[m] > hi:
+            d = 2 * rx
+            for m, s in _scaled_plurigenera(wb, rx):
+                if m in upper and s > upper[m] * d:
                     return False
+                if m == top:
+                    break
         return True
 
     return prune_ok

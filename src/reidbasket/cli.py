@@ -3,8 +3,10 @@
 Subcommands: eval, canonical, pack, classify, criteria, verify.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 resource truncation, 4 internal error (any other exception, reported
-on one stderr line).  All output is deterministic byte-for-byte for a
-fixed command line: canonical ordering everywhere, no timestamps.
+on one stderr line), 141 stdout closed by its reader (128 + SIGPIPE, as
+``cat`` reports it; nothing on stderr).  All output is deterministic
+byte-for-byte for a fixed command line: canonical ordering everywhere,
+no timestamps.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .core import (
     sigma,
     sigma_prime,
 )
-from .criteria import BranchSpec, PipelinePolicy, table_pipeline
-from .fixtures import verify_all, verify_manifest, verify_table
 from .packing import (
     ClosureLimits,
     ClosureTruncated,
@@ -49,6 +49,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,6 +186,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    # imported here, their only user, so other subcommands start without them
+    from .criteria import BranchSpec, PipelinePolicy, table_pipeline
+
     basket = parse_basket(args.basket)
     wb = WeightedBasket(basket, args.p1)
     p1_zero = args.p1 == 0
@@ -218,6 +222,8 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .fixtures import verify_all, verify_manifest, verify_table
+
     if args.manifest:
         problems = verify_manifest()
         for problem in problems:
@@ -250,11 +256,25 @@ _HANDLERS = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    # the reader closed stdout early (``| head``); what is still buffered
+    # goes to os.devnull, so the flush at interpreter exit cannot raise again
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # a closed pipe surfaces here rather than in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_PIPE
     except BasketSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,9 @@ Everything here is exact; there is deliberately no floating point anywhere
 in this module.  The plurigenus kernel works on integers: P_{-m} is carried
 as the numerator S_m over the fixed denominator D = 2 r_X, so the recursion
 never normalizes a fraction, and ``Fraction`` appears only at the public
-boundary.  ``plurigenus_closed`` evaluates the Riemann-Roch closed form in
+boundary.  The volume -K^3, sigma' and gamma are likewise integer numerators
+over r_X, so the search predicates of ``classify`` compare integers only.
+``plurigenus_closed`` evaluates the Riemann-Roch closed form in
 ``Fraction``s as the independent oracle for that kernel.
 """
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -89,6 +92,10 @@ class OrbifoldPair:
         return f"({self.b},{self.r})"
 
 
+# the (r, b) order of OrbifoldPair.__lt__ as a C-level sort key
+_PAIR_ORDER = attrgetter("r", "b")
+
+
 class Basket:
     """Canonical immutable multiset of OrbifoldPairs, sorted by (r, b).
 
@@ -102,7 +109,7 @@ class Basket:
     entries: tuple[OrbifoldPair, ...]
 
     def __init__(self, entries: Iterable[OrbifoldPair] = ()) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(entries)))
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=_PAIR_ORDER)))
         object.__setattr__(self, "_hash", hash(self.entries))
 
     @staticmethod
@@ -143,7 +150,7 @@ class Basket:
         return f"Basket({format_basket(self)!r})"
 
     def sort_key(self) -> tuple:
-        return tuple((p.r, p.b) for p in self.entries)
+        return tuple(map(_PAIR_ORDER, self.entries))
 
     def counts(self) -> list[tuple[OrbifoldPair, int]]:
         """Entries grouped with multiplicities, in canonical order."""
@@ -185,13 +192,18 @@ class WeightedBasket:
 #   basket := item ("," item)* | ""          ("" is the empty basket)
 #   item   := [ mult "x" ] "(" int "," int ")"
 #
-# Whitespace is ignored around tokens; mult >= 1.  Example:
+# Whitespace is ignored around tokens; mult >= 1, and all the multiplicities
+# together at most MAX_BASKET_ENTRIES.  Example:
 #   "2x(1,2),(2,5),(1,3)"
 # ---------------------------------------------------------------------------
 
 class BasketSyntaxError(ValueError):
     """Malformed basket text; the message names the offending token."""
 
+
+# A gamma >= 0 basket has at most 16 entries (each costs r - 1/r >= 3/2 of
+# the budget 24); the cap only stops "10**12x(1,2)" from exhausting memory.
+MAX_BASKET_ENTRIES = 1000
 
 _ITEM = re.compile(r"\s*(?:(\d+)\s*x\s*)?\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
 
@@ -201,6 +213,7 @@ def parse_basket(text: str) -> Basket:
         return Basket()
     pairs: list[OrbifoldPair] = []
     pos = 0
+    total = 0
     while True:
         m = _ITEM.match(text, pos)
         if m is None:
@@ -210,6 +223,12 @@ def parse_basket(text: str) -> Basket:
         mult = int(m.group(1)) if m.group(1) else 1
         if mult < 1:
             raise BasketSyntaxError(f"bad multiplicity in {m.group(0).strip()!r}")
+        total += mult
+        if total > MAX_BASKET_ENTRIES:
+            raise BasketSyntaxError(
+                f"too many basket entries at {m.group(0).strip()!r} "
+                f"(at most {MAX_BASKET_ENTRIES} in all)"
+            )
         b, r = int(m.group(2)), int(m.group(3))
         try:
             pair = OrbifoldPair.of(b, r)
@@ -261,9 +280,29 @@ def sigma(basket: Basket) -> int:
     return sum(p.b for p in basket)
 
 
+# The invariants below are summed as integers over r_X (every r_i divides
+# it); the public functions wrap one numerator in one Fraction, and the
+# search predicates compare the numerators directly.
+
+def _scaled_sigma_prime(basket: Basket, rx: int) -> int:
+    # r_X * sigma' = sum b_i^2 r_X / r_i
+    return sum(p.b * p.b * (rx // p.r) for p in basket)
+
+
+def _scaled_gamma(basket: Basket, rx: int) -> int:
+    # r_X * gamma = sum r_X / r_i + (24 - sum r_i) r_X
+    return 24 * rx + sum(rx // p.r - p.r * rx for p in basket)
+
+
+def _scaled_volume(wb: WeightedBasket, rx: int) -> int:
+    # r_X * (-K^3) = (2 p1 + sigma - 6) r_X - sum b_i^2 r_X / r_i
+    return (2 * wb.p1 + sigma(wb.basket) - 6) * rx - _scaled_sigma_prime(wb.basket, rx)
+
+
 def sigma_prime(basket: Basket) -> Fraction:
-    """sigma'(B) = sum of b_i^2 / r_i."""
-    return sum((Fraction(p.b * p.b, p.r) for p in basket), Fraction(0))
+    """sigma'(B) = sum of b_i^2 / r_i, summed as integers over r_X, one Fraction."""
+    rx = r_index(basket)
+    return Fraction(_scaled_sigma_prime(basket, rx), rx)
 
 
 def _delta_weights(basket: Basket, rx: int) -> list[tuple[int, int, int]]:
@@ -299,17 +338,19 @@ def gamma(basket: Basket) -> Fraction:
 
     Geometric baskets satisfy gamma >= 0 (the Kollar-Miyaoka-Mori-Takagi
     positivity constraint), which bounds both the number of entries and
-    every local index.  Summed as integers over lcm(r_i), one Fraction.
+    every local index.  Summed as integers over r_X, one Fraction.
     """
-    rx = math.lcm(*(p.r for p in basket))
-    return Fraction(
-        sum(rx // p.r for p in basket) + (24 - sum(p.r for p in basket)) * rx, rx
-    )
+    rx = r_index(basket)
+    return Fraction(_scaled_gamma(basket, rx), rx)
 
 
 def anti_volume(wb: WeightedBasket) -> Fraction:
-    """The anti-canonical volume -K^3 = 2*P_{-1} + sigma - sigma' - 6."""
-    return 2 * wb.p1 + sigma(wb.basket) - sigma_prime(wb.basket) - 6
+    """The anti-canonical volume -K^3 = 2*P_{-1} + sigma - sigma' - 6.
+
+    Summed as integers over r_X, one Fraction.
+    """
+    rx = r_index(wb.basket)
+    return Fraction(_scaled_volume(wb, rx), rx)
 
 
 def r_index(basket: Basket) -> int:
@@ -426,6 +467,12 @@ class FilterConfig:
     non-negativity of every P_{-m} up to the horizon, P_{-m} > 0 for
     m >= 6, P_{-8} >= 2, the sigma identity sigma = 10 - 5 P_{-1} + P_{-2},
     and superadditivity P_{-m-n} >= P_{-m} + P_{-n} - 1.
+
+    Two of these are identities of the recursion for an integer P_{-1}:
+    Delta^2 = 0 for every pair (2b <= r), so P_{-2} = 5 P_{-1} + sigma - 10
+    and ``sigma_identity`` always holds; every step adds an integer, so the
+    divisibility arm of ``integrality`` never fires (its negativity arm
+    does).  They guard the kernel and never prune.
     """
 
     volume_positive: bool = True
@@ -465,31 +512,33 @@ class FilterResult:
 
 def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
     """Run the selected geometric checks; failures are reported in check order."""
+    # every check compares integers scaled by r_X (the volume, gamma) or by
+    # D = 2 r_X (S_m = D * P_{-m}); a Fraction is built only to word a failure
     failures: list[str] = []
     basket = wb.basket
-    vol = anti_volume(wb)
+    rx = r_index(basket)
+    vol = _scaled_volume(wb, rx)
+
+    def k3() -> str:
+        return format_rational(Fraction(vol, rx))
 
     if config.volume_positive and not vol > 0:
-        failures.append(f"volume_positive: -K^3 = {format_rational(vol)} <= 0")
-    if config.min_volume and not vol >= Fraction(1, 330):
-        failures.append(f"min_volume: -K^3 = {format_rational(vol)} < 1/330")
+        failures.append(f"volume_positive: -K^3 = {k3()} <= 0")
+    if config.min_volume and not 330 * vol >= rx:
+        failures.append(f"min_volume: -K^3 = {k3()} < 1/330")
     if config.gamma_nonneg:
-        g = gamma(basket)
+        g = _scaled_gamma(basket, rx)
         if g < 0:
-            failures.append(f"gamma_nonneg: gamma = {format_rational(g)} < 0")
+            failures.append(f"gamma_nonneg: gamma = {format_rational(Fraction(g, rx))} < 0")
     if config.rmax_le_24 and len(basket) and r_max(basket) > 24:
         failures.append(f"rmax_le_24: r_max = {r_max(basket)}")
     if config.index_bound:
-        rx = r_index(basket)
         if rx > 660 and rx != 840:
             failures.append(f"index_bound: r_X = {rx}")
         elif rx == 840 and r_max(basket) != 8:
             failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {r_max(basket)}")
 
-    # every sequence check compares the integers S_m = D * P_{-m}; a
-    # Fraction is built only to word a failure
     horizon = max(config.horizon, 8)
-    rx = r_index(basket)
     d = 2 * rx
     s = [0]
     s.extend(v for _, v in islice(_scaled_plurigenera(wb, rx), horizon))

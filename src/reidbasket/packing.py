@@ -91,23 +91,30 @@ def pack_once(basket: Basket, i: int, j: int) -> Basket:
 
 
 def single_packings(basket: Basket) -> list[Basket]:
-    """All distinct results of one packing step, deduplicated."""
-    out = set()
-    counts = basket.counts()
-    for a in range(len(counts)):
-        pa, ka = counts[a]
-        rest = list(basket.entries)
-        rest.remove(pa)
-        if ka >= 2:
-            both = list(rest)
-            both.remove(pa)
-            out.add(Basket(both + [merge_pairs(pa, pa)]))
-        for bidx in range(a + 1, len(counts)):
-            pb, _ = counts[bidx]
-            two = list(rest)
-            two.remove(pb)
-            out.add(Basket(two + [merge_pairs(pa, pb)]))
-    return sorted(out, key=Basket.sort_key)
+    """All distinct results of one packing step, canonically sorted.
+
+    One child per unordered pair of distinct entry types, plus one per type
+    that repeats (the self-merge).  No two are equal: equal children need
+    equal merged pairs (a merged pair has a larger r than either part, so
+    it cannot be one of the other child's removed entries), and then equal
+    removed entries.  Each child is sliced out of the canonical entries:
+    the first position of each type, and the next one for a self-merge.
+    """
+    entries = basket.entries
+    key = basket.sort_key()
+    n = len(entries)
+    firsts = [i for i in range(n) if i == 0 or key[i] != key[i - 1]]
+    out = []
+    for a, i in enumerate(firsts):
+        head = entries[:i]
+        if i + 1 < n and key[i + 1] == key[i]:
+            out.append(Basket(head + entries[i + 2:] + (merge_pairs(entries[i], entries[i]),)))
+        for j in firsts[a + 1:]:
+            out.append(Basket(
+                head + entries[i + 1:j] + entries[j + 1:] + (merge_pairs(entries[i], entries[j]),)
+            ))
+    out.sort(key=Basket.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

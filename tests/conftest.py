@@ -1,10 +1,26 @@
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import reidbasket
 from reidbasket.core import Basket, OrbifoldPair
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child Python that imports this same ``reidbasket``.
+
+    The package's directory leads PYTHONPATH, so subprocess tests also work
+    when pytest itself found the package only through its ``pythonpath``.
+    """
+    env = dict(os.environ)
+    src = str(Path(reidbasket.__file__).resolve().parents[1])
+    rest = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
+    env["PYTHONPATH"] = os.pathsep.join([src, *rest])
+    return env
 
 
 def pair_strategy(rmax: int = 24, coprime: bool = False):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_basket
+from conftest import random_basket, src_env
 from reidbasket.canonical import (
     CanonicalSequence,
     FractionLevelSet,
@@ -180,7 +180,9 @@ def test_invariant_checks_survive_optimize_flag():
         "canonical.delta_n = lambda basket, n: Fraction(-len(basket))\n"
         "canonical.epsilon_n(Basket.of((2, 5)), 5)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+    )
     assert proc.returncode == 1
     assert "AssertionError: invariant violated: epsilon_5 = -1" in proc.stderr
 

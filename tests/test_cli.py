@@ -1,9 +1,12 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import src_env
 from reidbasket.cli import main
 
 
@@ -214,13 +217,10 @@ def test_classify_is_byte_deterministic(tmp_path):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "reidbasket", "eval", "--basket", "(2,5)", "--p1", "1",
          "--upto", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert "sigma' = 4/5" in proc.stdout
@@ -240,16 +240,74 @@ def test_internal_error_has_its_own_exit_code(monkeypatch):
 
 def test_verify_all_under_optimize_flag():
     # the invariant checks are explicit, so stripping asserts changes nothing
-    import subprocess
-    import sys
-
     def run(*flags):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "reidbasket", "verify", "--all", "--jobs", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         return proc.returncode, proc.stdout
 
     plain = run()
     assert plain[0] == 0
     assert run("-O") == plain
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+def test_closed_stdout_exits_141_silently(tmp_path, monkeypatch):
+    import reidbasket.cli as cli
+
+    target = tmp_path / "stdout"
+    err = io.StringIO()
+    with open(target, "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        with redirect_stderr(err):
+            code = cli.main(["eval", "--basket", "(2,5)", "--p1", "1"])
+        # the descriptor now points at os.devnull, so a late flush is harmless
+        os.write(handle.fileno(), b"late flush")
+    assert code == cli.EXIT_PIPE == 141
+    assert err.getvalue() == ""
+    assert target.read_bytes() == b""
+
+
+def test_closed_pipe_in_a_child_process():
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reidbasket", "eval", "--basket", "(2,5)", "--p1", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_huge_multiplicity_is_a_usage_error():
+    code, out, err = run_cli("eval", "--basket", f"{10 ** 12}x(1,2)", "--p1", "0")
+    assert (code, out) == (2, "")
+    assert f"'{10 ** 12}x(1,2)'" in err
+
+
+def test_cli_import_leaves_criteria_and_fixtures_unloaded():
+    code = (
+        "import sys, reidbasket.cli\n"
+        "deferred = ('reidbasket.criteria', 'reidbasket.fixtures')\n"
+        "print(sorted(m for m in deferred if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

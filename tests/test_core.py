@@ -11,6 +11,7 @@ from reidbasket.core import (
     Basket,
     BasketSyntaxError,
     FilterConfig,
+    MAX_BASKET_ENTRIES,
     OrbifoldPair,
     WeightedBasket,
     anti_volume,
@@ -89,6 +90,15 @@ class TestGrammar:
     def test_rejects_bad_text(self, bad):
         with pytest.raises(BasketSyntaxError):
             parse_basket(bad)
+
+    def test_multiplicity_is_bounded_before_allocation(self):
+        # checked before the list is built, so no large allocation starts
+        with pytest.raises(BasketSyntaxError, match=rf"'{10 ** 12}x\(1,2\)'"):
+            parse_basket(f"{10 ** 12}x(1,2)")
+        # the bound is on all the items together
+        with pytest.raises(BasketSyntaxError, match=r"too many basket entries at '\(1,3\)'"):
+            parse_basket(f"{MAX_BASKET_ENTRIES}x(1,2),(1,3)")
+        assert len(parse_basket(f"{MAX_BASKET_ENTRIES}x(1,2)")) == MAX_BASKET_ENTRIES
 
     def test_rational_serialization(self):
         assert format_rational(Fraction(1, 330)) == "1/330"

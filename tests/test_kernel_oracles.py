@@ -2,17 +2,20 @@
 
 Each reference below is written out here in ``Fraction``s, independently of
 the package's integer kernel: the recursion, the geometric filter, the
-eager pencil scan and gamma.  The fast paths must agree with them exactly,
-failure messages included.
+eager pencil scan, the basket invariants and the classification
+predicates.  The fast paths must agree with them exactly, failure messages
+included.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_basket
+from reidbasket.classify import _prune_factory, classify, parse_constraints
 from reidbasket.core import (
     Basket,
     FilterConfig,
@@ -22,10 +25,12 @@ from reidbasket.core import (
     format_rational,
     gamma,
     geometric_filter,
+    plurigenus_closed,
     plurigenus_sequence,
     r_index,
     r_max,
     sigma,
+    sigma_prime,
 )
 from reidbasket.criteria import first_not_pencil, lambda_of
 from reidbasket.fixtures import available_tables, load_table
@@ -43,6 +48,18 @@ def reference_delta(basket: Basket, n: int) -> Fraction:
     return total
 
 
+def reference_sigma_prime(basket: Basket) -> Fraction:
+    return sum((Fraction(p.b * p.b, p.r) for p in basket), Fraction(0))
+
+
+def reference_gamma(basket: Basket) -> Fraction:
+    return 24 + sum((Fraction(1, p.r) - p.r for p in basket), Fraction(0))
+
+
+def reference_volume(wb: WeightedBasket) -> Fraction:
+    return 2 * wb.p1 + sum(p.b for p in wb.basket) - reference_sigma_prime(wb.basket) - 6
+
+
 def reference_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
     sig = sum(p.b for p in wb.basket)
     seq = [Fraction(0), Fraction(wb.p1)]
@@ -56,13 +73,13 @@ def reference_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
 def reference_filter(wb: WeightedBasket, config: FilterConfig) -> tuple[str, ...]:
     failures: list[str] = []
     basket = wb.basket
-    vol = anti_volume(wb)
+    vol = reference_volume(wb)
     if config.volume_positive and not vol > 0:
         failures.append(f"volume_positive: -K^3 = {format_rational(vol)} <= 0")
     if config.min_volume and not vol >= Fraction(1, 330):
         failures.append(f"min_volume: -K^3 = {format_rational(vol)} < 1/330")
     if config.gamma_nonneg:
-        g = 24 + sum((Fraction(1, p.r) - p.r for p in basket), Fraction(0))
+        g = reference_gamma(basket)
         if g < 0:
             failures.append(f"gamma_nonneg: gamma = {format_rational(g)} < 0")
     if config.rmax_le_24 and len(basket) and r_max(basket) > 24:
@@ -211,12 +228,138 @@ class TestFirstNotPencil:
             first_not_pencil(WeightedBasket(Basket.of((1, 2), (2, 5), (1, 3), (2, 11)), 1), window, 4)
 
 
+def invariant_cases() -> list[Basket]:
+    rng = random.Random(36)
+    return [Basket()] + [
+        random_basket(rng, max_entries=12, rmax=30, coprime=rng.random() < 0.5)
+        for _ in range(500)
+    ]
+
+
 class TestGamma:
     def test_matches_fraction_sum(self):
-        rng = random.Random(36)
-        baskets = [Basket()] + [
-            random_basket(rng, max_entries=12, rmax=30, coprime=rng.random() < 0.5)
-            for _ in range(500)
+        for basket in invariant_cases():
+            assert gamma(basket) == reference_gamma(basket)
+
+
+class TestVolume:
+    def test_sigma_prime_and_volume_match_fraction_sums(self):
+        for basket in invariant_cases():
+            assert sigma_prime(basket) == reference_sigma_prime(basket)
+            for p1 in (0, 1, 3):
+                wb = WeightedBasket(basket, p1)
+                assert anti_volume(wb) == reference_volume(wb)
+
+
+def reference_prune(constraints, p1: int, basket: Basket) -> bool:
+    if constraints.filters.gamma_nonneg and reference_gamma(basket) < 0:
+        return False
+    wb = WeightedBasket(basket, p1)
+    vol = reference_volume(wb)
+    hi = constraints.k3_max
+    if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
+        return False
+    if constraints.filters.min_volume and 2 * p1 + sigma(basket) - 6 < Fraction(1, 330):
+        return False
+    for m in constraints.constrained_ms():
+        top = constraints.p_bounds(m)[1]
+        if m > 1 and top is not None and plurigenus_closed(basket, vol, m) > top:
+            return False
+    return True
+
+
+def reference_admits(constraints, wb: WeightedBasket) -> bool:
+    assert constraints.sigma5 is None
+    vol = reference_volume(wb)
+    lo, hi = constraints.k3_min, constraints.k3_max
+    if lo is not None and (vol < lo or (vol == lo and constraints.k3_min_strict)):
+        return False
+    if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
+        return False
+    if not constraints.indices_ok(wb.basket):
+        return False
+    for m in constraints.constrained_ms():
+        v = plurigenus_closed(wb.basket, vol, m)
+        low, top = constraints.p_bounds(m)
+        if v.denominator != 1 or v < low or v > top:
+            return False
+    return not reference_filter(wb, constraints.filters)
+
+
+CENSUS_INPUTS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "inputs").glob("census_*.txt")
+)
+
+# sets with volume bounds, met by -K^3 on strict and on inclusive ends; the
+# lower end 0 is also cut by the filter's volume_positive, so the last two
+# sets put a lower end on a geometric basket.  p[3]=3..9 is a lower P bound
+# that the filter does not imply.
+BOUNDED_SETS = (
+    "p[1]=0..3 p[2]=0..6 k3=(0,1/30)",
+    "p[1]=0..3 p[3]=3..9 k3=[0,1/2]",
+    "p[1]=1 p[2]=1 k3=(1/330,1/30)",
+    "p[1]=1 p[2]=1 k3=[1/330,1/30]",
+)
+
+# each sits on an end of a bounded set: -K^3 = 0, 1/30 and 1/2 on
+# non-geometric baskets, and 1/2, 1/30, 1/330 on geometric ones
+ON_THE_BOUNDS = (
+    WeightedBasket(Basket(), 3),
+    WeightedBasket(Basket.of((2, 5), (1, 6)), 2),
+    WeightedBasket(Basket.of((1, 2)), 3),
+    WeightedBasket(Basket.of(*[(1, 2)] * 13), 0),
+    WeightedBasket(Basket.of((1, 2), (1, 3), (2, 5), (1, 6), (1, 6)), 1),
+    WeightedBasket(Basket.of((1, 2), (2, 5), (1, 3), (2, 11)), 1),
+)
+
+
+class TestClassifyPredicates:
+    """``prune_ok`` and ``admits`` on one shared pool of weighted baskets.
+
+    The pool mixes seeded baskets (non-geometric ones included), the
+    baskets on the volume bounds, and a sample of what ``classify`` finds
+    for every set, so each set also meets baskets found by its neighbours
+    (a P_{-3} = 2 basket for the lower end of ``p[3]=3..9``, say).
+    """
+
+    def constraint_sets(self) -> list:
+        assert len(CENSUS_INPUTS) == 3
+        texts = [path.read_text() for path in CENSUS_INPUTS] + list(BOUNDED_SETS)
+        return [parse_constraints(text) for text in texts]
+
+    def pool(self, sets) -> list[WeightedBasket]:
+        rng = random.Random(40)
+        pool = [
+            WeightedBasket(
+                random_basket(rng, max_entries=9, rmax=30, coprime=rng.random() < 0.5),
+                rng.randint(0, 4),
+            )
+            for _ in range(150)
         ]
-        for basket in baskets:
-            assert gamma(basket) == 24 + sum((Fraction(1, p.r) - p.r for p in basket), Fraction(0))
+        pool += ON_THE_BOUNDS
+        for constraints in sets:
+            found = classify(constraints)
+            pool += found[::max(1, len(found) // 30)]
+        return pool
+
+    def test_prune_and_admits_match_fraction_references(self):
+        sets = self.constraint_sets()
+        pool = self.pool(sets)
+        verdicts = {True: 0, False: 0}
+        on_bounds = 0
+        for constraints in sets:
+            prunes = {p1: _prune_factory(constraints, p1) for p1 in constraints.p1_values()}
+            for wb in pool:
+                if wb.p1 not in prunes:
+                    continue
+                on_bounds += reference_volume(wb) in (constraints.k3_min, constraints.k3_max)
+                got = constraints.admits(wb)
+                assert got == reference_admits(constraints, wb), (constraints, str(wb))
+                kept = prunes[wb.p1](wb.basket)
+                expected = reference_prune(constraints, wb.p1, wb.basket)
+                assert kept == expected, (constraints, str(wb))
+                verdicts[got] += 1
+                verdicts[kept] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+        # every basket of ON_THE_BOUNDS lies on an end of some set
+        assert on_bounds >= len(ON_THE_BOUNDS)

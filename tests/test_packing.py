@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_strategy, random_basket
+from conftest import pair_strategy, random_basket, random_pair
 from reidbasket.core import (
     Basket,
     OrbifoldPair,
@@ -216,12 +216,20 @@ class TestDominates:
 
 
 def test_single_packings_covers_all_position_pairs():
+    # up to 12 entries drawn from fewer distinct pairs, so some pair repeats
     rng = random.Random(21)
-    for _ in range(50):
-        basket = random_basket(rng, max_entries=6, min_entries=2, coprime=False)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        pool = [random_pair(rng, coprime=False) for _ in range(rng.randint(1, n - 1))]
+        entries = pool + [rng.choice(pool) for _ in range(n - len(pool))]
+        rng.shuffle(entries)
+        basket = Basket(entries)
+        # the keyed sort in Basket agrees with OrbifoldPair.__lt__
+        assert basket.entries == tuple(sorted(entries))
         via_positions = {
             pack_once(basket, i, j)
-            for i in range(len(basket))
-            for j in range(i + 1, len(basket))
+            for i in range(n)
+            for j in range(i + 1, n)
         }
-        assert set(single_packings(basket)) == via_positions
+        # the same children, canonically ordered, each once
+        assert single_packings(basket) == sorted(via_positions, key=Basket.sort_key)
