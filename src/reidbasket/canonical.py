@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Basket, OrbifoldPair, delta_n
+from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, delta_n
 
 __all__ = [
     "FractionLevelSet",
@@ -81,7 +81,7 @@ class FractionLevelSet:
         return farey_neighbors(frac, self.level)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
     """Adjacent division points (upper, lower) of S(level) around ``frac``.
 
@@ -119,7 +119,7 @@ def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
     return upper, lower
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
     frac = Fraction(b, r)
     if in_level_set(frac, level):

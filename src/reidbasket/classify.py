@@ -8,11 +8,15 @@ The engine walks the same road the classification arguments do:
 2. close the level-0 candidates under packing (``packing.closure``, all
    roots of one P_{-1} in one search), pruning with the monotone
    clauses (gamma >= 0 downward-closed; -K^3 and P_{-m} upper bounds
-   downward-closed because both only grow along packings);
+   downward-closed because both only grow along packings; r_max at most
+   the ceiling that the constraints put on every admitted basket, because
+   r_max never decreases along packings);
 3. re-verify every survivor against the full constraint set and the
    geometric filter -- mandatory, not an optimization.
 
 Everything is exact; output is deduplicated by canonical form and sorted.
+The gamma budgets of step 1 and of ``enumerate_index_profiles`` are
+integers: every entry cost r - 1/r is scaled by one L = lcm(2..largest index).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .canonical import Infeasible, b0_from_plurigenera
 from .core import (
@@ -32,7 +37,6 @@ from .core import (
     _scaled_gamma,
     _scaled_plurigenera,
     _scaled_volume,
-    gamma,
     geometric_filter,
     parse_rational,
     r_index,
@@ -49,11 +53,16 @@ __all__ = [
     "enumerate_index_profiles",
 ]
 
-_GAMMA_BUDGET = Fraction(24)
+@lru_cache(maxsize=32)
+def _gamma_costs(top: int) -> tuple[int, tuple[int, ...]]:
+    """The gamma budget 24 and the entry costs ``cost[r] = r - 1/r`` for
+    r <= top, all scaled by L = lcm(2..top) to integers.
 
-
-def _entry_cost(r: int) -> Fraction:
-    return r - Fraction(1, r)
+    Callers keep ``top <= 24``: no entry of a basket with gamma >= 0 has a
+    larger index, and L grows like e^top.
+    """
+    scale = math.lcm(*range(2, top + 1))
+    return 24 * scale, (0, *(r * scale - scale // r for r in range(1, top + 1)))
 
 
 def _compare(num: int, den: int, bound: Fraction) -> int:
@@ -141,7 +150,10 @@ class ClassificationConstraints:
         """Full re-verification of one candidate (the mandatory final pass).
 
         Compares integers only: -K^3 as its numerator over r_X and P_{-m}
-        as S_m over D = 2 r_X.
+        as S_m over D = 2 r_X.  The constrained P_{-m} need no divisibility
+        test: for an integer P_{-1} every step of the recursion adds an
+        integer, so D divides every S_m (``geometric_filter``'s
+        ``integrality`` check stays the guard of that fact).
         """
         rx = r_index(wb.basket)
         if not self.volume_ok(_scaled_volume(wb, rx), rx):
@@ -163,8 +175,6 @@ class ClassificationConstraints:
             for m, s in _scaled_plurigenera(wb, rx):
                 if m in self.p_fixed or m in self.p_ranges:
                     lo, hi = self.p_bounds(m)
-                    if s % d:
-                        return False
                     if lo is not None and s < lo * d:
                         return False
                     if hi is not None and s > hi * d:
@@ -180,7 +190,8 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
     Ranges for P_{-2}, P_{-3}, P_{-4} that the caller leaves open are
     derived from non-negativity of the level-0 multiplicities together
     with the gamma budget (sigma(B0) = 10 - 5 p1 + p2 <= 16 because every
-    level-0 entry costs at least 3/2 of the budget).
+    level-0 entry costs at least 3/2 of the budget).  Every root keeps
+    gamma >= 0 by construction: ``_tails`` spends the root's own gamma.
     """
     out: list[tuple[WeightedBasket, tuple[int, int, int, int]]] = []
     seen: set[tuple[Basket, int]] = set()
@@ -214,8 +225,6 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
                         basket = b0_from_plurigenera(p1, p2, p3, p4, tail)
                         if isinstance(basket, Infeasible):
                             continue
-                        if gamma(basket) < 0:
-                            continue
                         key = (basket, p1)
                         if key in seen:
                             continue
@@ -226,12 +235,20 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
 
 
 def _tails(constraints, p1, p2, p3, p4, sigma5_cap):
-    """Tail multiplicity tables {r >= 5: n0[1,r]} within the gamma budget."""
+    """Tail multiplicity tables {r >= 5: n0[1,r]} within the gamma budget.
+
+    The budget is the gamma of the level-0 basket that the tail completes,
+    in integers scaled by L (``_gamma_costs``), so every table yielded
+    gives a root with gamma >= 0.  That holds while ``sigma5_cap`` is at
+    most n0[1,4] (``enumerate_b0`` keeps it so), and then no index above
+    24 fits the budget, so ``tail_max_index`` is cut to 24.
+    """
     n12 = 5 - 6 * p1 + 4 * p2 - p3
     n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
     if n12 < 0 or n13 < 0:
         return
-    base_cost = n12 * _entry_cost(2) + n13 * _entry_cost(3)
+    top = min(constraints.tail_max_index, 24)
+    full, cost = _gamma_costs(max(top, 4))
     n14_full = 1 + 3 * p1 - p2 - 2 * p3 + p4
 
     def rec(r, remaining_slots, budget, tail):
@@ -239,28 +256,56 @@ def _tails(constraints, p1, p2, p3, p4, sigma5_cap):
         yield dict(tail)
         if remaining_slots <= 0:
             return
-        for rr in range(r, constraints.tail_max_index + 1):
-            cost = _entry_cost(rr) - _entry_cost(4)
-            if cost > budget:
+        for rr in range(r, top + 1):
+            extra = cost[rr] - cost[4]
+            if extra > budget:
                 break
             tail[rr] = tail.get(rr, 0) + 1
-            yield from rec(rr, remaining_slots - 1, budget - cost, tail)
+            yield from rec(rr, remaining_slots - 1, budget - extra, tail)
             tail[rr] -= 1
             if tail[rr] == 0:
                 del tail[rr]
 
-    budget0 = _GAMMA_BUDGET - base_cost - n14_full * _entry_cost(4)
+    budget0 = full - n12 * cost[2] - n13 * cost[3] - n14_full * cost[4]
     if budget0 < 0:
         # no tail can rescue a basket whose r <= 4 part already blows gamma
         return
     yield from rec(5, sigma5_cap, budget0, {})
 
 
+def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
+    """The largest r_max an admitted basket can have, or None if unbounded.
+
+    Only upper ends give a ceiling: r_max never decreases along packing,
+    so a lower end says nothing about what a state's packings reach.
+    """
+    caps = []
+    if constraints.rmax_range is not None:
+        caps.append(constraints.rmax_range[1])
+    if constraints.allowed_indices is not None:
+        caps.append(max(constraints.allowed_indices, default=1))
+    # r_max divides r_X
+    if constraints.rx_max is not None:
+        caps.append(constraints.rx_max)
+    if constraints.rx_exact is not None:
+        caps.append(constraints.rx_exact)
+        if constraints.rx_exact == 840 and constraints.filters.index_bound:
+            # the filter's own rule: r_X = 840 needs r_max = 8
+            caps.append(8)
+    # under gamma >= 0 alone no cap is needed: the gamma clause of
+    # ``prune_ok`` already cuts every state with an index above 24
+    if constraints.filters.rmax_le_24:
+        caps.append(24)
+    return min(caps, default=None)
+
+
 def _prune_factory(constraints: ClassificationConstraints, p1: int):
     """Downward-closed clause used during closure expansion.
 
     Compares integers only, like ``admits``: gamma and -K^3 as numerators
-    over r_X, P_{-m} as S_m over D = 2 r_X.
+    over r_X, P_{-m} as S_m over D = 2 r_X.  The r_max ceiling, read off
+    the last entry, goes first; the weighted basket is built only for the
+    clauses that read it.
     """
     upper: dict[int, int] = {}
     for m in constraints.constrained_ms():
@@ -270,25 +315,32 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
         if hi is not None:
             upper[m] = hi
     top = max(upper, default=0)
+    ceiling = _rmax_ceiling(constraints)
     use_gamma = constraints.filters.gamma_nonneg
     k3_hi, k3_hi_strict = constraints.k3_max, constraints.k3_max_strict
     min_volume = constraints.filters.min_volume
 
     def prune_ok(basket: Basket) -> bool:
+        entries = basket.entries
+        # entries are sorted by (r, b), so the last one carries r_max
+        if ceiling is not None and entries and entries[-1].r > ceiling:
+            return False
         rx = r_index(basket)
         if use_gamma and _scaled_gamma(basket, rx) < 0:
             return False
-        wb = WeightedBasket(basket, p1)
-        if k3_hi is not None:
-            c = _compare(_scaled_volume(wb, rx), rx, k3_hi)
-            if c > 0 or (c == 0 and k3_hi_strict):
-                return False
         if min_volume:
             # -K^3 only grows along packing, so no *lower* prune is sound;
             # but sigma' > 0 caps the reachable volume from above:
             # final -K^3 < 2 p1 + sigma - 6, and sigma is a packing invariant;
             # an integer below 1/330 is <= 0
             if 2 * p1 + sigma(basket) - 6 <= 0:
+                return False
+        if k3_hi is None and not top:
+            return True
+        wb = WeightedBasket(basket, p1)
+        if k3_hi is not None:
+            c = _compare(_scaled_volume(wb, rx), rx, k3_hi)
+            if c > 0 or (c == 0 and k3_hi_strict):
                 return False
         if top:
             d = 2 * rx
@@ -364,44 +416,49 @@ def enumerate_index_profiles(
     """All coprime baskets whose local indices have lcm exactly ``lcm_target``,
 
     filtered by the constraint set.  Index multisets are cut down a priori
-    by the gamma budget (so each index divides the target and is <= 24),
-    then every coprime numerator assignment is screened by the mandatory
-    re-verification pass.
+    by the gamma budget (``_index_profiles``), then every coprime
+    numerator assignment is screened by the mandatory re-verification pass.
     """
-    divisors = [
-        d for d in range(2, min(lcm_target, 24) + 1)
-        if lcm_target % d == 0 and _entry_cost(d) <= _GAMMA_BUDGET
-    ]
-    divisors.sort(reverse=True)
-
-    profiles: list[tuple[int, ...]] = []
-
-    def grow(idx: int, current: list[int], budget: Fraction, lcm_now: int) -> None:
-        if idx == len(divisors):
-            if lcm_now == lcm_target:
-                profiles.append(tuple(current))
-            return
-        d = divisors[idx]
-        grow(idx + 1, current, budget, lcm_now)
-        cost = _entry_cost(d)
-        added = 0
-        while budget - cost * (added + 1) >= 0:
-            added += 1
-            current.append(d)
-            grow(idx + 1, current, budget - cost * added, math.lcm(lcm_now, d))
-        for _ in range(added):
-            current.pop()
-
-    grow(0, [], _GAMMA_BUDGET, 1)
-
     out: set[WeightedBasket] = set()
-    for profile in profiles:
+    for profile in _index_profiles(lcm_target):
         for basket in _numerator_assignments(profile):
             for p1 in constraints.p1_values():
                 wb = WeightedBasket(basket, p1)
                 if constraints.admits(wb):
                     out.add(wb)
     return sorted(out, key=lambda wb: (wb.p1, wb.basket.sort_key()))
+
+
+def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:
+    """Index multisets with lcm exactly ``lcm_target`` and Sigma(r - 1/r) <= 24.
+
+    Each index divides the target and is at most 24 (gamma >= 0); the
+    budget is spent in integers scaled by L (``_gamma_costs``).  Each
+    profile lists its indices in descending order.
+    """
+    top = min(lcm_target, 24)
+    budget, cost = _gamma_costs(top)
+    divisors = [d for d in range(top, 1, -1) if lcm_target % d == 0]
+    profiles: list[tuple[int, ...]] = []
+
+    def grow(idx: int, current: list[int], budget: int, lcm_now: int) -> None:
+        if idx == len(divisors):
+            if lcm_now == lcm_target:
+                profiles.append(tuple(current))
+            return
+        d = divisors[idx]
+        grow(idx + 1, current, budget, lcm_now)
+        c = cost[d]
+        added = 0
+        while budget >= c * (added + 1):
+            added += 1
+            current.append(d)
+            grow(idx + 1, current, budget - c * added, math.lcm(lcm_now, d))
+        for _ in range(added):
+            current.pop()
+
+    grow(0, [], budget, 1)
+    return profiles
 
 
 def _numerator_assignments(profile: tuple[int, ...]):

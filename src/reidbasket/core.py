@@ -428,7 +428,14 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
     return seq
 
 
-@lru_cache(maxsize=None)
+# The bound of the memoized per-pair helpers (here and in ``canonical``).
+# Every coprime pair with r <= 24 (about 90 of them) at n <= 24, or at the
+# 21 canonical levels 0, 5..24, is 900-2200 keys per helper, so this holds
+# that working set with room to spare while a long session cannot grow it.
+PAIR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _l_entry(b: int, r: int, n: int) -> Fraction:
     # sum_{j<=n} of the reduced-residue parabola for one pair, over 2r once
     total = 0

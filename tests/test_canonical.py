@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_basket, src_env
+from reidbasket import canonical, core
 from reidbasket.canonical import (
     CanonicalSequence,
     FractionLevelSet,
@@ -255,3 +257,26 @@ class TestFromPlurigenera:
         seq = plurigenus_sequence(WeightedBasket(B((2, 5)), 1), 5)
         ps = [int(v) for v in seq]
         assert b5_from_plurigenera(ps[1], ps[2], ps[3], ps[4], ps[5]) == B((2, 5))
+
+
+def test_pair_caches_are_bounded_and_hold_the_session_working_set():
+    # every coprime pair with r <= 24, at n <= 24 and at the levels 0, 5..24
+    pairs = [(b, r) for r in range(2, 25) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1]
+    levels = [0, *range(5, 25)]
+    working_sets = {
+        core._l_entry: [(b, r, n) for b, r in pairs for n in range(1, 25)],
+        canonical._unpack_entry: [(b, r, level) for b, r in pairs for level in levels],
+        canonical.farey_neighbors: [
+            (Fraction(b, r), level) for b, r in pairs for level in levels
+            if not in_level_set(Fraction(b, r), level)
+        ],
+    }
+    for helper, keys in working_sets.items():
+        assert isinstance(helper.cache_info().maxsize, int)
+        helper.cache_clear()
+        for _ in range(2):
+            for key in keys:
+                helper(*key)
+        info = helper.cache_info()
+        # the second pass is all hits: nothing of the working set was evicted
+        assert (info.misses, info.hits, info.currsize) == (len(keys),) * 3, helper

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,22 @@ class TestClassify:
         code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
         assert code == 2
         assert f"'{token}'" in err and out == ""
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("census_p8", ()),
+    ("census_p0", ()),
+    ("census_rx840", ()),
+    ("census_rx840", ("--profiles", "840")),
+])
+def test_census_stdout_matches_golden_file(name, extra):
+    constraints = BENCH / "inputs" / f"{name}.txt"
+    code, out, err = run_cli("classify", "--constraints", str(constraints), "--jobs", "1", *extra)
+    assert (code, err) == (0, "")
+    assert out.encode() == (BENCH / "expected" / f"{name}.txt").read_bytes()
 
 
 class TestCriteria:

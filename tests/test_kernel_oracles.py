@@ -8,14 +8,24 @@ included.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import reidbasket.classify as classify_module
 from conftest import random_basket
-from reidbasket.classify import _prune_factory, classify, parse_constraints
+from reidbasket.canonical import b0_from_plurigenera
+from reidbasket.classify import (
+    _index_profiles,
+    _prune_factory,
+    _tails,
+    classify,
+    enumerate_b0,
+    parse_constraints,
+)
 from reidbasket.core import (
     Basket,
     FilterConfig,
@@ -34,6 +44,7 @@ from reidbasket.core import (
 )
 from reidbasket.criteria import first_not_pencil, lambda_of
 from reidbasket.fixtures import available_tables, load_table
+from reidbasket.packing import closure
 
 SINGLE_CHECKS = tuple(
     f.name for f in dataclasses.fields(FilterConfig) if f.type in (bool, "bool")
@@ -251,7 +262,27 @@ class TestVolume:
                 assert anti_volume(wb) == reference_volume(wb)
 
 
+def reference_rmax_ceiling(constraints) -> int | None:
+    """The r_max no admitted basket can exceed: the upper ends of rmax=,
+    indices= and the r_X bounds (r_max divides r_X), 8 for r_X = 840 under
+    the index filter, and 24 wherever r_max <= 24 is checked."""
+    caps = []
+    if constraints.rmax_range is not None:
+        caps.append(constraints.rmax_range[1])
+    if constraints.allowed_indices is not None:
+        caps.append(max(constraints.allowed_indices, default=1))
+    caps += [rx for rx in (constraints.rx_max, constraints.rx_exact) if rx is not None]
+    if constraints.rx_exact == 840 and constraints.filters.index_bound:
+        caps.append(8)
+    if constraints.filters.rmax_le_24:
+        caps.append(24)
+    return min(caps) if caps else None
+
+
 def reference_prune(constraints, p1: int, basket: Basket) -> bool:
+    ceiling = reference_rmax_ceiling(constraints)
+    if ceiling is not None and len(basket) and r_max(basket) > ceiling:
+        return False
     if constraints.filters.gamma_nonneg and reference_gamma(basket) < 0:
         return False
     wb = WeightedBasket(basket, p1)
@@ -363,3 +394,189 @@ class TestClassifyPredicates:
         assert verdicts[True] > 0 and verdicts[False] > 0
         # every basket of ON_THE_BOUNDS lies on an end of some set
         assert on_bounds >= len(ON_THE_BOUNDS)
+
+
+def census_sets() -> list:
+    assert len(CENSUS_INPUTS) == 3
+    return [parse_constraints(path.read_text()) for path in CENSUS_INPUTS]
+
+
+class TestRmaxCeiling:
+    """The r_max-ceiling prune cuts states only, never an admitted basket."""
+
+    # the census rx=840 set, then sets whose ceiling comes from rx<=N
+    # (below and above the gamma cap 24), rmax= and indices=
+    SETS = (
+        "p[1]=0..4 p[2]=0..1 rx=840",
+        "p[1]=0 rx<=12",
+        "p[1]=0 rx<=60",
+        "p[1]=0 rmax=2..7",
+        "p[1]=0 indices={2,3,5,7}",
+    )
+
+    @staticmethod
+    def run(constraints, monkeypatch, ceiling: bool):
+        visited = []
+
+        def counting_closure(*roots, **kwargs):
+            result = closure(*roots, **kwargs)
+            visited.append(result.visited)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, "closure", counting_closure)
+            if not ceiling:
+                patch.setattr(classify_module, "_rmax_ceiling", lambda constraints: None)
+            return classify(constraints), sum(visited)
+
+    @pytest.mark.parametrize("text", SETS)
+    def test_same_baskets_fewer_states(self, text, monkeypatch):
+        constraints = parse_constraints(text)
+        found, visited = self.run(constraints, monkeypatch, ceiling=True)
+        unpruned, visited_unpruned = self.run(constraints, monkeypatch, ceiling=False)
+        assert found and found == unpruned
+        if reference_rmax_ceiling(constraints) < 24:
+            assert visited < visited_unpruned
+        else:
+            assert visited == visited_unpruned
+
+    @pytest.mark.parametrize("text, ceiling", [
+        ("p[1]=0", 24),
+        ("p[1]=0 filters=none", None),
+        ("p[1]=0 filters=rmax24", 24),
+        ("p[1]=0 rmax=3..9", 9),
+        ("p[1]=0 rmax=30..40 filters=none", 40),
+        ("p[1]=0 indices={2,5,11}", 11),
+        ("p[1]=0 rx<=12", 12),
+        ("p[1]=0 rx=10 filters=none", 10),
+        ("p[1]=0 rx=840", 8),
+        ("p[1]=0 rx=840 filters=gamma", 840),
+        ("p[1]=0 filters=gamma", None),
+    ])
+    def test_ceiling_follows_the_upper_ends(self, text, ceiling):
+        constraints = parse_constraints(text)
+        assert classify_module._rmax_ceiling(constraints) == ceiling
+        assert reference_rmax_ceiling(constraints) == ceiling
+
+
+def reference_root_gamma(n12: int, n13: int, n14: int, tail: dict[int, int]) -> Fraction:
+    entries = {2: n12, 3: n13, 4: n14, **tail}
+    return 24 - sum((k * (r - Fraction(1, r)) for r, k in entries.items()), Fraction(0))
+
+
+def reference_tails(p1, p2, p3, p4, sigma5_cap, tail_max=24) -> list[dict[int, int]]:
+    """Every tail {r >= 5: n0[1,r]} of at most sigma5_cap entries whose
+    level-0 basket has gamma >= 0, gamma summed in Fractions entry by entry."""
+    n12 = 5 - 6 * p1 + 4 * p2 - p3
+    n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
+    n14_full = 1 + 3 * p1 - p2 - 2 * p3 + p4
+    if n12 < 0 or n13 < 0 or reference_root_gamma(n12, n13, n14_full, {}) < 0:
+        return []
+    out = []
+
+    def rec(start: int, tail: dict[int, int]) -> None:
+        out.append(dict(tail))
+        if sum(tail.values()) >= sigma5_cap:
+            return
+        for r in range(start, tail_max + 1):
+            grown = {**tail, r: tail.get(r, 0) + 1}
+            if reference_root_gamma(n12, n13, n14_full - sum(grown.values()), grown) < 0:
+                break  # the cost r - 1/r grows with r
+            rec(r, grown)
+
+    rec(5, {})
+    return out
+
+
+def census_level0_tuples(constraints):
+    """(p1, p2, p3, p4, sigma5 cap) over the ranges ``enumerate_b0`` walks."""
+    for p1 in constraints.p1_values():
+        lo2, hi2 = constraints.p_bounds(2)
+        cap2 = 6 + 5 * p1  # sigma(B0) = 10 - 5 p1 + p2 <= 16
+        for p2 in range(lo2 or 0, (cap2 if hi2 is None else min(hi2, cap2)) + 1):
+            for p3 in range(0, 5 - 6 * p1 + 4 * p2 + 1):
+                for p4 in range(0, 4 - 2 * p1 - 2 * p2 + 3 * p3 + 1):
+                    yield p1, p2, p3, p4, 1 + 3 * p1 - p2 - 2 * p3 + p4
+
+
+def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
+    """Every multiset of divisors d >= 2 of the target with lcm equal to it
+    and Sigma(d - 1/d) <= 24, summed in Fractions."""
+    divisors = [d for d in range(2, lcm_target + 1) if lcm_target % d == 0]
+    out = []
+
+    def rec(start: int, current: list[int], spent: Fraction) -> None:
+        if current and math.lcm(*current) == lcm_target:
+            out.append(tuple(sorted(current, reverse=True)))
+        for i in range(start, len(divisors)):
+            d = divisors[i]
+            cost = spent + d - Fraction(1, d)
+            if cost > 24:
+                break
+            rec(i, current + [d], cost)
+
+    rec(0, [], Fraction(0))
+    return sorted(out)
+
+
+class TestIntegerGammaBudgets:
+    """``_tails`` and the profile search spend gamma in integers scaled by
+    L = lcm(2..largest index); the references spend it in Fractions."""
+
+    def test_tails_match_fraction_reference_on_census_tuples(self):
+        tuples = nonempty = 0
+        for constraints in census_sets():
+            for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
+                got = list(_tails(constraints, p1, p2, p3, p4, cap))
+                assert got == reference_tails(p1, p2, p3, p4, cap), (p1, p2, p3, p4)
+                tuples += 1
+                nonempty += any(got)
+        assert tuples > 1000 and nonempty > 0
+
+    def test_tail_index_cap_beyond_24_changes_nothing(self):
+        # no index above 24 fits a gamma budget, so a huge tailmax= is cut
+        # to 24 instead of asking for lcm(2..tailmax)
+        for constraints in census_sets():
+            unbounded = dataclasses.replace(constraints, tail_max_index=10**9)
+            for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
+                assert list(_tails(unbounded, p1, p2, p3, p4, cap)) == list(
+                    _tails(constraints, p1, p2, p3, p4, cap)
+                ), (p1, p2, p3, p4)
+        # the cap itself is reached: 1x(1,24) alone is a root, gamma = 1/24
+        constraints = parse_constraints("p[1]=3")
+        tails = list(_tails(constraints, 3, 6, 11, 19, 1))
+        assert tails[-1] == {24: 1} and tails == reference_tails(3, 6, 11, 19, 1)
+        assert b0_from_plurigenera(3, 6, 11, 19, {24: 1}) == Basket.of((1, 24))
+        text = "p[1]=0..4 p[2]=0..1 rx=840"
+        assert classify(parse_constraints(f"{text} tailmax=1000000000")) == classify(
+            parse_constraints(text)
+        )
+
+    def test_budget_exactly_zero(self):
+        # 16x(1,2): n0[1,2] = 16, the rest 0, gamma = 24 - 16 * 3/2 = 0
+        constraints = parse_constraints("p[1]=0")
+        assert list(_tails(constraints, 0, 6, 13, 31, 0)) == [{}]
+        assert b0_from_plurigenera(0, 6, 13, 31) == Basket.of(*[(1, 2)] * 16)
+        assert reference_root_gamma(16, 0, 0, {}) == 0
+        # one (1,2) more and nothing is left
+        assert list(_tails(constraints, 0, 7, 16, 38, 0)) == []
+        assert reference_root_gamma(17, 0, 0, {}) < 0
+
+    def test_roots_keep_gamma_nonnegative(self):
+        for constraints in census_sets():
+            roots = enumerate_b0(constraints)
+            assert roots
+            for wb, _ in roots:
+                assert reference_gamma(wb.basket) >= 0
+
+    @pytest.mark.parametrize("lcm_target", [12, 60, 420, 660, 840])
+    def test_profiles_match_fraction_reference(self, lcm_target):
+        got = _index_profiles(lcm_target)
+        assert sorted(got) == reference_profiles(lcm_target)
+        assert all(list(p) == sorted(p, reverse=True) for p in got)
+
+    def test_profile_spending_the_whole_budget(self):
+        # 12 + 4 + 3 + 3 + 2 + 2 - (1/12 + 1/4 + 2/3 + 1) = 24
+        profile = (12, 4, 3, 3, 2, 2)
+        assert sum(d - Fraction(1, d) for d in profile) == 24
+        assert profile in _index_profiles(12)
