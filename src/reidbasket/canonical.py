@@ -24,11 +24,11 @@ Levels 1-4 are not part of the construction and are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, delta_n
+from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, _Frozen, delta_n
 
 __all__ = [
     "FractionLevelSet",
@@ -61,18 +61,35 @@ def in_level_set(frac: Fraction, level: int) -> bool:
     return frac.numerator == 1 or frac.denominator <= level
 
 
-@dataclass(frozen=True)
-class FractionLevelSet:
+class FractionLevelSet(_Frozen):
     """The admissible set S(level) as a queryable object.
 
     Membership and neighbor queries are answered on demand; the set is
-    never materialized (it contains every unit fraction).
+    never materialized (it contains every unit fraction).  Immutable, and
+    equal to a FractionLevelSet of the same level.
     """
+
+    __slots__ = ("level",)
 
     level: int
 
-    def __post_init__(self) -> None:
-        _check_level(self.level)
+    def __init__(self, level: int) -> None:
+        _check_level(level)
+        object.__setattr__(self, "level", level)
+
+    def __reduce__(self):
+        return (FractionLevelSet, (self.level,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FractionLevelSet:
+            return NotImplemented
+        return self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash(self.level)
+
+    def __repr__(self) -> str:
+        return f"FractionLevelSet(level={self.level})"
 
     def __contains__(self, frac: Fraction) -> bool:
         return in_level_set(frac, self.level)
@@ -171,8 +188,7 @@ def epsilon_n(basket: Basket, n: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(NamedTuple):
     """The chain of level approximations of a basket, with packing counts."""
 
     base: Basket
@@ -223,8 +239,7 @@ def canonical_sequence(basket: Basket, upto: int | None = None) -> CanonicalSequ
 # data for the classifier, not an error.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Named witness of an impossible plurigenus tuple."""
 
     coefficient: str

@@ -21,12 +21,12 @@ integers: every entry cost r - 1/r is scaled by one L = lcm(2..largest index).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .canonical import Infeasible, b0_from_plurigenera
 from .core import (
@@ -71,8 +71,12 @@ def _compare(num: int, den: int, bound: Fraction) -> int:
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
-class ClassificationConstraints:
+# the read-only empty default of the plurigenus maps: no instance shares a
+# mutable default with another
+_NO_PLURIGENERA: Mapping = MappingProxyType({})
+
+
+class ClassificationConstraints(NamedTuple):
     """Exact search constraints.
 
     ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
@@ -81,8 +85,8 @@ class ClassificationConstraints:
     strictness flags so open intervals like (0, 1/30) are representable.
     """
 
-    p_fixed: dict[int, int] = field(default_factory=dict)
-    p_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
+    p_fixed: Mapping[int, int] = _NO_PLURIGENERA
+    p_ranges: Mapping[int, tuple[int, int]] = _NO_PLURIGENERA
     sigma5: tuple[int, int] | None = None
     k3_min: Fraction | None = None
     k3_min_strict: bool = False
@@ -95,6 +99,12 @@ class ClassificationConstraints:
     filters: FilterConfig = FilterConfig()
     tail_max_index: int = 24
     limits: ClosureLimits = ClosureLimits()
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: the empty default goes as a dict
+        return ClassificationConstraints, tuple(
+            dict(v) if isinstance(v, MappingProxyType) else v for v in self
+        )
 
     # -- plurigenus range helpers -------------------------------------------
 
@@ -309,7 +319,10 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
     """
     upper: dict[int, int] = {}
     for m in constraints.constrained_ms():
-        if m == 1:
+        # P_{-1} is fixed along the search, and P_{-2} = 5 P_{-1} + sigma - 10
+        # with sigma invariant under packing: ``enumerate_b0`` draws the
+        # roots from the P_{-2} range already, so no packing can leave it
+        if m <= 2:
             continue
         _, hi = constraints.p_bounds(m)
         if hi is not None:
@@ -368,13 +381,11 @@ def _expand_and_admit(
     return {WeightedBasket(basket, p1) for basket in found.baskets}
 
 
-def classify(constraints: ClassificationConstraints, jobs: int = 1) -> list[WeightedBasket]:
+def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """All weighted baskets meeting the constraints and the geometric filter.
 
     Raises ClosureTruncated if a visited budget runs out: a partial
-    classification is never returned silently.  ``jobs`` > 1 distributes
-    the level-0 roots over worker processes (workers may re-explore
-    shared packing diamonds; the merged, sorted output is identical).
+    classification is never returned silently.
     """
     roots = enumerate_b0(constraints)
     by_p1: dict[int, list[Basket]] = {}
@@ -382,27 +393,8 @@ def classify(constraints: ClassificationConstraints, jobs: int = 1) -> list[Weig
         by_p1.setdefault(wb.p1, []).append(wb.basket)
 
     results: set[WeightedBasket] = set()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = []
-        for p1, baskets in by_p1.items():
-            chunk = max(1, -(-len(baskets) // jobs))
-            tasks.extend(
-                (p1, baskets[i: i + chunk]) for i in range(0, len(baskets), chunk)
-            )
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(
-                _expand_and_admit,
-                [constraints] * len(tasks),
-                [p1 for p1, _ in tasks],
-                [chunk for _, chunk in tasks],
-            ):
-                results |= part
-    else:
-        for p1, baskets in by_p1.items():
-            results |= _expand_and_admit(constraints, p1, baskets)
-
+    for p1, baskets in by_p1.items():
+        results |= _expand_and_admit(constraints, p1, baskets)
     return sorted(results, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 
@@ -512,15 +504,29 @@ _FILTER_FIELDS = {
 _P_TOKEN = re.compile(r"p\[(-?\d+)\]=(.*)")
 
 
-def _parse_int_range(token: str) -> tuple[int, int]:
-    if ".." in token:
-        lo, hi = token.split("..")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError(f"empty range {token!r} (lower end above upper end)")
-        return lo, hi
-    v = int(token)
-    return v, v
+def _parse_int_range(text: str) -> tuple[int, int]:
+    """An integer "v" (read as v..v) or a closed range "lo..hi"."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"expected an integer or a range lo..hi, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty range {text!r} (lower end above upper end)")
+    return lo, hi
+
+
+def _parse_index_set(text: str) -> frozenset[int]:
+    """The indices of "2,3,5}", the text after "indices={"."""
+    return frozenset(int(x) for x in text.removesuffix("}").split(",") if x)
+
+
+def _token_value(token: str, prefix: str, parse):
+    """``parse`` of the text after ``prefix``; a ValueError names the whole ``token``."""
+    try:
+        return parse(token[len(prefix):])
+    except ValueError as exc:
+        raise ValueError(f"bad constraints token {token!r}: {exc}") from None
 
 
 def parse_constraints(text: str) -> ClassificationConstraints:
@@ -546,12 +552,14 @@ def parse_constraints(text: str) -> ClassificationConstraints:
                 lo, hi = _parse_int_range(match.group(2))
             except ValueError as exc:
                 raise ValueError(f"bad plurigenus token {token!r}: {exc}") from None
+            if m == 1 and lo < 0:
+                raise ValueError(f"bad plurigenus token {token!r}: P_{{-1}} must be >= 0")
             if lo == hi:
                 p_fixed[m] = lo
             else:
                 p_ranges[m] = (lo, hi)
         elif token.startswith("sigma5="):
-            kwargs["sigma5"] = _parse_int_range(token[len("sigma5="):])
+            kwargs["sigma5"] = _token_value(token, "sigma5=", _parse_int_range)
         elif token.startswith("k3="):
             body = token[len("k3="):]
             ends = body[1:-1].split(",")
@@ -563,16 +571,15 @@ def parse_constraints(text: str) -> ClassificationConstraints:
             kwargs["k3_max"] = parse_rational(hi_s)
             kwargs["k3_max_strict"] = body[-1] == ")"
         elif token.startswith("rmax="):
-            kwargs["rmax_range"] = _parse_int_range(token[len("rmax="):])
+            kwargs["rmax_range"] = _token_value(token, "rmax=", _parse_int_range)
         elif token.startswith("rx<="):
-            kwargs["rx_max"] = int(token[len("rx<="):])
+            kwargs["rx_max"] = _token_value(token, "rx<=", int)
         elif token.startswith("rx="):
-            kwargs["rx_exact"] = int(token[len("rx="):])
+            kwargs["rx_exact"] = _token_value(token, "rx=", int)
         elif token.startswith("indices={") and token.endswith("}"):
-            inner = token[len("indices={"):-1]
-            kwargs["allowed_indices"] = frozenset(int(x) for x in inner.split(",") if x)
+            kwargs["allowed_indices"] = _token_value(token, "indices={", _parse_index_set)
         elif token.startswith("tailmax="):
-            kwargs["tail_max_index"] = int(token[len("tailmax="):])
+            kwargs["tail_max_index"] = _token_value(token, "tailmax=", int)
         elif token.startswith("filters="):
             body = token[len("filters="):]
             if body == "default":
@@ -584,8 +591,7 @@ def parse_constraints(text: str) -> ClassificationConstraints:
                 unknown = enabled - set(_FILTER_FIELDS)
                 if unknown:
                     raise ValueError(f"unknown filter names {sorted(unknown)}")
-                filters = dataclasses.replace(
-                    FilterConfig.none(),
+                filters = FilterConfig.none()._replace(
                     **{_FILTER_FIELDS[name]: True for name in enabled},
                 )
         else:

@@ -52,6 +52,11 @@ EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 
+# process pools never beat one process on these searches, so none is started;
+# the option still parses for the command lines and scripts that pass it
+_JOBS_HELP = "accepted and ignored: every run uses one process"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reidbasket",
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="enumerate baskets from a constraints file")
     p_cls.add_argument("--constraints", required=True)
-    p_cls.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_cls.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
     p_cls.add_argument("--profiles", type=int, metavar="LCM", default=None,
                        help="enumerate fixed-Gorenstein-index profiles instead of packing search")
 
@@ -101,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--table", type=int)
     group.add_argument("--all", action="store_true")
     group.add_argument("--manifest", action="store_true")
-    p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_ver.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
     p_ver.add_argument("--audit", action="store_true",
                        help="downgrade mismatches to discrepancy reports (exit 0)")
 
@@ -177,7 +182,7 @@ def _cmd_classify(args) -> int:
     if args.profiles is not None:
         found = enumerate_index_profiles(args.profiles, constraints)
     else:
-        found = classify(constraints, jobs=max(args.jobs, 1))
+        found = classify(constraints)
     for wb in found:
         print(f"{format_basket(wb.basket)}\t{format_rational(anti_volume(wb))}"
               f"\t{r_index(wb.basket)}\t{r_max(wb.basket) if len(wb.basket) else '-'}")
@@ -231,7 +236,7 @@ def _cmd_verify(args) -> int:
         print("manifest OK" if not problems else f"{len(problems)} problem(s)")
         return EXIT_OK if not problems else EXIT_MISMATCH
     if args.all:
-        reports = verify_all(jobs=max(args.jobs, 1))
+        reports = verify_all()
     else:
         reports = [verify_table(args.table)]
     bad = False

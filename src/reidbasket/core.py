@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "OrbifoldPair",
@@ -53,24 +52,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbifoldPair:
+class _Frozen:
+    """Base of the immutable ``__slots__`` classes: a subclass sets its
+    slots once, with ``object.__setattr__``, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class OrbifoldPair(_Frozen):
     """One basket entry (b, r): a point of type 1/r(1, -1, b).
 
     Entries produced by packing may have gcd(b, r) > 1; such generalized
     pairs are legal lattice elements but are not terminal singularities.
+
+    Immutable, hashable and equal only to an OrbifoldPair with the same
+    (b, r).  Deliberately not a tuple: a tuple would compare in (b, r)
+    order and equal the bare tuple (b, r).
     """
+
+    __slots__ = ("b", "r")
 
     b: int
     r: int
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError(f"pair ({self.b},{self.r}): b must be >= 1")
-        if self.r < 2:
-            raise ValueError(f"pair ({self.b},{self.r}): r must be >= 2")
-        if 2 * self.b > self.r:
-            raise ValueError(f"pair ({self.b},{self.r}): needs 2b <= r")
+    def __init__(self, b: int, r: int) -> None:
+        if b < 1:
+            raise ValueError(f"pair ({b},{r}): b must be >= 1")
+        if r < 2:
+            raise ValueError(f"pair ({b},{r}): r must be >= 2")
+        if 2 * b > r:
+            raise ValueError(f"pair ({b},{r}): needs 2b <= r")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
+
+    def __reduce__(self):
+        return (OrbifoldPair, (self.b, self.r))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OrbifoldPair:
+            return NotImplemented
+        return self.b == other.b and self.r == other.r
+
+    def __hash__(self) -> int:
+        return hash((self.b, self.r))
+
+    def __repr__(self) -> str:
+        return f"OrbifoldPair(b={self.b}, r={self.r})"
 
     @staticmethod
     def of(b: int, r: int) -> "OrbifoldPair":
@@ -96,7 +129,7 @@ class OrbifoldPair:
 _PAIR_ORDER = attrgetter("r", "b")
 
 
-class Basket:
+class Basket(_Frozen):
     """Canonical immutable multiset of OrbifoldPairs, sorted by (r, b).
 
     Two baskets compare equal iff their sorted entry tuples agree, so the
@@ -120,9 +153,6 @@ class Basket:
     @staticmethod
     def parse(text: str) -> "Basket":
         return parse_basket(text)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Basket is immutable")
 
     def __reduce__(self):
         return (Basket, (self.entries,))
@@ -167,16 +197,25 @@ class Basket:
         return all(p.terminal for p in self.entries)
 
 
-@dataclass(frozen=True)
-class WeightedBasket:
-    """A basket weighted by the first anti-plurigenus P_{-1} >= 0."""
-
+class _WeightedBasketFields(NamedTuple):
     basket: Basket
     p1: int
 
-    def __post_init__(self) -> None:
-        if self.p1 < 0:
+
+class WeightedBasket(_WeightedBasketFields):
+    """A basket weighted by the first anti-plurigenus P_{-1} >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, basket: Basket, p1: int) -> "WeightedBasket":
+        if p1 < 0:
             raise ValueError("P_{-1} must be a non-negative integer")
+        return tuple.__new__(cls, (basket, p1))
+
+    @classmethod
+    def _make(cls, iterable) -> "WeightedBasket":
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     @property
     def volume(self) -> Fraction:
@@ -463,8 +502,7 @@ def plurigenus_closed(basket: Basket, k3: Fraction, n: int) -> Fraction:
 # geometric filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     """Which geometric constraints to test, each individually toggleable.
 
     The default set is the one that the classification arguments actually
@@ -504,8 +542,7 @@ class FilterConfig:
         )
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

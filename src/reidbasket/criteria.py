@@ -23,9 +23,9 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .core import (
     Basket,
@@ -279,15 +279,7 @@ def a_of(m0: int) -> int:
     return 6 if m0 >= 2 else 1
 
 
-@dataclass(frozen=True)
-class CriterionInputs:
-    """Everything the birationality bounds consume.
-
-    mu0 is the chosen rational witness mu0' (an upper bound for the true
-    infimum); n0 = r_X * (pi* K^2 . S) is unknown a priori and supplied
-    per branch.
-    """
-
+class _CriterionFields(NamedTuple):
     k3: Fraction
     rx: int
     rmax: int
@@ -298,11 +290,31 @@ class CriterionInputs:
     nu0: int = 1
     n0: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.m_big != self.rx * self.k3:
+
+class CriterionInputs(_CriterionFields):
+    """Everything the birationality bounds consume.
+
+    mu0 is the chosen rational witness mu0' (an upper bound for the true
+    infimum); n0 = r_X * (pi* K^2 . S) is unknown a priori and supplied
+    per branch.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, k3: Fraction, rx: int, rmax: int, m_big: int, m0: int, m1: int,
+        mu0: Fraction, nu0: int = 1, n0: int | None = None,
+    ) -> "CriterionInputs":
+        if m_big != rx * k3:
             raise ValueError("M must equal r_X * (-K^3) exactly")
-        if self.m1 < self.m0:
+        if m1 < m0:
             raise ValueError("m1 >= m0 is required")
+        return tuple.__new__(cls, (k3, rx, rmax, m_big, m0, m1, mu0, nu0, n0))
+
+    @classmethod
+    def _make(cls, iterable) -> "CriterionInputs":
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     @property
     def a_m0(self) -> int:
@@ -362,8 +374,7 @@ def birational_bound_b2(inputs: CriterionInputs) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Mu0Candidate:
+class Mu0Candidate(NamedTuple):
     value: Fraction
     assumption: str
     kind: str  # "unconditional" | "pencil" | "same_pencil"
@@ -407,8 +418,7 @@ def mu0_candidates(wb: WeightedBasket, m0: int, horizon: int = 40) -> list[Mu0Ca
 # the per-basket pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(NamedTuple):
     """One explicit branch of the birationality argument.
 
     criterion "b" is the three-case bound (pick ``case``); criterion "b2"
@@ -428,8 +438,7 @@ class BranchSpec:
         return "b2" if self.criterion == "b2" else f"b({self.case})"
 
 
-@dataclass(frozen=True)
-class BranchResult:
+class BranchResult(NamedTuple):
     assumption: str
     criterion: str
     n2: int
@@ -437,8 +446,7 @@ class BranchResult:
     m1: int | None
 
 
-@dataclass(frozen=True)
-class PipelinePolicy:
+class PipelinePolicy(NamedTuple):
     """How to run the pipeline on one weighted basket.
 
     n1_window = 6 is the P_{-1} = 0 convention (six consecutive certified
@@ -455,8 +463,7 @@ class PipelinePolicy:
     mu0_horizon: int = 40
 
 
-@dataclass(frozen=True)
-class BirationalityReport:
+class BirationalityReport(NamedTuple):
     basket: Basket
     p1: int
     k3: Fraction

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import enumerate_b0, enumerate_index_profiles, parse_constraints
 from .core import Basket, WeightedBasket, anti_volume, format_rational, parse_basket, r_max
@@ -50,8 +50,7 @@ __all__ = [
 _COLUMNS = ("k3", "M", "lambda", "n1", "m0", "rmax", "n2")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     basket_text: str
     cells: dict[str, str]
     flags: frozenset[str]
@@ -62,8 +61,7 @@ class TableRow:
         return parse_basket(self.basket_text)
 
 
-@dataclass(frozen=True)
-class TableFixture:
+class TableFixture(NamedTuple):
     table_id: int
     kind: str            # "pipeline" | "basket_list"... see files
     p1: int
@@ -75,8 +73,7 @@ class TableFixture:
     rows: tuple[TableRow, ...]
 
 
-@dataclass(frozen=True)
-class CellDiff:
+class CellDiff(NamedTuple):
     row: int
     basket_text: str
     column: str
@@ -92,14 +89,16 @@ class CellDiff:
         )
 
 
-@dataclass
 class TableReport:
-    table_id: int
-    rows_checked: int = 0
-    cells_checked: int = 0
-    mismatches: list[CellDiff] = field(default_factory=list)
-    known_discrepancies: list[CellDiff] = field(default_factory=list)
-    missing: bool = False
+    """The verification tally of one table, filled in as its rows are checked."""
+
+    def __init__(self, table_id: int) -> None:
+        self.table_id = table_id
+        self.rows_checked = 0
+        self.cells_checked = 0
+        self.mismatches: list[CellDiff] = []
+        self.known_discrepancies: list[CellDiff] = []
+        self.missing = False
 
     @property
     def ok(self) -> bool:
@@ -297,16 +296,8 @@ def verify_table(table_id: int) -> TableReport:
     return report
 
 
-def verify_all(jobs: int = 1) -> list[TableReport]:
-    ids = available_tables()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(verify_table, ids))
-    else:
-        reports = [verify_table(i) for i in ids]
-    return reports
+def verify_all() -> list[TableReport]:
+    return [verify_table(i) for i in available_tables()]
 
 
 def verify_manifest() -> list[str]:

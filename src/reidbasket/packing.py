@@ -14,9 +14,8 @@ sound: a clause like ``gamma >= c`` that fails now fails forever, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     Basket,
@@ -49,8 +48,7 @@ __all__ = [
 Predicate = Callable[[Basket], bool]
 
 
-@dataclass(frozen=True)
-class PackingStep:
+class PackingStep(NamedTuple):
     """A single merge, with the primality certificate."""
 
     left: OrbifoldPair
@@ -121,15 +119,13 @@ def single_packings(basket: Basket) -> list[Basket]:
 # closure search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureLimits:
+class ClosureLimits(NamedTuple):
     # all the classification closures are far smaller than this; a hard stop
     # with an explicit report beats an unbounded search
     max_visited: int = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     baskets: tuple[Basket, ...]
     visited: int
     truncated: bool

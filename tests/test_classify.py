@@ -96,10 +96,6 @@ class TestClassify:
             B(*([(1, 2)] * 5 + [(1, 3), (3, 10), (1, 4)])),
         }
 
-    def test_parallel_matches_serial(self):
-        c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2})
-        assert classify(c, jobs=2) == classify(c)
-
     def test_reformulated_constraints_same_output(self):
         fixed = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2})
         ranged = ClassificationConstraints(
@@ -249,6 +245,19 @@ class TestConstraintsText:
     def test_plurigenus_index_below_one_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
             parse_constraints(f"p[1]=1 p[2]=1 p[8]=2 {token}")
+
+    @pytest.mark.parametrize("token", [
+        "sigma5=1..2..3", "sigma5=x", "rmax=a..3", "rmax=", "rx=abc", "rx<=abc",
+        "indices={2,x}", "tailmax=abc",
+    ])
+    def test_malformed_value_names_the_token(self, token):
+        with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
+            parse_constraints(f"p[1]=1 {token}")
+
+    @pytest.mark.parametrize("token", ["p[1]=-1", "p[1]=-1..2", "p[1]=-3..-1"])
+    def test_negative_p1_names_the_token(self, token):
+        with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
+            parse_constraints(token)
 
     def test_rejects_garbage_and_empty(self):
         with pytest.raises(ValueError):

@@ -140,6 +140,17 @@ class TestClassify:
         assert code == 2
         assert f"'{token}'" in err and out == ""
 
+    @pytest.mark.parametrize("token", [
+        "sigma5=1..2..3", "rmax=a..3", "rx=abc", "rx<=abc", "indices={2,x}", "tailmax=abc",
+        "p[1]=-1", "p[1]=-1..2",
+    ])
+    def test_malformed_token_is_usage_error(self, tmp_path, token):
+        path = tmp_path / "c.txt"
+        path.write_text(f"p[2]=1 {token}\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
+        assert code == 2
+        assert f"'{token}'" in err and out == ""
+
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

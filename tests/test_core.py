@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_basket
+from conftest import pair_strategy, random_basket
 from reidbasket.core import (
     Basket,
     BasketSyntaxError,
@@ -83,6 +83,12 @@ class TestGrammar:
         for _ in range(200):
             basket = random_basket(rng)
             assert parse_basket(format_basket(basket)) == basket
+
+    @given(st.lists(st.tuples(pair_strategy(), st.integers(min_value=1, max_value=4)), max_size=6))
+    def test_parse_inverts_format(self, items):
+        # multiplicities from repeated pairs, and the empty basket at max_size 0
+        basket = Basket(pair for pair, k in items for _ in range(k))
+        assert parse_basket(format_basket(basket)) == basket
 
     @pytest.mark.parametrize("bad", [
         "(1,2),,(2,5)", "(1,2", "0x(1,2)", "x(1,2)", "(2,3)", "(1,2)(2,5)", "(1)",
@@ -216,7 +222,7 @@ class TestGeometricFilter:
         config = FilterConfig.none()
         assert geometric_filter(wb, config).ok
         only_gamma = FilterConfig(
-            **{**config.__dict__, "gamma_nonneg": True}
+            **{**config._asdict(), "gamma_nonneg": True}
         )
         assert geometric_filter(wb, only_gamma).ok
 
@@ -224,7 +230,7 @@ class TestGeometricFilter:
         # lcm 7 * 11 * 13 = 1001 > 660 and != 840
         wb = WeightedBasket(B((1, 7), (1, 11), (1, 13)), 1)
         res = geometric_filter(wb, FilterConfig(**{
-            **FilterConfig.none().__dict__, "index_bound": True,
+            **FilterConfig.none()._asdict(), "index_bound": True,
         }))
         assert not res.ok and "index_bound" in res.first_failure
 

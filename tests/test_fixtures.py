@@ -6,7 +6,6 @@ from reidbasket.fixtures import (
     available_tables,
     fixtures_dir,
     load_table,
-    verify_all,
     verify_manifest,
     verify_table,
 )
@@ -61,12 +60,6 @@ def test_absent_table_reports_absence():
     assert report.missing
     assert not report.ok
     assert "no fixture" in report.summary()
-
-
-def test_verify_all_parallel_agrees_with_serial():
-    serial = verify_all()
-    parallel = verify_all(jobs=2)
-    assert [r.summary() for r in serial] == [r.summary() for r in parallel]
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):

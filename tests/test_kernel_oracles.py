@@ -7,7 +7,6 @@ predicates.  The fast paths must agree with them exactly, failure messages
 included.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -47,7 +46,7 @@ from reidbasket.fixtures import available_tables, load_table
 from reidbasket.packing import closure
 
 SINGLE_CHECKS = tuple(
-    f.name for f in dataclasses.fields(FilterConfig) if f.type in (bool, "bool")
+    name for name in FilterConfig._fields if type(FilterConfig._field_defaults[name]) is bool
 )
 
 
@@ -184,7 +183,7 @@ class TestRecursion:
 
 class TestGeometricFilter:
     CONFIGS = (FilterConfig(), FilterConfig.none()) + tuple(
-        dataclasses.replace(FilterConfig.none(), **{name: True}) for name in SINGLE_CHECKS
+        FilterConfig.none()._replace(**{name: True}) for name in SINGLE_CHECKS
     )
 
     def test_failures_identical_to_fraction_filter(self):
@@ -292,9 +291,11 @@ def reference_prune(constraints, p1: int, basket: Basket) -> bool:
         return False
     if constraints.filters.min_volume and 2 * p1 + sigma(basket) - 6 < Fraction(1, 330):
         return False
+    # P_{-1} and P_{-2} = 5 P_{-1} + sigma - 10 are fixed along packing, so
+    # the roots already satisfy their ranges and the prune has no clause for them
     for m in constraints.constrained_ms():
         top = constraints.p_bounds(m)[1]
-        if m > 1 and top is not None and plurigenus_closed(basket, vol, m) > top:
+        if m > 2 and top is not None and plurigenus_closed(basket, vol, m) > top:
             return False
     return True
 
@@ -459,6 +460,43 @@ class TestRmaxCeiling:
         assert reference_rmax_ceiling(constraints) == ceiling
 
 
+class TestNoP2Clause:
+    """``prune_ok`` has no P_{-2} clause: P_{-2} = 5 P_{-1} + sigma - 10 and
+    sigma is a packing invariant, so every state keeps the P_{-2} of its
+    root, and ``enumerate_b0`` draws the roots from the p[2] range."""
+
+    P2_SETS = ("p[1]=1 p[2]=1 p[8]=2", "p[1]=0..4 p[2]=0..1 rx=840", "p[1]=1 p[2]=1..3")
+
+    @pytest.mark.parametrize("text", ("p[1]=0",) + P2_SETS)
+    def test_every_root_lies_in_its_p2_range(self, text):
+        constraints = parse_constraints(text)
+        lo, hi = constraints.p_bounds(2)
+        roots = enumerate_b0(constraints)
+        assert roots
+        for wb, (_, p2, _, _) in roots:
+            assert plurigenus_closed(wb.basket, reference_volume(wb), 2) == p2
+            assert (lo is None or lo <= p2) and (hi is None or p2 <= hi)
+
+    @pytest.mark.parametrize("text", P2_SETS)
+    def test_classify_unchanged_by_a_p2_clause(self, text, monkeypatch):
+        constraints = parse_constraints(text)
+        hi = constraints.p_bounds(2)[1]
+        factory = classify_module._prune_factory
+
+        def with_p2_clause(constraints, p1):
+            prune = factory(constraints, p1)
+
+            def prune_ok(basket):
+                wb = WeightedBasket(basket, p1)
+                return prune(basket) and plurigenus_closed(basket, reference_volume(wb), 2) <= hi
+
+            return prune_ok
+
+        found = classify(constraints)
+        monkeypatch.setattr(classify_module, "_prune_factory", with_p2_clause)
+        assert found and classify(constraints) == found
+
+
 def reference_root_gamma(n12: int, n13: int, n14: int, tail: dict[int, int]) -> Fraction:
     entries = {2: n12, 3: n13, 4: n14, **tail}
     return 24 - sum((k * (r - Fraction(1, r)) for r, k in entries.items()), Fraction(0))
@@ -537,7 +575,7 @@ class TestIntegerGammaBudgets:
         # no index above 24 fits a gamma budget, so a huge tailmax= is cut
         # to 24 instead of asking for lcm(2..tailmax)
         for constraints in census_sets():
-            unbounded = dataclasses.replace(constraints, tail_max_index=10**9)
+            unbounded = constraints._replace(tail_max_index=10**9)
             for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
                 assert list(_tails(unbounded, p1, p2, p3, p4, cap)) == list(
                     _tails(constraints, p1, p2, p3, p4, cap)

@@ -1,0 +1,173 @@
+"""The public record types: plain NamedTuples and two __slots__ classes.
+
+No module of the package loads ``dataclasses`` (nor ``inspect`` through
+it), which keeps every CLI process's start-up short.  These tests pin what
+the records promise: immutability, value equality and hashing, the (r, b)
+order of basket entries, the validation messages and pickling.
+"""
+
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from conftest import src_env
+from reidbasket.canonical import FractionLevelSet
+from reidbasket.classify import ClassificationConstraints, parse_constraints
+from reidbasket.core import Basket, FilterConfig, OrbifoldPair, WeightedBasket
+from reidbasket.criteria import CriterionInputs
+
+X66 = Basket.of((1, 2), (2, 5), (1, 3), (2, 11))
+
+
+def test_no_dataclasses_or_inspect_on_import():
+    code = (
+        "import sys, reidbasket.cli, reidbasket.fixtures; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+class TestOrbifoldPair:
+    def test_immutable(self):
+        pair = OrbifoldPair(2, 5)
+        with pytest.raises(AttributeError):
+            pair.b = 1
+        with pytest.raises(AttributeError):
+            del pair.r
+        with pytest.raises(AttributeError):
+            pair.extra = 0
+        assert (pair.b, pair.r) == (2, 5)
+
+    def test_value_equality_and_hash(self):
+        assert OrbifoldPair(2, 5) == OrbifoldPair.of(2, 5)
+        assert hash(OrbifoldPair(2, 5)) == hash(OrbifoldPair(2, 5))
+        assert OrbifoldPair(2, 5) != OrbifoldPair(1, 5)
+        assert len({OrbifoldPair(1, 2), OrbifoldPair(1, 2), OrbifoldPair(1, 3)}) == 2
+
+    def test_not_a_tuple(self):
+        assert not isinstance(OrbifoldPair(1, 2), tuple)
+        assert OrbifoldPair(1, 2) != (1, 2)
+        assert (1, 2) != OrbifoldPair(1, 2)
+
+    def test_order_is_r_then_b(self):
+        # in (b, r) order (2,5) would follow (1,6); in (r, b) order it precedes it
+        low, high = OrbifoldPair(2, 5), OrbifoldPair(1, 6)
+        assert low < high and high > low and not high < low
+        assert max(low, high) is high and min(low, high) is low
+        pairs = [OrbifoldPair(1, 6), OrbifoldPair(2, 5), OrbifoldPair(1, 5), OrbifoldPair(1, 2)]
+        assert [(p.b, p.r) for p in sorted(pairs)] == [(1, 2), (1, 5), (2, 5), (1, 6)]
+
+    @pytest.mark.parametrize("b, r, message", [
+        (0, 2, "pair (0,2): b must be >= 1"),
+        (1, 1, "pair (1,1): r must be >= 2"),
+        (3, 5, "pair (3,5): needs 2b <= r"),
+    ])
+    def test_validation_messages(self, b, r, message):
+        with pytest.raises(ValueError) as info:
+            OrbifoldPair(b, r)
+        assert str(info.value) == message
+
+    def test_repr(self):
+        assert repr(OrbifoldPair(2, 5)) == "OrbifoldPair(b=2, r=5)"
+
+
+def test_basket_is_immutable():
+    basket = Basket.of((1, 2), (2, 5))
+    with pytest.raises(AttributeError):
+        basket.entries = ()
+    with pytest.raises(AttributeError):
+        del basket.entries
+    assert basket == Basket.of((2, 5), (1, 2)) and len(basket) == 2
+
+
+class TestWeightedBasket:
+    def test_immutable_equal_hashable(self):
+        wb = WeightedBasket(X66, 1)
+        with pytest.raises(AttributeError):
+            wb.p1 = 2
+        assert wb == WeightedBasket(Basket.of((2, 11), (1, 2), (2, 5), (1, 3)), 1)
+        assert hash(wb) == hash(WeightedBasket(X66, 1))
+        assert wb != WeightedBasket(X66, 2)
+        assert (wb.basket, wb.p1) == (X66, 1)
+
+    def test_validation_message(self):
+        for build in (lambda: WeightedBasket(X66, -1),
+                      lambda: WeightedBasket(X66, 1)._replace(p1=-1)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == "P_{-1} must be a non-negative integer"
+
+    def test_replace_keeps_the_type(self):
+        wb = WeightedBasket(X66, 1)._replace(p1=3)
+        assert type(wb) is WeightedBasket and wb.p1 == 3
+        assert str(wb) == "((1,2),(1,3),(2,5),(2,11); p1=3)"
+
+
+class TestCriterionInputs:
+    FIELDS = dict(k3=Fraction(1, 66), rx=660, rmax=11, m_big=10, m0=4, m1=5, mu0=Fraction(4))
+
+    def test_fields_and_defaults(self):
+        inputs = CriterionInputs(**self.FIELDS)
+        assert (inputs.nu0, inputs.n0, inputs.a_m0) == (1, None, 6)
+        assert inputs._replace(m1=8).m1 == 8
+
+    @pytest.mark.parametrize("change, message", [
+        ({"m_big": 11}, "M must equal r_X * (-K^3) exactly"),
+        ({"m1": 3}, "m1 >= m0 is required"),
+    ])
+    def test_validation_messages(self, change, message):
+        for build in (lambda: CriterionInputs(**{**self.FIELDS, **change}),
+                      lambda: CriterionInputs(**self.FIELDS)._replace(**change)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+
+class TestFractionLevelSet:
+    def test_immutable_equal_hashable(self):
+        s5 = FractionLevelSet(5)
+        with pytest.raises(AttributeError):
+            s5.level = 6
+        assert s5 == FractionLevelSet(5) and hash(s5) == hash(FractionLevelSet(5))
+        assert s5 != FractionLevelSet(6) and s5 != 5
+
+    def test_validation_message(self):
+        with pytest.raises(ValueError) as info:
+            FractionLevelSet(3)
+        assert str(info.value) == "levels 1-4 are not defined (got 3)"
+
+
+class TestClassificationConstraints:
+    def test_default_maps_are_read_only(self):
+        c = ClassificationConstraints(p_ranges={1: (0, 2)})
+        assert dict(c.p_fixed) == {} and c.p_bounds(2) == (None, None)
+        with pytest.raises(TypeError):
+            c.p_fixed[1] = 1
+
+    def test_replace(self):
+        c = parse_constraints("p[1]=1 p[2]=1 p[8]=2")
+        wide = c._replace(tail_max_index=30)
+        assert (wide.tail_max_index, c.tail_max_index) == (30, 24)
+        assert wide._replace(tail_max_index=24) == c
+
+
+@pytest.mark.parametrize("value", [
+    X66,
+    Basket(),
+    OrbifoldPair(2, 5),
+    WeightedBasket(X66, 1),
+    FractionLevelSet(6),
+    FilterConfig.none(),
+    parse_constraints("p[1]=0..4 p[2]=0..1 rx=840 k3=(0,1/30) indices={2,3,5,7,8}"),
+    ClassificationConstraints(p_ranges={1: (0, 2)}),
+], ids=["basket", "empty-basket", "pair", "weighted-basket", "level-set", "filters",
+        "parsed-constraints", "default-map-constraints"])
+def test_pickle_round_trip(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value)
