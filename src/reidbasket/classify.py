@@ -28,14 +28,14 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .canonical import Infeasible, b0_from_plurigenera
+from .canonical import b0_from_plurigenera
 from .core import (
     Basket,
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
+    _plurigenera,
     _scaled_gamma,
-    _scaled_plurigenera,
     _scaled_volume,
     geometric_filter,
     parse_rational,
@@ -159,11 +159,8 @@ class ClassificationConstraints(NamedTuple):
     def admits(self, wb: WeightedBasket) -> bool:
         """Full re-verification of one candidate (the mandatory final pass).
 
-        Compares integers only: -K^3 as its numerator over r_X and P_{-m}
-        as S_m over D = 2 r_X.  The constrained P_{-m} need no divisibility
-        test: for an integer P_{-1} every step of the recursion adds an
-        integer, so D divides every S_m (``geometric_filter``'s
-        ``integrality`` check stays the guard of that fact).
+        Compares integers only: -K^3 as its numerator over r_X and the
+        P_{-m} themselves, which are integers for an integer P_{-1}.
         """
         rx = r_index(wb.basket)
         if not self.volume_ok(_scaled_volume(wb, rx), rx):
@@ -181,13 +178,12 @@ class ClassificationConstraints(NamedTuple):
                 return False
         ms = self.constrained_ms()
         if ms:
-            d = 2 * rx
-            for m, s in _scaled_plurigenera(wb, rx):
+            for m, p in _plurigenera(wb):
                 if m in self.p_fixed or m in self.p_ranges:
                     lo, hi = self.p_bounds(m)
-                    if lo is not None and s < lo * d:
+                    if lo is not None and p < lo:
                         return False
-                    if hi is not None and s > hi * d:
+                    if hi is not None and p > hi:
                         return False
                 if m == ms[-1]:
                     break
@@ -202,9 +198,13 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
     with the gamma budget (sigma(B0) = 10 - 5 p1 + p2 <= 16 because every
     level-0 entry costs at least 3/2 of the budget).  Every root keeps
     gamma >= 0 by construction: ``_tails`` spends the root's own gamma.
+
+    The caps keep n0[1,2], n0[1,3] and n0[1,4] >= 0, so every root is
+    feasible, and the roots are distinct: (p2, p3, p4) -> (n0[1,2],
+    n0[1,3], n0[1,4] + sigma5) has determinant 1, so different loop
+    tuples give different level-0 baskets.
     """
     out: list[tuple[WeightedBasket, tuple[int, int, int, int]]] = []
-    seen: set[tuple[Basket, int]] = set()
     s5lo, s5hi = constraints.sigma5 if constraints.sigma5 else (0, None)
 
     for p1 in constraints.p1_values():
@@ -233,12 +233,6 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
                         if sum(tail.values()) < s5lo:
                             continue
                         basket = b0_from_plurigenera(p1, p2, p3, p4, tail)
-                        if isinstance(basket, Infeasible):
-                            continue
-                        key = (basket, p1)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         out.append((WeightedBasket(basket, p1), (p1, p2, p3, p4)))
     out.sort(key=lambda item: (item[0].p1, item[0].basket.sort_key()))
     return out
@@ -249,14 +243,13 @@ def _tails(constraints, p1, p2, p3, p4, sigma5_cap):
 
     The budget is the gamma of the level-0 basket that the tail completes,
     in integers scaled by L (``_gamma_costs``), so every table yielded
-    gives a root with gamma >= 0.  That holds while ``sigma5_cap`` is at
-    most n0[1,4] (``enumerate_b0`` keeps it so), and then no index above
-    24 fits the budget, so ``tail_max_index`` is cut to 24.
+    gives a root with gamma >= 0.  That holds while n0[1,2] and n0[1,3]
+    are >= 0 and ``sigma5_cap`` is at most n0[1,4] (the caps of
+    ``enumerate_b0`` keep all three so), and then no index above 24 fits
+    the budget, so ``tail_max_index`` is cut to 24.
     """
     n12 = 5 - 6 * p1 + 4 * p2 - p3
     n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-    if n12 < 0 or n13 < 0:
-        return
     top = min(constraints.tail_max_index, 24)
     full, cost = _gamma_costs(max(top, 4))
     n14_full = 1 + 3 * p1 - p2 - 2 * p3 + p4
@@ -313,7 +306,7 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
     """Downward-closed clause used during closure expansion.
 
     Compares integers only, like ``admits``: gamma and -K^3 as numerators
-    over r_X, P_{-m} as S_m over D = 2 r_X.  The r_max ceiling, read off
+    over r_X, and the P_{-m} themselves.  The r_max ceiling, read off
     the last entry, goes first; the weighted basket is built only for the
     clauses that read it.
     """
@@ -356,9 +349,8 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
             if c > 0 or (c == 0 and k3_hi_strict):
                 return False
         if top:
-            d = 2 * rx
-            for m, s in _scaled_plurigenera(wb, rx):
-                if m in upper and s > upper[m] * d:
+            for m, p in _plurigenera(wb):
+                if m in upper and p > upper[m]:
                     return False
                 if m == top:
                     break
@@ -496,7 +488,9 @@ _FILTER_FIELDS = {
     "integrality": "integrality",
     "p6": "p_positive_from_6",
     "p8": "p8_at_least_2",
-    "sigma": "sigma_identity",
+    # the sigma identity holds on every basket (``FilterConfig``): the name
+    # parses and selects no check
+    "sigma": None,
     "superadditive": "superadditivity",
 }
 
@@ -592,7 +586,7 @@ def parse_constraints(text: str) -> ClassificationConstraints:
                 if unknown:
                     raise ValueError(f"unknown filter names {sorted(unknown)}")
                 filters = FilterConfig.none()._replace(
-                    **{_FILTER_FIELDS[name]: True for name in enabled},
+                    **{_FILTER_FIELDS[name]: True for name in enabled if _FILTER_FIELDS[name]},
                 )
         else:
             raise ValueError(f"bad constraints token {token!r}")

@@ -177,8 +177,15 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    with open(args.constraints) as handle:
-        constraints = parse_constraints(handle.read())
+    try:
+        with open(args.constraints) as handle:
+            text = handle.read()
+    except OSError as exc:
+        # a missing, unreadable or directory path is the caller's to fix
+        raise ValueError(
+            f"cannot read constraints file {args.constraints!r}: {exc.strerror}"
+        ) from None
+    constraints = parse_constraints(text)
     if args.profiles is not None:
         found = enumerate_index_profiles(args.profiles, constraints)
     else:
@@ -203,7 +210,7 @@ def _cmd_criteria(args) -> int:
     if args.same_pencil_k is not None:
         k = args.same_pencil_k
         seq = plurigenus_sequence(wb, k)
-        if seq[k].denominator != 1 or seq[k] < 2:
+        if seq[k] < 2:
             print(f"error: P[-{k}] = {format_rational(seq[k])} < 2, "
                   "no same-pencil branch available", file=sys.stderr)
             return EXIT_USAGE
@@ -286,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except ClosureTruncated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,13 +7,13 @@ anti-canonical volume -K^3 and the whole sequence of anti-plurigenera
 P_{-m} through Reid's orbifold Riemann-Roch formula.
 
 Everything here is exact; there is deliberately no floating point anywhere
-in this module.  The plurigenus kernel works on integers: P_{-m} is carried
-as the numerator S_m over the fixed denominator D = 2 r_X, so the recursion
-never normalizes a fraction, and ``Fraction`` appears only at the public
-boundary.  The volume -K^3, sigma' and gamma are likewise integer numerators
-over r_X, so the search predicates of ``classify`` compare integers only.
-``plurigenus_closed`` evaluates the Riemann-Roch closed form in
-``Fraction``s as the independent oracle for that kernel.
+in this module.  The plurigenus kernel works on integers: for an integer
+P_{-1} every P_{-m} is an integer, and so is every step of the recursion,
+so ``Fraction`` appears only at the public boundary.  The volume -K^3,
+sigma' and gamma are integer numerators over r_X, so the search predicates
+of ``classify`` compare integers only.  ``plurigenus_closed`` evaluates the
+Riemann-Roch closed form in ``Fraction``s as the independent oracle for
+that kernel.
 """
 
 from __future__ import annotations
@@ -344,23 +344,22 @@ def sigma_prime(basket: Basket) -> Fraction:
     return Fraction(_scaled_sigma_prime(basket, rx), rx)
 
 
-def _delta_weights(basket: Basket, rx: int) -> list[tuple[int, int, int]]:
-    # (b, r, multiplicity * rx / r) per distinct pair: the weights that put
-    # every pair's correction over the common denominator 2 rx
-    return [(p.b, p.r, k * (rx // p.r)) for p, k in basket.counts()]
+def _delta(pairs: list[tuple[int, int, int]], n: int) -> int:
+    """Delta^n over (b, r, multiplicity) triples, as an integer.
 
-
-def _scaled_delta(weights: list[tuple[int, int, int]], n: int) -> int:
-    # 2 rx * Delta^n.  Per pair the correction is num / (2r), where the first
-    # summand of num reduces b*n modulo r and the second deliberately uses
-    # the unreduced product b*n, so it can go negative.  This reading is
-    # pinned down by the identities Delta^3 = n_{1,2} and
-    # Delta^4 = 2 n_{1,2} + n_{1,3} on unpacked baskets.
+    Per pair the correction is (s(r - s) - bn(r - bn)) / (2r) with s = bn
+    mod r: the first summand reduces b*n modulo r and the second
+    deliberately uses the unreduced product, so it can go negative.  With
+    bn = qr + s the quotient is q(qr + 2s - r)/2, and q(qr + 2s - r) is
+    even, so the division is exact.  This reading is pinned down by the
+    identities Delta^3 = n_{1,2} and Delta^4 = 2 n_{1,2} + n_{1,3} on
+    unpacked baskets.
+    """
     total = 0
-    for b, r, w in weights:
+    for b, r, k in pairs:
         bn = b * n
         s = bn % r
-        total += (s * (r - s) - bn * (r - bn)) * w
+        total += (s * (r - s) - bn * (r - bn)) // (2 * r) * k
     return total
 
 
@@ -368,8 +367,7 @@ def delta_n(basket: Basket, n: int) -> Fraction:
     """The correction term Delta^n(B) of the plurigenus recursion, n >= 2."""
     if n < 2:
         raise ValueError(f"delta_n needs n >= 2, got {n}")
-    rx = r_index(basket)
-    return Fraction(_scaled_delta(_delta_weights(basket, rx), n), 2 * rx)
+    return Fraction(_delta([(pair.b, pair.r, k) for pair, k in basket.counts()], n))
 
 
 def gamma(basket: Basket) -> Fraction:
@@ -411,10 +409,9 @@ def r_max(basket: Basket) -> int:
 #                  - Delta^{m+1}(B)
 # seeded at P_{-1} = p1.  Note -K^3 + sigma' = 2*p1 + sigma - 6.
 #
-# The kernel runs it on integers: S_m = D * P_{-m} with D = 2 r_X, so a
-# step adds m^2 (2 p1 + sigma - 6) r_X + 2D - m sigma r_X - D Delta^m, and
-# D Delta^m is an integer because every pair's correction is scaled by
-# r_X / r_i.  P_{-m} is integral iff D divides S_m.
+# Every step is an integer: the polynomial part is
+# m^2 P_{-1} + sigma m(m-1)/2 - 3 m^2 + 2 and Delta^m is an integer (see
+# ``_delta``), so the kernel runs on the integers P_{-m} themselves.
 #
 # Closed form (Reid Riemann-Roch):
 #   P_{-n} = n(n+1)(2n+1)/12 * (-K^3) + (2n+1) - l(-n)
@@ -422,34 +419,26 @@ def r_max(basket: Basket) -> int:
 # they are kept separate on purpose as mutual oracles.
 # ---------------------------------------------------------------------------
 
-def _scaled_plurigenera(wb: WeightedBasket, rx: int) -> Iterator[tuple[int, int]]:
-    """Yield (m, S_m) for m = 1, 2, ... without end, where P_{-m} = S_m / (2 rx).
-
-    ``rx`` must be r_index(wb.basket); callers pass it because they need
-    the denominator D = 2 rx themselves.
-    """
-    d = 2 * rx
-    sig = sigma(wb.basket)
-    quad = (2 * wb.p1 + sig - 6) * rx
-    lin = sig * rx
-    weights = _delta_weights(wb.basket, rx)
-    s = wb.p1 * d
-    yield 1, s
+def _plurigenera(wb: WeightedBasket) -> Iterator[tuple[int, int]]:
+    """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end."""
+    p1, sig = wb.p1, sigma(wb.basket)
+    pairs = [(pair.b, pair.r, k) for pair, k in wb.basket.counts()]
+    p = p1
+    yield 1, p
     m = 1
     while True:
         m += 1
-        s += m * m * quad + 2 * d - m * lin - _scaled_delta(weights, m)
-        yield m, s
+        p += m * m * (p1 - 3) + sig * (m * (m - 1) // 2) + 2 - _delta(pairs, m)
+        yield m, p
 
 
 def plurigenus(wb: WeightedBasket, m: int) -> Fraction:
     """P_{-m} by the recursion, as an exact Fraction.
 
-    Integrality (``.denominator == 1``) is a filter signal, not an
-    exception: callers that screen for geometric baskets test it, along
-    with non-negativity, which is the condition that actually fails on
-    non-geometric seeds (the increments themselves are always integral
-    for an integer P_{-1}).
+    For an integer P_{-1} every P_{-m} is an integer, so the denominator
+    is always 1; non-negativity is the condition that actually fails on
+    non-geometric seeds, and callers that screen for geometric baskets
+    test it.
     """
     if m < 1:
         raise ValueError(f"plurigenus needs m >= 1, got {m}")
@@ -460,10 +449,8 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
     """[unused, P_{-1}, ..., P_{-upto}] computed in one sweep (index = m)."""
     if upto < 1:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
-    rx = r_index(wb.basket)
-    d = 2 * rx
     seq = [Fraction(0)]
-    seq.extend(Fraction(s, d) for _, s in islice(_scaled_plurigenera(wb, rx), upto))
+    seq.extend(Fraction(p) for _, p in islice(_plurigenera(wb), upto))
     return seq
 
 
@@ -502,22 +489,25 @@ def plurigenus_closed(basket: Basket, k3: Fraction, n: int) -> Fraction:
 # geometric filter
 # ---------------------------------------------------------------------------
 
+# P_{-1} .. P_{-FILTER_HORIZON} are the plurigenera the geometric filter reads
+FILTER_HORIZON = 24
+
+
 class FilterConfig(NamedTuple):
     """Which geometric constraints to test, each individually toggleable.
 
     The default set is the one that the classification arguments actually
     invoke: positivity of the volume, the known lower bound -K^3 >= 1/330,
     gamma >= 0 with its consequence r_max <= 24, the Gorenstein index
-    restriction (r_X <= 660 or r_X = 840 with r_max = 8), integrality and
-    non-negativity of every P_{-m} up to the horizon, P_{-m} > 0 for
-    m >= 6, P_{-8} >= 2, the sigma identity sigma = 10 - 5 P_{-1} + P_{-2},
-    and superadditivity P_{-m-n} >= P_{-m} + P_{-n} - 1.
+    restriction (r_X <= 660 or r_X = 840 with r_max = 8), non-negativity of
+    every P_{-m} up to ``FILTER_HORIZON``, P_{-m} > 0 for m >= 6,
+    P_{-8} >= 2, and superadditivity P_{-m-n} >= P_{-m} + P_{-n} - 1.
 
-    Two of these are identities of the recursion for an integer P_{-1}:
-    Delta^2 = 0 for every pair (2b <= r), so P_{-2} = 5 P_{-1} + sigma - 10
-    and ``sigma_identity`` always holds; every step adds an integer, so the
-    divisibility arm of ``integrality`` never fires (its negativity arm
-    does).  They guard the kernel and never prune.
+    For an integer P_{-1} every P_{-m} is an integer, so ``integrality``
+    tests non-negativity only.  The sigma identity
+    sigma = 10 - 5 P_{-1} + P_{-2} is no check at all: Delta^2 = 0 for
+    every pair (2b <= r), so the recursion satisfies it on every basket.
+    The volume and gamma stay numerators over r_X.
     """
 
     volume_positive: bool = True
@@ -528,17 +518,14 @@ class FilterConfig(NamedTuple):
     integrality: bool = True
     p_positive_from_6: bool = True
     p8_at_least_2: bool = True
-    sigma_identity: bool = True
     superadditivity: bool = True
-    horizon: int = 24
 
     @staticmethod
     def none() -> "FilterConfig":
         return FilterConfig(
             volume_positive=False, min_volume=False, gamma_nonneg=False,
             rmax_le_24=False, index_bound=False, integrality=False,
-            p_positive_from_6=False, p8_at_least_2=False,
-            sigma_identity=False, superadditivity=False,
+            p_positive_from_6=False, p8_at_least_2=False, superadditivity=False,
         )
 
 
@@ -556,8 +543,8 @@ class FilterResult(NamedTuple):
 
 def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
     """Run the selected geometric checks; failures are reported in check order."""
-    # every check compares integers scaled by r_X (the volume, gamma) or by
-    # D = 2 r_X (S_m = D * P_{-m}); a Fraction is built only to word a failure
+    # every check compares integers: the volume and gamma as numerators over
+    # r_X, and the P_{-m} themselves; a Fraction is built only to word a failure
     failures: list[str] = []
     basket = wb.basket
     rx = r_index(basket)
@@ -582,43 +569,30 @@ def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) 
         elif rx == 840 and r_max(basket) != 8:
             failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {r_max(basket)}")
 
-    horizon = max(config.horizon, 8)
-    d = 2 * rx
-    s = [0]
-    s.extend(v for _, v in islice(_scaled_plurigenera(wb, rx), horizon))
-
-    def p(m: int) -> str:
-        return format_rational(Fraction(s[m], d))
+    p = [0]
+    p.extend(v for _, v in islice(_plurigenera(wb), FILTER_HORIZON))
 
     if config.integrality:
-        for m in range(1, horizon + 1):
-            if s[m] % d or s[m] < 0:
-                failures.append(f"integrality: P[-{m}] = {p(m)}")
+        for m in range(1, FILTER_HORIZON + 1):
+            if p[m] < 0:
+                failures.append(f"integrality: P[-{m}] = {p[m]}")
                 break
     if config.p_positive_from_6:
-        for m in range(6, horizon + 1):
-            if s[m] <= 0:
-                failures.append(f"p_positive_from_6: P[-{m}] = {p(m)}")
+        for m in range(6, FILTER_HORIZON + 1):
+            if p[m] <= 0:
+                failures.append(f"p_positive_from_6: P[-{m}] = {p[m]}")
                 break
-    if config.p8_at_least_2 and s[8] < 2 * d:
-        failures.append(f"p8_at_least_2: P[-8] = {p(8)}")
-    if config.sigma_identity:
-        sig = sigma(basket)
-        rhs = 10 * d - 5 * s[1] + s[2]
-        if sig * d != rhs:
-            failures.append(
-                f"sigma_identity: sigma = {sig}, "
-                f"10 - 5*P[-1] + P[-2] = {format_rational(Fraction(rhs, d))}"
-            )
+    if config.p8_at_least_2 and p[8] < 2:
+        failures.append(f"p8_at_least_2: P[-8] = {p[8]}")
     if config.superadditivity:
         done = False
-        for m in range(1, horizon):
+        for m in range(1, FILTER_HORIZON):
             if done:
                 break
-            for n in range(m, horizon - m + 1):
-                if s[m] > 0 and s[n] > 0 and s[m + n] < s[m] + s[n] - d:
+            for n in range(m, FILTER_HORIZON - m + 1):
+                if p[m] > 0 and p[n] > 0 and p[m + n] < p[m] + p[n] - 1:
                     failures.append(
-                        f"superadditivity: P[-{m + n}] = {p(m + n)} "
+                        f"superadditivity: P[-{m + n}] = {p[m + n]} "
                         f"< P[-{m}] + P[-{n}] - 1"
                     )
                     done = True

@@ -30,7 +30,8 @@ from typing import NamedTuple
 from .core import (
     Basket,
     WeightedBasket,
-    _scaled_plurigenera,
+    _plurigenera,
+    _scaled_volume,
     anti_volume,
     format_basket,
     format_rational,
@@ -182,14 +183,12 @@ def lambda_ratio_bound(k3: Fraction, rx: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _lambda_for(wb: WeightedBasket) -> tuple[int, int, Fraction]:
-    """(M, r_X, lambda(M)); requires a positive integral M = r_X * (-K^3)."""
+    """(M, r_X, lambda(M)) for M = r_X * (-K^3), an integer; M must be positive."""
     rx = r_index(wb.basket)
-    m_big = rx * anti_volume(wb)
-    if m_big.denominator != 1 or m_big <= 0:
-        raise ValueError(
-            f"M = r_X * (-K^3) = {format_rational(m_big)} is not a positive integer"
-        )
-    return int(m_big), rx, lambda_of(int(m_big), rx)
+    m_big = _scaled_volume(wb, rx)
+    if m_big <= 0:
+        raise ValueError(f"M = r_X * (-K^3) = {m_big} is not a positive integer")
+    return m_big, rx, lambda_of(m_big, rx)
 
 
 def not_pencil_by_plurigenus(wb: WeightedBasket, m: int) -> bool:
@@ -213,14 +212,14 @@ def first_not_pencil(wb: WeightedBasket, window: int = 1, limit: int = 400) -> i
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _, rx, lam = _lambda_for(wb)
-    # P_{-n} = S_n / D, so P_{-n} > lam * n + 1 reads, in integers,
-    # S_n * lam.den > (lam.num * n + lam.den) * D; the sequence is extended
-    # only until the first certified window ends
-    d, num, den = 2 * rx, lam.numerator, lam.denominator
+    _, _, lam = _lambda_for(wb)
+    # P_{-n} > lam * n + 1 reads, in integers, P_{-n} * lam.den >
+    # lam.num * n + lam.den; the sequence is extended only until the first
+    # certified window ends
+    num, den = lam.numerator, lam.denominator
     run = 0
-    for n, s in islice(_scaled_plurigenera(wb, rx), max(limit + window - 1, 0)):
-        if s * den > (num * n + den) * d:
+    for n, p in islice(_plurigenera(wb), max(limit + window - 1, 0)):
+        if p * den > num * n + den:
             run += 1
             if run == window:
                 return n - window + 1
@@ -402,7 +401,7 @@ def mu0_candidates(wb: WeightedBasket, m0: int, horizon: int = 40) -> list[Mu0Ca
         )
     )
     for k in range(m0 + 1, horizon + 1):
-        if seq[k].denominator == 1 and seq[k] >= 2:
+        if seq[k] >= 2:
             out.append(
                 Mu0Candidate(
                     Fraction(k, int(seq[k]) - 1),
@@ -535,10 +534,9 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
 
     m_big, rx, lam = _lambda_for(wb)
     n1 = first_not_pencil(wb, window=policy.n1_window, limit=policy.n1_limit)
-    d = 2 * rx
-    scaled = list(islice(_scaled_plurigenera(wb, rx), max(8, n1)))
-    m0 = next(m for m, s in scaled if s >= 2 * d)
-    nu0 = next(m for m, s in scaled if s >= d)
+    values = list(islice(_plurigenera(wb), max(8, n1)))
+    m0 = next(m for m, p in values if p >= 2)
+    nu0 = next(m for m, p in values if p >= 1)
     rmax = r_max(wb.basket)
     k3 = anti_volume(wb)
 

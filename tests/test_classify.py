@@ -1,11 +1,15 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_coprime_baskets
 from reidbasket.canonical import unpack
 from reidbasket.classify import (
+    _FILTER_FIELDS,
     ClassificationConstraints,
     classify,
     enumerate_b0,
@@ -17,6 +21,7 @@ from reidbasket.core import (
     FilterConfig,
     WeightedBasket,
     anti_volume,
+    format_rational,
     plurigenus_sequence,
     r_index,
     sigma,
@@ -25,6 +30,7 @@ from reidbasket.core import (
 from reidbasket.packing import ClosureLimits, ClosureTruncated
 
 B = Basket.of
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 class TestEnumerateB0:
@@ -76,6 +82,19 @@ class TestEnumerateB0:
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
             enumerate_b0(ClassificationConstraints(p_fixed={2: 1}))
+
+    # root counts from before the feasibility and duplicate guards went: the
+    # caps keep every level-0 multiplicity >= 0 and the loop tuples give
+    # distinct roots, so neither guard ever fired
+    @pytest.mark.parametrize("text, count", [
+        ((INPUTS / "census_p0.txt").read_text(), 66),
+        ((INPUTS / "census_p8.txt").read_text(), 213),
+        ((INPUTS / "census_rx840.txt").read_text(), 243),
+        ("p[1]=0..6", 11517),
+    ])
+    def test_roots_are_distinct_and_counted(self, text, count):
+        roots = [wb for wb, _ in enumerate_b0(parse_constraints(text))]
+        assert len(roots) == len(set(roots)) == count
 
 
 class TestClassify:
@@ -226,6 +245,23 @@ class TestConstraintsText:
         assert c.filters.volume_positive and c.filters.gamma_nonneg
         assert not c.filters.p8_at_least_2
 
+    def test_sigma_filter_selects_no_check(self):
+        # the recursion satisfies the sigma identity on every basket
+        assert parse_constraints("p[1]=1 filters=sigma").filters == FilterConfig.none()
+        assert parse_constraints("p[1]=1 filters=sigma,gamma").filters == (
+            parse_constraints("p[1]=1 filters=gamma").filters
+        )
+        for text in ("p[1]=1 p[2]=1 p[8]=2", "p[1]=0..4 p[2]=0..1 rx=840"):
+            found = classify(parse_constraints(f"{text} filters=sigma"))
+            assert found and found == classify(parse_constraints(f"{text} filters=none"))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_printed_constraints_parse_back(self, data):
+        c = data.draw(constraint_sets())
+        tokens = data.draw(st.permutations(constraints_tokens(c)))
+        assert parse_constraints(" ".join(tokens)) == c
+
     def test_comments_and_newlines(self):
         c = parse_constraints("# header\np[1]=1 # inline\np[2]=0..3\n")
         assert c.p_fixed == {1: 1}
@@ -272,3 +308,69 @@ class TestAgainstCanonicalStructure:
         roots = {wb.basket for wb, _ in enumerate_b0(c)}
         for wb in classify(c):
             assert unpack(wb.basket, 0) in roots
+
+
+@st.composite
+def constraint_sets(draw) -> ClassificationConstraints:
+    """Constraint sets that the text format can say; P_{-1} is always set."""
+    p_fixed: dict[int, int] = {}
+    p_ranges: dict[int, tuple[int, int]] = {}
+    for m in {1} | draw(st.sets(st.integers(2, 30), max_size=4)):
+        lo = draw(st.integers(0 if m == 1 else -5, 40))
+        hi = lo + draw(st.integers(0, 8))
+        if lo == hi:
+            p_fixed[m] = lo
+        else:
+            p_ranges[m] = (lo, hi)
+
+    def maybe(strategy):
+        return draw(st.none() | strategy)
+
+    def int_range(lo, hi):
+        return st.tuples(st.integers(lo, hi), st.integers(0, 10)).map(lambda t: (t[0], t[0] + t[1]))
+
+    kwargs = {}
+    if draw(st.booleans()):
+        ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
+        kwargs.update(
+            k3_min=draw(ends), k3_min_strict=draw(st.booleans()),
+            k3_max=draw(ends), k3_max_strict=draw(st.booleans()),
+        )
+    names = draw(st.sets(st.sampled_from(sorted(n for n, f in _FILTER_FIELDS.items() if f))))
+    return ClassificationConstraints(
+        p_fixed=p_fixed,
+        p_ranges=p_ranges,
+        sigma5=maybe(int_range(0, 6)),
+        rmax_range=maybe(int_range(2, 30)),
+        rx_exact=maybe(st.integers(1, 1000)),
+        rx_max=maybe(st.integers(1, 1000)),
+        allowed_indices=maybe(st.frozensets(st.integers(2, 30), max_size=6)),
+        filters=FilterConfig.none()._replace(**{_FILTER_FIELDS[n]: True for n in names}),
+        tail_max_index=draw(st.integers(5, 40)),
+        **kwargs,
+    )
+
+
+def constraints_tokens(c: ClassificationConstraints) -> list[str]:
+    """The constraints text of ``c``, one token per constraint."""
+    tokens = [f"p[{m}]={v}" for m, v in c.p_fixed.items()]
+    tokens += [f"p[{m}]={lo}..{hi}" for m, (lo, hi) in c.p_ranges.items()]
+    if c.sigma5 is not None:
+        tokens.append("sigma5={}..{}".format(*c.sigma5))
+    if c.k3_min is not None:
+        tokens.append(
+            f"k3={'(' if c.k3_min_strict else '['}{format_rational(c.k3_min)},"
+            f"{format_rational(c.k3_max)}{')' if c.k3_max_strict else ']'}"
+        )
+    if c.rmax_range is not None:
+        tokens.append("rmax={}..{}".format(*c.rmax_range))
+    if c.rx_exact is not None:
+        tokens.append(f"rx={c.rx_exact}")
+    if c.rx_max is not None:
+        tokens.append(f"rx<={c.rx_max}")
+    if c.allowed_indices is not None:
+        tokens.append("indices={" + ",".join(map(str, sorted(c.allowed_indices))) + "}")
+    tokens.append(f"tailmax={c.tail_max_index}")
+    names = [n for n, f in _FILTER_FIELDS.items() if f and getattr(c.filters, f)]
+    tokens.append("filters=" + (",".join(names) or "none"))
+    return tokens

@@ -107,6 +107,11 @@ class TestClassify:
         code, _, err = run_cli("classify", "--constraints", "/nonexistent/c.txt")
         assert code == 2
 
+    def test_unreadable_path_is_usage_error(self, tmp_path):
+        code, out, err = run_cli("classify", "--constraints", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert str(tmp_path) in err and "internal error" not in err
+
     def test_zero_denominator_is_usage_error(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("p[1]=1 k3=(0,1/0)\n")

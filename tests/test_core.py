@@ -187,6 +187,19 @@ class TestPlurigenera:
             for m in (1, 2, 3, 7, 18, 30):
                 assert seq[m] == plurigenus_closed(wb.basket, k3, m)
 
+    @given(pair_strategy(rmax=60), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=300, deadline=None)
+    def test_delta_pair_terms_are_integers(self, pair, n):
+        # the kernel's premise, non-coprime pairs included: with bn = qr + s
+        # the pair term (s(r - s) - bn(r - bn)) / (2r) is q(qr + 2s - r)/2
+        b, r = pair.b, pair.r
+        bn = b * n
+        q, s = divmod(bn, r)
+        assert (s * (r - s) - bn * (r - bn)) % (2 * r) == 0
+        assert q * (q * r + 2 * s - r) % 2 == 0
+        if n >= 2:
+            assert delta_n(Basket([pair]), n) == q * (q * r + 2 * s - r) // 2
+
     def test_sigma_identity_is_automatic(self):
         # 10 - 5 P_{-1} + P_{-2} = sigma holds identically for the recursion
         rng = random.Random(5)
