@@ -38,7 +38,7 @@ assert anti_volume(wb) == Fraction(1, 330)
 # The recursion produces the whole anti-plurigenus sequence...
 seq = plurigenus_sequence(wb, 24)
 print("\nP_{-m} for m = 1..24:")
-print(" ", [int(v) for v in seq[1:]])
+print(" ", seq[1:])
 
 # ...and the Riemann-Roch closed form retraces every value independently.
 for m in (1, 5, 12, 24):

@@ -44,7 +44,7 @@ assert epsilon_n(basket, 6) == 0
 # from the P_{-8} = 2 classification:
 geom = Basket.parse("(1,2),(2,5),(1,3),(1,4),(1,9)")
 wb = WeightedBasket(geom, 1)
-p = [int(v) for v in plurigenus_sequence(wb, 5)]
+p = plurigenus_sequence(wb, 5)
 tail = {}
 for pair in unpack(geom, 0):
     if pair.r >= 5:

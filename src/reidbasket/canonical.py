@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, _Frozen, delta_n
+from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, delta_n
 
 __all__ = [
-    "FractionLevelSet",
     "in_level_set",
     "farey_neighbors",
     "unpack",
@@ -59,43 +58,6 @@ def in_level_set(frac: Fraction, level: int) -> bool:
     if not 0 < frac <= Fraction(1, 2):
         raise ValueError(f"fraction {frac} outside (0, 1/2]")
     return frac.numerator == 1 or frac.denominator <= level
-
-
-class FractionLevelSet(_Frozen):
-    """The admissible set S(level) as a queryable object.
-
-    Membership and neighbor queries are answered on demand; the set is
-    never materialized (it contains every unit fraction).  Immutable, and
-    equal to a FractionLevelSet of the same level.
-    """
-
-    __slots__ = ("level",)
-
-    level: int
-
-    def __init__(self, level: int) -> None:
-        _check_level(level)
-        object.__setattr__(self, "level", level)
-
-    def __reduce__(self):
-        return (FractionLevelSet, (self.level,))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FractionLevelSet:
-            return NotImplemented
-        return self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash(self.level)
-
-    def __repr__(self) -> str:
-        return f"FractionLevelSet(level={self.level})"
-
-    def __contains__(self, frac: Fraction) -> bool:
-        return in_level_set(frac, self.level)
-
-    def neighbors(self, frac: Fraction) -> tuple[Fraction, Fraction]:
-        return farey_neighbors(frac, self.level)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -165,7 +127,7 @@ def unpack(basket: Basket, level: int) -> Basket:
     entries: list[OrbifoldPair] = []
     for pair in basket:
         for b, r, mult in _unpack_entry(pair.b, pair.r, level):
-            entries.extend([OrbifoldPair.of(b, r)] * mult)
+            entries.extend([OrbifoldPair(b, r)] * mult)
     return Basket(entries)
 
 
@@ -173,7 +135,7 @@ def epsilon_n(basket: Basket, n: int) -> int:
     """Number of prime packings in the chain step from level n-1 to level n.
 
     The chain jumps from level 0 straight to level 5, so the predecessor
-    of level 5 is level 0.  Always a non-negative integer; anything else
+    of level 5 is level 0.  Always non-negative; a negative value
     indicates a broken invariant and raises AssertionError (an explicit
     check, so it also runs under ``python -O``).
     """
@@ -181,11 +143,11 @@ def epsilon_n(basket: Basket, n: int) -> int:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
     prev = 0 if n == 5 else n - 1
     value = delta_n(unpack(basket, prev), n) - delta_n(basket, n)
-    if value.denominator != 1 or value < 0:
+    if value < 0:
         raise AssertionError(
-            f"invariant violated: epsilon_{n} = {value} is not a non-negative integer"
+            f"invariant violated: epsilon_{n} = {value} is negative"
         )
-    return int(value)
+    return value
 
 
 class CanonicalSequence(NamedTuple):
@@ -256,7 +218,7 @@ def _tail_entries(tail: dict[int, int]) -> list[OrbifoldPair]:
             raise ValueError(f"tail indices start at r = 5, got {r}")
         if tail[r] < 0:
             raise ValueError(f"tail multiplicity for r = {r} is negative")
-        entries.extend([OrbifoldPair.of(1, r)] * tail[r])
+        entries.extend([OrbifoldPair(1, r)] * tail[r])
     return entries
 
 
@@ -273,9 +235,9 @@ def b0_from_plurigenera(
         if value < 0:
             return Infeasible(coefficient=name, value=value)
     entries = (
-        [OrbifoldPair.of(1, 2)] * n12
-        + [OrbifoldPair.of(1, 3)] * n13
-        + [OrbifoldPair.of(1, 4)] * n14
+        [OrbifoldPair(1, 2)] * n12
+        + [OrbifoldPair(1, 3)] * n13
+        + [OrbifoldPair(1, 4)] * n14
         + _tail_entries(tail)
     )
     return Basket(entries)
@@ -297,10 +259,10 @@ def b5_from_plurigenera(
         if value < 0:
             return Infeasible(coefficient=name, value=value)
     entries = (
-        [OrbifoldPair.of(1, 2)] * n12
-        + [OrbifoldPair.of(1, 3)] * n13
-        + [OrbifoldPair.of(1, 4)] * n14
-        + [OrbifoldPair.of(2, 5)] * n25
+        [OrbifoldPair(1, 2)] * n12
+        + [OrbifoldPair(1, 3)] * n13
+        + [OrbifoldPair(1, 4)] * n14
+        + [OrbifoldPair(2, 5)] * n25
         + _tail_entries(tail)
     )
     return Basket(entries)

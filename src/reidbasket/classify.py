@@ -43,7 +43,7 @@ from .core import (
     r_max,
     sigma,
 )
-from .packing import ClosureLimits, closure
+from .packing import MAX_VISITED, closure
 
 __all__ = [
     "ClassificationConstraints",
@@ -98,7 +98,7 @@ class ClassificationConstraints(NamedTuple):
     allowed_indices: frozenset[int] | None = None
     filters: FilterConfig = FilterConfig()
     tail_max_index: int = 24
-    limits: ClosureLimits = ClosureLimits()
+    max_visited: int = MAX_VISITED
 
     def __reduce__(self):
         # a mappingproxy does not pickle: the empty default goes as a dict
@@ -368,7 +368,8 @@ def _expand_and_admit(
         return basket.all_terminal and constraints.admits(WeightedBasket(basket, p1))
 
     found = closure(
-        *roots, prune=_prune_factory(constraints, p1), emit=emit, limits=constraints.limits
+        *roots, prune=_prune_factory(constraints, p1), emit=emit,
+        max_visited=constraints.max_visited,
     ).require_complete()
     return {WeightedBasket(basket, p1) for basket in found.baskets}
 
@@ -402,7 +403,10 @@ def enumerate_index_profiles(
     filtered by the constraint set.  Index multisets are cut down a priori
     by the gamma budget (``_index_profiles``), then every coprime
     numerator assignment is screened by the mandatory re-verification pass.
+    ``lcm_target`` must be >= 1; 1 stands for the empty basket alone.
     """
+    if lcm_target < 1:
+        raise ValueError(f"index profile lcm must be >= 1, got {lcm_target}")
     out: set[WeightedBasket] = set()
     for profile in _index_profiles(lcm_target):
         for basket in _numerator_assignments(profile):
@@ -455,7 +459,7 @@ def _numerator_assignments(profile: tuple[int, ...]):
     per_group: list[list[tuple[OrbifoldPair, ...]]] = []
     for r, count in sorted(groups.items()):
         options = [
-            OrbifoldPair.of(b, r)
+            OrbifoldPair(b, r)
             for b in range(1, r // 2 + 1)
             if math.gcd(b, r) == 1
         ]

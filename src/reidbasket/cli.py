@@ -35,7 +35,7 @@ from .core import (
     sigma_prime,
 )
 from .packing import (
-    ClosureLimits,
+    MAX_VISITED,
     ClosureTruncated,
     all_of,
     closure,
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--p1", type=int, default=0,
                         help="weight used for volume columns and --k3-max")
     p_pack.add_argument("--coprime-only", action="store_true")
-    p_pack.add_argument("--max-states", type=int, default=ClosureLimits().max_visited)
+    p_pack.add_argument("--max-states", type=int, default=MAX_VISITED)
 
     p_cls = sub.add_parser("classify", help="enumerate baskets from a constraints file")
     p_cls.add_argument("--constraints", required=True)
@@ -126,7 +126,7 @@ def _cmd_eval(args) -> int:
     print(f"-K^3 = {format_rational(anti_volume(wb))}")
     seq = plurigenus_sequence(wb, max(args.upto, 1))
     for m in range(1, max(args.upto, 1) + 1):
-        print(f"P[-{m}] = {format_rational(seq[m])}")
+        print(f"P[-{m}] = {seq[m]}")
     return EXIT_OK
 
 
@@ -163,8 +163,7 @@ def _cmd_pack(args) -> int:
         prune_clauses.append(volume_at_most(args.k3_max, args.p1))
     prune = all_of(*prune_clauses) if prune_clauses else None
     emit = coprime_only if args.coprime_only else None
-    result = closure(basket, prune=prune, emit=emit,
-                     limits=ClosureLimits(max_visited=args.max_states))
+    result = closure(basket, prune=prune, emit=emit, max_visited=args.max_states)
     for b in result.baskets:
         wb = WeightedBasket(b, args.p1)
         print(f"{format_basket(b)}\t{format_rational(anti_volume(wb))}"
@@ -211,7 +210,7 @@ def _cmd_criteria(args) -> int:
         k = args.same_pencil_k
         seq = plurigenus_sequence(wb, k)
         if seq[k] < 2:
-            print(f"error: P[-{k}] = {format_rational(seq[k])} < 2, "
+            print(f"error: P[-{k}] = {seq[k]} < 2, "
                   "no same-pencil branch available", file=sys.stderr)
             return EXIT_USAGE
         branches = (
@@ -221,7 +220,7 @@ def _cmd_criteria(args) -> int:
             ),
             BranchSpec(
                 f"|-{k}K| and the m0-system composed with the same pencil",
-                "b2", mu0=Fraction(k, int(seq[k]) - 1), n0=args.n0,
+                "b2", mu0=Fraction(k, seq[k] - 1), n0=args.n0,
             ),
         )
     report = table_pipeline(wb, PipelinePolicy(n1_window=window, case=case, branches=branches))

@@ -9,9 +9,10 @@ P_{-m} through Reid's orbifold Riemann-Roch formula.
 Everything here is exact; there is deliberately no floating point anywhere
 in this module.  The plurigenus kernel works on integers: for an integer
 P_{-1} every P_{-m} is an integer, and so is every step of the recursion,
-so ``Fraction`` appears only at the public boundary.  The volume -K^3,
-sigma' and gamma are integer numerators over r_X, so the search predicates
-of ``classify`` compare integers only.  ``plurigenus_closed`` evaluates the
+so ``plurigenus``, ``plurigenus_sequence`` and ``delta_n`` return ``int``.
+The volume -K^3, sigma' and gamma are integer numerators over r_X, so the
+search predicates of ``classify`` compare integers only; they are returned
+as one ``Fraction`` each.  ``plurigenus_closed`` evaluates the
 Riemann-Roch closed form in ``Fraction``s as the independent oracle for
 that kernel.
 """
@@ -105,10 +106,6 @@ class OrbifoldPair(_Frozen):
     def __repr__(self) -> str:
         return f"OrbifoldPair(b={self.b}, r={self.r})"
 
-    @staticmethod
-    def of(b: int, r: int) -> "OrbifoldPair":
-        return OrbifoldPair(b, r)
-
     def __lt__(self, other: "OrbifoldPair") -> bool:
         # canonical entry order inside a basket is by (r, b)
         return (self.r, self.b) < (other.r, other.b)
@@ -116,10 +113,6 @@ class OrbifoldPair(_Frozen):
     @property
     def terminal(self) -> bool:
         return math.gcd(self.b, self.r) == 1
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.b, self.r)
 
     def __str__(self) -> str:
         return f"({self.b},{self.r})"
@@ -148,7 +141,7 @@ class Basket(_Frozen):
     @staticmethod
     def of(*pairs: tuple[int, int]) -> "Basket":
         """Build from (b, r) tuples: Basket.of((1, 2), (2, 5))."""
-        return Basket(OrbifoldPair.of(b, r) for b, r in pairs)
+        return Basket(OrbifoldPair(b, r) for b, r in pairs)
 
     @staticmethod
     def parse(text: str) -> "Basket":
@@ -217,10 +210,6 @@ class WeightedBasket(_WeightedBasketFields):
         # ``_replace`` builds through ``_make``: validate there too
         return cls(*iterable)
 
-    @property
-    def volume(self) -> Fraction:
-        return anti_volume(self)
-
     def __str__(self) -> str:
         return f"({format_basket(self.basket)}; p1={self.p1})"
 
@@ -270,7 +259,7 @@ def parse_basket(text: str) -> Basket:
             )
         b, r = int(m.group(2)), int(m.group(3))
         try:
-            pair = OrbifoldPair.of(b, r)
+            pair = OrbifoldPair(b, r)
         except ValueError as exc:
             raise BasketSyntaxError(str(exc)) from exc
         pairs.extend([pair] * mult)
@@ -363,11 +352,11 @@ def _delta(pairs: list[tuple[int, int, int]], n: int) -> int:
     return total
 
 
-def delta_n(basket: Basket, n: int) -> Fraction:
+def delta_n(basket: Basket, n: int) -> int:
     """The correction term Delta^n(B) of the plurigenus recursion, n >= 2."""
     if n < 2:
         raise ValueError(f"delta_n needs n >= 2, got {n}")
-    return Fraction(_delta([(pair.b, pair.r, k) for pair, k in basket.counts()], n))
+    return _delta([(pair.b, pair.r, k) for pair, k in basket.counts()], n)
 
 
 def gamma(basket: Basket) -> Fraction:
@@ -432,25 +421,24 @@ def _plurigenera(wb: WeightedBasket) -> Iterator[tuple[int, int]]:
         yield m, p
 
 
-def plurigenus(wb: WeightedBasket, m: int) -> Fraction:
-    """P_{-m} by the recursion, as an exact Fraction.
+def plurigenus(wb: WeightedBasket, m: int) -> int:
+    """P_{-m} by the recursion.
 
-    For an integer P_{-1} every P_{-m} is an integer, so the denominator
-    is always 1; non-negativity is the condition that actually fails on
-    non-geometric seeds, and callers that screen for geometric baskets
-    test it.
+    For an integer P_{-1} every P_{-m} is an integer; non-negativity is
+    the condition that actually fails on non-geometric seeds, and callers
+    that screen for geometric baskets test it.
     """
     if m < 1:
         raise ValueError(f"plurigenus needs m >= 1, got {m}")
     return plurigenus_sequence(wb, m)[m]
 
 
-def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
-    """[unused, P_{-1}, ..., P_{-upto}] computed in one sweep (index = m)."""
+def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:
+    """[0, P_{-1}, ..., P_{-upto}] computed in one sweep (index = m)."""
     if upto < 1:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
-    seq = [Fraction(0)]
-    seq.extend(Fraction(p) for _, p in islice(_plurigenera(wb), upto))
+    seq = [0]
+    seq.extend(p for _, p in islice(_plurigenera(wb), upto))
     return seq
 
 

@@ -137,16 +137,14 @@ def theta(m_big: int, rx: int, n_part: int) -> Fraction:
     )
 
 
-def theta_max(m_big: int, rx: int, exhaustive: bool = False) -> Fraction:
+def theta_max(m_big: int, rx: int) -> Fraction:
     """theta(M) = max over N >= 1 of theta(M, N).
 
     For N > M the value M/N < 1 <= theta(M, 1), so the search space is
     N in 1..M; the maximum sits either at N = 1, or where 2N crosses M/N
-    (N near sqrt(M/2)), or where 2N crosses max(3, M/r_X).  ``exhaustive``
-    scans every N instead and exists as an oracle for the candidate set.
+    (N near sqrt(M/2)), or where 2N crosses max(3, M/r_X), and only those
+    candidates are scanned.
     """
-    if exhaustive:
-        return max(theta(m_big, rx, n) for n in range(1, m_big + 1))
     c = max(Fraction(3), Fraction(m_big, rx))
     candidates = {1, m_big}
     mid = floor_sqrt(Fraction(m_big, 2))
@@ -394,7 +392,7 @@ def mu0_candidates(wb: WeightedBasket, m0: int, horizon: int = 40) -> list[Mu0Ca
     out = [Mu0Candidate(Fraction(m0), "unconditional (mu0' = m0)", "unconditional")]
     out.append(
         Mu0Candidate(
-            Fraction(m0, int(seq[m0]) - 1),
+            Fraction(m0, seq[m0] - 1),
             f"if |-{m0}K| is composed with a pencil",
             "pencil",
             k=m0,
@@ -404,7 +402,7 @@ def mu0_candidates(wb: WeightedBasket, m0: int, horizon: int = 40) -> list[Mu0Ca
         if seq[k] >= 2:
             out.append(
                 Mu0Candidate(
-                    Fraction(k, int(seq[k]) - 1),
+                    Fraction(k, seq[k] - 1),
                     f"if |-{k}K| and |-{m0}K| are composed with the same pencil",
                     "same_pencil",
                     k=k,
@@ -458,8 +456,6 @@ class PipelinePolicy(NamedTuple):
     n1_window: int = 1
     case: int = 3
     branches: tuple[BranchSpec, ...] = ()
-    n1_limit: int = 400
-    mu0_horizon: int = 40
 
 
 class BirationalityReport(NamedTuple):
@@ -533,7 +529,7 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
         raise ValueError(f"rejected by geometric filter: {check.first_failure}")
 
     m_big, rx, lam = _lambda_for(wb)
-    n1 = first_not_pencil(wb, window=policy.n1_window, limit=policy.n1_limit)
+    n1 = first_not_pencil(wb, window=policy.n1_window)
     values = list(islice(_plurigenera(wb), max(8, n1)))
     m0 = next(m for m, p in values if p >= 2)
     nu0 = next(m for m, p in values if p >= 1)

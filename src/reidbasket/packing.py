@@ -28,13 +28,10 @@ from .core import (
 )
 
 __all__ = [
-    "PackingStep",
-    "packing_step",
     "merge_pairs",
     "is_prime_packing",
     "pack_once",
     "single_packings",
-    "ClosureLimits",
     "ClosureResult",
     "ClosureTruncated",
     "closure",
@@ -48,27 +45,14 @@ __all__ = [
 Predicate = Callable[[Basket], bool]
 
 
-class PackingStep(NamedTuple):
-    """A single merge, with the primality certificate."""
-
-    left: OrbifoldPair
-    right: OrbifoldPair
-    result: OrbifoldPair
-    prime: bool
-
-
 def merge_pairs(p: OrbifoldPair, q: OrbifoldPair) -> OrbifoldPair:
     # 2(b1+b2) <= r1+r2 holds automatically, so the merge is always legal
-    return OrbifoldPair.of(p.b + q.b, p.r + q.r)
+    return OrbifoldPair(p.b + q.b, p.r + q.r)
 
 
 def is_prime_packing(p: OrbifoldPair, q: OrbifoldPair) -> bool:
     """True iff |b1*r2 - b2*r1| = 1 (a unimodular, "Farey-neighbor" merge)."""
     return abs(p.b * q.r - q.b * p.r) == 1
-
-
-def packing_step(p: OrbifoldPair, q: OrbifoldPair) -> PackingStep:
-    return PackingStep(left=p, right=q, result=merge_pairs(p, q), prime=is_prime_packing(p, q))
 
 
 def pack_once(basket: Basket, i: int, j: int) -> Basket:
@@ -119,10 +103,9 @@ def single_packings(basket: Basket) -> list[Basket]:
 # closure search
 # ---------------------------------------------------------------------------
 
-class ClosureLimits(NamedTuple):
-    # all the classification closures are far smaller than this; a hard stop
-    # with an explicit report beats an unbounded search
-    max_visited: int = 10 ** 6
+# all the classification closures are far smaller than this; a hard stop
+# with an explicit report beats an unbounded search
+MAX_VISITED = 10 ** 6
 
 
 class ClosureResult(NamedTuple):
@@ -146,7 +129,7 @@ def closure(
     *roots: Basket,
     prune: Predicate | None = None,
     emit: Predicate | None = None,
-    limits: ClosureLimits = ClosureLimits(),
+    max_visited: int = MAX_VISITED,
 ) -> ClosureResult:
     """All packings of the ``roots`` (the roots included) passing the filters.
 
@@ -156,7 +139,8 @@ def closure(
     basket failing it is cut together with its whole subtree.  ``emit`` is
     applied only at output and may be arbitrary.  The result is
     deduplicated by canonical form and canonically sorted, so any traversal
-    order yields the same answer.
+    order yields the same answer.  A search that would visit more than
+    ``max_visited`` baskets stops and reports itself truncated.
     """
     seen = {b for b in roots if prune is None or prune(b)}
     frontier = sorted(seen, key=Basket.sort_key)
@@ -167,7 +151,7 @@ def closure(
             for child in single_packings(current):
                 if child in seen:
                     continue
-                if len(seen) >= limits.max_visited:
+                if len(seen) >= max_visited:
                     truncated = True
                     nxt = []
                     break
@@ -213,11 +197,9 @@ def gamma_at_least(bound: Fraction | int) -> Predicate:
     return lambda basket: gamma(basket) >= bound
 
 
-def volume_at_most(bound: Fraction | int, p1: int, strict: bool = False) -> Predicate:
+def volume_at_most(bound: Fraction | int, p1: int) -> Predicate:
     """Prune-safe: -K^3 never decreases along packing (p1 fixed)."""
     bound = Fraction(bound)
-    if strict:
-        return lambda basket: anti_volume(WeightedBasket(basket, p1)) < bound
     return lambda basket: anti_volume(WeightedBasket(basket, p1)) <= bound
 
 

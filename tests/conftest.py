@@ -27,7 +27,7 @@ def pair_strategy(rmax: int = 24, coprime: bool = False):
     return st.integers(min_value=2, max_value=rmax).flatmap(
         lambda r: st.integers(min_value=1, max_value=r // 2)
         .filter(lambda b: not coprime or math.gcd(b, r) == 1)
-        .map(lambda b: OrbifoldPair.of(b, r))
+        .map(lambda b: OrbifoldPair(b, r))
     )
 
 
@@ -36,7 +36,7 @@ def random_pair(rng: random.Random, rmax: int = 24, coprime: bool = True) -> Orb
         r = rng.randint(2, rmax)
         b = rng.randint(1, r // 2)
         if not coprime or math.gcd(b, r) == 1:
-            return OrbifoldPair.of(b, r)
+            return OrbifoldPair(b, r)
 
 
 def random_basket(

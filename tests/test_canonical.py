@@ -8,7 +8,6 @@ from conftest import random_basket, src_env
 from reidbasket import canonical, core
 from reidbasket.canonical import (
     CanonicalSequence,
-    FractionLevelSet,
     Infeasible,
     b0_from_plurigenera,
     b5_from_plurigenera,
@@ -35,11 +34,10 @@ class TestFareyNeighbors:
         assert in_level_set(Fraction(1, 4), 0)
 
     def test_level_set_object(self):
-        s5 = FractionLevelSet(5)
-        assert Fraction(2, 5) in s5 and Fraction(2, 5) not in FractionLevelSet(0)
-        assert s5.neighbors(Fraction(3, 7)) == (Fraction(1, 2), Fraction(2, 5))
+        assert in_level_set(Fraction(2, 5), 5) and not in_level_set(Fraction(2, 5), 0)
+        assert farey_neighbors(Fraction(3, 7), 5) == (Fraction(1, 2), Fraction(2, 5))
         with pytest.raises(ValueError):
-            FractionLevelSet(2)
+            in_level_set(Fraction(1, 3), 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

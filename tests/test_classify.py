@@ -27,7 +27,7 @@ from reidbasket.core import (
     sigma,
     sigma_prime,
 )
-from reidbasket.packing import ClosureLimits, ClosureTruncated
+from reidbasket.packing import ClosureTruncated
 
 B = Basket.of
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -124,7 +124,7 @@ class TestClassify:
 
     def test_truncation_is_loud(self):
         c = ClassificationConstraints(
-            p_fixed={1: 0, 2: 0, 8: 2}, limits=ClosureLimits(max_visited=10),
+            p_fixed={1: 0, 2: 0, 8: 2}, max_visited=10,
         )
         with pytest.raises(ClosureTruncated):
             classify(c)
@@ -201,6 +201,17 @@ class TestIndexProfiles:
         # has sigma' - sigma + 6 > 0, which forces P_{-1} >= 1
         for wb in result:
             assert sigma_prime(wb.basket) - sigma(wb.basket) + 6 > 0
+
+    @pytest.mark.parametrize("lcm", [0, -4])
+    def test_lcm_below_one_is_rejected(self, lcm):
+        c = ClassificationConstraints(p_fixed={1: 1})
+        with pytest.raises(ValueError) as info:
+            enumerate_index_profiles(lcm, c)
+        assert str(info.value) == f"index profile lcm must be >= 1, got {lcm}"
+
+    def test_lcm_one_is_the_empty_basket(self):
+        c = ClassificationConstraints(p_ranges={1: (0, 3)}, filters=FilterConfig.none())
+        assert enumerate_index_profiles(1, c) == [WeightedBasket(Basket(), p1) for p1 in range(4)]
 
     def test_630_case_split(self):
         c = ClassificationConstraints(

@@ -103,6 +103,20 @@ class TestClassify:
         assert code == 0
         assert "# 5 basket(s)" in out
 
+    @pytest.mark.parametrize("lcm", ["0", "-4"])
+    def test_profiles_below_one_is_usage_error(self, tmp_path, lcm):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=1 p[2]=1 p[8]=2\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--profiles", lcm)
+        assert (code, out) == (2, "")
+        assert err == f"error: index profile lcm must be >= 1, got {lcm}\n"
+
+    def test_profiles_one_is_the_empty_basket(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=4 filters=none\n")
+        code, out, _ = run_cli("classify", "--constraints", str(path), "--profiles", "1")
+        assert (code, out) == (0, "\t2\t1\t-\n# 1 basket(s)\n")
+
     def test_missing_file_is_usage_error(self):
         code, _, err = run_cli("classify", "--constraints", "/nonexistent/c.txt")
         assert code == 2

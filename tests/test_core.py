@@ -40,15 +40,15 @@ MIXED = B((1, 2), (1, 2), (2, 5), (2, 5), (2, 5), (1, 3), (1, 4))
 class TestPairAndBasket:
     def test_pair_validation(self):
         with pytest.raises(ValueError):
-            OrbifoldPair.of(0, 2)
+            OrbifoldPair(0, 2)
         with pytest.raises(ValueError):
-            OrbifoldPair.of(1, 1)
+            OrbifoldPair(1, 1)
         with pytest.raises(ValueError):
-            OrbifoldPair.of(3, 5)
+            OrbifoldPair(3, 5)
 
     def test_terminal_flag(self):
-        assert OrbifoldPair.of(2, 5).terminal
-        assert not OrbifoldPair.of(2, 4).terminal
+        assert OrbifoldPair(2, 5).terminal
+        assert not OrbifoldPair(2, 4).terminal
 
     def test_canonical_form_is_order_independent(self):
         assert B((2, 11), (1, 2), (2, 5), (1, 3)) == X66
@@ -160,6 +160,15 @@ class TestPlurigenera:
         assert plurigenus(WeightedBasket(X66, 1), 24) == 16
         assert plurigenus(WeightedBasket(B((1, 2), (2, 5), (2, 7), (1, 9)), 1), 31) == 96
         assert plurigenus(WeightedBasket(X66, 1), 1) == 1
+
+    def test_public_values_are_ints(self):
+        # the kernel's integers cross the public boundary unwrapped
+        rng = random.Random(5)
+        for _ in range(50):
+            wb = WeightedBasket(random_basket(rng, coprime=False), rng.randint(0, 4))
+            assert all(type(p) is int for p in plurigenus_sequence(wb, 12))
+            assert type(plurigenus(wb, 7)) is int
+            assert type(delta_n(wb.basket, 5)) is int
 
     def test_closed_form_examples(self):
         assert plurigenus_closed(X66, Fraction(1, 330), 24) == 16

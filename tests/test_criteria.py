@@ -74,9 +74,11 @@ class TestLambdaTheta:
         assert theta(8, 40, 2) == 4
 
     def test_theta_max_candidates_match_exhaustive(self):
+        # the oracle scans every N in 1..M; theta(M, N) < 1 beyond M
         for m_big in range(1, 200):
             for rx in (60, 330, 660, 840):
-                assert theta_max(m_big, rx) == theta_max(m_big, rx, exhaustive=True)
+                exhaustive = max(theta(m_big, rx, n) for n in range(1, m_big + 1))
+                assert theta_max(m_big, rx) == exhaustive
 
     def test_lambda_dominates_theta(self):
         for m_big in range(1, 2001):

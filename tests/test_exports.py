@@ -1,0 +1,39 @@
+"""Every exported name resolves: a name deleted from a module but left in
+its ``__all__`` (or in the package's own imports) makes
+``from reidbasket.<module> import *`` raise."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import reidbasket
+
+MODULES = sorted(
+    path.stem for path in Path(reidbasket.__file__).parent.glob("*.py")
+    if not path.stem.startswith("_")
+)
+
+
+def test_modules_are_found():
+    assert {"core", "packing", "canonical", "criteria", "classify", "fixtures", "cli"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"reidbasket.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(reidbasket.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, attr in imported:
+        assert hasattr(importlib.import_module(f"reidbasket.{module}"), attr), (module, attr)

@@ -19,7 +19,6 @@ from reidbasket.core import (
     sigma_prime,
 )
 from reidbasket.packing import (
-    ClosureLimits,
     all_of,
     closure,
     coprime_only,
@@ -27,7 +26,6 @@ from reidbasket.packing import (
     gamma_at_least,
     is_prime_packing,
     pack_once,
-    packing_step,
     single_packings,
     volume_at_most,
 )
@@ -50,14 +48,9 @@ class TestSingleSteps:
             pack_once(B((1, 2), (1, 3)), 0, 5)
 
     def test_prime_packing_examples(self):
-        assert is_prime_packing(OrbifoldPair.of(1, 2), OrbifoldPair.of(1, 3))
-        assert not is_prime_packing(OrbifoldPair.of(1, 2), OrbifoldPair.of(1, 2))
-        assert is_prime_packing(OrbifoldPair.of(2, 5), OrbifoldPair.of(1, 3))
-
-    def test_packing_step_record(self):
-        step = packing_step(OrbifoldPair.of(1, 2), OrbifoldPair.of(1, 3))
-        assert step.result == OrbifoldPair.of(2, 5)
-        assert step.prime
+        assert is_prime_packing(OrbifoldPair(1, 2), OrbifoldPair(1, 3))
+        assert not is_prime_packing(OrbifoldPair(1, 2), OrbifoldPair(1, 2))
+        assert is_prime_packing(OrbifoldPair(2, 5), OrbifoldPair(1, 3))
 
     def test_merged_pair_keeps_half_bound(self):
         rng = random.Random(11)
@@ -137,7 +130,7 @@ class TestClosure:
 
     def test_truncation_is_explicit(self):
         root = B(*([(1, 2)] * 10 + [(1, 3)] * 4))
-        result = closure(root, limits=ClosureLimits(max_visited=5))
+        result = closure(root, max_visited=5)
         assert result.truncated
         with pytest.raises(Exception):
             result.require_complete()

@@ -1,4 +1,5 @@
-"""The public record types: plain NamedTuples and two __slots__ classes.
+"""The public record types: plain NamedTuples and the __slots__ classes
+``OrbifoldPair`` and ``Basket``.
 
 No module of the package loads ``dataclasses`` (nor ``inspect`` through
 it), which keeps every CLI process's start-up short.  These tests pin what
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import src_env
-from reidbasket.canonical import FractionLevelSet
+from reidbasket.canonical import in_level_set
 from reidbasket.classify import ClassificationConstraints, parse_constraints
 from reidbasket.core import Basket, FilterConfig, OrbifoldPair, WeightedBasket
 from reidbasket.criteria import CriterionInputs
@@ -45,7 +46,7 @@ class TestOrbifoldPair:
         assert (pair.b, pair.r) == (2, 5)
 
     def test_value_equality_and_hash(self):
-        assert OrbifoldPair(2, 5) == OrbifoldPair.of(2, 5)
+        assert OrbifoldPair(2, 5) == OrbifoldPair(2, 5)
         assert hash(OrbifoldPair(2, 5)) == hash(OrbifoldPair(2, 5))
         assert OrbifoldPair(2, 5) != OrbifoldPair(1, 5)
         assert len({OrbifoldPair(1, 2), OrbifoldPair(1, 2), OrbifoldPair(1, 3)}) == 2
@@ -130,16 +131,10 @@ class TestCriterionInputs:
 
 
 class TestFractionLevelSet:
-    def test_immutable_equal_hashable(self):
-        s5 = FractionLevelSet(5)
-        with pytest.raises(AttributeError):
-            s5.level = 6
-        assert s5 == FractionLevelSet(5) and hash(s5) == hash(FractionLevelSet(5))
-        assert s5 != FractionLevelSet(6) and s5 != 5
-
+    # the admissible fraction sets S(level) are queried by ``in_level_set``
     def test_validation_message(self):
         with pytest.raises(ValueError) as info:
-            FractionLevelSet(3)
+            in_level_set(Fraction(1, 3), 3)
         assert str(info.value) == "levels 1-4 are not defined (got 3)"
 
 
@@ -162,11 +157,10 @@ class TestClassificationConstraints:
     Basket(),
     OrbifoldPair(2, 5),
     WeightedBasket(X66, 1),
-    FractionLevelSet(6),
     FilterConfig.none(),
     parse_constraints("p[1]=0..4 p[2]=0..1 rx=840 k3=(0,1/30) indices={2,3,5,7,8}"),
     ClassificationConstraints(p_ranges={1: (0, 2)}),
-], ids=["basket", "empty-basket", "pair", "weighted-basket", "level-set", "filters",
+], ids=["basket", "empty-basket", "pair", "weighted-basket", "filters",
         "parsed-constraints", "default-map-constraints"])
 def test_pickle_round_trip(value):
     copy = pickle.loads(pickle.dumps(value))
