@@ -60,7 +60,6 @@ def in_level_set(frac: Fraction, level: int) -> bool:
     return frac.numerator == 1 or frac.denominator <= level
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
     """Adjacent division points (upper, lower) of S(level) around ``frac``.
 
@@ -169,12 +168,11 @@ def _stabilization_level(basket: Basket) -> int:
     return n
 
 
-def canonical_sequence(basket: Basket, upto: int | None = None) -> CanonicalSequence:
-    """Levels 0, 5, 6, ... up to stabilization (or ``upto``, if given)."""
+def canonical_sequence(basket: Basket) -> CanonicalSequence:
+    """Levels 0, 5, 6, ... up to stabilization."""
     stabilization = _stabilization_level(basket)
-    stop = upto if upto is not None else max(stabilization, 5)
     levels: list[tuple[int, Basket, int]] = [(0, unpack(basket, 0), 0)]
-    for n in range(5, max(stop, 5) + 1):
+    for n in range(5, max(stabilization, 5) + 1):
         levels.append((n, unpack(basket, n), epsilon_n(basket, n)))
     return CanonicalSequence(base=basket, levels=tuple(levels), stabilization_level=stabilization)
 

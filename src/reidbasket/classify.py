@@ -2,9 +2,10 @@
 
 The engine walks the same road the classification arguments do:
 
-1. enumerate the feasible level-0 baskets from the P_{-1}..P_{-4} ranges
-   and the r >= 5 tail (bounded a priori by gamma >= 0, which caps every
-   local index at 24 and the total entry weight at Sigma(r - 1/r) <= 24);
+1. enumerate the feasible level-0 baskets, the multisets of (1, r) entries
+   bounded a priori by gamma >= 0 (which caps every local index at 24 and
+   the total entry weight at Sigma(r - 1/r) <= 24), and keep those whose
+   P_{-1}..P_{-4} and r >= 5 tail meet the constraints;
 2. close the level-0 candidates under packing (``packing.closure``, all
    roots of one P_{-1} in one search), pruning with the monotone
    clauses (gamma >= 0 downward-closed; -K^3 and P_{-m} upper bounds
@@ -15,8 +16,9 @@ The engine walks the same road the classification arguments do:
    geometric filter -- mandatory, not an optimization.
 
 Everything is exact; output is deduplicated by canonical form and sorted.
-The gamma budgets of step 1 and of ``enumerate_index_profiles`` are
-integers: every entry cost r - 1/r is scaled by one L = lcm(2..largest index).
+Step 1 and ``enumerate_index_profiles`` draw their index multisets from one
+generator, ``_multisets``, which spends the gamma budget in integers: every
+entry cost r - 1/r is scaled by one L = lcm(2..24).
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
-from .canonical import b0_from_plurigenera
+from .canonical import unpack
 from .core import (
     Basket,
     FilterConfig,
@@ -53,16 +55,28 @@ __all__ = [
     "enumerate_index_profiles",
 ]
 
-@lru_cache(maxsize=32)
-def _gamma_costs(top: int) -> tuple[int, tuple[int, ...]]:
-    """The gamma budget 24 and the entry costs ``cost[r] = r - 1/r`` for
-    r <= top, all scaled by L = lcm(2..top) to integers.
+# gamma >= 0 caps every local index at 24 and the entry costs r - 1/r at a
+# total of 24; both budgets count them in integers over this one scale
+L = math.lcm(*range(2, 25))
+_COST = {r: r * L - L // r for r in range(2, 25)}
 
-    Callers keep ``top <= 24``: no entry of a basket with gamma >= 0 has a
-    larger index, and L grows like e^top.
+
+def _multisets(indices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every ascending multiset over ``indices`` whose costs sum to at most 24.
+
+    ``indices`` ascend within 2..24.  The multisets come shortest first,
+    from the empty one; the cost r - 1/r grows with r, so each multiset
+    is extended only by the indices that still fit.
     """
-    scale = math.lcm(*range(2, top + 1))
-    return 24 * scale, (0, *(r * scale - scale // r for r in range(1, top + 1)))
+    # (multiset, position of its last index, budget left), extended in turn
+    found = [((), 0, 24 * L)]
+    for current, start, budget in found:
+        yield current
+        for i in range(start, len(indices)):
+            left = budget - _COST[indices[i]]
+            if left < 0:
+                break
+            found.append((current + (indices[i],), i, left))
 
 
 def _compare(num: int, den: int, bound: Fraction) -> int:
@@ -170,8 +184,6 @@ class ClassificationConstraints(NamedTuple):
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
             # r >= 5 entries of its own level-0 unpacking
-            from .canonical import unpack
-
             lo, hi = self.sigma5
             s5 = sum(1 for p in unpack(wb.basket, 0) if p.r >= 5)
             if not lo <= s5 <= hi:
@@ -193,87 +205,51 @@ class ClassificationConstraints(NamedTuple):
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
     """All feasible level-0 weighted baskets with their (P_{-1}..P_{-4}).
 
-    Ranges for P_{-2}, P_{-3}, P_{-4} that the caller leaves open are
-    derived from non-negativity of the level-0 multiplicities together
-    with the gamma budget (sigma(B0) = 10 - 5 p1 + p2 <= 16 because every
-    level-0 entry costs at least 3/2 of the budget).  Every root keeps
-    gamma >= 0 by construction: ``_tails`` spends the root's own gamma.
-
-    The caps keep n0[1,2], n0[1,3] and n0[1,4] >= 0, so every root is
-    feasible, and the roots are distinct: (p2, p3, p4) -> (n0[1,2],
-    n0[1,3], n0[1,4] + sigma5) has determinant 1, so different loop
-    tuples give different level-0 baskets.
+    A level-0 basket is a multiset of (1, r) entries, and gamma >= 0 bounds
+    it: ``_multisets`` lists every candidate over the indices 2..24 (2152
+    of them), the r >= 5 tail cut at ``tail_max_index``.  P_{-2}..P_{-4}
+    follow from the entry counts by the plurigenus recursion with the
+    level-0 values Delta^2 = 0, Delta^3 = n_{1,2} and Delta^4 = 2 n_{1,2}
+    + n_{1,3} (``core._delta``).  A root keeps them >= 0 and within their
+    ranges, and its r >= 5 count within ``sigma5``.  Each candidate is one
+    basket, so the roots are distinct; they come sorted by (P_{-1}, basket).
     """
+    indices = tuple(range(2, max(min(constraints.tail_max_index, 24), 4) + 1))
+    pairs = {r: OrbifoldPair(1, r) for r in indices}
+    (lo2, hi2), (lo3, hi3), (lo4, hi4) = (
+        (max(lo or 0, 0), math.inf if hi is None else hi)
+        for lo, hi in map(constraints.p_bounds, (2, 3, 4))
+    )
+    s5lo, s5hi = constraints.sigma5 or (0, math.inf)
+    # P_{-m} = P_{-(m-1)} + m^2 (P_{-1} - 3) + sigma m(m-1)/2 + 2 - Delta^m
+    # with sigma = n, the entry count.  P_{-2} = 5 P_{-1} + n - 10 reads n
+    # alone, so the P_{-1} it admits are listed per n, for n <= 16 (every
+    # entry costs at least 3/2 of the budget 24); the multisets come
+    # shortest first, so the longest n admitted ends the search
+    p1s = constraints.p1_values()
+    live = [[p1 for p1 in p1s if lo2 <= 5 * p1 + n - 10 <= hi2] for n in range(17)]
+    longest = max((n for n in range(17) if live[n]), default=-1)
     out: list[tuple[WeightedBasket, tuple[int, int, int, int]]] = []
-    s5lo, s5hi = constraints.sigma5 if constraints.sigma5 else (0, None)
-
-    for p1 in constraints.p1_values():
-        lo2, hi2 = constraints.p_bounds(2)
-        # sigma(B0) = 10 - 5 p1 + p2 and 3/2 * sigma(B0) <= 24
-        p2_cap = 16 - 10 + 5 * p1
-        lo2 = 0 if lo2 is None else lo2
-        hi2 = p2_cap if hi2 is None else min(hi2, p2_cap)
-        for p2 in range(max(lo2, 0), hi2 + 1):
-            lo3, hi3 = constraints.p_bounds(3)
-            cap3 = 5 - 6 * p1 + 4 * p2  # n0[1,2] >= 0
-            lo3 = 0 if lo3 is None else max(lo3, 0)
-            hi3 = cap3 if hi3 is None else min(hi3, cap3)
-            for p3 in range(lo3, hi3 + 1):
-                lo4, hi4 = constraints.p_bounds(4)
-                cap4 = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n0[1,3] >= 0
-                lo4 = 0 if lo4 is None else max(lo4, 0)
-                hi4 = cap4 if hi4 is None else min(hi4, cap4)
-                for p4 in range(lo4, hi4 + 1):
-                    sigma5_cap = 1 + 3 * p1 - p2 - 2 * p3 + p4  # n0[1,4] >= 0
-                    if s5hi is not None:
-                        sigma5_cap = min(sigma5_cap, s5hi)
-                    if sigma5_cap < s5lo:
-                        continue
-                    for tail in _tails(constraints, p1, p2, p3, p4, sigma5_cap):
-                        if sum(tail.values()) < s5lo:
-                            continue
-                        basket = b0_from_plurigenera(p1, p2, p3, p4, tail)
-                        out.append((WeightedBasket(basket, p1), (p1, p2, p3, p4)))
+    for entries in _multisets(indices):
+        n = len(entries)
+        if n > longest:
+            break
+        if not live[n]:
+            continue
+        n12, n13 = entries.count(2), entries.count(3)
+        if not s5lo <= n - n12 - n13 - entries.count(4) <= s5hi:
+            continue
+        basket = None
+        for p1 in live[n]:
+            p2 = 5 * p1 + n - 10
+            p3 = p2 + 9 * p1 + 3 * n - 25 - n12
+            p4 = p3 + 16 * p1 + 6 * n - 46 - 2 * n12 - n13
+            if lo3 <= p3 <= hi3 and lo4 <= p4 <= hi4:
+                if basket is None:
+                    basket = Basket([pairs[r] for r in entries])
+                out.append((WeightedBasket(basket, p1), (p1, p2, p3, p4)))
     out.sort(key=lambda item: (item[0].p1, item[0].basket.sort_key()))
     return out
-
-
-def _tails(constraints, p1, p2, p3, p4, sigma5_cap):
-    """Tail multiplicity tables {r >= 5: n0[1,r]} within the gamma budget.
-
-    The budget is the gamma of the level-0 basket that the tail completes,
-    in integers scaled by L (``_gamma_costs``), so every table yielded
-    gives a root with gamma >= 0.  That holds while n0[1,2] and n0[1,3]
-    are >= 0 and ``sigma5_cap`` is at most n0[1,4] (the caps of
-    ``enumerate_b0`` keep all three so), and then no index above 24 fits
-    the budget, so ``tail_max_index`` is cut to 24.
-    """
-    n12 = 5 - 6 * p1 + 4 * p2 - p3
-    n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-    top = min(constraints.tail_max_index, 24)
-    full, cost = _gamma_costs(max(top, 4))
-    n14_full = 1 + 3 * p1 - p2 - 2 * p3 + p4
-
-    def rec(r, remaining_slots, budget, tail):
-        # each tail entry replaces one (1,4): its net cost is r - 1/r - 15/4
-        yield dict(tail)
-        if remaining_slots <= 0:
-            return
-        for rr in range(r, top + 1):
-            extra = cost[rr] - cost[4]
-            if extra > budget:
-                break
-            tail[rr] = tail.get(rr, 0) + 1
-            yield from rec(rr, remaining_slots - 1, budget - extra, tail)
-            tail[rr] -= 1
-            if tail[rr] == 0:
-                del tail[rr]
-
-    budget0 = full - n12 * cost[2] - n13 * cost[3] - n14_full * cost[4]
-    if budget0 < 0:
-        # no tail can rescue a basket whose r <= 4 part already blows gamma
-        return
-    yield from rec(5, sigma5_cap, budget0, {})
 
 
 def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
@@ -421,38 +397,15 @@ def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:
     """Index multisets with lcm exactly ``lcm_target`` and Sigma(r - 1/r) <= 24.
 
     Each index divides the target and is at most 24 (gamma >= 0); the
-    budget is spent in integers scaled by L (``_gamma_costs``).  Each
-    profile lists its indices in descending order.
+    multisets come from ``_multisets``.  Each profile lists its indices in
+    descending order.
     """
-    top = min(lcm_target, 24)
-    budget, cost = _gamma_costs(top)
-    divisors = [d for d in range(top, 1, -1) if lcm_target % d == 0]
-    profiles: list[tuple[int, ...]] = []
-
-    def grow(idx: int, current: list[int], budget: int, lcm_now: int) -> None:
-        if idx == len(divisors):
-            if lcm_now == lcm_target:
-                profiles.append(tuple(current))
-            return
-        d = divisors[idx]
-        grow(idx + 1, current, budget, lcm_now)
-        c = cost[d]
-        added = 0
-        while budget >= c * (added + 1):
-            added += 1
-            current.append(d)
-            grow(idx + 1, current, budget - c * added, math.lcm(lcm_now, d))
-        for _ in range(added):
-            current.pop()
-
-    grow(0, [], budget, 1)
-    return profiles
+    divisors = tuple(d for d in range(2, min(lcm_target, 24) + 1) if lcm_target % d == 0)
+    return [m[::-1] for m in _multisets(divisors) if math.lcm(*m) == lcm_target]
 
 
 def _numerator_assignments(profile: tuple[int, ...]):
     """All coprime (b, r) choices over an index multiset, deduplicated."""
-    from itertools import combinations_with_replacement, product
-
     groups: dict[int, int] = {}
     for r in profile:
         groups[r] = groups.get(r, 0) + 1

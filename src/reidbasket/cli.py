@@ -15,13 +15,15 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from .canonical import canonical_sequence
+from .canonical import canonical_sequence, epsilon_n, unpack
 from .classify import classify, enumerate_index_profiles, parse_constraints
 from .core import (
     Basket,
     BasketSyntaxError,
     WeightedBasket,
+    _plurigenera,
     anti_volume,
     format_basket,
     format_rational,
@@ -114,6 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    if args.upto < 1:
+        raise ValueError(f"--upto must be >= 1, got {args.upto}")
     basket = parse_basket(args.basket)
     wb = WeightedBasket(basket, args.p1)
     print(f"basket = {format_basket(basket)}")
@@ -124,26 +128,25 @@ def _cmd_eval(args) -> int:
     print(f"r_X = {r_index(basket)}")
     print(f"r_max = {r_max(basket) if len(basket) else '-'}")
     print(f"-K^3 = {format_rational(anti_volume(wb))}")
-    seq = plurigenus_sequence(wb, max(args.upto, 1))
-    for m in range(1, max(args.upto, 1) + 1):
-        print(f"P[-{m}] = {seq[m]}")
+    for m, p in islice(_plurigenera(wb), args.upto):
+        print(f"P[-{m}] = {p}")
     return EXIT_OK
 
 
 def _cmd_canonical(args) -> int:
     basket = parse_basket(args.basket)
     if args.levels:
-        levels = sorted({int(x) for x in args.levels.split(",")})
-        seq = canonical_sequence(basket, upto=max(levels))
-        wanted = {n: (approx, eps) for n, approx, eps in seq.levels}
-        for n in levels:
-            if n not in wanted:
+        # each level on its own: a level far past stabilization costs no
+        # more than one near it
+        for n in sorted({int(x) for x in args.levels.split(",")}):
+            try:
+                approx = unpack(basket, n)
+            except ValueError:
                 print(f"B({n}): level not defined", file=sys.stderr)
                 return EXIT_USAGE
-            approx, eps = wanted[n]
             print(f"B({n}) = {format_basket(approx)}")
             if n >= 5:
-                print(f"epsilon_{n} = {eps}")
+                print(f"epsilon_{n} = {epsilon_n(basket, n)}")
     else:
         seq = canonical_sequence(basket)
         for n, approx, eps in seq.levels:

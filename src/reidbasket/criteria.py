@@ -471,9 +471,6 @@ class BirationalityReport(NamedTuple):
     nu0: int
     branches: tuple[BranchResult, ...]
     headline_n2: int
-    hypotheses: tuple[str, ...] = (
-        "rho(Y) > 1 for the ambient Mori fiber space (recorded, not verified)",
-    )
 
     def summary_row(self) -> str:
         return "\t".join([

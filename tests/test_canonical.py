@@ -264,10 +264,6 @@ def test_pair_caches_are_bounded_and_hold_the_session_working_set():
     working_sets = {
         core._l_entry: [(b, r, n) for b, r in pairs for n in range(1, 25)],
         canonical._unpack_entry: [(b, r, level) for b, r in pairs for level in levels],
-        canonical.farey_neighbors: [
-            (Fraction(b, r), level) for b, r in pairs for level in levels
-            if not in_level_set(Fraction(b, r), level)
-        ],
     }
     for helper, keys in working_sets.items():
         assert isinstance(helper.cache_info().maxsize, int)

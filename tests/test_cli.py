@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -43,6 +44,17 @@ class TestEval:
         assert code == 2
         assert "bad basket item" in err
 
+    @pytest.mark.parametrize("upto", ["0", "-5"])
+    def test_upto_below_one_is_usage_error(self, upto):
+        code, out, err = run_cli("eval", "--basket", "(2,5)", "--p1", "1", "--upto", upto)
+        assert (code, out) == (2, "")
+        assert f"--upto must be >= 1, got {upto}" in err
+
+    def test_upto_one_prints_p1_alone(self):
+        code, out, _ = run_cli("eval", "--basket", "(2,5)", "--p1", "1", "--upto", "1")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("P[")] == ["P[-1] = 1"]
+
 
 class TestCanonical:
     def test_default_run(self):
@@ -61,6 +73,19 @@ class TestCanonical:
     def test_rejects_levels_1_to_4(self):
         code, _, err = run_cli("canonical", "--basket", "(2,5)", "--levels", "3")
         assert code == 2
+
+    def test_undefined_level_ends_the_listing(self):
+        code, out, err = run_cli("canonical", "--basket", "(2,5),(3,7)", "--levels", "0,3,7")
+        assert (code, out) == (2, "B(0) = 3x(1,2),2x(1,3)\n")
+        assert err == "B(3): level not defined\n"
+
+    def test_far_level_costs_one_level(self):
+        # only the levels asked for are built, not every level below them
+        start = time.perf_counter()
+        code, out, _ = run_cli("canonical", "--basket", "(2,5),(3,7)", "--levels", "0,1000000")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["B(1000000) = (2,5),(3,7)", "epsilon_1000000 = 0"]
+        assert time.perf_counter() - start < 5
 
 
 class TestPack:
@@ -326,6 +351,33 @@ def test_closed_stdout_exits_141_silently(tmp_path, monkeypatch):
     assert code == cli.EXIT_PIPE == 141
     assert err.getvalue() == ""
     assert target.read_bytes() == b""
+
+
+class _ShortPipe(_ClosedPipe):
+    """A stdout whose reader leaves after the first 100 writes."""
+
+    def __init__(self, fd: int) -> None:
+        super().__init__(fd)
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes > 100:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+
+def test_eval_stops_when_the_reader_leaves(tmp_path, monkeypatch):
+    # the terms are printed as they are computed, so ``| head`` ends the run
+    import reidbasket.cli as cli
+
+    start = time.perf_counter()
+    with open(tmp_path / "stdout", "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", _ShortPipe(handle.fileno()))
+        with redirect_stderr(io.StringIO()):
+            code = cli.main(["eval", "--basket", "(2,5)", "--p1", "1", "--upto", str(10 ** 7)])
+    assert code == cli.EXIT_PIPE
+    assert time.perf_counter() - start < 5
 
 
 def test_closed_pipe_in_a_child_process():

@@ -19,8 +19,8 @@ from conftest import random_basket
 from reidbasket.canonical import b0_from_plurigenera
 from reidbasket.classify import (
     _index_profiles,
+    _multisets,
     _prune_factory,
-    _tails,
     classify,
     enumerate_b0,
     parse_constraints,
@@ -525,6 +525,23 @@ def census_level0_tuples(constraints):
                     yield p1, p2, p3, p4, 1 + 3 * p1 - p2 - 2 * p3 + p4
 
 
+def reference_roots(constraints) -> list:
+    """``enumerate_b0`` the long way, for sets that bound P_{-m} only at m <= 2:
+    the plurigenus tuples, the Fraction tails and ``b0_from_plurigenera``,
+    sorted by (P_{-1}, basket)."""
+    s5lo, s5hi = constraints.sigma5 or (0, math.inf)
+    roots = []
+    for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
+        cap = min(cap, s5hi)
+        if cap < s5lo:
+            continue  # n0[1,4] < sigma5: the tuple has no level-0 basket
+        for tail in reference_tails(p1, p2, p3, p4, cap, constraints.tail_max_index):
+            if sum(tail.values()) >= s5lo:
+                wb = WeightedBasket(b0_from_plurigenera(p1, p2, p3, p4, tail), p1)
+                roots.append((wb, (p1, p2, p3, p4)))
+    return sorted(roots, key=lambda item: (item[0].p1, item[0].basket.sort_key()))
+
+
 def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
     """Every multiset of divisors d >= 2 of the target with lcm equal to it
     and Sigma(d - 1/d) <= 24, summed in Fractions."""
@@ -546,32 +563,35 @@ def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
 
 
 class TestIntegerGammaBudgets:
-    """``_tails`` and the profile search spend gamma in integers scaled by
-    L = lcm(2..largest index); the references spend it in Fractions."""
+    """``_multisets`` spends gamma in integers scaled by L = lcm(2..24) for
+    the roots and the profiles; the references spend it in Fractions."""
 
     def test_tails_match_fraction_reference_on_census_tuples(self):
-        tuples = nonempty = 0
-        for constraints in census_sets():
-            for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
-                got = list(_tails(constraints, p1, p2, p3, p4, cap))
-                assert got == reference_tails(p1, p2, p3, p4, cap), (p1, p2, p3, p4)
-                tuples += 1
-                nonempty += any(got)
-        assert tuples > 1000 and nonempty > 0
+        # whole root lists, tuples and order included, and per root its
+        # P_{-1..4} by the kernel and its rebuild from them
+        texts = [path.read_text() for path in CENSUS_INPUTS]
+        texts += ["p[1]=0..6", "p[1]=0..3 sigma5=1..2", "p[1]=0..3 tailmax=7"]
+        for text in texts:
+            constraints = parse_constraints(text)
+            roots = enumerate_b0(constraints)
+            assert roots and roots == reference_roots(constraints), text
+            for wb, plurigenera in roots:
+                assert tuple(plurigenus_sequence(wb, 4)[1:]) == plurigenera
+                tail: dict[int, int] = {}
+                for pair in wb.basket:
+                    if pair.r >= 5:
+                        tail[pair.r] = tail.get(pair.r, 0) + 1
+                assert b0_from_plurigenera(*plurigenera, tail) == wb.basket
 
     def test_tail_index_cap_beyond_24_changes_nothing(self):
         # no index above 24 fits a gamma budget, so a huge tailmax= is cut
         # to 24 instead of asking for lcm(2..tailmax)
-        for constraints in census_sets():
-            unbounded = constraints._replace(tail_max_index=10**9)
-            for p1, p2, p3, p4, cap in census_level0_tuples(constraints):
-                assert list(_tails(unbounded, p1, p2, p3, p4, cap)) == list(
-                    _tails(constraints, p1, p2, p3, p4, cap)
-                ), (p1, p2, p3, p4)
+        for text in ("p[1]=0..6", "p[1]=0..3 sigma5=1..2"):
+            unbounded = parse_constraints(f"{text} tailmax=1000000000")
+            assert enumerate_b0(unbounded) == enumerate_b0(parse_constraints(text))
         # the cap itself is reached: 1x(1,24) alone is a root, gamma = 1/24
-        constraints = parse_constraints("p[1]=3")
-        tails = list(_tails(constraints, 3, 6, 11, 19, 1))
-        assert tails[-1] == {24: 1} and tails == reference_tails(3, 6, 11, 19, 1)
+        roots = dict(enumerate_b0(parse_constraints("p[1]=3")))
+        assert roots[WeightedBasket(Basket.of((1, 24)), 3)] == (3, 6, 11, 19)
         assert b0_from_plurigenera(3, 6, 11, 19, {24: 1}) == Basket.of((1, 24))
         text = "p[1]=0..4 p[2]=0..1 rx=840"
         assert classify(parse_constraints(f"{text} tailmax=1000000000")) == classify(
@@ -580,13 +600,23 @@ class TestIntegerGammaBudgets:
 
     def test_budget_exactly_zero(self):
         # 16x(1,2): n0[1,2] = 16, the rest 0, gamma = 24 - 16 * 3/2 = 0
-        constraints = parse_constraints("p[1]=0")
-        assert list(_tails(constraints, 0, 6, 13, 31, 0)) == [{}]
-        assert b0_from_plurigenera(0, 6, 13, 31) == Basket.of(*[(1, 2)] * 16)
+        sixteen = Basket.of(*[(1, 2)] * 16)
+        roots = dict(enumerate_b0(parse_constraints("p[1]=0")))
+        assert roots[WeightedBasket(sixteen, 0)] == (0, 6, 13, 31)
+        assert b0_from_plurigenera(0, 6, 13, 31) == sixteen
         assert reference_root_gamma(16, 0, 0, {}) == 0
         # one (1,2) more and nothing is left
-        assert list(_tails(constraints, 0, 7, 16, 38, 0)) == []
+        universe = list(_multisets(tuple(range(2, 25))))
+        assert (2,) * 16 in universe and (2,) * 17 not in universe
         assert reference_root_gamma(17, 0, 0, {}) < 0
+
+    def test_multiset_universe(self):
+        # every level-0 basket with gamma >= 0, the empty one first
+        universe = list(_multisets(tuple(range(2, 25))))
+        assert len(universe) == len(set(universe)) == 2152
+        assert universe[0] == () and max(map(len, universe)) == 16
+        assert all(list(m) == sorted(m) for m in universe)
+        assert all(sum(r - Fraction(1, r) for r in m) <= 24 for m in universe)
 
     def test_roots_keep_gamma_nonnegative(self):
         for constraints in census_sets():
