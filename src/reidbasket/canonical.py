@@ -140,8 +140,11 @@ def epsilon_n(basket: Basket, n: int) -> int:
     """
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
-    prev = 0 if n == 5 else n - 1
-    value = delta_n(unpack(basket, prev), n) - delta_n(basket, n)
+    return _epsilon(unpack(basket, 0 if n == 5 else n - 1), basket, n)
+
+
+def _epsilon(previous: Basket, basket: Basket, n: int) -> int:
+    value = delta_n(previous, n) - delta_n(basket, n)
     if value < 0:
         raise AssertionError(
             f"invariant violated: epsilon_{n} = {value} is negative"
@@ -152,29 +155,29 @@ def epsilon_n(basket: Basket, n: int) -> int:
 class CanonicalSequence(NamedTuple):
     """The chain of level approximations of a basket, with packing counts."""
 
-    base: Basket
     levels: tuple[tuple[int, Basket, int], ...]  # (n, level-n basket, epsilon_n)
     stabilization_level: int
 
 
-def _stabilization_level(basket: Basket) -> int:
-    # B equals its own level-n approximation for every n >= r_max, so this
-    # terminates
-    if unpack(basket, 0) == basket:
-        return 0
-    n = 5
-    while unpack(basket, n) != basket:
-        n += 1
-    return n
-
-
 def canonical_sequence(basket: Basket) -> CanonicalSequence:
-    """Levels 0, 5, 6, ... up to stabilization."""
-    stabilization = _stabilization_level(basket)
-    levels: list[tuple[int, Basket, int]] = [(0, unpack(basket, 0), 0)]
-    for n in range(5, max(stabilization, 5) + 1):
-        levels.append((n, unpack(basket, n), epsilon_n(basket, n)))
-    return CanonicalSequence(base=basket, levels=tuple(levels), stabilization_level=stabilization)
+    """Levels 0, 5, 6, ... up to stabilization, each unpacked once.
+
+    epsilon_n is read off the level before n.  The walk stops at the first
+    n >= 5 whose level is the basket itself (true for every n >= r_max), so
+    level 5 is always listed; the stabilization level is 0 when level 0
+    already is the basket.
+    """
+    previous = unpack(basket, 0)
+    levels: list[tuple[int, Basket, int]] = [(0, previous, 0)]
+    n = 5
+    while True:
+        level = unpack(basket, n)
+        levels.append((n, level, _epsilon(previous, basket, n)))
+        if level == basket:
+            break
+        previous, n = level, n + 1
+    stabilization = 0 if levels[0][1] == basket else n
+    return CanonicalSequence(levels=tuple(levels), stabilization_level=stabilization)
 
 
 # ---------------------------------------------------------------------------

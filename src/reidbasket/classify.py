@@ -12,13 +12,15 @@ The engine walks the same road the classification arguments do:
    downward-closed because both only grow along packings; r_max at most
    the ceiling that the constraints put on every admitted basket, because
    r_max never decreases along packings);
-3. re-verify every survivor against the full constraint set and the
-   geometric filter -- mandatory, not an optimization.
+3. re-verify every terminal state of that closure, in the sorted order
+   it lists them, against the full constraint set and the geometric
+   filter -- mandatory, not an optimization.
 
-Everything is exact; output is deduplicated by canonical form and sorted.
-Step 1 and ``enumerate_index_profiles`` draw their index multisets from one
-generator, ``_multisets``, which spends the gamma budget in integers: every
-entry cost r - 1/r is scaled by one L = lcm(2..24).
+Everything is exact.  The roots come sorted by P_{-1}, so the output is
+built in (P_{-1}, basket) order, without duplicates.  Step 1 and
+``enumerate_index_profiles`` draw their index multisets from one
+generator, ``_multisets``, which spends the gamma budget in integers:
+every entry cost r - 1/r is scaled by one L = lcm(2..24).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -43,9 +45,8 @@ from .core import (
     parse_rational,
     r_index,
     r_max,
-    sigma,
 )
-from .packing import MAX_VISITED, closure
+from .packing import MAX_VISITED, closure, coprime_only
 
 __all__ = [
     "ClassificationConstraints",
@@ -300,7 +301,6 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
     ceiling = _rmax_ceiling(constraints)
     use_gamma = constraints.filters.gamma_nonneg
     k3_hi, k3_hi_strict = constraints.k3_max, constraints.k3_max_strict
-    min_volume = constraints.filters.min_volume
 
     def prune_ok(basket: Basket) -> bool:
         entries = basket.entries
@@ -310,13 +310,6 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
         rx = r_index(basket)
         if use_gamma and _scaled_gamma(basket, rx) < 0:
             return False
-        if min_volume:
-            # -K^3 only grows along packing, so no *lower* prune is sound;
-            # but sigma' > 0 caps the reachable volume from above:
-            # final -K^3 < 2 p1 + sigma - 6, and sigma is a packing invariant;
-            # an integer below 1/330 is <= 0
-            if 2 * p1 + sigma(basket) - 6 <= 0:
-                return False
         if k3_hi is None and not top:
             return True
         wb = WeightedBasket(basket, p1)
@@ -335,36 +328,24 @@ def _prune_factory(constraints: ClassificationConstraints, p1: int):
     return prune_ok
 
 
-def _expand_and_admit(
-    constraints: ClassificationConstraints, p1: int, roots: list[Basket]
-) -> set[WeightedBasket]:
-    """Close the given level-0 roots under packing and keep the admitted ones."""
-
-    def emit(basket: Basket) -> bool:
-        return basket.all_terminal and constraints.admits(WeightedBasket(basket, p1))
-
-    found = closure(
-        *roots, prune=_prune_factory(constraints, p1), emit=emit,
-        max_visited=constraints.max_visited,
-    ).require_complete()
-    return {WeightedBasket(basket, p1) for basket in found.baskets}
-
-
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """All weighted baskets meeting the constraints and the geometric filter.
 
-    Raises ClosureTruncated if a visited budget runs out: a partial
+    One closure per P_{-1}, its sorted terminal states re-verified in
+    turn.  Raises ClosureTruncated if a visited budget runs out: a partial
     classification is never returned silently.
     """
-    roots = enumerate_b0(constraints)
-    by_p1: dict[int, list[Basket]] = {}
-    for wb, _ in roots:
-        by_p1.setdefault(wb.p1, []).append(wb.basket)
-
-    results: set[WeightedBasket] = set()
-    for p1, baskets in by_p1.items():
-        results |= _expand_and_admit(constraints, p1, baskets)
-    return sorted(results, key=lambda wb: (wb.p1, wb.basket.sort_key()))
+    found: list[WeightedBasket] = []
+    for p1, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
+        states = closure(
+            *(wb.basket for wb, _ in roots), prune=_prune_factory(constraints, p1),
+            emit=coprime_only, max_visited=constraints.max_visited,
+        ).require_complete()
+        for basket in states.baskets:
+            wb = WeightedBasket(basket, p1)
+            if constraints.admits(wb):
+                found.append(wb)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +472,17 @@ def parse_constraints(text: str) -> ClassificationConstraints:
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
 
+    keys: set[int | str] = set()
     for token in tokens:
         if "=" not in token and not token.startswith("rx"):
             raise ValueError(f"bad constraints token {token!r}")
+        # p[m] by its m, the rest by the text before "=": rx and rx< differ
+        match = _P_TOKEN.fullmatch(token)
+        key = int(match.group(1)) if match else token.partition("=")[0]
+        if key in keys:
+            raise ValueError(f"repeated constraints key in {token!r} (each key is given once)")
+        keys.add(key)
         if token.startswith("p["):
-            match = _P_TOKEN.fullmatch(token)
             if match is None or int(match.group(1)) < 1:
                 raise ValueError(f"bad plurigenus token {token!r} (expected p[m]=... with m >= 1)")
             m = int(match.group(1))

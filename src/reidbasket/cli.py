@@ -133,12 +133,19 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _level(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"bad --levels item {item!r} (expected an integer)") from None
+
+
 def _cmd_canonical(args) -> int:
     basket = parse_basket(args.basket)
     if args.levels:
         # each level on its own: a level far past stabilization costs no
         # more than one near it
-        for n in sorted({int(x) for x in args.levels.split(",")}):
+        for n in sorted({_level(x) for x in args.levels.split(",")}):
             try:
                 approx = unpack(basket, n)
             except ValueError:
@@ -158,6 +165,8 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    if args.max_states < 1:
+        raise ValueError(f"--max-states must be >= 1, got {args.max_states}")
     basket = parse_basket(args.basket)
     prune_clauses = []
     if args.gamma_min is not None:

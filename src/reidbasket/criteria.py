@@ -428,7 +428,6 @@ class BranchSpec(NamedTuple):
     m1: int | None = None          # None -> use the computed n1
     mu0: Fraction | int | None = None  # None -> mu0' = m0
     n0: int | None = None          # only for criterion "b2"
-    nu0: int | None = None         # None -> least m with P_{-m} >= 1
 
     @property
     def label(self) -> str:
@@ -536,10 +535,9 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     def run_branch(spec: BranchSpec) -> BranchResult:
         m1 = spec.m1 if spec.m1 is not None else n1
         mu0 = Fraction(spec.mu0) if spec.mu0 is not None else Fraction(m0)
-        branch_nu0 = spec.nu0 if spec.nu0 is not None else nu0
         inputs = CriterionInputs(
             k3=k3, rx=rx, rmax=rmax, m_big=m_big,
-            m0=m0, m1=max(m1, m0), mu0=mu0, nu0=branch_nu0, n0=spec.n0,
+            m0=m0, m1=max(m1, m0), mu0=mu0, nu0=nu0, n0=spec.n0,
         )
         if spec.criterion == "b2":
             n2 = birational_bound_b2(inputs)

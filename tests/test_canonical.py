@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,55 @@ class TestEpsilon:
                 assert dominates(upper, lower)
 
 
+def reference_sequence(basket: Basket) -> CanonicalSequence:
+    """Levels 0 and 5..max(s, 5) by ``unpack`` and ``epsilon_n``, each level on
+    its own, with s the first level of 0, 5, 6, ... that equals the basket."""
+    s = 0
+    if unpack(basket, 0) != basket:
+        s = 5
+        while unpack(basket, s) != basket:
+            s += 1
+    levels = [(0, unpack(basket, 0), 0)]
+    levels += [(n, unpack(basket, n), epsilon_n(basket, n)) for n in range(5, max(s, 5) + 1)]
+    return CanonicalSequence(levels=tuple(levels), stabilization_level=s)
+
+
+def universe_sample() -> list[Basket]:
+    """Every 16th basket of the bench's terminal gamma >= 0 universe, from
+    the empty basket on, plus a level-0 basket."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "universe.py"
+    spec = importlib.util.spec_from_file_location("bench_universe", path)
+    universe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(universe)
+    sample = [Basket.of(*entries) for entries in universe.terminal_baskets()[::16]]
+    return sample + [B((1, 2), (1, 2), (1, 3), (1, 7))]
+
+
+class TestSequenceOracle:
+    """``canonical_sequence`` walks the levels once; the reference unpacks
+    every level on its own, the way the construction defines them."""
+
+    def test_equals_the_level_by_level_definition(self):
+        rng = random.Random(44)
+        baskets = [random_basket(rng, max_entries=8, rmax=30) for _ in range(600)]
+        baskets += universe_sample()
+        assert len(baskets) >= 1100
+        assert Basket() in baskets and B((1, 2), (1, 2), (1, 3), (1, 7)) in baskets
+        stabilizations = set()
+        for basket in baskets:
+            seq = canonical_sequence(basket)
+            assert seq == reference_sequence(basket), str(basket)
+            stabilizations.add(seq.stabilization_level)
+        # level 0 already the basket, level 5, and levels beyond 5 all occur
+        assert {0, 5} < stabilizations and max(stabilizations) > 12
+
+    def test_level0_basket_lists_levels_0_and_5(self):
+        for basket in (Basket(), B((1, 2), (1, 3))):
+            seq = canonical_sequence(basket)
+            assert seq.stabilization_level == 0
+            assert seq.levels == ((0, basket, 0), (5, basket, 0))
+
+
 def test_invariant_checks_survive_optimize_flag():
     # epsilon_n's non-negativity check must fire even when asserts are stripped
     import subprocess
@@ -179,6 +230,24 @@ def test_invariant_checks_survive_optimize_flag():
         "from reidbasket.core import Basket\n"
         "canonical.delta_n = lambda basket, n: Fraction(-len(basket))\n"
         "canonical.epsilon_n(Basket.of((2, 5)), 5)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: invariant violated: epsilon_5 = -1" in proc.stderr
+
+
+def test_sequence_checks_epsilon_under_optimize_flag():
+    # the walk shares epsilon_n's explicit check, so -O keeps it too
+    import subprocess
+    import sys
+
+    code = (
+        "from reidbasket import canonical\n"
+        "from reidbasket.core import Basket\n"
+        "canonical.delta_n = lambda basket, n: -len(basket)\n"
+        "canonical.canonical_sequence(Basket.of((2, 5)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()

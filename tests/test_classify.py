@@ -134,6 +134,21 @@ class TestClassify:
         for wb in classify(c):
             assert c.admits(wb)
 
+    @pytest.mark.parametrize("text", [
+        *((INPUTS / name).read_text() for name in ("census_p0.txt", "census_p8.txt", "census_rx840.txt")),
+        "p[1]=0..3 k3=(0,1/30)",
+    ])
+    def test_listing_is_sorted_without_duplicates(self, text):
+        # the closures' own order is the listing's: no set, no final sort
+        found = classify(parse_constraints(text))
+        keys = [(wb.p1, wb.basket.sort_key()) for wb in found]
+        assert found and len(set(found)) == len(found)
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_listing_spans_several_p1(self):
+        p1s = [wb.p1 for wb in classify(parse_constraints("p[1]=0..3 k3=(0,1/30)"))]
+        assert len(set(p1s)) >= 3 and p1s == sorted(p1s)
+
     def test_subcase_with_absent_golden_table(self):
         # the P_{-1} = 0, P_{-2} = 1, sigma5 = 0 classification has no usable
         # published body; the three baskets that its surrounding discussion
@@ -305,6 +320,21 @@ class TestConstraintsText:
     def test_negative_p1_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
             parse_constraints(token)
+
+    @pytest.mark.parametrize("first, second", [
+        ("p[8]=2", "p[8]=0..5"), ("p[8]=0..5", "p[8]=2"), ("p[8]=2", "p[08]=2"),
+        ("p[1]=1", "p[1]=2"), ("sigma5=0", "sigma5=1..2"), ("k3=(0,1)", "k3=[0,1/2]"),
+        ("rmax=2..7", "rmax=3"), ("rx=840", "rx=420"), ("rx<=60", "rx<=12"),
+        ("indices={2,3}", "indices={2,5}"), ("tailmax=5", "tailmax=7"),
+        ("filters=none", "filters=default"),
+    ])
+    def test_repeated_key_names_the_second_token(self, first, second):
+        with pytest.raises(ValueError, match=f"repeated constraints key in '{re.escape(second)}'"):
+            parse_constraints(f"p[2]=1 {first} {second}")
+
+    def test_rx_and_rx_at_most_are_different_keys(self):
+        c = parse_constraints("p[1]=1 rx=840 rx<=840")
+        assert (c.rx_exact, c.rx_max) == (840, 840)
 
     def test_rejects_garbage_and_empty(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,12 @@ class TestCanonical:
         assert out.splitlines()[-2:] == ["B(1000000) = (2,5),(3,7)", "epsilon_1000000 = 0"]
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("levels, item", [("0,,5", ""), ("0,x", "x"), ("5,", "")])
+    def test_malformed_levels_item_is_usage_error(self, levels, item):
+        code, out, err = run_cli("canonical", "--basket", "(2,5)", "--levels", levels)
+        assert (code, out) == (2, "")
+        assert f"bad --levels item {item!r}" in err
+
 
 class TestPack:
     def test_closure_listing(self):
@@ -105,6 +111,17 @@ class TestPack:
         )
         assert code == 3
         assert "TRUNCATED" in err
+
+    @pytest.mark.parametrize("states", ["0", "-1"])
+    def test_max_states_below_one_is_usage_error(self, states):
+        code, out, err = run_cli("pack", "--basket", "(1,2),(1,3)", "--max-states", states)
+        assert (code, out) == (2, "")
+        assert f"--max-states must be >= 1, got {states}" in err
+
+    def test_max_states_one_visits_the_root(self):
+        code, out, err = run_cli("pack", "--basket", "(1,2),(1,3)", "--max-states", "1")
+        assert code == 3 and "TRUNCATED" in err
+        assert out == "(1,2),(1,3)\t-29/6\t6\t3\n# visited 1 baskets, emitted 1\n"
 
 
 class TestClassify:
@@ -195,6 +212,19 @@ class TestClassify:
         assert code == 2
         assert f"'{token}'" in err and out == ""
 
+    @pytest.mark.parametrize("text, token", [
+        ("p[1]=1 p[2]=1 p[8]=2 p[8]=0..5", "p[8]=0..5"),
+        ("p[1]=1 p[2]=1 p[8]=0..5 p[8]=2", "p[8]=2"),
+        ("p[1]=1 sigma5=0 sigma5=1", "sigma5=1"),
+        ("p[1]=1 filters=none\nfilters=gamma", "filters=gamma"),
+    ])
+    def test_repeated_key_is_usage_error(self, tmp_path, text, token):
+        path = tmp_path / "c.txt"
+        path.write_text(text + "\n")
+        code, out, err = run_cli("classify", "--constraints", str(path))
+        assert (code, out) == (2, "")
+        assert f"repeated constraints key in '{token}'" in err
+
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -275,6 +305,11 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--table", "50", "--audit")
         assert code == 0
         assert "MISMATCH" in out and "audit mode" in out
+
+    def test_all_stdout_matches_golden_file(self):
+        code, out, err = run_cli("verify", "--all", "--jobs", "1")
+        assert (code, err) == (0, "")
+        assert out.encode() == (BENCH / "expected" / "verify.txt").read_bytes()
 
     def test_verify_all_is_byte_deterministic(self):
         assert run_cli("verify", "--all", "--jobs", "2") == run_cli("verify", "--all")

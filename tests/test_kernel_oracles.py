@@ -277,8 +277,6 @@ def reference_prune(constraints, p1: int, basket: Basket) -> bool:
     hi = constraints.k3_max
     if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
         return False
-    if constraints.filters.min_volume and 2 * p1 + sigma(basket) - 6 < Fraction(1, 330):
-        return False
     # P_{-1} and P_{-2} = 5 P_{-1} + sigma - 10 are fixed along packing, so
     # the roots already satisfy their ranges and the prune has no clause for them
     for m in constraints.constrained_ms():
@@ -482,6 +480,41 @@ class TestNoP2Clause:
 
         found = classify(constraints)
         monkeypatch.setattr(classify_module, "_prune_factory", with_p2_clause)
+        assert found and classify(constraints) == found
+
+
+class TestNoMinVolumeClause:
+    """``prune_ok`` has no min-volume clause 2 P_{-1} + sigma - 6 <= 0: sigma
+    is a packing invariant, so the clause could only cut roots, and every
+    root keeps P_{-2..4} >= 0, which leaves one root it cuts, the empty
+    basket at P_{-1} = 3.  That root has no packings, and ``admits`` turns
+    it away by its -K^3 = 0."""
+
+    SETS = [path.read_text() for path in CENSUS_INPUTS] + ["p[1]=3"]
+
+    @staticmethod
+    def clause_cuts(p1: int, basket: Basket) -> bool:
+        return 2 * p1 + sigma(basket) - 6 <= 0
+
+    def test_the_clause_cuts_one_root(self):
+        roots = enumerate_b0(parse_constraints("p[1]=0..6"))
+        assert len(roots) == 11517
+        cut = [wb for wb, _ in roots if self.clause_cuts(wb.p1, wb.basket)]
+        assert cut == [WeightedBasket(Basket(), 3)]
+        assert not parse_constraints("p[1]=3").admits(cut[0])
+
+    @pytest.mark.parametrize("text", SETS)
+    def test_classify_unchanged_by_a_min_volume_clause(self, text, monkeypatch):
+        constraints = parse_constraints(text)
+        assert constraints.filters.min_volume
+        factory = classify_module._prune_factory
+
+        def with_min_volume_clause(constraints, p1):
+            prune = factory(constraints, p1)
+            return lambda basket: prune(basket) and not self.clause_cuts(p1, basket)
+
+        found = classify(constraints)
+        monkeypatch.setattr(classify_module, "_prune_factory", with_min_volume_clause)
         assert found and classify(constraints) == found
 
 
