@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -79,3 +80,19 @@ def all_coprime_baskets(max_sum_r: int) -> list[Basket]:
 @pytest.fixture(scope="session")
 def baskets_sum_r_20() -> list[Basket]:
     return all_coprime_baskets(20)
+
+
+@pytest.fixture(scope="session")
+def bench_universe() -> list[Basket]:
+    """The 8338 terminal gamma >= 0 baskets of ``bench/universe.py``, in
+    canonical order, the empty basket first.
+
+    The generator builds them from plain integer tuples, without the
+    library, so it is an independent oracle; it is loaded by path once per
+    session, and no test loads it on its own.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "universe.py"
+    spec = importlib.util.spec_from_file_location("bench_universe", path)
+    universe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(universe)
+    return [Basket.of(*entries) for entries in universe.terminal_baskets()]

@@ -1,8 +1,6 @@
-import importlib.util
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -183,25 +181,21 @@ def reference_sequence(basket: Basket) -> CanonicalSequence:
     return CanonicalSequence(levels=tuple(levels), stabilization_level=s)
 
 
-def universe_sample() -> list[Basket]:
+@pytest.fixture
+def universe_sample(bench_universe) -> list[Basket]:
     """Every 16th basket of the bench's terminal gamma >= 0 universe, from
     the empty basket on, plus a level-0 basket."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "universe.py"
-    spec = importlib.util.spec_from_file_location("bench_universe", path)
-    universe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(universe)
-    sample = [Basket.of(*entries) for entries in universe.terminal_baskets()[::16]]
-    return sample + [B((1, 2), (1, 2), (1, 3), (1, 7))]
+    return bench_universe[::16] + [B((1, 2), (1, 2), (1, 3), (1, 7))]
 
 
 class TestSequenceOracle:
     """``canonical_sequence`` walks the levels once; the reference unpacks
     every level on its own, the way the construction defines them."""
 
-    def test_equals_the_level_by_level_definition(self):
+    def test_equals_the_level_by_level_definition(self, universe_sample):
         rng = random.Random(44)
         baskets = [random_basket(rng, max_entries=8, rmax=30) for _ in range(600)]
-        baskets += universe_sample()
+        baskets += universe_sample
         assert len(baskets) >= 1100
         assert Basket() in baskets and B((1, 2), (1, 2), (1, 3), (1, 7)) in baskets
         stabilizations = set()

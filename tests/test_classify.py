@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +23,11 @@ from reidbasket.core import (
     WeightedBasket,
     anti_volume,
     format_rational,
+    gamma,
+    geometric_filter,
     plurigenus_sequence,
     r_index,
+    r_max,
     sigma,
     sigma_prime,
 )
@@ -183,6 +187,121 @@ class TestBruteForceOracle:
                 if c.admits(wb):
                     via_oracle.add(wb)
         assert via_engine == via_oracle
+
+
+# the kinds of constraint the universe sets take in turn, besides P_{-1} and
+# one P_{-m} window each
+UNIVERSE_KINDS = ("k3", "rmax", "rx", "rx<=", "indices", "sigma5", "filters")
+UNIVERSE_SETS = 14
+
+
+def universe_constraint_sets(universe: list[Basket]) -> list[ClassificationConstraints]:
+    """Seeded constraint sets, each built around an anchor that it admits.
+
+    The anchor is a universe basket that passes the whole geometric filter
+    at the set's lowest P_{-1}; sets 4 and 9 take it among the baskets with
+    gamma = 0, on the end of the gamma filter.  Set i takes P_{-1} from i mod 4, a P_{-m}
+    window around the anchor's value with m = 2 + i mod 7, and two or more
+    of ``UNIVERSE_KINDS`` in turn.  The ends the anchor sits on are
+    inclusive: rmax= and rx<= end at its r_max and r_X, one k3 end is its
+    -K^3, and the other k3 end is strict.  Every set keeps the gamma filter.
+    """
+    rng = random.Random(20)
+    pool = [basket for basket in universe if len(basket)]
+    on_the_gamma_end = [basket for basket in pool if gamma(basket) == 0]
+    sets = []
+    for i in range(UNIVERSE_SETS):
+        p1 = i % 4
+        while True:
+            anchor = WeightedBasket(rng.choice(on_the_gamma_end if i % 5 == 4 else pool), p1)
+            if geometric_filter(anchor).ok:
+                break
+        basket = anchor.basket
+        p_fixed: dict[int, int] = {}
+        p_ranges: dict[int, tuple[int, int]] = {}
+        for m, lo, hi in (
+            (1, p1, min(3, p1 + rng.randint(0, 1))),
+            (2 + i % 7, None, None),
+        ):
+            if lo is None:
+                value = plurigenus_sequence(anchor, m)[m]
+                spread = max(2, value // 4)
+                lo, hi = value - rng.randint(0, spread), value + rng.randint(0, spread)
+            if lo == hi:
+                p_fixed[m] = lo
+            else:
+                p_ranges[m] = (lo, hi)
+        kinds = {UNIVERSE_KINDS[i % 7], UNIVERSE_KINDS[(i + 3) % 7]}
+        kinds |= {kind for kind in UNIVERSE_KINDS if rng.random() < 0.1}
+        kwargs: dict = {}
+        if "k3" in kinds:
+            volume, step = anti_volume(anchor), Fraction(rng.randint(1, 12), 12)
+            strict_low = i % 2 == 0
+            kwargs.update(
+                k3_min=volume - step if strict_low else volume, k3_min_strict=strict_low,
+                k3_max=volume if strict_low else volume + step, k3_max_strict=not strict_low,
+            )
+        if "rmax" in kinds:
+            kwargs["rmax_range"] = (rng.randint(2, r_max(basket)), r_max(basket))
+        if "rx" in kinds:
+            kwargs["rx_exact"] = r_index(basket)
+        if "rx<=" in kinds:
+            kwargs["rx_max"] = r_index(basket)
+        if "indices" in kinds:
+            extra = set(rng.sample(range(2, 25), 3))
+            kwargs["allowed_indices"] = frozenset({p.r for p in basket} | extra)
+        if "sigma5" in kinds:
+            s5 = sum(1 for p in unpack(basket, 0) if p.r >= 5)
+            kwargs["sigma5"] = (max(0, s5 - rng.randint(0, 1)), s5 + rng.randint(0, 1))
+        if "filters" in kinds:
+            others = [name for name in FilterConfig._fields if name != "gamma_nonneg"]
+            chosen = rng.sample(others, rng.randint(0, len(others)))
+            kwargs["filters"] = FilterConfig.none()._replace(
+                gamma_nonneg=True, **{name: True for name in chosen},
+            )
+        sets.append(ClassificationConstraints(p_fixed=p_fixed, p_ranges=p_ranges, **kwargs))
+    return sets
+
+
+@pytest.fixture(scope="module")
+def universe_sets(bench_universe) -> list[ClassificationConstraints]:
+    return universe_constraint_sets(bench_universe)
+
+
+class TestUniverseOracle:
+    """``classify`` against a plain scan of the bench's 8338-basket universe.
+
+    With the gamma filter on, every basket that ``classify`` can admit is a
+    terminal gamma >= 0 basket, so the universe holds them all, and the
+    scan with ``admits`` is the whole answer.
+    """
+
+    def test_the_sets_cover_every_kind(self, universe_sets):
+        assert len(universe_sets) == UNIVERSE_SETS
+        assert {c.p1_values()[0] for c in universe_sets} == {0, 1, 2, 3}
+        windows = {m for c in universe_sets for m in c.constrained_ms() if m > 1}
+        assert windows == set(range(2, 9))
+        # windows with a lower and an upper end that P_{-1} does not fix
+        assert any(m > 1 for c in universe_sets for m in c.p_ranges)
+        assert {c.k3_min_strict for c in universe_sets if c.k3_min is not None} == {True, False}
+        assert {c.k3_max_strict for c in universe_sets if c.k3_max is not None} == {True, False}
+        for field in ("rmax_range", "rx_exact", "rx_max", "allowed_indices", "sigma5"):
+            assert any(getattr(c, field) is not None for c in universe_sets), field
+        assert all(c.filters.gamma_nonneg for c in universe_sets)
+        assert len({c.filters for c in universe_sets}) >= 3
+
+    @pytest.mark.parametrize("index", range(UNIVERSE_SETS))
+    def test_classify_equals_the_universe_scan(self, index, universe_sets, bench_universe):
+        c = universe_sets[index]
+        scan = [
+            wb
+            for p1 in c.p1_values()
+            for wb in (WeightedBasket(basket, p1) for basket in bench_universe)
+            if c.admits(wb)
+        ]
+        scan.sort(key=lambda wb: (wb.p1, wb.basket.sort_key()))
+        assert scan, c
+        assert classify(c) == scan
 
 
 class TestIndexProfiles:
