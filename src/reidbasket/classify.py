@@ -6,15 +6,18 @@ The engine walks the same road the classification arguments do:
    bounded a priori by gamma >= 0 (which caps every local index at 24 and
    the total entry weight at Sigma(r - 1/r) <= 24), and keep those whose
    P_{-1}..P_{-4} and r >= 5 tail meet the constraints;
-2. close the level-0 candidates under packing (``packing.closure``, all
-   roots of one P_{-1} in one search), pruning with the monotone
-   clauses (gamma >= 0 downward-closed; -K^3 and P_{-m} upper bounds
-   downward-closed because both only grow along packings; r_max at most
-   the ceiling that the constraints put on every admitted basket, because
-   r_max never decreases along packings);
-3. re-verify every terminal state of that closure, in the sorted order
-   it lists them, against the full constraint set and the geometric
-   filter -- mandatory, not an optimization.
+2. walk up the canonical chain B^(0) >= B^(5) >= B^(6) >= ... >= B from
+   each root (``_walk``): level n merges Farey neighbours of S(n-1) into
+   the new fractions b/n of S(n), so every terminal basket is reached
+   once, from its own level-0 basket.  A state carries gamma, -K^3 and the
+   constrained P_{-m} as integers, and a merge adds fixed steps to them.
+   The cuts are monotone along the chain: gamma >= 0, and the upper ends
+   of -K^3 and P_{-m}, which only grow; a lower end of P_{-n} once level
+   n is done, since P_{-n} is then final; and r_max at most the ceiling
+   the constraints put on every admitted basket, where the walk stops;
+3. re-verify every leaf of the walk against the full constraint set and
+   the geometric filter -- mandatory, not an optimization -- and sort the
+   admitted leaves of each P_{-1} once.
 
 Everything is exact.  The roots come sorted by P_{-1}, so the output is
 built in (P_{-1}, basket) order, without duplicates.  Step 1 and
@@ -28,25 +31,29 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
+from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .canonical import unpack
+from .canonical import farey_neighbors, unpack
 from .core import (
     Basket,
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
+    _delta,
     _plurigenera,
     _scaled_gamma,
     _scaled_volume,
     geometric_filter,
     parse_rational,
+    plurigenus_sequence,
     r_index,
     r_max,
 )
-from .packing import MAX_VISITED, closure, coprime_only
+from .packing import MAX_VISITED, ClosureTruncated
 
 __all__ = [
     "ClassificationConstraints",
@@ -91,15 +98,7 @@ def _compare(num: int, den: int, bound: Fraction) -> int:
 _NO_PLURIGENERA: Mapping = MappingProxyType({})
 
 
-class ClassificationConstraints(NamedTuple):
-    """Exact search constraints.
-
-    ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
-    integer ranges).  P_{-1} must be pinned or finitely ranged: an
-    unbounded constraint set is rejected.  Volume bounds carry their own
-    strictness flags so open intervals like (0, 1/30) are representable.
-    """
-
+class _ConstraintFields(NamedTuple):
     p_fixed: Mapping[int, int] = _NO_PLURIGENERA
     p_ranges: Mapping[int, tuple[int, int]] = _NO_PLURIGENERA
     sigma5: tuple[int, int] | None = None
@@ -114,6 +113,31 @@ class ClassificationConstraints(NamedTuple):
     filters: FilterConfig = FilterConfig()
     tail_max_index: int = 24
     max_visited: int = MAX_VISITED
+
+
+class ClassificationConstraints(_ConstraintFields):
+    """Exact search constraints.
+
+    ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
+    integer ranges); each m is given in one of the two.  P_{-1} must be
+    pinned or finitely ranged: an unbounded constraint set is rejected.
+    Volume bounds carry their own strictness flags so open intervals like
+    (0, 1/30) are representable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ClassificationConstraints":
+        self = super().__new__(cls, *args, **kwargs)
+        both = sorted(set(self.p_fixed) & set(self.p_ranges))
+        if both:
+            raise ValueError(f"P_{{-m}} for m = {both[0]} is both in p_fixed and in p_ranges")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ClassificationConstraints":
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     def __reduce__(self):
         # a mappingproxy does not pickle: the empty default goes as a dict
@@ -273,78 +297,206 @@ def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
             # the filter's own rule: r_X = 840 needs r_max = 8
             caps.append(8)
     # under gamma >= 0 alone no cap is needed: the gamma clause of
-    # ``prune_ok`` already cuts every state with an index above 24
+    # ``prune_ok`` already cuts every merge into an index above 24
     if constraints.filters.rmax_le_24:
         caps.append(24)
     return min(caps, default=None)
 
 
-def _prune_factory(constraints: ClassificationConstraints, p1: int):
-    """Downward-closed clause used during closure expansion.
+# Every root has at most 16 entries and Sigma(r - 1/r) <= 24, so Sigma r <= 32
+# bounds every index along its chains: the walk counts gamma and -K^3 as
+# numerators over this one scale
+TOP = 32
+S = math.lcm(*range(2, TOP + 1))
 
-    Compares integers only, like ``admits``: gamma and -K^3 as numerators
-    over r_X, and the P_{-m} themselves.  The r_max ceiling, read off
-    the last entry, goes first; the weighted basket is built only for the
-    clauses that read it.
+
+@lru_cache(maxsize=1)
+def _merge_types() -> tuple[tuple[tuple, ...], ...]:
+    """Per level n <= TOP, (upper, lower, (b, n), gamma step, volume step)
+    for each new fraction b/n of S(n).
+
+    b/n is the mediant of its Farey neighbours upper and lower in S(n-1)
+    (in S(0) at n = 5), so merging one of each into (b, n) leads from level
+    n-1 to level n.  Fractions are (b, r) tuples; the steps change gamma
+    and -K^3 as numerators over S (only the 1/r and b^2/r terms move).
     """
-    upper: dict[int, int] = {}
-    for m in constraints.constrained_ms():
-        # P_{-1} is fixed along the search, and P_{-2} = 5 P_{-1} + sigma - 10
-        # with sigma invariant under packing: ``enumerate_b0`` draws the
-        # roots from the P_{-2} range already, so no packing can leave it
-        if m <= 2:
-            continue
-        _, hi = constraints.p_bounds(m)
-        if hi is not None:
-            upper[m] = hi
-    top = max(upper, default=0)
-    ceiling = _rmax_ceiling(constraints)
-    use_gamma = constraints.filters.gamma_nonneg
-    k3_hi, k3_hi_strict = constraints.k3_max, constraints.k3_max_strict
+    levels = []
+    for n in range(TOP + 1):
+        level = []
+        for b in range(2, (n + 1) // 2) if n >= 5 else ():
+            if math.gcd(b, n) == 1:
+                parts = farey_neighbors(Fraction(b, n), 0 if n == 5 else n - 1)
+                up, lo = ((f.numerator, f.denominator) for f in parts)
+                level.append((
+                    up, lo, (b, n),
+                    S // n - S // up[1] - S // lo[1],
+                    up[0] ** 2 * (S // up[1]) + lo[0] ** 2 * (S // lo[1]) - b * b * (S // n),
+                ))
+        levels.append(tuple(level))
+    return tuple(levels)
 
-    def prune_ok(basket: Basket) -> bool:
-        entries = basket.entries
-        # entries are sorted by (r, b), so the last one carries r_max
-        if ceiling is not None and entries and entries[-1].r > ceiling:
+
+def _growth(up: tuple, lo: tuple, new: tuple, ms: tuple[int, ...]) -> tuple[int, ...]:
+    """How much merging ``up`` and ``lo`` into ``new`` raises P_{-m}, m in ``ms``.
+
+    P_{-m} is a polynomial in m, P_{-1} and sigma less Sum_{j<=m} Delta^j,
+    and Delta^j sums over the entries.
+    """
+    out, total, j = [], 0, 1
+    for m in ms:
+        while j < m:
+            j += 1
+            total += _delta([(*up, 1), (*lo, 1)], j) - _delta([(*new, 1)], j)
+        out.append(total)
+    return tuple(out)
+
+
+def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int, int], ...]:
+    """(m, lo, hi) of each constrained P_{-m} with m >= 5: the root fixes
+    P_{-1}..P_{-4}, and ``enumerate_b0`` draws the roots from their ranges."""
+    return tuple((m, *constraints.p_bounds(m)) for m in constraints.constrained_ms() if m >= 5)
+
+
+def _chain_state(wb: WeightedBasket, ms: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """What the walk carries for ``wb``: gamma and -K^3 as numerators over S
+    (every index divides it) and P_{-m} for the ascending ``ms``."""
+    seq = plurigenus_sequence(wb, ms[-1]) if ms else ()
+    return _scaled_gamma(wb.basket, S), _scaled_volume(wb, S), tuple(seq[m] for m in ms)
+
+
+def _prune_factory(constraints: ClassificationConstraints):
+    """The walk's cut, ``prune_ok(gamma, volume, window, final)``, on the
+    integers of ``_chain_state`` for the ms of ``_windows``.
+
+    Along the chain gamma never grows, and -K^3 and every P_{-m} never
+    shrink, so their upper ends cut a state with all the states above it.
+    P_{-m} is final from level m on (P_{-m}(B^(n)) = P_{-m}(B) for m <= n),
+    so the lower ends of the P_{-m} with m <= ``final`` cut too.
+    """
+    windows = _windows(constraints)
+    use_gamma = constraints.filters.gamma_nonneg
+    cap = None
+    if constraints.k3_max is not None:
+        # the largest numerator over S within the upper end of -K^3
+        num, den = constraints.k3_max.numerator * S, constraints.k3_max.denominator
+        cap = -(-num // den) - 1 if constraints.k3_max_strict else num // den
+
+    def prune_ok(gamma: int, volume: int, window: tuple[int, ...], final: int) -> bool:
+        if (use_gamma and gamma < 0) or (cap is not None and volume > cap):
             return False
-        rx = r_index(basket)
-        if use_gamma and _scaled_gamma(basket, rx) < 0:
-            return False
-        if k3_hi is None and not top:
-            return True
-        wb = WeightedBasket(basket, p1)
-        if k3_hi is not None:
-            c = _compare(_scaled_volume(wb, rx), rx, k3_hi)
-            if c > 0 or (c == 0 and k3_hi_strict):
+        for (m, lo, hi), p in zip(windows, window):
+            if p > hi or (p < lo and m <= final):
                 return False
-        if top:
-            for m, p in _plurigenera(wb):
-                if m in upper and p > upper[m]:
-                    return False
-                if m == top:
-                    break
         return True
 
     return prune_ok
 
 
+def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[WeightedBasket], int]:
+    """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
+    that the cuts keep, and the number of states visited.
+
+    Level n = 5, 6, ... chooses how many merges into each new fraction b/n
+    of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
+    terminal basket has one chain, so each leaf comes once, from its own
+    level-0 basket.  A merge adds fixed steps to the integers a state
+    carries, and its count is tried ascending up to the first cut.  Raises
+    ClosureTruncated when more than ``max_visited`` states pass the cuts.
+    """
+    budget = constraints.max_visited
+    if budget < 1:
+        raise ValueError(f"max_visited must be >= 1, got {budget}")
+    ms = tuple(m for m, _, _ in _windows(constraints))
+    prune_ok = _prune_factory(constraints)
+    ceiling = _rmax_ceiling(constraints)
+    top = TOP if ceiling is None else min(ceiling, TOP)
+    # the merges in level order, where a level n with a P_{-n} window ends
+    # in a marker (up = None); ends[n] is where level n ends, and ``uses``
+    # lists per fraction the merges it is a parent of, with the other parent
+    steps: list[tuple] = []
+    ends = [0] * (top + 1)
+    uses: dict[tuple, list[tuple[int, tuple]]] = {}
+    pairs: dict[tuple, OrbifoldPair] = {}
+    for n in range(5, top + 1):
+        for up, lo, new, dg, dv in _merge_types()[n]:
+            uses.setdefault(up, []).append((len(steps), lo))
+            uses.setdefault(lo, []).append((len(steps), up))
+            pairs[new] = OrbifoldPair(*new)
+            steps.append((n, up, lo, new, dg, dv, _growth(up, lo, new, ms)))
+        if n in ms:
+            steps.append((n, None, None, None, 0, 0, ()))
+        ends[n] = len(steps)
+    leaves: list[WeightedBasket] = []
+    visited = 0
+    counts: dict[tuple, int] = {}
+
+    def descend(live: list[int], j: int, gamma: int, volume: int, window: tuple[int, ...]) -> None:
+        # one state: ``live`` lists the markers and the merges whose parents
+        # were both present, in order, and live[j:] are ahead
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise ClosureTruncated(f"classification truncated after visiting {budget} states")
+        while j < len(live):
+            n, up, lo, new, dg, dv, dp = steps[live[j]]
+            j += 1
+            if up is None:
+                if not prune_ok(gamma, volume, window, n):
+                    return
+                continue
+            most = min(counts[up], counts[lo])
+            if not most:
+                continue
+            # the states with 1, 2, ... merges go first; this one goes on
+            # with none.  The new fraction is a parent of later merges
+            born = [i for i, other in uses.get(new, ()) if i < end and counts.get(other)]
+            ahead, at = (sorted(live[j:] + born), 0) if born else (live, j)
+            g, v, w = gamma, volume, window
+            for k in range(1, most + 1):
+                g, v, w = g + dg, v + dv, tuple(map(add, w, dp))
+                if not prune_ok(g, v, w, n - 1):
+                    break
+                counts[up] -= 1
+                counts[lo] -= 1
+                counts[new] = k
+                descend(ahead, at, g, v, w)
+            k = counts.pop(new, 0)
+            counts[up] += k
+            counts[lo] += k
+        leaves.append(WeightedBasket(Basket([pairs[key] for key, k in counts.items() for _ in range(k)]), p1))
+
+    for root in roots:
+        p1, entries = root.p1, root.basket.entries
+        state = _chain_state(root, ms)
+        # the root fixes P_{-1}..P_{-4}
+        if (ceiling is not None and entries and entries[-1].r > ceiling) or not prune_ok(*state, 4):
+            continue
+        counts.clear()
+        for pair in entries:
+            pairs[pair.b, pair.r] = pair
+            counts[pair.b, pair.r] = counts.get((pair.b, pair.r), 0) + 1
+        level = min(sum(p.r for p in entries), top)
+        end = ends[level] if level >= 5 else 0
+        live = {i for i in range(end) if steps[i][1] is None}
+        live.update(i for key in counts for i, other in uses.get(key, ()) if i < end and other in counts)
+        descend(sorted(live), 0, *state)
+    return leaves, visited
+
+
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """All weighted baskets meeting the constraints and the geometric filter.
 
-    One closure per P_{-1}, its sorted terminal states re-verified in
-    turn.  Raises ClosureTruncated if a visited budget runs out: a partial
-    classification is never returned silently.
+    One chain walk per P_{-1} up from its level-0 roots (``_walk``); each
+    leaf is re-verified by ``admits``, and the admitted ones are sorted.
+    A basket is listed when it is admitted and its own level-0 basket is a
+    root, which, under the gamma filter, every admitted basket is (gamma(B)
+    <= gamma(B^(0))).  Raises ClosureTruncated if the visited budget runs
+    out: a partial classification is never returned silently.
     """
     found: list[WeightedBasket] = []
-    for p1, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
-        states = closure(
-            *(wb.basket for wb, _ in roots), prune=_prune_factory(constraints, p1),
-            emit=coprime_only, max_visited=constraints.max_visited,
-        ).require_complete()
-        for basket in states.baskets:
-            wb = WeightedBasket(basket, p1)
-            if constraints.admits(wb):
-                found.append(wb)
+    for _, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
+        leaves, _ = _walk([wb for wb, _ in roots], constraints)
+        found += sorted((wb for wb in leaves if constraints.admits(wb)), key=lambda wb: wb.basket.sort_key())
     return found
 
 

@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--constraints", required=True)
     p_cls.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
     p_cls.add_argument("--profiles", type=int, metavar="LCM", default=None,
-                       help="enumerate fixed-Gorenstein-index profiles instead of packing search")
+                       help="enumerate fixed-Gorenstein-index profiles instead of the chain walk")
 
     p_crit = sub.add_parser("criteria", help="birationality report for one basket")
     p_crit.add_argument("--basket", required=True)

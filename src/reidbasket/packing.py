@@ -126,24 +126,25 @@ class ClosureTruncated(RuntimeError):
 
 
 def closure(
-    *roots: Basket,
+    root: Basket,
     prune: Predicate | None = None,
     emit: Predicate | None = None,
     max_visited: int = MAX_VISITED,
 ) -> ClosureResult:
-    """All packings of the ``roots`` (the roots included) passing the filters.
+    """All packings of ``root`` (the root included) passing the filters.
 
-    Each root that passes ``prune`` seeds the search; the result is the
-    union of the roots' closures, each basket visited once.  ``prune`` must
-    be downward-closed along packing (helpers below build safe clauses); a
+    A root that fails ``prune`` gives an empty result.  ``prune`` must be
+    downward-closed along packing (helpers below build safe clauses); a
     basket failing it is cut together with its whole subtree.  ``emit`` is
     applied only at output and may be arbitrary.  The result is
     deduplicated by canonical form and canonically sorted, so any traversal
     order yields the same answer.  A search that would visit more than
-    ``max_visited`` baskets stops and reports itself truncated.
+    ``max_visited`` baskets (at least 1) stops and reports itself truncated.
     """
-    seen = {b for b in roots if prune is None or prune(b)}
-    frontier = sorted(seen, key=Basket.sort_key)
+    if max_visited < 1:
+        raise ValueError(f"max_visited must be >= 1, got {max_visited}")
+    seen = {root} if prune is None or prune(root) else set()
+    frontier = list(seen)
     truncated = False
     while frontier:
         nxt: list[Basket] = []

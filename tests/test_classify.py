@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,10 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_coprime_baskets
-from reidbasket.canonical import unpack
+import reidbasket.classify as classify_module
+from reidbasket.canonical import (
+    canonical_sequence,
+    epsilon5_from_plurigenera,
+    epsilon6_residual,
+    epsilon7_from_plurigenera,
+    epsilon8_from_plurigenera,
+    epsilon_n,
+    in_level_set,
+    unpack,
+)
 from reidbasket.classify import (
     _FILTER_FIELDS,
+    S,
+    TOP,
     ClassificationConstraints,
+    _chain_state,
+    _growth,
+    _merge_types,
+    _walk,
     classify,
     enumerate_b0,
     enumerate_index_profiles,
@@ -468,6 +485,178 @@ class TestAgainstCanonicalStructure:
         roots = {wb.basket for wb, _ in enumerate_b0(c)}
         for wb in classify(c):
             assert unpack(wb.basket, 0) in roots
+
+
+CENSUS_TEXTS = [
+    (INPUTS / name).read_text() for name in ("census_p0.txt", "census_p8.txt", "census_rx840.txt")
+]
+
+
+def roots_by_p1(constraints) -> list[list[WeightedBasket]]:
+    roots: dict[int, list[WeightedBasket]] = {}
+    for wb, _ in enumerate_b0(constraints):
+        roots.setdefault(wb.p1, []).append(wb)
+    return list(roots.values())
+
+
+def walk_by_p1(constraints, groups=None) -> tuple[list[WeightedBasket], int]:
+    """``_walk`` over the roots of ``constraints``, one P_{-1} at a time."""
+    leaves, visited = [], 0
+    for group in groups or roots_by_p1(constraints):
+        found, states = _walk(group, constraints)
+        leaves += found
+        visited += states
+    return leaves, visited
+
+
+class TestChainWalk:
+    """The walk up the canonical chain against the chain's own definition."""
+
+    def test_every_merge_undoes_one_unpacking(self):
+        # a merge at level n packs the Farey neighbours of b/n in S(n-1) (in
+        # S(0) at n = 5), and its steps are the changes of gamma and -K^3
+        count = 0
+        for n, level in enumerate(_merge_types()):
+            for up, lo, (b, r), dg, dv in level:
+                assert r == n and 2 * b < n
+                parts = unpack(B((b, n)), 0 if n == 5 else n - 1)
+                assert parts == B(up, lo)
+                (g0, v0, _), (g1, v1, _) = (
+                    _chain_state(WeightedBasket(basket, 1), ()) for basket in (parts, B((b, n)))
+                )
+                assert (g1 - g0, v1 - v0) == (dg, dv)
+                count += 1
+        # one merge per fraction of S(n) outside S(n-1), n = 5..32
+        assert count == sum(
+            1 for n in range(5, TOP + 1) for b in range(1, n // 2 + 1)
+            if math.gcd(b, n) == 1 and not in_level_set(Fraction(b, n), 0 if n == 5 else n - 1)
+        )
+        assert S == math.lcm(*range(2, TOP + 1))
+
+    def test_growth_is_the_generic_window_rule(self, bench_universe):
+        # each merge at level n raises P_{-n} by one and no P_{-m} with m < n,
+        # so P_{-n}(B) = P_{-n}(B^(n-1)) + epsilon_n: a window on P_{-n} pins
+        # the merge count of level n
+        ms = tuple(range(2, TOP + 1))
+        for n, level in enumerate(_merge_types()):
+            for up, lo, new, _, _ in level:
+                growth = dict(zip(ms, _growth(up, lo, new, ms)))
+                assert [growth[m] for m in range(2, n + 1)] == [0] * (n - 2) + [1]
+        # the paper's special cases, epsilon_5 .. epsilon_8 from plurigenera
+        for basket in bench_universe[::16]:
+            tail = {}
+            for pair in unpack(basket, 0):
+                if pair.r >= 5:
+                    tail[pair.r] = tail.get(pair.r, 0) + 1
+            for p1 in range(3):
+                p = plurigenus_sequence(WeightedBasket(basket, p1), 8)
+                eps = {}
+                for n in range(5, 9):
+                    below = unpack(basket, 0 if n == 5 else n - 1)
+                    eps[n] = p[n] - plurigenus_sequence(WeightedBasket(below, p1), n)[n]
+                    assert eps[n] == epsilon_n(basket, n)
+                assert eps[5] == epsilon5_from_plurigenera(p[2], p[4], p[5], sum(tail.values()))
+                assert eps[6] == 0 == epsilon6_residual(*p[1:7], tail)[0]
+                assert eps[7] == epsilon7_from_plurigenera(p[1], p[2], p[5], p[6], p[7], tail)
+                assert eps[8] == epsilon8_from_plurigenera(*p[1:6], p[7], p[8], tail)
+
+    @pytest.mark.parametrize("text", CENSUS_TEXTS)
+    def test_every_path_is_the_canonical_sequence_of_its_leaf(self, text, monkeypatch):
+        # the walk cut off after level n lists the level-n states of every
+        # path: each once, each one unpacking step above a state of the
+        # level before, and holding the level-n basket of every full leaf
+        constraints = parse_constraints(text)
+        leaves, _ = walk_by_p1(constraints)
+        assert leaves
+        levels = _merge_types()
+        windows = classify_module._windows
+        top = classify_module._rmax_ceiling(constraints)
+        states: dict[int, set[WeightedBasket]] = {}
+        for n in [0] + list(range(5, top + 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(classify_module, "_merge_types", lambda: levels[:n + 1] + ((),) * (TOP - n))
+                patch.setattr(classify_module, "_windows", lambda c: tuple(w for w in windows(c) if w[0] <= n))
+                found, _ = walk_by_p1(constraints)
+            states[n] = set(found)
+            assert len(found) == len(states[n])
+            if n:
+                below = 0 if n == 5 else n - 1
+                assert {WeightedBasket(unpack(wb.basket, below), wb.p1) for wb in found} <= states[below]
+        assert states[top] >= set(leaves)
+        for wb in leaves:
+            seq = canonical_sequence(wb.basket)
+            path = {n: level for n, level, _ in seq.levels}
+            for n in states:
+                assert WeightedBasket(path.get(n, wb.basket), wb.p1) in states[n], (str(wb), n)
+
+    @pytest.mark.parametrize("text", CENSUS_TEXTS)
+    def test_carried_integers_are_the_leaf_invariants(self, text, monkeypatch):
+        # with a window on every P_{-m}, m = 5..24, the state the walk carries
+        # into each leaf is gamma, -K^3 and P_{-5..24} of that leaf
+        constraints = parse_constraints(text)
+        ms = tuple(range(5, 25))
+        windows, factory = classify_module._windows, classify_module._prune_factory
+        events = []
+
+        def every_window(c):
+            own = {m: (lo, hi) for m, lo, hi in windows(c)}
+            return tuple((m, *own.get(m, (-10 ** 9, 10 ** 9))) for m in ms)
+
+        def recording_factory(c):
+            prune_ok = factory(c)
+
+            def recording(gamma, volume, window, final):
+                ok = prune_ok(gamma, volume, window, final)
+                if ok:
+                    events.append((gamma, volume, window))
+                return ok
+
+            return recording
+
+        def leaf(basket, p1):
+            events.append(WeightedBasket(basket, p1))
+            return events[-1]
+
+        found = classify(constraints)
+        groups = roots_by_p1(constraints)
+        monkeypatch.setattr(classify_module, "_windows", every_window)
+        assert classify(constraints) == found
+        monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
+        monkeypatch.setattr(classify_module, "WeightedBasket", leaf)
+        leaves, _ = walk_by_p1(constraints, groups)
+        carried = None
+        checked = 0
+        for event in events:
+            if isinstance(event, WeightedBasket):
+                assert _chain_state(event, ms) == carried, str(event)
+                checked += 1
+            else:
+                carried = event
+        assert checked == len(leaves) > 0
+
+    def test_leaves_are_the_universe_each_once(self, bench_universe):
+        # from every root at P_{-1} = 3 under the gamma filter alone, the
+        # leaves are every terminal gamma >= 0 basket, each once
+        leaves, visited = walk_by_p1(parse_constraints("p[1]=3 filters=gamma"))
+        assert sorted(wb.basket for wb in leaves) == bench_universe
+        assert visited >= len(leaves) == len(bench_universe) == 8338
+
+    def test_a_set_without_the_gamma_filter_lists_the_chains_of_its_roots(self):
+        # without the gamma filter a basket is listed when it is admitted and
+        # its own level-0 basket is a root; the closure of the roots under
+        # packing listed 27,531 here, 1,710 more, whose level-0 baskets have
+        # gamma < 0
+        c = parse_constraints("p[1]=0..2 filters=none")
+        found = classify(c)
+        assert len(found) == 25821
+        roots = {wb for wb, _ in enumerate_b0(c)}
+        assert all(WeightedBasket(unpack(wb.basket, 0), wb.p1) in roots for wb in found)
+        assert any(gamma(wb.basket) < 0 for wb in found)
+
+    def test_budget_below_one_is_rejected(self):
+        c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2}, max_visited=0)
+        with pytest.raises(ValueError, match="max_visited must be >= 1, got 0"):
+            classify(c)
 
 
 @st.composite

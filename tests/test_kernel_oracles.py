@@ -18,9 +18,11 @@ import reidbasket.classify as classify_module
 from conftest import random_basket
 from reidbasket.canonical import b0_from_plurigenera
 from reidbasket.classify import (
+    _chain_state,
     _index_profiles,
     _multisets,
     _prune_factory,
+    _windows,
     classify,
     enumerate_b0,
     parse_constraints,
@@ -43,7 +45,6 @@ from reidbasket.core import (
 )
 from reidbasket.criteria import first_not_pencil, lambda_of
 from reidbasket.fixtures import available_tables, load_table
-from reidbasket.packing import closure
 
 SINGLE_CHECKS = tuple(
     name for name in FilterConfig._fields if type(FilterConfig._field_defaults[name]) is bool
@@ -266,10 +267,13 @@ def reference_rmax_ceiling(constraints) -> int | None:
     return min(caps) if caps else None
 
 
-def reference_prune(constraints, p1: int, basket: Basket) -> bool:
-    ceiling = reference_rmax_ceiling(constraints)
-    if ceiling is not None and len(basket) and r_max(basket) > ceiling:
-        return False
+def reference_prune(constraints, p1: int, basket: Basket, final: int) -> bool:
+    """The chain walk's cut, in Fractions: gamma >= 0, the upper k3 end, and
+    the P_{-m} windows with m >= 5, their lower ends only for m <= ``final``.
+
+    The root fixes P_{-1}..P_{-4} (``enumerate_b0`` draws the roots from
+    their ranges), and the walk stops at the r_max ceiling, so neither is a
+    clause here."""
     if constraints.filters.gamma_nonneg and reference_gamma(basket) < 0:
         return False
     wb = WeightedBasket(basket, p1)
@@ -277,11 +281,10 @@ def reference_prune(constraints, p1: int, basket: Basket) -> bool:
     hi = constraints.k3_max
     if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
         return False
-    # P_{-1} and P_{-2} = 5 P_{-1} + sigma - 10 are fixed along packing, so
-    # the roots already satisfy their ranges and the prune has no clause for them
     for m in constraints.constrained_ms():
-        top = constraints.p_bounds(m)[1]
-        if m > 2 and top is not None and plurigenus_closed(basket, vol, m) > top:
+        low, top = constraints.p_bounds(m)
+        value = plurigenus_closed(basket, vol, m)
+        if m >= 5 and (value > top or (m <= final and value < low)):
             return False
     return True
 
@@ -338,6 +341,9 @@ class TestClassifyPredicates:
     baskets on the volume bounds, and a sample of what ``classify`` finds
     for every set, so each set also meets baskets found by its neighbours
     (a P_{-3} = 2 basket for the lower end of ``p[3]=3..9``, say).
+    ``prune_ok`` reads the integers ``_chain_state`` carries for a basket,
+    at the root (final = 4), at the level of each window and with every
+    window final.
     """
 
     def constraint_sets(self) -> list:
@@ -365,22 +371,29 @@ class TestClassifyPredicates:
         pool = self.pool(sets)
         verdicts = {True: 0, False: 0}
         on_bounds = 0
+        windows_cut = 0
         for constraints in sets:
-            prunes = {p1: _prune_factory(constraints, p1) for p1 in constraints.p1_values()}
+            prune_ok = _prune_factory(constraints)
+            ms = tuple(m for m, _, _ in _windows(constraints))
             for wb in pool:
-                if wb.p1 not in prunes:
+                if wb.p1 not in constraints.p1_values():
                     continue
                 on_bounds += reference_volume(wb) in (constraints.k3_min, constraints.k3_max)
                 got = constraints.admits(wb)
                 assert got == reference_admits(constraints, wb), (constraints, str(wb))
-                kept = prunes[wb.p1](wb.basket)
-                expected = reference_prune(constraints, wb.p1, wb.basket)
-                assert kept == expected, (constraints, str(wb))
                 verdicts[got] += 1
-                verdicts[kept] += 1
+                state = _chain_state(wb, ms)
+                for final in {4, 24, *ms}:
+                    kept = prune_ok(*state, final)
+                    expected = reference_prune(constraints, wb.p1, wb.basket, final)
+                    assert kept == expected, (constraints, str(wb), final)
+                    verdicts[kept] += 1
+                windows_cut += prune_ok(*state, 4) and not prune_ok(*state, 24)
         assert verdicts[True] > 0 and verdicts[False] > 0
         # every basket of ON_THE_BOUNDS lies on an end of some set
         assert on_bounds >= len(ON_THE_BOUNDS)
+        # a final lower end cuts what the upper ends keep
+        assert windows_cut > 0
 
 
 def census_sets() -> list:
@@ -404,14 +417,15 @@ class TestRmaxCeiling:
     @staticmethod
     def run(constraints, monkeypatch, ceiling: bool):
         visited = []
+        walk = classify_module._walk
 
-        def counting_closure(*roots, **kwargs):
-            result = closure(*roots, **kwargs)
-            visited.append(result.visited)
-            return result
+        def counting_walk(roots, constraints):
+            leaves, states = walk(roots, constraints)
+            visited.append(states)
+            return leaves, states
 
         with monkeypatch.context() as patch:
-            patch.setattr(classify_module, "closure", counting_closure)
+            patch.setattr(classify_module, "_walk", counting_walk)
             if not ceiling:
                 patch.setattr(classify_module, "_rmax_ceiling", lambda constraints: None)
             return classify(constraints), sum(visited)
@@ -465,30 +479,30 @@ class TestNoP2Clause:
 
     @pytest.mark.parametrize("text", P2_SETS)
     def test_classify_unchanged_by_a_p2_clause(self, text, monkeypatch):
+        # the walk carries P_{-2} too, and prune_ok cuts on both its ends
         constraints = parse_constraints(text)
-        hi = constraints.p_bounds(2)[1]
-        factory = classify_module._prune_factory
+        windows = classify_module._windows
 
-        def with_p2_clause(constraints, p1):
-            prune = factory(constraints, p1)
+        def with_p2_window(constraints):
+            return ((2, *constraints.p_bounds(2)),) + windows(constraints)
 
-            def prune_ok(basket):
-                wb = WeightedBasket(basket, p1)
-                return prune(basket) and plurigenus_closed(basket, reference_volume(wb), 2) <= hi
-
-            return prune_ok
+        def with_empty_p2_window(constraints):
+            return ((2, 1, 0),) + windows(constraints)
 
         found = classify(constraints)
-        monkeypatch.setattr(classify_module, "_prune_factory", with_p2_clause)
+        monkeypatch.setattr(classify_module, "_windows", with_p2_window)
         assert found and classify(constraints) == found
+        # the window is read: one that no P_{-2} meets cuts every root
+        monkeypatch.setattr(classify_module, "_windows", with_empty_p2_window)
+        assert classify(constraints) == []
 
 
 class TestNoMinVolumeClause:
     """``prune_ok`` has no min-volume clause 2 P_{-1} + sigma - 6 <= 0: sigma
-    is a packing invariant, so the clause could only cut roots, and every
-    root keeps P_{-2..4} >= 0, which leaves one root it cuts, the empty
-    basket at P_{-1} = 3.  That root has no packings, and ``admits`` turns
-    it away by its -K^3 = 0."""
+    is a packing invariant, so along a chain the clause reads its root, and
+    every root keeps P_{-2..4} >= 0, which leaves one root it cuts, the
+    empty basket at P_{-1} = 3.  That root has no packings, and ``admits``
+    turns it away by its -K^3 = 0."""
 
     SETS = [path.read_text() for path in CENSUS_INPUTS] + ["p[1]=3"]
 
@@ -507,14 +521,13 @@ class TestNoMinVolumeClause:
     def test_classify_unchanged_by_a_min_volume_clause(self, text, monkeypatch):
         constraints = parse_constraints(text)
         assert constraints.filters.min_volume
-        factory = classify_module._prune_factory
+        roots = classify_module.enumerate_b0
 
-        def with_min_volume_clause(constraints, p1):
-            prune = factory(constraints, p1)
-            return lambda basket: prune(basket) and not self.clause_cuts(p1, basket)
+        def without_the_roots_it_cuts(constraints):
+            return [root for root in roots(constraints) if not self.clause_cuts(root[0].p1, root[0].basket)]
 
         found = classify(constraints)
-        monkeypatch.setattr(classify_module, "_prune_factory", with_min_volume_clause)
+        monkeypatch.setattr(classify_module, "enumerate_b0", without_the_roots_it_cuts)
         assert found and classify(constraints) == found
 
 

@@ -19,6 +19,7 @@ from reidbasket.core import (
     sigma_prime,
 )
 from reidbasket.packing import (
+    ClosureResult,
     all_of,
     closure,
     coprime_only,
@@ -171,21 +172,18 @@ class TestClosure:
             pruned = set(closure(basket, prune=volume_at_most(bound, p1)).baskets)
             assert free == pruned
 
-    def test_several_roots_give_the_union_of_their_closures(self):
-        rng = random.Random(11)
-        prune = gamma_at_least(0)
-        for _ in range(20):
-            a = random_basket(rng, max_entries=5, rmax=8, min_entries=2)
-            b = random_basket(rng, max_entries=5, rmax=8, min_entries=2)
-            union = set(closure(a, prune=prune).baskets) | set(closure(b, prune=prune).baskets)
-            both = closure(a, b, prune=prune)
-            assert both.baskets == tuple(sorted(union))
-            assert both.visited == len(union)
-            assert not both.truncated
-
-    def test_no_roots_give_an_empty_closure(self):
-        assert closure() == closure(B((1, 2), (1, 3)), prune=lambda basket: False)
-        assert closure().baskets == () and closure().visited == 0
+    def test_one_root_and_a_budget_of_at_least_one(self):
+        # one root: a root that fails the prune gives an empty closure, and
+        # a second root is no longer accepted
+        root = B((1, 2), (1, 3))
+        empty = closure(root, prune=lambda basket: False)
+        assert empty == ClosureResult(baskets=(), visited=0, truncated=False)
+        assert closure(root).baskets == (root, B((2, 5)))
+        with pytest.raises(TypeError):
+            closure(root, B((1, 2)))
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"max_visited must be >= 1, got {budget}"):
+                closure(root, max_visited=budget)
 
 
 class TestDominates:

@@ -145,6 +145,18 @@ class TestClassificationConstraints:
         with pytest.raises(TypeError):
             c.p_fixed[1] = 1
 
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_an_m_both_fixed_and_ranged_is_rejected(self, m):
+        c = ClassificationConstraints(p_fixed={1: 1, 8: 2}, p_ranges={2: (0, 3)})
+        message = f"P_{{-m}} for m = {m} is both in p_fixed and in p_ranges"
+        for build in (
+            lambda: ClassificationConstraints(p_fixed={1: 1, 8: 2}, p_ranges={m: (0, 3)}),
+            lambda: c._replace(p_ranges={2: (0, 3), m: (0, 3)}),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
     def test_replace(self):
         c = parse_constraints("p[1]=1 p[2]=1 p[8]=2")
         wide = c._replace(tail_max_index=30)
