@@ -31,19 +31,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .canonical import farey_neighbors, unpack
+from .canonical import unpack
 from .core import (
     Basket,
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
-    _delta,
     _plurigenera,
     _scaled_gamma,
     _scaled_volume,
@@ -310,47 +308,6 @@ TOP = 32
 S = math.lcm(*range(2, TOP + 1))
 
 
-@lru_cache(maxsize=1)
-def _merge_types() -> tuple[tuple[tuple, ...], ...]:
-    """Per level n <= TOP, (upper, lower, (b, n), gamma step, volume step)
-    for each new fraction b/n of S(n).
-
-    b/n is the mediant of its Farey neighbours upper and lower in S(n-1)
-    (in S(0) at n = 5), so merging one of each into (b, n) leads from level
-    n-1 to level n.  Fractions are (b, r) tuples; the steps change gamma
-    and -K^3 as numerators over S (only the 1/r and b^2/r terms move).
-    """
-    levels = []
-    for n in range(TOP + 1):
-        level = []
-        for b in range(2, (n + 1) // 2) if n >= 5 else ():
-            if math.gcd(b, n) == 1:
-                parts = farey_neighbors(Fraction(b, n), 0 if n == 5 else n - 1)
-                up, lo = ((f.numerator, f.denominator) for f in parts)
-                level.append((
-                    up, lo, (b, n),
-                    S // n - S // up[1] - S // lo[1],
-                    up[0] ** 2 * (S // up[1]) + lo[0] ** 2 * (S // lo[1]) - b * b * (S // n),
-                ))
-        levels.append(tuple(level))
-    return tuple(levels)
-
-
-def _growth(up: tuple, lo: tuple, new: tuple, ms: tuple[int, ...]) -> tuple[int, ...]:
-    """How much merging ``up`` and ``lo`` into ``new`` raises P_{-m}, m in ``ms``.
-
-    P_{-m} is a polynomial in m, P_{-1} and sigma less Sum_{j<=m} Delta^j,
-    and Delta^j sums over the entries.
-    """
-    out, total, j = [], 0, 1
-    for m in ms:
-        while j < m:
-            j += 1
-            total += _delta([(*up, 1), (*lo, 1)], j) - _delta([(*new, 1)], j)
-        out.append(total)
-    return tuple(out)
-
-
 def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int, int], ...]:
     """(m, lo, hi) of each constrained P_{-m} with m >= 5: the root fixes
     P_{-1}..P_{-4}, and ``enumerate_b0`` draws the roots from their ranges."""
@@ -410,19 +367,27 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
-    # the merges in level order, where a level n with a P_{-n} window ends
-    # in a marker (up = None); ends[n] is where level n ends, and ``uses``
-    # lists per fraction the merges it is a parent of, with the other parent
+    # the merges in level order: a new fraction b/n of S(n) is the mediant
+    # of its Farey neighbours in S(n-1) (in S(0) at n = 5), and merging them
+    # into (b, n) adds the difference of the carried integers.  A level n
+    # with a P_{-n} window ends in a marker (p = None); ends[n] is where
+    # level n ends, and ``uses`` lists per fraction the merges it is a
+    # parent of, with the other parent
     steps: list[tuple] = []
     ends = [0] * (top + 1)
     uses: dict[tuple, list[tuple[int, tuple]]] = {}
     pairs: dict[tuple, OrbifoldPair] = {}
     for n in range(5, top + 1):
-        for up, lo, new, dg, dv in _merge_types()[n]:
-            uses.setdefault(up, []).append((len(steps), lo))
-            uses.setdefault(lo, []).append((len(steps), up))
-            pairs[new] = OrbifoldPair(*new)
-            steps.append((n, up, lo, new, dg, dv, _growth(up, lo, new, ms)))
+        for b in range(2, (n + 1) // 2):
+            if math.gcd(b, n) == 1:
+                merged = Basket([OrbifoldPair(b, n)])
+                parts = unpack(merged, 0 if n == 5 else n - 1)
+                (g0, v0, w0), (g1, v1, w1) = (_chain_state(WeightedBasket(x, 0), ms) for x in (parts, merged))
+                p, q = ((pair.b, pair.r) for pair in parts)
+                uses.setdefault(p, []).append((len(steps), q))
+                uses.setdefault(q, []).append((len(steps), p))
+                pairs[b, n] = merged.entries[0]
+                steps.append((n, p, q, (b, n), g1 - g0, v1 - v0, tuple(map(sub, w1, w0))))
         if n in ms:
             steps.append((n, None, None, None, 0, 0, ()))
         ends[n] = len(steps)
@@ -438,13 +403,13 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         if visited > budget:
             raise ClosureTruncated(f"classification truncated after visiting {budget} states")
         while j < len(live):
-            n, up, lo, new, dg, dv, dp = steps[live[j]]
+            n, p, q, new, dg, dv, dp = steps[live[j]]
             j += 1
-            if up is None:
+            if p is None:
                 if not prune_ok(gamma, volume, window, n):
                     return
                 continue
-            most = min(counts[up], counts[lo])
+            most = min(counts[p], counts[q])
             if not most:
                 continue
             # the states with 1, 2, ... merges go first; this one goes on
@@ -456,13 +421,13 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
                 g, v, w = g + dg, v + dv, tuple(map(add, w, dp))
                 if not prune_ok(g, v, w, n - 1):
                     break
-                counts[up] -= 1
-                counts[lo] -= 1
+                counts[p] -= 1
+                counts[q] -= 1
                 counts[new] = k
                 descend(ahead, at, g, v, w)
             k = counts.pop(new, 0)
-            counts[up] += k
-            counts[lo] += k
+            counts[p] += k
+            counts[q] += k
         leaves.append(WeightedBasket(Basket([pairs[key] for key, k in counts.items() for _ in range(k)]), p1))
 
     for root in roots:

@@ -17,6 +17,7 @@ from reidbasket.canonical import (
     epsilon7_from_plurigenera,
     epsilon8_from_plurigenera,
     epsilon_n,
+    farey_neighbors,
     in_level_set,
     unpack,
 )
@@ -26,8 +27,6 @@ from reidbasket.classify import (
     TOP,
     ClassificationConstraints,
     _chain_state,
-    _growth,
-    _merge_types,
     _walk,
     classify,
     enumerate_b0,
@@ -499,10 +498,10 @@ def roots_by_p1(constraints) -> list[list[WeightedBasket]]:
     return list(roots.values())
 
 
-def walk_by_p1(constraints, groups=None) -> tuple[list[WeightedBasket], int]:
+def walk_by_p1(constraints) -> tuple[list[WeightedBasket], int]:
     """``_walk`` over the roots of ``constraints``, one P_{-1} at a time."""
     leaves, visited = [], 0
-    for group in groups or roots_by_p1(constraints):
+    for group in roots_by_p1(constraints):
         found, states = _walk(group, constraints)
         leaves += found
         visited += states
@@ -512,35 +511,39 @@ def walk_by_p1(constraints, groups=None) -> tuple[list[WeightedBasket], int]:
 class TestChainWalk:
     """The walk up the canonical chain against the chain's own definition."""
 
+    @staticmethod
+    def new_fractions():
+        """(n, b, the level before n) for every fraction b/n of S(n) outside
+        S(n-1), n = 5..32; the level before 5 is 0."""
+        for n in range(5, TOP + 1):
+            below = 0 if n == 5 else n - 1
+            for b in range(1, n // 2 + 1):
+                if math.gcd(b, n) == 1 and not in_level_set(Fraction(b, n), below):
+                    yield n, b, below
+
     def test_every_merge_undoes_one_unpacking(self):
-        # a merge at level n packs the Farey neighbours of b/n in S(n-1) (in
-        # S(0) at n = 5), and its steps are the changes of gamma and -K^3
-        count = 0
-        for n, level in enumerate(_merge_types()):
-            for up, lo, (b, r), dg, dv in level:
-                assert r == n and 2 * b < n
-                parts = unpack(B((b, n)), 0 if n == 5 else n - 1)
-                assert parts == B(up, lo)
-                (g0, v0, _), (g1, v1, _) = (
-                    _chain_state(WeightedBasket(basket, 1), ()) for basket in (parts, B((b, n)))
-                )
-                assert (g1 - g0, v1 - v0) == (dg, dv)
-                count += 1
-        # one merge per fraction of S(n) outside S(n-1), n = 5..32
-        assert count == sum(
-            1 for n in range(5, TOP + 1) for b in range(1, n // 2 + 1)
-            if math.gcd(b, n) == 1 and not in_level_set(Fraction(b, n), 0 if n == 5 else n - 1)
-        )
-        assert S == math.lcm(*range(2, TOP + 1))
+        # b/n unpacks at the level before into its two Farey neighbours,
+        # one entry each, so one merge of them leads up to level n; every
+        # index below TOP divides the scale S
+        for n, b, below in self.new_fractions():
+            parts = unpack(B((b, n)), below)
+            (p, q) = parts.entries
+            assert p.b * q.r - q.b * p.r in (1, -1) and (p.b + q.b, p.r + q.r) == (b, n)
+            assert farey_neighbors(Fraction(b, n), below) in ((Fraction(p.b, p.r), Fraction(q.b, q.r)),
+                                                              (Fraction(q.b, q.r), Fraction(p.b, p.r)))
+        assert all(S % r == 0 for r in range(2, TOP + 1))
 
     def test_growth_is_the_generic_window_rule(self, bench_universe):
         # each merge at level n raises P_{-n} by one and no P_{-m} with m < n,
         # so P_{-n}(B) = P_{-n}(B^(n-1)) + epsilon_n: a window on P_{-n} pins
-        # the merge count of level n
+        # the merge count of level n, and P_{-n} is final once level n is done
         ms = tuple(range(2, TOP + 1))
-        for n, level in enumerate(_merge_types()):
-            for up, lo, new, _, _ in level:
-                growth = dict(zip(ms, _growth(up, lo, new, ms)))
+        for n, b, below in self.new_fractions():
+            for p1 in range(3):
+                before, after = (
+                    _chain_state(WeightedBasket(x, p1), ms)[2] for x in (unpack(B((b, n)), below), B((b, n)))
+                )
+                growth = dict(zip(ms, (y - x for x, y in zip(before, after))))
                 assert [growth[m] for m in range(2, n + 1)] == [0] * (n - 2) + [1]
         # the paper's special cases, epsilon_5 .. epsilon_8 from plurigenera
         for basket in bench_universe[::16]:
@@ -562,27 +565,23 @@ class TestChainWalk:
 
     @pytest.mark.parametrize("text", CENSUS_TEXTS)
     def test_every_path_is_the_canonical_sequence_of_its_leaf(self, text, monkeypatch):
-        # the walk cut off after level n lists the level-n states of every
-        # path: each once, each one unpacking step above a state of the
-        # level before, and holding the level-n basket of every full leaf
+        # the walk stopped after level n (TOP = n) lists the level-n states
+        # of every path: each once, each one unpacking step above a state of
+        # the level before, and holding the level-n basket of every leaf
         constraints = parse_constraints(text)
         leaves, _ = walk_by_p1(constraints)
         assert leaves
-        levels = _merge_types()
-        windows = classify_module._windows
         top = classify_module._rmax_ceiling(constraints)
         states: dict[int, set[WeightedBasket]] = {}
         for n in [0] + list(range(5, top + 1)):
-            with monkeypatch.context() as patch:
-                patch.setattr(classify_module, "_merge_types", lambda: levels[:n + 1] + ((),) * (TOP - n))
-                patch.setattr(classify_module, "_windows", lambda c: tuple(w for w in windows(c) if w[0] <= n))
-                found, _ = walk_by_p1(constraints)
+            monkeypatch.setattr(classify_module, "TOP", n)
+            found, _ = walk_by_p1(constraints)
             states[n] = set(found)
             assert len(found) == len(states[n])
             if n:
                 below = 0 if n == 5 else n - 1
                 assert {WeightedBasket(unpack(wb.basket, below), wb.p1) for wb in found} <= states[below]
-        assert states[top] >= set(leaves)
+        assert states[top] == set(leaves)
         for wb in leaves:
             seq = canonical_sequence(wb.basket)
             path = {n: level for n, level, _ in seq.levels}
@@ -614,8 +613,12 @@ class TestChainWalk:
             return recording
 
         def leaf(basket, p1):
-            events.append(WeightedBasket(basket, p1))
-            return events[-1]
+            # the walk builds weighted baskets before its first cut too, for
+            # its merge steps; from the first cut on, they are its leaves
+            wb = WeightedBasket(basket, p1)
+            if events:
+                events.append(wb)
+            return wb
 
         found = classify(constraints)
         groups = roots_by_p1(constraints)
@@ -623,16 +626,19 @@ class TestChainWalk:
         assert classify(constraints) == found
         monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
         monkeypatch.setattr(classify_module, "WeightedBasket", leaf)
-        leaves, _ = walk_by_p1(constraints, groups)
-        carried = None
         checked = 0
-        for event in events:
-            if isinstance(event, WeightedBasket):
-                assert _chain_state(event, ms) == carried, str(event)
-                checked += 1
-            else:
-                carried = event
-        assert checked == len(leaves) > 0
+        for group in groups:
+            events.clear()
+            leaves, _ = _walk(group, constraints)
+            carried = None
+            for event in events:
+                if isinstance(event, WeightedBasket):
+                    assert _chain_state(event, ms) == carried, str(event)
+                    checked += 1
+                else:
+                    carried = event
+            assert sum(isinstance(event, WeightedBasket) for event in events) == len(leaves)
+        assert checked > 0
 
     def test_leaves_are_the_universe_each_once(self, bench_universe):
         # from every root at P_{-1} = 3 under the gamma filter alone, the
