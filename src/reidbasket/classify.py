@@ -119,6 +119,7 @@ class ClassificationConstraints(_ConstraintFields):
     ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
     integer ranges); each m is given in one of the two.  P_{-1} must be
     pinned or finitely ranged: an unbounded constraint set is rejected.
+    ``max_visited``, the walk's state budget, is at least 1.
     Volume bounds carry their own strictness flags so open intervals like
     (0, 1/30) are representable.
     """
@@ -130,6 +131,8 @@ class ClassificationConstraints(_ConstraintFields):
         both = sorted(set(self.p_fixed) & set(self.p_ranges))
         if both:
             raise ValueError(f"P_{{-m}} for m = {both[0]} is both in p_fixed and in p_ranges")
+        if self.max_visited < 1:
+            raise ValueError(f"max_visited must be >= 1, got {self.max_visited}")
         return self
 
     @classmethod
@@ -361,8 +364,6 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     ClosureTruncated when more than ``max_visited`` states pass the cuts.
     """
     budget = constraints.max_visited
-    if budget < 1:
-        raise ValueError(f"max_visited must be >= 1, got {budget}")
     ms = tuple(m for m, _, _ in _windows(constraints))
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)

@@ -659,10 +659,17 @@ class TestChainWalk:
         assert all(WeightedBasket(unpack(wb.basket, 0), wb.p1) in roots for wb in found)
         assert any(gamma(wb.basket) < 0 for wb in found)
 
-    def test_budget_below_one_is_rejected(self):
-        c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2}, max_visited=0)
-        with pytest.raises(ValueError, match="max_visited must be >= 1, got 0"):
-            classify(c)
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected(self, budget):
+        # when the record is built, so also for a set with no roots to walk
+        c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2})
+        for build in (
+            lambda: ClassificationConstraints(p_fixed={1: 0, 2: 100}, max_visited=budget),
+            lambda: c._replace(max_visited=budget),
+        ):
+            with pytest.raises(ValueError, match=f"max_visited must be >= 1, got {budget}"):
+                build()
+        assert classify(c._replace(max_visited=1, p_fixed={1: 0, 2: 100})) == []
 
 
 @st.composite
