@@ -345,6 +345,60 @@ def test_internal_error_has_its_own_exit_code(monkeypatch):
     assert err == "internal error: RuntimeError: boom\n" and out == ""
 
 
+def test_truncation_has_its_own_exit_code(monkeypatch):
+    # ClosureTruncated is a RuntimeError: only its own clause keeps it from
+    # being reported as an internal error
+    import reidbasket.cli as cli
+    from reidbasket.packing import ClosureTruncated
+
+    def truncated(args):
+        raise ClosureTruncated("budget gone")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", truncated)
+    code, out, err = run_cli("classify", "--constraints", "unread.txt")
+    assert code == cli.EXIT_TRUNCATED == 3
+    assert err == "error: budget gone\n" and out == ""
+
+
+HELP_COMMANDS = ("", "eval", "canonical", "pack", "classify", "criteria", "verify")
+
+
+def test_help_output_is_pinned(monkeypatch):
+    # argparse wraps help at the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for command in HELP_COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert (exit_.value.code, err.getvalue()) == (0, "")
+        blocks.append(f"$ reidbasket {' '.join(argv)}\n{out.getvalue()}")
+    assert "".join(blocks) == (Path(__file__).parent / "expected" / "cli_help.txt").read_text()
+
+
+@pytest.mark.parametrize("option", ["--gamma-min", "--k3-max"])
+def test_bad_rational_option_is_an_argparse_error(option):
+    # argparse names the option's type function in its message
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["pack", "--basket", "(1,2)", option, "abc"])
+    assert exit_.value.code == 2
+    assert err.getvalue().startswith("usage: reidbasket pack [-h] --basket BASKET")
+    assert err.getvalue().endswith(
+        f"\nreidbasket pack: error: argument {option}: invalid parse_rational value: 'abc'\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--p1", "0"), ("canonical",), ("pack",), ("criteria", "--p1", "0"),
+])
+def test_bad_basket_names_the_token(command):
+    code, out, err = run_cli(*command, "--basket", "(1,2),(2,5")
+    assert (code, out) == (2, "")
+    assert err == "error: bad basket item at '(2,5' (expected '[Nx](b,r)')\n"
+
+
 def test_verify_all_under_optimize_flag():
     # the invariant checks are explicit, so stripping asserts changes nothing
     def run(*flags):
