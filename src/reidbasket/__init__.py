@@ -11,25 +11,38 @@ Submodules:
 * ``cli``       -- the ``reidbasket`` command-line front end
 """
 
-from .core import (
-    Basket,
-    BasketSyntaxError,
-    FilterConfig,
-    OrbifoldPair,
-    WeightedBasket,
-    anti_volume,
-    delta_n,
-    gamma,
-    geometric_filter,
-    l_term,
-    parse_basket,
-    plurigenus,
-    plurigenus_closed,
-    plurigenus_sequence,
-    r_index,
-    r_max,
-    sigma,
-    sigma_prime,
-)
-
 __version__ = "0.1.0"
+
+# The names of ``core`` that the package re-exports.  They resolve on first
+# use (PEP 562), so importing the package compiles no submodule: the CLI
+# loads only the modules its command runs.
+__all__ = [
+    "Basket",
+    "BasketSyntaxError",
+    "FilterConfig",
+    "OrbifoldPair",
+    "WeightedBasket",
+    "anti_volume",
+    "delta_n",
+    "gamma",
+    "geometric_filter",
+    "l_term",
+    "parse_basket",
+    "plurigenus",
+    "plurigenus_closed",
+    "plurigenus_sequence",
+    "r_index",
+    "r_max",
+    "sigma",
+    "sigma_prime",
+]
+
+
+def __getattr__(name: str):
+    # any other name raises, so ``from reidbasket import cli`` still
+    # imports the submodule
+    if name in __all__:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from operator import add, sub
 from types import MappingProxyType
@@ -38,7 +39,9 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .canonical import unpack
 from .core import (
+    MAX_VISITED,
     Basket,
+    ClosureTruncated,
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
@@ -51,7 +54,6 @@ from .core import (
     r_index,
     r_max,
 )
-from .packing import MAX_VISITED, ClosureTruncated
 
 __all__ = [
     "ClassificationConstraints",
@@ -352,28 +354,20 @@ def _prune_factory(constraints: ClassificationConstraints):
     return prune_ok
 
 
-def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[WeightedBasket], int]:
-    """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
-    that the cuts keep, and the number of states visited.
+@lru_cache(maxsize=32)
+def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
+    """The walk's merges up to level ``top``, carrying P_{-m} for ``ms``.
 
-    Level n = 5, 6, ... chooses how many merges into each new fraction b/n
-    of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
-    terminal basket has one chain, so each leaf comes once, from its own
-    level-0 basket.  A merge adds fixed steps to the integers a state
-    carries, and its count is tried ascending up to the first cut.  Raises
-    ClosureTruncated when more than ``max_visited`` states pass the cuts.
+    A new fraction b/n of S(n) is the mediant of its Farey neighbours in
+    S(n-1) (in S(0) at n = 5), and merging them into (b, n) adds the
+    difference of the carried integers.  Returns ``(steps, ends, uses,
+    pairs)``: ``steps`` lists the merges in level order, ``(n, p, q, (b, n),
+    dgamma, dvolume, dwindow)``, and a level n with a P_{-n} window ends in a
+    marker (p = None); ``ends[n]`` is where level n ends; ``uses`` lists per
+    fraction the merges it is a parent of, with the other parent; ``pairs``
+    maps each new (b, n) to its entry.  All of it is immutable, because
+    every walk with the same ``top`` and ``ms`` shares it.
     """
-    budget = constraints.max_visited
-    ms = tuple(m for m, _, _ in _windows(constraints))
-    prune_ok = _prune_factory(constraints)
-    ceiling = _rmax_ceiling(constraints)
-    top = TOP if ceiling is None else min(ceiling, TOP)
-    # the merges in level order: a new fraction b/n of S(n) is the mediant
-    # of its Farey neighbours in S(n-1) (in S(0) at n = 5), and merging them
-    # into (b, n) adds the difference of the carried integers.  A level n
-    # with a P_{-n} window ends in a marker (p = None); ends[n] is where
-    # level n ends, and ``uses`` lists per fraction the merges it is a
-    # parent of, with the other parent
     steps: list[tuple] = []
     ends = [0] * (top + 1)
     uses: dict[tuple, list[tuple[int, tuple]]] = {}
@@ -392,6 +386,30 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         if n in ms:
             steps.append((n, None, None, None, 0, 0, ()))
         ends[n] = len(steps)
+    frozen_uses = MappingProxyType({key: tuple(value) for key, value in uses.items()})
+    return tuple(steps), tuple(ends), frozen_uses, MappingProxyType(pairs)
+
+
+def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[WeightedBasket], int]:
+    """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
+    that the cuts keep, and the number of states visited.
+
+    Level n = 5, 6, ... chooses how many merges into each new fraction b/n
+    of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
+    terminal basket has one chain, so each leaf comes once, from its own
+    level-0 basket.  A merge adds fixed steps to the integers a state
+    carries, and its count is tried ascending up to the first cut.  Raises
+    ClosureTruncated when more than ``max_visited`` states pass the cuts.
+    """
+    budget = constraints.max_visited
+    ms = tuple(m for m, _, _ in _windows(constraints))
+    prune_ok = _prune_factory(constraints)
+    ceiling = _rmax_ceiling(constraints)
+    top = TOP if ceiling is None else min(ceiling, TOP)
+    # cached: the walks of one ``classify`` call share one build
+    steps, ends, uses, new_pairs = _merge_steps(top, ms)
+    # the entries a leaf is built from: the new ones and the roots' own
+    pairs = dict(new_pairs)
     leaves: list[WeightedBasket] = []
     visited = 0
     counts: dict[tuple, int] = {}

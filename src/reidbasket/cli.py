@@ -7,6 +7,11 @@ on one stderr line), 141 stdout closed by its reader (128 + SIGPIPE, as
 ``cat`` reports it; nothing on stderr).  All output is deterministic
 byte-for-byte for a fixed command line: canonical ordering everywhere,
 no timestamps.
+
+Imports: the top level takes only the standard modules that parsing the
+command line needs.  Each ``_cmd_*`` handler imports the library names it
+runs, so ``--help`` and argparse usage errors load no library module, and
+a command compiles only the modules it uses.
 """
 
 from __future__ import annotations
@@ -14,37 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from itertools import islice
-
-from .canonical import canonical_sequence, epsilon_n, unpack
-from .classify import classify, enumerate_index_profiles, parse_constraints
-from .core import (
-    Basket,
-    BasketSyntaxError,
-    WeightedBasket,
-    _plurigenera,
-    anti_volume,
-    format_basket,
-    format_rational,
-    gamma,
-    parse_basket,
-    parse_rational,
-    plurigenus_sequence,
-    r_index,
-    r_max,
-    sigma,
-    sigma_prime,
-)
-from .packing import (
-    MAX_VISITED,
-    ClosureTruncated,
-    all_of,
-    closure,
-    coprime_only,
-    gamma_at_least,
-    volume_at_most,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -57,6 +31,14 @@ EXIT_PIPE = 141
 # process pools never beat one process on these searches, so none is started;
 # the option still parses for the command lines and scripts that pass it
 _JOBS_HELP = "accepted and ignored: every run uses one process"
+
+
+def parse_rational(text: str):
+    # the type of --gamma-min and --k3-max, which loads ``core`` only when an
+    # option is given; argparse names it in its error message
+    from . import core
+
+    return core.parse_rational(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--p1", type=int, default=0,
                         help="weight used for volume columns and --k3-max")
     p_pack.add_argument("--coprime-only", action="store_true")
-    p_pack.add_argument("--max-states", type=int, default=MAX_VISITED)
+    # None: ``_cmd_pack`` reads core.MAX_VISITED, so parsing loads no library module
+    p_pack.add_argument("--max-states", type=int, default=None)
 
     p_cls = sub.add_parser("classify", help="enumerate baskets from a constraints file")
     p_cls.add_argument("--constraints", required=True)
@@ -115,7 +98,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_rows(weighted) -> None:
+    """One line per weighted basket: basket, -K^3, r_X and r_max, tab-separated."""
+    from .core import anti_volume, format_basket, format_rational, r_index, r_max
+
+    for wb in weighted:
+        b = wb.basket
+        print(f"{format_basket(b)}\t{format_rational(anti_volume(wb))}"
+              f"\t{r_index(b)}\t{r_max(b) if len(b) else '-'}")
+
+
 def _cmd_eval(args) -> int:
+    from itertools import islice
+
+    from .core import (
+        WeightedBasket,
+        _plurigenera,
+        anti_volume,
+        format_basket,
+        format_rational,
+        gamma,
+        parse_basket,
+        r_index,
+        r_max,
+        sigma,
+        sigma_prime,
+    )
+
     if args.upto < 1:
         raise ValueError(f"--upto must be >= 1, got {args.upto}")
     basket = parse_basket(args.basket)
@@ -141,6 +150,9 @@ def _level(item: str) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from .canonical import canonical_sequence, epsilon_n, unpack
+    from .core import format_basket, parse_basket
+
     basket = parse_basket(args.basket)
     if args.levels:
         # each level on its own: a level far past stabilization costs no
@@ -165,8 +177,12 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_pack(args) -> int:
-    if args.max_states < 1:
-        raise ValueError(f"--max-states must be >= 1, got {args.max_states}")
+    from .core import MAX_VISITED, WeightedBasket, parse_basket
+    from .packing import all_of, closure, coprime_only, gamma_at_least, volume_at_most
+
+    max_states = MAX_VISITED if args.max_states is None else args.max_states
+    if max_states < 1:
+        raise ValueError(f"--max-states must be >= 1, got {max_states}")
     basket = parse_basket(args.basket)
     prune_clauses = []
     if args.gamma_min is not None:
@@ -175,11 +191,8 @@ def _cmd_pack(args) -> int:
         prune_clauses.append(volume_at_most(args.k3_max, args.p1))
     prune = all_of(*prune_clauses) if prune_clauses else None
     emit = coprime_only if args.coprime_only else None
-    result = closure(basket, prune=prune, emit=emit, max_visited=args.max_states)
-    for b in result.baskets:
-        wb = WeightedBasket(b, args.p1)
-        print(f"{format_basket(b)}\t{format_rational(anti_volume(wb))}"
-              f"\t{r_index(b)}\t{r_max(b) if len(b) else '-'}")
+    result = closure(basket, prune=prune, emit=emit, max_visited=max_states)
+    _print_rows(WeightedBasket(b, args.p1) for b in result.baskets)
     print(f"# visited {result.visited} baskets, emitted {len(result.baskets)}")
     if result.truncated:
         print("# TRUNCATED: state budget exhausted, listing is partial", file=sys.stderr)
@@ -188,6 +201,8 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify, enumerate_index_profiles, parse_constraints
+
     try:
         with open(args.constraints) as handle:
             text = handle.read()
@@ -201,15 +216,15 @@ def _cmd_classify(args) -> int:
         found = enumerate_index_profiles(args.profiles, constraints)
     else:
         found = classify(constraints)
-    for wb in found:
-        print(f"{format_basket(wb.basket)}\t{format_rational(anti_volume(wb))}"
-              f"\t{r_index(wb.basket)}\t{r_max(wb.basket) if len(wb.basket) else '-'}")
+    _print_rows(found)
     print(f"# {len(found)} basket(s)")
     return EXIT_OK
 
 
 def _cmd_criteria(args) -> int:
-    # imported here, their only user, so other subcommands start without them
+    from fractions import Fraction
+
+    from .core import WeightedBasket, parse_basket, plurigenus_sequence
     from .criteria import BranchSpec, PipelinePolicy, table_pipeline
 
     basket = parse_basket(args.basket)
@@ -288,8 +303,10 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # --help and usage errors exit here, before any library module loads
+    args = _build_parser().parse_args(argv)
+    from .core import ClosureTruncated
+
     try:
         code = _HANDLERS[args.command](args)
         # a closed pipe surfaces here rather than in the flush at exit
@@ -298,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_PIPE
-    except BasketSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ClosureTruncated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATED

@@ -32,6 +32,7 @@ __all__ = [
     "Basket",
     "WeightedBasket",
     "BasketSyntaxError",
+    "ClosureTruncated",
     "parse_basket",
     "format_basket",
     "format_rational",
@@ -212,6 +213,19 @@ class WeightedBasket(_WeightedBasketFields):
 
     def __str__(self) -> str:
         return f"({format_basket(self.basket)}; p1={self.p1})"
+
+
+# ---------------------------------------------------------------------------
+# search budget, shared by ``packing.closure`` and the ``classify`` walk
+# ---------------------------------------------------------------------------
+
+# all the classification searches are far smaller than this; a hard stop
+# with an explicit report beats an unbounded search
+MAX_VISITED = 10 ** 6
+
+
+class ClosureTruncated(RuntimeError):
+    """The visited-state budget ran out; the answer would be partial."""
 
 
 # ---------------------------------------------------------------------------

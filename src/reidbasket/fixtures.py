@@ -24,7 +24,6 @@ overridden with the ``REID_BASKET_FIXTURES`` environment variable.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -232,7 +231,7 @@ def _verify_pipeline_row(
         else:
             diff("k3", vol)
     if "rmax" in row.cells:
-        diff("rmax", r_max(row.basket))
+        diff("rmax", r_max(wb.basket))
 
     skip_derived = bool(row.flags & {"check", "cross"})
     needs_pipeline = any(c in row.cells for c in ("M", "lambda", "n1", "m0", "n2"))
@@ -306,6 +305,9 @@ def verify_manifest() -> list[str]:
     Returns a list of problems (empty means intact).  Editing golden data
     must be a deliberate act: regenerate the manifest when you do.
     """
+    # loads OpenSSL, which only this check needs
+    import hashlib
+
     directory = fixtures_dir()
     manifest = directory / "MANIFEST.sha256"
     problems: list[str] = []

@@ -18,7 +18,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import (
+    MAX_VISITED,
     Basket,
+    ClosureTruncated,
     OrbifoldPair,
     WeightedBasket,
     anti_volume,
@@ -103,11 +105,6 @@ def single_packings(basket: Basket) -> list[Basket]:
 # closure search
 # ---------------------------------------------------------------------------
 
-# all the classification closures are far smaller than this; a hard stop
-# with an explicit report beats an unbounded search
-MAX_VISITED = 10 ** 6
-
-
 class ClosureResult(NamedTuple):
     baskets: tuple[Basket, ...]
     visited: int
@@ -119,10 +116,6 @@ class ClosureResult(NamedTuple):
                 f"closure truncated after visiting {self.visited} baskets"
             )
         return self
-
-
-class ClosureTruncated(RuntimeError):
-    """The visited-state budget ran out; the answer would be partial."""
 
 
 def closure(

@@ -671,6 +671,21 @@ class TestChainWalk:
                 build()
         assert classify(c._replace(max_visited=1, p_fixed={1: 0, 2: 100})) == []
 
+    def test_merge_steps_are_built_once_per_classification(self):
+        # the merge steps depend on the ceiling and the windows alone, so the
+        # walks of the four P_{-1} share one build, and list what walks with
+        # a build of their own list
+        text = "k3=(0,1/30)"
+        steps = classify_module._merge_steps
+        steps.cache_clear()
+        found = classify(parse_constraints(f"p[1]=0..3 {text}"))
+        assert steps.cache_info()[:2] == (3, 1)
+        separate = []
+        for p1 in range(4):
+            steps.cache_clear()
+            separate += classify(parse_constraints(f"p[1]={p1} {text}"))
+        assert len({wb.p1 for wb in found}) >= 3 and found == separate
+
 
 @st.composite
 def constraint_sets(draw) -> ClassificationConstraints:

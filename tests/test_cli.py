@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -489,13 +490,37 @@ def test_huge_multiplicity_is_a_usage_error():
     assert f"'{10 ** 12}x(1,2)'" in err
 
 
-def test_cli_import_leaves_criteria_and_fixtures_unloaded():
-    code = (
-        "import sys, reidbasket.cli\n"
-        "deferred = ('reidbasket.criteria', 'reidbasket.fixtures')\n"
-        "print(sorted(m for m in deferred if m in sys.modules))\n"
-    )
+# a child that runs one command and reports what it imported; stdout and
+# stderr are swallowed so only the report is printed
+_LOADED_REPORT = """
+import contextlib, io, json, sys
+from reidbasket.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("reidbasket"))]
+                 + [m in sys.modules for m in ("fractions", "hashlib")]))
+"""
+_PARSING = ["reidbasket", "reidbasket.cli"]
+_CLASSIFYING = sorted(_PARSING + ["reidbasket.core", "reidbasket.canonical", "reidbasket.classify"])
+_VERIFYING = sorted(_CLASSIFYING + ["reidbasket.criteria", "reidbasket.fixtures"])
+
+
+@pytest.mark.parametrize("argv, code, loaded, fractions, hashlib", [
+    (["--help"], 0, _PARSING, False, False),
+    (["eval", "--basket", "(2,5)"], 2, _PARSING, False, False),
+    (["eval", "--basket", "(2,5)", "--p1", "1"], 0, sorted(_PARSING + ["reidbasket.core"]), True, False),
+    (["classify", "--constraints", str(BENCH / "inputs" / "census_p8.txt")], 0, _CLASSIFYING, True, False),
+    (["verify", "--all", "--jobs", "1"], 0, _VERIFYING, True, False),
+    (["verify", "--manifest"], 0, _VERIFYING, True, True),
+], ids=["help", "usage-error", "eval", "classify", "verify-all", "verify-manifest"])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, fractions, hashlib):
+    # without a bytecode cache every module loaded is compiled from source,
+    # so an import that a command does not use costs its start-up time
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
+        [sys.executable, "-c", _LOADED_REPORT, *argv], capture_output=True, text=True, env=src_env()
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [code, loaded, fractions, hashlib]

@@ -1,9 +1,8 @@
 """Every exported name resolves: a name deleted from a module but left in
-its ``__all__`` (or in the package's own imports) makes
+its ``__all__`` (or in the package's lazy re-exports) makes
 ``from reidbasket.<module> import *`` raise.  So does every name the bench
 tracer rebinds from outside the package."""
 
-import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -30,15 +29,28 @@ def test_all_names_resolve(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(Path(reidbasket.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, attr in imported:
-        assert hasattr(importlib.import_module(f"reidbasket.{module}"), attr), (module, attr)
+    # the package re-exports names of ``core`` lazily: each one resolves on
+    # first use to the very object ``core`` holds
+    core = importlib.import_module("reidbasket.core")
+    assert len(reidbasket.__all__) == len(set(reidbasket.__all__)) == 18
+    for attr in reidbasket.__all__:
+        assert getattr(reidbasket, attr) is getattr(core, attr), attr
+    star: dict = {}
+    exec("from reidbasket import *", star)
+    assert {name: star[name] for name in reidbasket.__all__} == {
+        name: getattr(core, name) for name in reidbasket.__all__
+    }
+    with pytest.raises(AttributeError):
+        reidbasket.no_such_name
+    from reidbasket import cli
+
+    assert cli is importlib.import_module("reidbasket.cli")
+
+
+def test_budget_names_moved_to_core_are_the_same_objects():
+    core, packing = (importlib.import_module(f"reidbasket.{name}") for name in ("core", "packing"))
+    assert packing.ClosureTruncated is core.ClosureTruncated
+    assert packing.MAX_VISITED is core.MAX_VISITED
 
 
 def test_bench_tracer_names_resolve():
