@@ -24,11 +24,12 @@ Levels 1-4 are not part of the construction and are rejected.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, delta_n
+from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, _delta
 
 __all__ = [
     "in_level_set",
@@ -120,14 +121,22 @@ def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...
     return ((qn, pn, m_low), (ql, pl, m_high))
 
 
+def _unpacked(triples: list[tuple[int, int, int]], level: int) -> list[tuple[int, int, int]]:
+    """The level-n approximation of (b, r, multiplicity) triples, as triples."""
+    return [(qb, qr, m * k) for b, r, k in triples for qb, qr, m in _unpack_entry(b, r, level)]
+
+
+def _basket(triples: list[tuple[int, int, int]]) -> Basket:
+    entries: list[OrbifoldPair] = []
+    for b, r, mult in triples:
+        entries.extend([OrbifoldPair(b, r)] * mult)
+    return Basket(entries)
+
+
 def unpack(basket: Basket, level: int) -> Basket:
     """The level-n approximation: entrywise Farey unpacking (idempotent)."""
     _check_level(level)
-    entries: list[OrbifoldPair] = []
-    for pair in basket:
-        for b, r, mult in _unpack_entry(pair.b, pair.r, level):
-            entries.extend([OrbifoldPair(b, r)] * mult)
-    return Basket(entries)
+    return _basket(_unpacked([(pair.b, pair.r, 1) for pair in basket], level))
 
 
 def epsilon_n(basket: Basket, n: int) -> int:
@@ -140,11 +149,13 @@ def epsilon_n(basket: Basket, n: int) -> int:
     """
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
-    return _epsilon(unpack(basket, 0 if n == 5 else n - 1), basket, n)
+    triples = [(pair.b, pair.r, k) for pair, k in basket.counts()]
+    return _epsilon(_unpacked(triples, 0 if n == 5 else n - 1), triples, n)
 
 
-def _epsilon(previous: Basket, basket: Basket, n: int) -> int:
-    value = delta_n(previous, n) - delta_n(basket, n)
+def _epsilon(previous: list[tuple[int, int, int]], triples: list[tuple[int, int, int]], n: int) -> int:
+    # Delta^n of the level before n minus Delta^n of the basket, on triples
+    value = _delta(previous, n) - _delta(triples, n)
     if value < 0:
         raise AssertionError(
             f"invariant violated: epsilon_{n} = {value} is negative"
@@ -160,24 +171,32 @@ class CanonicalSequence(NamedTuple):
 
 
 def canonical_sequence(basket: Basket) -> CanonicalSequence:
-    """Levels 0, 5, 6, ... up to stabilization, each unpacked once.
+    """Levels 0, 5, 6, ... up to stabilization, each built once.
 
-    epsilon_n is read off the level before n.  The walk stops at the first
-    n >= 5 whose level is the basket itself (true for every n >= r_max), so
-    level 5 is always listed; the stabilization level is 0 when level 0
-    already is the basket.
+    epsilon_n is read off the level before n, on the (b, r, multiplicity)
+    triples of ``_unpack_entry``.  An entry b/r is its own level n exactly
+    when b/r in lowest terms is a unit fraction or has a denominator of at
+    most n, so the walk stops at the first n >= 5 where that holds for
+    every entry, and lists the basket itself there; level 5 is always
+    listed.  A level equal to the one before it shares its Basket.  The
+    stabilization level is 0 when level 0 already is the basket.
     """
-    previous = unpack(basket, 0)
-    levels: list[tuple[int, Basket, int]] = [(0, previous, 0)]
-    n = 5
-    while True:
-        level = unpack(basket, n)
-        levels.append((n, level, _epsilon(previous, basket, n)))
-        if level == basket:
-            break
-        previous, n = level, n + 1
-    stabilization = 0 if levels[0][1] == basket else n
-    return CanonicalSequence(levels=tuple(levels), stabilization_level=stabilization)
+    triples = [(pair.b, pair.r, k) for pair, k in basket.counts()]
+    # the largest lowest-terms denominator of an entry that is no unit
+    # fraction, 0 when there is none
+    top = max((r // g for b, r, _ in triples if (g := math.gcd(b, r)) != b), default=0)
+    previous = _unpacked(triples, 0)
+    level = basket if not top else _basket(previous)
+    levels: list[tuple[int, Basket, int]] = [(0, level, 0)]
+    for n in range(5, max(top, 5)):
+        current = _unpacked(triples, n)
+        if current != previous:
+            level = _basket(current)
+        levels.append((n, level, _epsilon(previous, triples, n)))
+        previous = current
+    n = max(top, 5)
+    levels.append((n, basket, _epsilon(previous, triples, n)))
+    return CanonicalSequence(levels=tuple(levels), stabilization_level=n if top else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ The engine walks the same road the classification arguments do:
    n is done, since P_{-n} is then final; and r_max at most the ceiling
    the constraints put on every admitted basket, where the walk stops;
 3. re-verify every leaf of the walk against the full constraint set and
-   the geometric filter -- mandatory, not an optimization -- and sort the
-   admitted leaves of each P_{-1} once.
+   the geometric filter -- mandatory, not an optimization -- from its entry
+   counts and the gamma and -K^3 the walk carried into it, build a
+   ``Basket`` only for an admitted leaf, and sort those of each P_{-1} once.
 
 Everything is exact.  The roots come sorted by P_{-1}, so the output is
 built in (P_{-1}, basket) order, without duplicates.  Step 1 and
@@ -32,27 +33,29 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .canonical import unpack
+from .canonical import _basket, unpack
 from .core import (
+    FILTER_HORIZON,
     MAX_VISITED,
     Basket,
     ClosureTruncated,
     FilterConfig,
     OrbifoldPair,
     WeightedBasket,
-    _plurigenera,
+    _beyond,
+    _filter,
+    _pair_terms,
     _scaled_gamma,
     _scaled_volume,
-    geometric_filter,
+    _table,
     parse_rational,
     plurigenus_sequence,
     r_index,
-    r_max,
 )
 
 __all__ = [
@@ -121,7 +124,8 @@ class ClassificationConstraints(_ConstraintFields):
     ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
     integer ranges); each m is given in one of the two.  P_{-1} must be
     pinned or finitely ranged: an unbounded constraint set is rejected.
-    ``max_visited``, the walk's state budget, is at least 1.
+    ``max_visited``, the walk's state budget, is at least 1, and
+    ``tail_max_index`` at least 4: the level-0 indices 2..4 are always used.
     Volume bounds carry their own strictness flags so open intervals like
     (0, 1/30) are representable.
     """
@@ -135,6 +139,8 @@ class ClassificationConstraints(_ConstraintFields):
             raise ValueError(f"P_{{-m}} for m = {both[0]} is both in p_fixed and in p_ranges")
         if self.max_visited < 1:
             raise ValueError(f"max_visited must be >= 1, got {self.max_visited}")
+        if self.tail_max_index < 4:
+            raise ValueError(f"tail_max_index must be >= 4, got {self.tail_max_index}")
         return self
 
     @classmethod
@@ -182,16 +188,17 @@ class ClassificationConstraints(_ConstraintFields):
         return True
 
     def indices_ok(self, basket: Basket) -> bool:
-        if self.allowed_indices is not None:
-            if any(p.r not in self.allowed_indices for p in basket):
-                return False
+        rs = [p.r for p in basket]
+        return self._indices_ok(rs, math.lcm(*rs))
+
+    def _indices_ok(self, rs: list[int], rx: int) -> bool:
+        """The index constraints on the entries' indices ``rs`` and r_X."""
+        if self.allowed_indices is not None and not self.allowed_indices.issuperset(rs):
+            return False
         if self.rmax_range is not None:
-            if not len(basket):
-                return False
             lo, hi = self.rmax_range
-            if not lo <= r_max(basket) <= hi:
+            if not rs or not lo <= max(rs) <= hi:
                 return False
-        rx = r_index(basket)
         if self.rx_exact is not None and rx != self.rx_exact:
             return False
         if self.rx_max is not None and rx > self.rx_max:
@@ -199,35 +206,45 @@ class ClassificationConstraints(_ConstraintFields):
         return True
 
     def admits(self, wb: WeightedBasket) -> bool:
-        """Full re-verification of one candidate (the mandatory final pass).
-
-        Compares integers only: -K^3 as its numerator over r_X and the
-        P_{-m} themselves, which are integers for an integer P_{-1}.
-        """
-        rx = r_index(wb.basket)
-        if not self.volume_ok(_scaled_volume(wb, rx), rx):
-            return False
-        if not self.indices_ok(wb.basket):
-            return False
+        """Full re-verification of one candidate (the mandatory final pass)."""
+        basket = wb.basket
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
             # r >= 5 entries of its own level-0 unpacking
             lo, hi = self.sigma5
-            s5 = sum(1 for p in unpack(wb.basket, 0) if p.r >= 5)
+            s5 = sum(1 for p in unpack(basket, 0) if p.r >= 5)
             if not lo <= s5 <= hi:
                 return False
+        rx = r_index(basket)
+        triples = [(p.b, p.r, k) for p, k in basket.counts()]
+        return self._admits(wb.p1, triples, _scaled_gamma(basket, rx), _scaled_volume(wb, rx), rx)
+
+    def _admits(
+        self, p1: int, triples: list[tuple[int, int, int]], gamma: int, volume: int, den: int,
+    ) -> bool:
+        """``admits`` but for sigma5, on integers: the (b, r, multiplicity)
+        ``triples`` of the basket, and gamma and -K^3 as numerators over
+        ``den``.  The plurigenera come from one table, which the filter
+        reads too, carried on by the recursion to a constrained m above it.
+        """
+        if not self.volume_ok(volume, den):
+            return False
+        rs = [r for _, r, _ in triples]
+        rx = math.lcm(*rs)
+        if not self._indices_ok(rs, rx):
+            return False
+        terms = []
+        for b, r, k in triples:
+            terms += [_pair_terms(b, r)] * k
+        p = seq = _table(p1, terms)
         ms = self.constrained_ms()
-        if ms:
-            for m, p in _plurigenera(wb):
-                if m in self.p_fixed or m in self.p_ranges:
-                    lo, hi = self.p_bounds(m)
-                    if lo is not None and p < lo:
-                        return False
-                    if hi is not None and p > hi:
-                        return False
-                if m == ms[-1]:
-                    break
-        return geometric_filter(wb, self.filters).ok
+        if ms and ms[-1] > FILTER_HORIZON:
+            seq = p + [v for _, v in islice(_beyond(p1, triples, p), ms[-1] - FILTER_HORIZON)]
+        for m in ms:
+            lo, hi = self.p_bounds(m)
+            if not lo <= seq[m] <= hi:
+                return False
+        return _filter(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
 
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
@@ -242,7 +259,7 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
     ranges, and its r >= 5 count within ``sigma5``.  Each candidate is one
     basket, so the roots are distinct; they come sorted by (P_{-1}, basket).
     """
-    indices = tuple(range(2, max(min(constraints.tail_max_index, 24), 4) + 1))
+    indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
     pairs = {r: OrbifoldPair(1, r) for r in indices}
     (lo2, hi2), (lo3, hi3), (lo4, hi4) = (
         (max(lo or 0, 0), math.inf if hi is None else hi)
@@ -360,18 +377,17 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
 
     A new fraction b/n of S(n) is the mediant of its Farey neighbours in
     S(n-1) (in S(0) at n = 5), and merging them into (b, n) adds the
-    difference of the carried integers.  Returns ``(steps, ends, uses,
-    pairs)``: ``steps`` lists the merges in level order, ``(n, p, q, (b, n),
-    dgamma, dvolume, dwindow)``, and a level n with a P_{-n} window ends in a
-    marker (p = None); ``ends[n]`` is where level n ends; ``uses`` lists per
-    fraction the merges it is a parent of, with the other parent; ``pairs``
-    maps each new (b, n) to its entry.  All of it is immutable, because
-    every walk with the same ``top`` and ``ms`` shares it.
+    difference of the carried integers.  Returns ``(steps, ends, uses)``:
+    ``steps`` lists the merges in level order, ``(n, p, q, (b, n), dgamma,
+    dvolume, dwindow)``, and a level n with a P_{-n} window ends in a marker
+    (p = None); ``ends[n]`` is where level n ends; ``uses`` lists per
+    fraction the merges it is a parent of, with the other parent.  All of
+    it is immutable, because every walk with the same ``top`` and ``ms``
+    shares it.
     """
     steps: list[tuple] = []
     ends = [0] * (top + 1)
     uses: dict[tuple, list[tuple[int, tuple]]] = {}
-    pairs: dict[tuple, OrbifoldPair] = {}
     for n in range(5, top + 1):
         for b in range(2, (n + 1) // 2):
             if math.gcd(b, n) == 1:
@@ -381,18 +397,19 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
                 p, q = ((pair.b, pair.r) for pair in parts)
                 uses.setdefault(p, []).append((len(steps), q))
                 uses.setdefault(q, []).append((len(steps), p))
-                pairs[b, n] = merged.entries[0]
                 steps.append((n, p, q, (b, n), g1 - g0, v1 - v0, tuple(map(sub, w1, w0))))
         if n in ms:
             steps.append((n, None, None, None, 0, 0, ()))
         ends[n] = len(steps)
     frozen_uses = MappingProxyType({key: tuple(value) for key, value in uses.items()})
-    return tuple(steps), tuple(ends), frozen_uses, MappingProxyType(pairs)
+    return tuple(steps), tuple(ends), frozen_uses
 
 
-def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[WeightedBasket], int]:
+def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
     """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
-    that the cuts keep, and the number of states visited.
+    that the cuts keep, and the number of states visited.  A leaf is its
+    (b, r, multiplicity) triples with the gamma and -K^3 numerators over S
+    that the walk carried into it.
 
     Level n = 5, 6, ... chooses how many merges into each new fraction b/n
     of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
@@ -407,10 +424,8 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
     # cached: the walks of one ``classify`` call share one build
-    steps, ends, uses, new_pairs = _merge_steps(top, ms)
-    # the entries a leaf is built from: the new ones and the roots' own
-    pairs = dict(new_pairs)
-    leaves: list[WeightedBasket] = []
+    steps, ends, uses = _merge_steps(top, ms)
+    leaves: list[tuple] = []
     visited = 0
     counts: dict[tuple, int] = {}
 
@@ -447,17 +462,16 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
             k = counts.pop(new, 0)
             counts[p] += k
             counts[q] += k
-        leaves.append(WeightedBasket(Basket([pairs[key] for key, k in counts.items() for _ in range(k)]), p1))
+        leaves.append(([(b, r, k) for (b, r), k in counts.items() if k], gamma, volume))
 
     for root in roots:
-        p1, entries = root.p1, root.basket.entries
+        entries = root.basket.entries
         state = _chain_state(root, ms)
         # the root fixes P_{-1}..P_{-4}
         if (ceiling is not None and entries and entries[-1].r > ceiling) or not prune_ok(*state, 4):
             continue
         counts.clear()
         for pair in entries:
-            pairs[pair.b, pair.r] = pair
             counts[pair.b, pair.r] = counts.get((pair.b, pair.r), 0) + 1
         level = min(sum(p.r for p in entries), top)
         end = ends[level] if level >= 5 else 0
@@ -470,17 +484,21 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """All weighted baskets meeting the constraints and the geometric filter.
 
-    One chain walk per P_{-1} up from its level-0 roots (``_walk``); each
-    leaf is re-verified by ``admits``, and the admitted ones are sorted.
+    One chain walk per P_{-1} up from its level-0 roots (``_walk``).  Each
+    leaf is re-verified from its integers by ``admits``' own check; its
+    sigma5 is its root's, which ``enumerate_b0`` checked.  Only the
+    admitted leaves become baskets, and they are sorted.
     A basket is listed when it is admitted and its own level-0 basket is a
     root, which, under the gamma filter, every admitted basket is (gamma(B)
     <= gamma(B^(0))).  Raises ClosureTruncated if the visited budget runs
     out: a partial classification is never returned silently.
     """
     found: list[WeightedBasket] = []
-    for _, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
+    for p1, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
         leaves, _ = _walk([wb for wb, _ in roots], constraints)
-        found += sorted((wb for wb in leaves if constraints.admits(wb)), key=lambda wb: wb.basket.sort_key())
+        admitted = (_basket(triples) for triples, gamma, volume in leaves
+                    if constraints._admits(p1, triples, gamma, volume, S))
+        found += (WeightedBasket(basket, p1) for basket in sorted(admitted, key=Basket.sort_key))
     return found
 
 
@@ -584,6 +602,13 @@ def _parse_int_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_tail_index(text: str) -> int:
+    value = int(text)
+    if value < 4:
+        raise ValueError(f"tailmax must be >= 4 (the indices 2..4 are always used), got {value}")
+    return value
+
+
 def _parse_index_set(text: str) -> frozenset[int]:
     """The indices of "2,3,5}", the text after "indices={"."""
     return frozenset(int(x) for x in text.removesuffix("}").split(",") if x)
@@ -653,7 +678,7 @@ def parse_constraints(text: str) -> ClassificationConstraints:
         elif token.startswith("indices={") and token.endswith("}"):
             kwargs["allowed_indices"] = _token_value(token, "indices={", _parse_index_set)
         elif token.startswith("tailmax="):
-            kwargs["tail_max_index"] = _token_value(token, "tailmax=", int)
+            kwargs["tail_max_index"] = _token_value(token, "tailmax=", _parse_tail_index)
         elif token.startswith("filters="):
             body = token[len("filters="):]
             if body == "default":
@@ -662,6 +687,10 @@ def parse_constraints(text: str) -> ClassificationConstraints:
                 filters = FilterConfig.none()
             else:
                 enabled = {f.strip() for f in body.split(",") if f.strip()}
+                if not enabled:
+                    raise ValueError(
+                        f"bad constraints token {token!r}: no filter names (filters=none selects no check)"
+                    )
                 unknown = enabled - set(_FILTER_FIELDS)
                 if unknown:
                     raise ValueError(f"unknown filter names {sorted(unknown)}")

@@ -10,11 +10,16 @@ Everything here is exact; there is deliberately no floating point anywhere
 in this module.  The plurigenus kernel works on integers: for an integer
 P_{-1} every P_{-m} is an integer, and so is every step of the recursion,
 so ``plurigenus``, ``plurigenus_sequence`` and ``delta_n`` return ``int``.
-The volume -K^3, sigma' and gamma are integer numerators over r_X, so the
-search predicates of ``classify`` compare integers only; they are returned
-as one ``Fraction`` each.  ``plurigenus_closed`` evaluates the
-Riemann-Roch closed form in ``Fraction``s as the independent oracle for
-that kernel.
+Summed from P_{-1}, the recursion's terms split into a part fixed by
+P_{-1} and one part per basket entry, so each pair (b, r) keeps a bounded,
+memoized table of its share of P_{-1} .. P_{-FILTER_HORIZON}, and
+P_{-m} up to the horizon is a column sum of the entries' tables; past the
+horizon the recursion carries on from P_{-FILTER_HORIZON}.  The geometric
+filter runs on integers too (``_filter``), so ``classify`` can check a
+candidate from the integers it carries.  The volume -K^3, sigma' and gamma
+are integer numerators over r_X, and are returned as one ``Fraction`` each.
+``plurigenus_closed`` evaluates the Riemann-Roch closed form in
+``Fraction``s as the independent oracle for that kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import attrgetter
+from itertools import accumulate, islice, repeat
+from operator import add, attrgetter, ge, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -422,17 +427,61 @@ def r_max(basket: Basket) -> int:
 # they are kept separate on purpose as mutual oracles.
 # ---------------------------------------------------------------------------
 
-def _plurigenera(wb: WeightedBasket) -> Iterator[tuple[int, int]]:
-    """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end."""
-    p1, sig = wb.p1, sigma(wb.basket)
-    pairs = [(pair.b, pair.r, k) for pair, k in wb.basket.counts()]
-    p = p1
-    yield 1, p
-    m = 1
+# P_{-1} .. P_{-FILTER_HORIZON} are the plurigenera the geometric filter reads,
+# and the span of the per-pair table below
+FILTER_HORIZON = 24
+
+# The bound of the memoized per-pair helpers (here and in ``canonical``).
+# Every coprime pair with r <= 24 (about 90 of them) at n <= 24, or at the
+# 21 canonical levels 0, 5..24, is 900-2200 keys per helper, so this holds
+# that working set with room to spare while a long session cannot grow it.
+PAIR_CACHE_SIZE = 4096
+
+# Summed from P_{-1}, the recursion reads
+#   P_{-m} = p1 U[m] + V[m] + sum over entries (b, r) of T_{b,r}[m]
+# with U[m] = sum_{j<=m} j^2, V[m] = sum_{2<=j<=m} (2 - 3 j^2), and the
+# per-pair table T_{b,r}[m] = sum_{j<=m} (b j(j-1)/2 - Delta^j(b, r)),
+# since sigma is the sum of the b.  Index m = 0 holds 0 in all three.
+_U = tuple(m * (m + 1) * (2 * m + 1) // 6 for m in range(FILTER_HORIZON + 1))
+_V = tuple(2 * (m - 1) - 3 * (_U[m] - 1) if m else 0 for m in range(FILTER_HORIZON + 1))
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair_terms(b: int, r: int) -> tuple[int, ...]:
+    """T_{b,r}[0..FILTER_HORIZON]: one pair's share of every P_{-m}."""
+    total, out = 0, [0]
+    for j in range(1, FILTER_HORIZON + 1):
+        total += b * (j * (j - 1) // 2) - _delta(((b, r, 1),), j)
+        out.append(total)
+    return tuple(out)
+
+
+def _table(p1: int, terms: list[tuple[int, ...]]) -> list[int]:
+    """[0, P_{-1}, ..., P_{-FILTER_HORIZON}] from the ``_pair_terms`` of every
+    entry, a pair's table repeated once per entry."""
+    return list(map(sum, zip(map(add, map(mul, _U, repeat(p1)), _V), *terms)))
+
+
+def _basket_terms(basket: Basket) -> list[tuple[int, ...]]:
+    return [_pair_terms(p.b, p.r) for p in basket.entries]
+
+
+def _beyond(p1: int, pairs: list[tuple[int, int, int]], table: list[int]) -> Iterator[tuple[int, int]]:
+    """(m, P_{-m}) for m = FILTER_HORIZON + 1, ... without end: the recursion
+    carried on from the table over (b, r, multiplicity) triples."""
+    sig = sum(b * k for b, _, k in pairs)
+    m, p = FILTER_HORIZON, table[FILTER_HORIZON]
     while True:
         m += 1
         p += m * m * (p1 - 3) + sig * (m * (m - 1) // 2) + 2 - _delta(pairs, m)
         yield m, p
+
+
+def _plurigenera(wb: WeightedBasket) -> Iterator[tuple[int, int]]:
+    """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end."""
+    table = _table(wb.p1, _basket_terms(wb.basket))
+    yield from islice(enumerate(table), 1, None)
+    yield from _beyond(wb.p1, [(pair.b, pair.r, k) for pair, k in wb.basket.counts()], table)
 
 
 def plurigenus(wb: WeightedBasket, m: int) -> int:
@@ -451,16 +500,11 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:
     """[0, P_{-1}, ..., P_{-upto}] computed in one sweep (index = m)."""
     if upto < 1:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
+    if upto <= FILTER_HORIZON:
+        return _table(wb.p1, _basket_terms(wb.basket))[:upto + 1]
     seq = [0]
     seq.extend(p for _, p in islice(_plurigenera(wb), upto))
     return seq
-
-
-# The bound of the memoized per-pair helpers (here and in ``canonical``).
-# Every coprime pair with r <= 24 (about 90 of them) at n <= 24, or at the
-# 21 canonical levels 0, 5..24, is 900-2200 keys per helper, so this holds
-# that working set with room to spare while a long session cannot grow it.
-PAIR_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -490,10 +534,6 @@ def plurigenus_closed(basket: Basket, k3: Fraction, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # geometric filter
 # ---------------------------------------------------------------------------
-
-# P_{-1} .. P_{-FILTER_HORIZON} are the plurigenera the geometric filter reads
-FILTER_HORIZON = 24
-
 
 class FilterConfig(NamedTuple):
     """Which geometric constraints to test, each individually toggleable.
@@ -543,61 +583,72 @@ class FilterResult(NamedTuple):
         return self.ok
 
 
-def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
-    """Run the selected geometric checks; failures are reported in check order."""
-    # every check compares integers: the volume and gamma as numerators over
-    # r_X, and the P_{-m} themselves; a Fraction is built only to word a failure
+# for j = 2..FILTER_HORIZON, the position of d_{j//2} in the increments below
+_HALVES = itemgetter(*(j // 2 - 1 for j in range(2, FILTER_HORIZON + 1)))
+
+
+def _superadditivity_failure(p: list[int]) -> tuple[int, int] | None:
+    """The first (m, n), m <= n, with P_{-m}, P_{-n} > 0 and P_{-m-n} <
+    P_{-m} + P_{-n} - 1, or None.
+
+    One C-level pass decides most baskets.  With d_k = P_{-k} - P_{-(k-1)},
+    d_1 lowered by one, d_j >= max(d_1, ..., d_{j//2}) for every j >= 2
+    gives P_{-m-n} - P_{-n} = d_{n+1} + ... + d_{n+m} >= d_1 + ... + d_m =
+    P_{-m} - 1 for every m <= n.  Only where that fails does the ordered
+    scan run; it skips every m with P_{-m} <= 0.
+    """
+    d = list(map(sub, p[1:], p[:-1]))
+    d[0] -= 1
+    if all(map(ge, d[1:], _HALVES(list(accumulate(d, max))))):
+        return None
+    return next((
+        (m, n) for m in range(1, FILTER_HORIZON) if p[m] > 0
+        for n in range(m, FILTER_HORIZON - m + 1) if p[n] > 0 and p[m + n] < p[m] + p[n] - 1
+    ), None)
+
+
+def _filter(config: FilterConfig, volume: int, gamma: int, den: int, rx: int, rmax: int,
+            p: list[int]) -> FilterResult:
+    """``geometric_filter`` on integers: -K^3 and gamma as numerators over
+    ``den``, r_X, r_max (0 for the empty basket) and p = [0, P_{-1}, ...,
+    P_{-FILTER_HORIZON}].  A Fraction is built only to word a failure."""
     failures: list[str] = []
-    basket = wb.basket
-    rx = r_index(basket)
-    vol = _scaled_volume(wb, rx)
 
     def k3() -> str:
-        return format_rational(Fraction(vol, rx))
+        return format_rational(Fraction(volume, den))
 
-    if config.volume_positive and not vol > 0:
+    if config.volume_positive and not volume > 0:
         failures.append(f"volume_positive: -K^3 = {k3()} <= 0")
-    if config.min_volume and not 330 * vol >= rx:
+    if config.min_volume and not 330 * volume >= den:
         failures.append(f"min_volume: -K^3 = {k3()} < 1/330")
-    if config.gamma_nonneg:
-        g = _scaled_gamma(basket, rx)
-        if g < 0:
-            failures.append(f"gamma_nonneg: gamma = {format_rational(Fraction(g, rx))} < 0")
-    if config.rmax_le_24 and len(basket) and r_max(basket) > 24:
-        failures.append(f"rmax_le_24: r_max = {r_max(basket)}")
+    if config.gamma_nonneg and gamma < 0:
+        failures.append(f"gamma_nonneg: gamma = {format_rational(Fraction(gamma, den))} < 0")
+    if config.rmax_le_24 and rmax > 24:
+        failures.append(f"rmax_le_24: r_max = {rmax}")
     if config.index_bound:
         if rx > 660 and rx != 840:
             failures.append(f"index_bound: r_X = {rx}")
-        elif rx == 840 and r_max(basket) != 8:
-            failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {r_max(basket)}")
-
-    p = [0]
-    p.extend(v for _, v in islice(_plurigenera(wb), FILTER_HORIZON))
-
-    if config.integrality:
-        for m in range(1, FILTER_HORIZON + 1):
-            if p[m] < 0:
-                failures.append(f"integrality: P[-{m}] = {p[m]}")
-                break
-    if config.p_positive_from_6:
-        for m in range(6, FILTER_HORIZON + 1):
-            if p[m] <= 0:
-                failures.append(f"p_positive_from_6: P[-{m}] = {p[m]}")
-                break
+        elif rx == 840 and rmax != 8:
+            failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {rmax}")
+    if config.integrality and min(p) < 0:
+        m = next(m for m, v in enumerate(p) if v < 0)
+        failures.append(f"integrality: P[-{m}] = {p[m]}")
+    if config.p_positive_from_6 and min(p[6:]) <= 0:
+        m = next(m for m in range(6, FILTER_HORIZON + 1) if p[m] <= 0)
+        failures.append(f"p_positive_from_6: P[-{m}] = {p[m]}")
     if config.p8_at_least_2 and p[8] < 2:
         failures.append(f"p8_at_least_2: P[-8] = {p[8]}")
-    if config.superadditivity:
-        done = False
-        for m in range(1, FILTER_HORIZON):
-            if done:
-                break
-            for n in range(m, FILTER_HORIZON - m + 1):
-                if p[m] > 0 and p[n] > 0 and p[m + n] < p[m] + p[n] - 1:
-                    failures.append(
-                        f"superadditivity: P[-{m + n}] = {p[m + n]} "
-                        f"< P[-{m}] + P[-{n}] - 1"
-                    )
-                    done = True
-                    break
-
+    if config.superadditivity and (pair := _superadditivity_failure(p)):
+        m, n = pair
+        failures.append(f"superadditivity: P[-{m + n}] = {p[m + n]} < P[-{m}] + P[-{n}] - 1")
     return FilterResult(ok=not failures, failures=tuple(failures))
+
+
+def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
+    """Run the selected geometric checks; failures are reported in check order."""
+    basket = wb.basket
+    rx = r_index(basket)
+    return _filter(
+        config, _scaled_volume(wb, rx), _scaled_gamma(basket, rx), rx, rx,
+        r_max(basket) if len(basket) else 0, _table(wb.p1, _basket_terms(basket)),
+    )

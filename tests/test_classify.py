@@ -319,6 +319,15 @@ class TestUniverseOracle:
         assert scan, c
         assert classify(c) == scan
 
+    def test_leaf_check_is_admits_on_the_sets(self, universe_sets):
+        rejecting = 0
+        for c in universe_sets:
+            rejected, admitted = leaf_verdicts(c)
+            assert admitted == len(classify(c)), c
+            rejecting += rejected > 0
+        # rejected leaves included: most sets' walks leave some
+        assert rejecting >= UNIVERSE_SETS // 2, rejecting
+
 
 class TestIndexProfiles:
     def test_table16(self):
@@ -445,7 +454,7 @@ class TestConstraintsText:
 
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "sigma5=x", "rmax=a..3", "rmax=", "rx=abc", "rx<=abc",
-        "indices={2,x}", "tailmax=abc",
+        "indices={2,x}", "tailmax=abc", "tailmax=3", "tailmax=0", "filters=", "filters=,",
     ])
     def test_malformed_value_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
@@ -498,14 +507,37 @@ def roots_by_p1(constraints) -> list[list[WeightedBasket]]:
     return list(roots.values())
 
 
+def built_leaves(leaves: list[tuple], p1: int) -> list[tuple[WeightedBasket, tuple]]:
+    """``_walk``'s leaf states, each with the weighted basket built from its
+    (b, r, multiplicity) triples."""
+    return [
+        (WeightedBasket(Basket.of(*((b, r) for b, r, k in leaf[0] for _ in range(k))), p1), leaf)
+        for leaf in leaves
+    ]
+
+
 def walk_by_p1(constraints) -> tuple[list[WeightedBasket], int]:
-    """``_walk`` over the roots of ``constraints``, one P_{-1} at a time."""
+    """``_walk`` over the roots of ``constraints``, one P_{-1} at a time:
+    the leaves as weighted baskets, and the states visited."""
     leaves, visited = [], 0
     for group in roots_by_p1(constraints):
         found, states = _walk(group, constraints)
-        leaves += found
+        leaves += (wb for wb, _ in built_leaves(found, group[0].p1))
         visited += states
     return leaves, visited
+
+
+def leaf_verdicts(constraints) -> tuple[int, int]:
+    """On every leaf state of the walk, ``classify``'s check from the
+    carried integers agrees with ``admits`` on the built weighted basket;
+    returns the counts of (rejected, admitted) leaves."""
+    verdicts = [0, 0]
+    for group in roots_by_p1(constraints):
+        for wb, (triples, gamma, volume) in built_leaves(_walk(group, constraints)[0], group[0].p1):
+            got = constraints._admits(wb.p1, triples, gamma, volume, S)
+            assert got == constraints.admits(wb), (constraints, str(wb))
+            verdicts[got] += 1
+    return verdicts[0], verdicts[1]
 
 
 class TestChainWalk:
@@ -607,38 +639,45 @@ class TestChainWalk:
             def recording(gamma, volume, window, final):
                 ok = prune_ok(gamma, volume, window, final)
                 if ok:
-                    events.append((gamma, volume, window))
+                    events.append((final, gamma, volume, window))
                 return ok
 
             return recording
-
-        def leaf(basket, p1):
-            # the walk builds weighted baskets before its first cut too, for
-            # its merge steps; from the first cut on, they are its leaves
-            wb = WeightedBasket(basket, p1)
-            if events:
-                events.append(wb)
-            return wb
 
         found = classify(constraints)
         groups = roots_by_p1(constraints)
         monkeypatch.setattr(classify_module, "_windows", every_window)
         assert classify(constraints) == found
         monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
-        monkeypatch.setattr(classify_module, "WeightedBasket", leaf)
         checked = 0
-        for group in groups:
+        for root in (root for group in groups for root in group):
+            # one root at a time: each leaf follows the one check at the
+            # root's last level (at 4, the root itself, below level 5) that
+            # passes with the leaf's state, and those come in leaf order
             events.clear()
-            leaves, _ = _walk(group, constraints)
-            carried = None
-            for event in events:
-                if isinstance(event, WeightedBasket):
-                    assert _chain_state(event, ms) == carried, str(event)
-                    checked += 1
-                else:
-                    carried = event
-            assert sum(isinstance(event, WeightedBasket) for event in events) == len(leaves)
+            leaves = built_leaves(_walk([root], constraints)[0], root.p1)
+            if not leaves:
+                continue
+            last = max(final for final, *_ in events)
+            carried = [state for final, *state in events if final == last]
+            assert len(carried) == len(leaves)
+            for (wb, (_, gamma, volume)), (g, v, window) in zip(leaves, carried):
+                assert (gamma, volume) == (g, v)
+                assert _chain_state(wb, ms) == (gamma, volume, window), str(wb)
+                checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("text, count", [
+        *zip(CENSUS_TEXTS, (293, 3, 5)),
+        ("p[1]=1", 5262),
+        # constrained P_{-m} above the table's horizon 24, counted before the
+        # table kernel
+        ("p[1]=1 p[30]=5..100000", 5262),
+        ("p[1]=1 p[2]=1 p[25]=0..100000", 826),
+    ])
+    def test_leaf_check_is_admits_on_the_census_sets(self, text, count):
+        rejected, admitted = leaf_verdicts(parse_constraints(text))
+        assert rejected > 0 and admitted == len(classify(parse_constraints(text))) == count
 
     def test_leaves_are_the_universe_each_once(self, bench_universe):
         # from every root at P_{-1} = 3 under the gamma filter alone, the
@@ -670,6 +709,14 @@ class TestChainWalk:
             with pytest.raises(ValueError, match=f"max_visited must be >= 1, got {budget}"):
                 build()
         assert classify(c._replace(max_visited=1, p_fixed={1: 0, 2: 100})) == []
+
+    @pytest.mark.parametrize("tail", [3, 0, -1])
+    def test_tail_index_below_four_is_rejected(self, tail):
+        # the level-0 indices 2..4 are always used, so a lower tailmax would
+        # silently act as 4
+        with pytest.raises(ValueError, match=f"tail_max_index must be >= 4, got {tail}"):
+            ClassificationConstraints(p_fixed={1: 0}, tail_max_index=tail)
+        assert classify(ClassificationConstraints(p_fixed={1: 0}, tail_max_index=4))
 
     def test_merge_steps_are_built_once_per_classification(self):
         # the merge steps depend on the ceiling and the windows alone, so the

@@ -204,7 +204,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "rmax=a..3", "rx=abc", "rx<=abc", "indices={2,x}", "tailmax=abc",
-        "p[1]=-1", "p[1]=-1..2",
+        "tailmax=3", "filters=", "filters=,", "p[1]=-1", "p[1]=-1..2",
     ])
     def test_malformed_token_is_usage_error(self, tmp_path, token):
         path = tmp_path / "c.txt"

@@ -31,6 +31,7 @@ from reidbasket.core import (
     Basket,
     FilterConfig,
     WeightedBasket,
+    _superadditivity_failure,
     anti_volume,
     delta_n,
     format_rational,
@@ -167,8 +168,12 @@ def seeded_weighted_baskets(
 
 class TestRecursion:
     def test_sequence_and_delta_match_fraction_recursion(self):
-        for wb in seeded_weighted_baskets(31, 150, coprime=False):
-            assert plurigenus_sequence(wb, 30) == reference_sequence(wb, 30)
+        # the per-pair table up to the horizon 24 and the recursion after it,
+        # on non-coprime pairs with r up to 30
+        for wb in seeded_weighted_baskets(31, 150, coprime=False, rmax=30):
+            reference = reference_sequence(wb, 40)
+            assert plurigenus_sequence(wb, 40) == reference
+            assert [plurigenus_sequence(wb, m) for m in (1, 8, 24)] == [reference[:m + 1] for m in (1, 8, 24)]
             for n in (2, 3, 7, 29):
                 assert delta_n(wb.basket, n) == reference_delta(wb.basket, n)
 
@@ -199,6 +204,26 @@ class TestGeometricFilter:
         assert seen == set(SINGLE_CHECKS)
         assert passed > 0
         assert {wb.p1 for wb in cases} == {0, 1, 2, 3}
+
+    def test_superadditivity_one_pass_matches_the_ordered_scan(self, bench_universe):
+        # the one-pass test on the increments is only sufficient: where it
+        # fails the ordered scan decides, and both must give the first failing
+        # (m, n) of the plain scan over every pair
+        outcomes = {"one pass": 0, "scan holds": 0, "fails": 0}
+        for wb in [WeightedBasket(b, p1) for b in bench_universe[::4] for p1 in range(4)] + (
+            seeded_weighted_baskets(34, 300, coprime=False, rmax=30)
+        ):
+            p = plurigenus_sequence(wb, 24)
+            expected = next((
+                (m, n) for m in range(1, 24) for n in range(m, 25 - m)
+                if p[m] > 0 and p[n] > 0 and p[m + n] < p[m] + p[n] - 1
+            ), None)
+            assert _superadditivity_failure(p) == expected, str(wb)
+            d = [p[k] - p[k - 1] - (k == 1) for k in range(1, 25)]
+            one_pass = all(d[j - 1] >= max(d[:j // 2]) for j in range(2, 25))
+            assert not (one_pass and expected)
+            outcomes["fails" if expected else "one pass" if one_pass else "scan holds"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestFirstNotPencil:
