@@ -123,11 +123,16 @@ class ClassificationConstraints(_ConstraintFields):
 
     ``p_fixed`` pins anti-plurigenera, ``p_ranges`` bounds them (closed
     integer ranges); each m is given in one of the two.  P_{-1} must be
-    pinned or finitely ranged: an unbounded constraint set is rejected.
-    ``max_visited``, the walk's state budget, is at least 1, and
-    ``tail_max_index`` at least 4: the level-0 indices 2..4 are always used.
-    Volume bounds carry their own strictness flags so open intervals like
-    (0, 1/30) are representable.
+    pinned or finitely ranged: an unbounded constraint set is rejected
+    when it is searched.  Volume bounds carry their own strictness flags
+    so open intervals like (0, 1/30) are representable.
+
+    The record holds every rule on its values, and checks them when it is
+    built, by ``_replace`` too: each m is at least 1, the ranges of P_{-m},
+    ``sigma5`` and ``rmax_range`` are non-empty, P_{-1} is at least 0,
+    ``tail_max_index`` is at least 4 (the level-0 indices 2..4 are always
+    used) and ``max_visited``, the state budget of one ``classify`` call,
+    at least 1.
     """
 
     __slots__ = ()
@@ -137,6 +142,17 @@ class ClassificationConstraints(_ConstraintFields):
         both = sorted(set(self.p_fixed) & set(self.p_ranges))
         if both:
             raise ValueError(f"P_{{-m}} for m = {both[0]} is both in p_fixed and in p_ranges")
+        ms = self.constrained_ms()
+        if ms and ms[0] < 1:
+            raise ValueError(f"P_{{-m}} needs m >= 1, got m = {ms[0]}")
+        ranges = [(f"P_{{-{m}}}", self.p_bounds(m)) for m in ms]
+        ranges += [(name, getattr(self, name)) for name in ("sigma5", "rmax_range")]
+        for name, bounds in ranges:
+            if bounds is not None and bounds[0] > bounds[1]:
+                raise ValueError("empty range {}..{} for {}".format(*bounds, name))
+        p1_lo = self.p_bounds(1)[0]
+        if p1_lo is not None and p1_lo < 0:
+            raise ValueError(f"P_{{-1}} must be >= 0, got {p1_lo}")
         if self.max_visited < 1:
             raise ValueError(f"max_visited must be >= 1, got {self.max_visited}")
         if self.tail_max_index < 4:
@@ -186,10 +202,6 @@ class ClassificationConstraints(_ConstraintFields):
             if c > 0 or (c == 0 and self.k3_max_strict):
                 return False
         return True
-
-    def indices_ok(self, basket: Basket) -> bool:
-        rs = [p.r for p in basket]
-        return self._indices_ok(rs, math.lcm(*rs))
 
     def _indices_ok(self, rs: list[int], rx: int) -> bool:
         """The index constraints on the entries' indices ``rs`` and r_X."""
@@ -405,7 +417,9 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     return tuple(steps), tuple(ends), frozen_uses
 
 
-def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
+def _walk(
+    roots: list[WeightedBasket], constraints: ClassificationConstraints, budget: int | None = None,
+) -> tuple[list[tuple], int]:
     """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
     that the cuts keep, and the number of states visited.  A leaf is its
     (b, r, multiplicity) triples with the gamma and -K^3 numerators over S
@@ -416,9 +430,11 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     terminal basket has one chain, so each leaf comes once, from its own
     level-0 basket.  A merge adds fixed steps to the integers a state
     carries, and its count is tried ascending up to the first cut.  Raises
-    ClosureTruncated when more than ``max_visited`` states pass the cuts.
+    ClosureTruncated when more than ``budget`` states (by default
+    ``max_visited``) pass the cuts.
     """
-    budget = constraints.max_visited
+    if budget is None:
+        budget = constraints.max_visited
     ms = tuple(m for m, _, _ in _windows(constraints))
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)
@@ -435,7 +451,9 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         nonlocal visited
         visited += 1
         if visited > budget:
-            raise ClosureTruncated(f"classification truncated after visiting {budget} states")
+            raise ClosureTruncated(
+                f"classification truncated after visiting {constraints.max_visited} states"
+            )
         while j < len(live):
             n, p, q, new, dg, dv, dp = steps[live[j]]
             j += 1
@@ -490,12 +508,16 @@ def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     admitted leaves become baskets, and they are sorted.
     A basket is listed when it is admitted and its own level-0 basket is a
     root, which, under the gamma filter, every admitted basket is (gamma(B)
-    <= gamma(B^(0))).  Raises ClosureTruncated if the visited budget runs
-    out: a partial classification is never returned silently.
+    <= gamma(B^(0))).  ``max_visited`` is one budget for the whole call:
+    each walk gets the states the walks before it left.  Raises
+    ClosureTruncated when more states than that pass the cuts: a partial
+    classification is never returned silently.
     """
     found: list[WeightedBasket] = []
+    budget = constraints.max_visited
     for p1, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
-        leaves, _ = _walk([wb for wb, _ in roots], constraints)
+        leaves, visited = _walk([wb for wb, _ in roots], constraints, budget)
+        budget -= visited
         admitted = (_basket(triples) for triples, gamma, volume in leaves
                     if constraints._admits(p1, triples, gamma, volume, S))
         found += (WeightedBasket(basket, p1) for basket in sorted(admitted, key=Basket.sort_key))
@@ -587,121 +609,87 @@ _FILTER_FIELDS = {
 }
 
 
-_P_TOKEN = re.compile(r"p\[(-?\d+)\]=(.*)")
-
-
 def _parse_int_range(text: str) -> tuple[int, int]:
     """An integer "v" (read as v..v) or a closed range "lo..hi"."""
     lo, sep, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi if sep else lo)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"expected an integer or a range lo..hi, got {text!r}") from None
-    if lo > hi:
-        raise ValueError(f"empty range {text!r} (lower end above upper end)")
-    return lo, hi
 
 
-def _parse_tail_index(text: str) -> int:
-    value = int(text)
-    if value < 4:
-        raise ValueError(f"tailmax must be >= 4 (the indices 2..4 are always used), got {value}")
-    return value
+def _k3_fields(text: str) -> dict:
+    ends = text[1:-1].split(",")
+    if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]" or len(ends) != 2:
+        raise ValueError("expected k3=(lo,hi) with ( or [ ends")
+    return {
+        "k3_min": parse_rational(ends[0]), "k3_min_strict": text[0] == "(",
+        "k3_max": parse_rational(ends[1]), "k3_max_strict": text[-1] == ")",
+    }
 
 
-def _parse_index_set(text: str) -> frozenset[int]:
-    """The indices of "2,3,5}", the text after "indices={"."""
-    return frozenset(int(x) for x in text.removesuffix("}").split(",") if x)
+def _index_fields(text: str) -> dict:
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError("expected indices={r,r,...}")
+    return {"allowed_indices": frozenset(int(r) for r in text[1:-1].split(",") if r)}
 
 
-def _token_value(token: str, prefix: str, parse):
-    """``parse`` of the text after ``prefix``; a ValueError names the whole ``token``."""
-    try:
-        return parse(token[len(prefix):])
-    except ValueError as exc:
-        raise ValueError(f"bad constraints token {token!r}: {exc}") from None
+def _filter_fields(text: str) -> dict:
+    if text in ("default", "none"):
+        return {"filters": FilterConfig() if text == "default" else FilterConfig.none()}
+    names = set(text.split(",")) - {""}
+    if not names:
+        raise ValueError("no filter names (filters=none selects no check)")
+    unknown = sorted(names - set(_FILTER_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown filter names {unknown}")
+    return {"filters": FilterConfig.none()._replace(
+        **{_FILTER_FIELDS[name]: True for name in names if _FILTER_FIELDS[name]},
+    )}
+
+
+# key -> the record fields that the text after "=" gives; p[m] is apart
+_KEYS = {
+    "sigma5": lambda text: {"sigma5": _parse_int_range(text)},
+    "k3": _k3_fields,
+    "rmax": lambda text: {"rmax_range": _parse_int_range(text)},
+    "rx": lambda text: {"rx_exact": int(text)},
+    "rx<": lambda text: {"rx_max": int(text)},
+    "indices": _index_fields,
+    "tailmax": lambda text: {"tail_max_index": int(text)},
+    "filters": _filter_fields,
+}
+_P_KEY = re.compile(r"p\[(-?\d+)\]")
 
 
 def parse_constraints(text: str) -> ClassificationConstraints:
-    p_fixed: dict[int, int] = {}
-    p_ranges: dict[int, tuple[int, int]] = {}
-    kwargs: dict = {}
-    filters = FilterConfig()
-
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-
+    """The record of a constraints text.  Each token is read by its key and
+    checked by the record it alone gives, so a bad one names itself."""
+    fields: dict = {"p_fixed": {}, "p_ranges": {}}
     keys: set[int | str] = set()
-    for token in tokens:
-        if "=" not in token and not token.startswith("rx"):
-            raise ValueError(f"bad constraints token {token!r}")
-        # p[m] by its m, the rest by the text before "=": rx and rx< differ
-        match = _P_TOKEN.fullmatch(token)
-        key = int(match.group(1)) if match else token.partition("=")[0]
+    for token in (t for line in text.splitlines() for t in line.split("#", 1)[0].split()):
+        key, sep, value = token.partition("=")
+        # p[m] by its m: p[8] and p[08] are one key
+        match = _P_KEY.fullmatch(key)
+        key = int(match.group(1)) if match else key
         if key in keys:
             raise ValueError(f"repeated constraints key in {token!r} (each key is given once)")
         keys.add(key)
-        if token.startswith("p["):
-            if match is None or int(match.group(1)) < 1:
-                raise ValueError(f"bad plurigenus token {token!r} (expected p[m]=... with m >= 1)")
-            m = int(match.group(1))
-            try:
-                lo, hi = _parse_int_range(match.group(2))
-            except ValueError as exc:
-                raise ValueError(f"bad plurigenus token {token!r}: {exc}") from None
-            if m == 1 and lo < 0:
-                raise ValueError(f"bad plurigenus token {token!r}: P_{{-1}} must be >= 0")
-            if lo == hi:
-                p_fixed[m] = lo
+        try:
+            if match:
+                lo, hi = _parse_int_range(value)
+                got = {"p_fixed": {key: lo}} if lo == hi else {"p_ranges": {key: (lo, hi)}}
+            elif sep and key in _KEYS:
+                got = _KEYS[key](value)
             else:
-                p_ranges[m] = (lo, hi)
-        elif token.startswith("sigma5="):
-            kwargs["sigma5"] = _token_value(token, "sigma5=", _parse_int_range)
-        elif token.startswith("k3="):
-            body = token[len("k3="):]
-            ends = body[1:-1].split(",")
-            if len(body) < 2 or body[0] not in "([" or body[-1] not in ")]" or len(ends) != 2:
-                raise ValueError(f"bad k3 interval {token!r} (expected k3=(lo,hi) with ( or [ ends)")
-            lo_s, hi_s = ends
-            kwargs["k3_min"] = parse_rational(lo_s)
-            kwargs["k3_min_strict"] = body[0] == "("
-            kwargs["k3_max"] = parse_rational(hi_s)
-            kwargs["k3_max_strict"] = body[-1] == ")"
-        elif token.startswith("rmax="):
-            kwargs["rmax_range"] = _token_value(token, "rmax=", _parse_int_range)
-        elif token.startswith("rx<="):
-            kwargs["rx_max"] = _token_value(token, "rx<=", int)
-        elif token.startswith("rx="):
-            kwargs["rx_exact"] = _token_value(token, "rx=", int)
-        elif token.startswith("indices={") and token.endswith("}"):
-            kwargs["allowed_indices"] = _token_value(token, "indices={", _parse_index_set)
-        elif token.startswith("tailmax="):
-            kwargs["tail_max_index"] = _token_value(token, "tailmax=", _parse_tail_index)
-        elif token.startswith("filters="):
-            body = token[len("filters="):]
-            if body == "default":
-                filters = FilterConfig()
-            elif body == "none":
-                filters = FilterConfig.none()
-            else:
-                enabled = {f.strip() for f in body.split(",") if f.strip()}
-                if not enabled:
-                    raise ValueError(
-                        f"bad constraints token {token!r}: no filter names (filters=none selects no check)"
-                    )
-                unknown = enabled - set(_FILTER_FIELDS)
-                if unknown:
-                    raise ValueError(f"unknown filter names {sorted(unknown)}")
-                filters = FilterConfig.none()._replace(
-                    **{_FILTER_FIELDS[name]: True for name in enabled if _FILTER_FIELDS[name]},
-                )
-        else:
-            raise ValueError(f"bad constraints token {token!r}")
+                raise ValueError(f"unknown key, expected key=value with a key in p[m], {', '.join(_KEYS)}")
+            ClassificationConstraints(**got)
+        except ValueError as exc:
+            raise ValueError(f"bad constraints token {token!r}: {exc}") from None
+        for name in ("p_fixed", "p_ranges"):
+            fields[name].update(got.pop(name, {}))
+        fields.update(got)
 
-    if not p_fixed and not p_ranges and not kwargs:
+    if keys <= {"filters"}:
         raise ValueError("empty constraint set is rejected (unbounded search)")
-    return ClassificationConstraints(
-        p_fixed=p_fixed, p_ranges=p_ranges, filters=filters, **kwargs
-    )
+    return ClassificationConstraints(**fields)

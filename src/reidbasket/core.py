@@ -564,11 +564,7 @@ class FilterConfig(NamedTuple):
 
     @staticmethod
     def none() -> "FilterConfig":
-        return FilterConfig(
-            volume_positive=False, min_volume=False, gamma_nonneg=False,
-            rmax_le_24=False, index_bound=False, integrality=False,
-            p_positive_from_6=False, p8_at_least_2=False, superadditivity=False,
-        )
+        return FilterConfig(*[False] * len(FilterConfig._fields))
 
 
 class FilterResult(NamedTuple):

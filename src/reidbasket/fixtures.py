@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .classify import enumerate_b0, enumerate_index_profiles, parse_constraints
-from .core import Basket, WeightedBasket, anti_volume, format_rational, parse_basket, r_max
+from .core import Basket, WeightedBasket, anti_volume, format_rational, parse_basket, parse_rational, r_max
 from .criteria import PipelinePolicy, table_pipeline
 
 __all__ = [
@@ -190,7 +190,7 @@ def load_table(table_id: int) -> TableFixture | None:
 # ---------------------------------------------------------------------------
 
 def _same(expected: str, computed: Fraction | int) -> bool:
-    return Fraction(expected) == Fraction(computed)
+    return parse_rational(expected) == computed
 
 
 def _verify_pipeline_row(

@@ -149,6 +149,18 @@ class TestClassify:
         with pytest.raises(ClosureTruncated):
             classify(c)
 
+    def test_one_budget_for_the_whole_call(self):
+        # every walk stays below the budget, and their sum goes above it
+        c = parse_constraints("p[1]=0..3")
+        assert [_walk(group, c)[1] for group in roots_by_p1(c)] == [376, 5554, 8183, 8338]
+        with pytest.raises(ClosureTruncated, match="after visiting 20000 states"):
+            classify(c._replace(max_visited=20000))
+        # a budget of exactly the states visited is enough, one less is not
+        c = parse_constraints("p[1]=0..1")
+        assert classify(c._replace(max_visited=376 + 5554)) == classify(c)
+        with pytest.raises(ClosureTruncated):
+            classify(c._replace(max_visited=376 + 5554 - 1))
+
     def test_every_emitted_basket_readmits(self):
         c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2})
         for wb in classify(c):
@@ -444,17 +456,18 @@ class TestConstraintsText:
 
     @pytest.mark.parametrize("token", ["k3=", "k3=(1/2)", "k3=[0,1,2]", "k3=(", "k3=0,1"])
     def test_malformed_k3_names_the_token(self, token):
-        with pytest.raises(ValueError, match=f"bad k3 interval '{re.escape(token)}'"):
+        with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
             parse_constraints(f"p[1]=1 {token}")
 
     @pytest.mark.parametrize("token", ["p[0]=3", "p[-2]=1", "p[]=1", "p[x]=1", "p[1=1"])
     def test_plurigenus_index_below_one_names_the_token(self, token):
-        with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
+        with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
             parse_constraints(f"p[1]=1 p[2]=1 p[8]=2 {token}")
 
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "sigma5=x", "rmax=a..3", "rmax=", "rx=abc", "rx<=abc",
         "indices={2,x}", "tailmax=abc", "tailmax=3", "tailmax=0", "filters=", "filters=,",
+        "k3=(a,1/30)", "filters=gamma,foo",
     ])
     def test_malformed_value_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
@@ -462,7 +475,7 @@ class TestConstraintsText:
 
     @pytest.mark.parametrize("token", ["p[1]=-1", "p[1]=-1..2", "p[1]=-3..-1"])
     def test_negative_p1_names_the_token(self, token):
-        with pytest.raises(ValueError, match=f"bad plurigenus token '{re.escape(token)}'"):
+        with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
             parse_constraints(token)
 
     @pytest.mark.parametrize("first, second", [

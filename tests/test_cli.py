@@ -181,7 +181,7 @@ class TestClassify:
         path.write_text("p[1]=1 p[2]=1..0\n")
         code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
         assert code == 2
-        assert "'1..0'" in err and out == ""
+        assert "'p[2]=1..0'" in err and out == ""
 
     @pytest.mark.parametrize("token", ["k3=", "k3=(1/2)", "k3=[0,1,2]"])
     def test_malformed_k3_is_usage_error(self, tmp_path, token):
@@ -204,7 +204,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "rmax=a..3", "rx=abc", "rx<=abc", "indices={2,x}", "tailmax=abc",
-        "tailmax=3", "filters=", "filters=,", "p[1]=-1", "p[1]=-1..2",
+        "tailmax=3", "filters=", "filters=,", "p[1]=-1", "p[1]=-1..2", "k3=(a,1/30)",
+        "filters=gamma,foo",
     ])
     def test_malformed_token_is_usage_error(self, tmp_path, token):
         path = tmp_path / "c.txt"
@@ -296,6 +297,16 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--table", "50")
         assert code == 1
         assert "MISMATCH" in out and "1/330" in out
+
+    def test_bad_rational_cell_is_usage_error(self, tmp_path, monkeypatch):
+        (tmp_path / "table50.tsv").write_text(
+            "# table: 50\n# kind: pipeline\n# p1: 1\n# n1_window: 1\n# case: 3\n"
+            "(1,2),(1,3),(2,5),(2,11)\t1/0\t-\t-\t-\t-\t-\t-\t-\n"
+        )
+        monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+        code, out, err = run_cli("verify", "--table", "50")
+        assert (code, out) == (2, "")
+        assert err == "error: not an exact rational: '1/0'\n"
 
     def test_audit_mode_downgrades_mismatches(self, tmp_path, monkeypatch):
         (tmp_path / "table50.tsv").write_text(

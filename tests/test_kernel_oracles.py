@@ -322,7 +322,17 @@ def reference_admits(constraints, wb: WeightedBasket) -> bool:
         return False
     if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
         return False
-    if not constraints.indices_ok(wb.basket):
+    rs = [p.r for p in wb.basket]
+    rx = math.lcm(*rs)
+    if constraints.allowed_indices is not None and any(r not in constraints.allowed_indices for r in rs):
+        return False
+    if constraints.rmax_range is not None:
+        low, top = constraints.rmax_range
+        if not rs or max(rs) < low or max(rs) > top:
+            return False
+    if constraints.rx_exact is not None and rx != constraints.rx_exact:
+        return False
+    if constraints.rx_max is not None and rx > constraints.rx_max:
         return False
     for m in constraints.constrained_ms():
         v = plurigenus_closed(wb.basket, vol, m)
@@ -346,6 +356,10 @@ BOUNDED_SETS = (
     "p[1]=1 p[2]=1 k3=(1/330,1/30)",
     "p[1]=1 p[2]=1 k3=[1/330,1/30]",
 )
+
+# sets with index bounds: the largest r_X and r_max they admit are met by
+# the baskets they find
+INDEX_SETS = ("p[1]=0 rx<=12", "p[1]=0..1 rmax=5..7 indices={2,3,5,7}")
 
 # each sits on an end of a bounded set: -K^3 = 0, 1/30 and 1/2 on
 # non-geometric baskets, and 1/2, 1/30, 1/330 on geometric ones
@@ -373,7 +387,7 @@ class TestClassifyPredicates:
 
     def constraint_sets(self) -> list:
         assert len(CENSUS_INPUTS) == 3
-        texts = [path.read_text() for path in CENSUS_INPUTS] + list(BOUNDED_SETS)
+        texts = [path.read_text() for path in CENSUS_INPUTS] + list(BOUNDED_SETS + INDEX_SETS)
         return [parse_constraints(text) for text in texts]
 
     def pool(self, sets) -> list[WeightedBasket]:
@@ -444,8 +458,8 @@ class TestRmaxCeiling:
         visited = []
         walk = classify_module._walk
 
-        def counting_walk(roots, constraints):
-            leaves, states = walk(roots, constraints)
+        def counting_walk(roots, constraints, *budget):
+            leaves, states = walk(roots, constraints, *budget)
             visited.append(states)
             return leaves, states
 

@@ -157,6 +157,40 @@ class TestClassificationConstraints:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("change, message", [
+        ({"p_fixed": {0: 3}}, "P_{-m} needs m >= 1, got m = 0"),
+        ({"p_ranges": {1: (-2, 0)}}, "P_{-1} must be >= 0, got -2"),
+        ({"p_ranges": {2: (3, 1)}}, "empty range 3..1 for P_{-2}"),
+        ({"sigma5": (3, 2)}, "empty range 3..2 for sigma5"),
+        ({"rmax_range": (9, 5)}, "empty range 9..5 for rmax_range"),
+    ])
+    def test_value_rules(self, change, message):
+        c = ClassificationConstraints(p_fixed={8: 2}, p_ranges={3: (0, 4)})
+        for build in (lambda: ClassificationConstraints(**change), lambda: c._replace(**change)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_value_rules_hold_under_optimize_flag(self):
+        # the rules are explicit checks, not asserts
+        code = (
+            "from reidbasket.classify import ClassificationConstraints, parse_constraints\n"
+            "for build in (lambda: ClassificationConstraints(p_fixed={0: 3}),\n"
+            "              lambda: parse_constraints('p[1]=1 p[2]=3..1')):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "P_{-m} needs m >= 1, got m = 0\n"
+            "bad constraints token 'p[2]=3..1': empty range 3..1 for P_{-2}\n"
+        )
+
     def test_replace(self):
         c = parse_constraints("p[1]=1 p[2]=1 p[8]=2")
         wide = c._replace(tail_max_index=30)
