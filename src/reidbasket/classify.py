@@ -45,10 +45,10 @@ from .core import (
     Basket,
     ClosureTruncated,
     FilterConfig,
+    FilterResult,
     OrbifoldPair,
     WeightedBasket,
     _beyond,
-    _filter,
     _pair_terms,
     _scaled_gamma,
     _scaled_volume,
@@ -129,10 +129,11 @@ class ClassificationConstraints(_ConstraintFields):
 
     The record holds every rule on its values, and checks them when it is
     built, by ``_replace`` too: each m is at least 1, the ranges of P_{-m},
-    ``sigma5`` and ``rmax_range`` are non-empty, P_{-1} is at least 0,
-    ``tail_max_index`` is at least 4 (the level-0 indices 2..4 are always
-    used) and ``max_visited``, the state budget of one ``classify`` call,
-    at least 1.
+    ``sigma5`` and ``rmax_range`` and the k3 interval are non-empty (an
+    interval [a, a] is not), P_{-1} is at least 0, ``rx_exact`` and
+    ``rx_max`` at least 1, ``tail_max_index`` at least 4 (the level-0
+    indices 2..4 are always used) and ``max_visited``, the state budget of
+    one ``classify`` call, at least 1.
     """
 
     __slots__ = ()
@@ -153,8 +154,13 @@ class ClassificationConstraints(_ConstraintFields):
         p1_lo = self.p_bounds(1)[0]
         if p1_lo is not None and p1_lo < 0:
             raise ValueError(f"P_{{-1}} must be >= 0, got {p1_lo}")
-        if self.max_visited < 1:
-            raise ValueError(f"max_visited must be >= 1, got {self.max_visited}")
+        lo, hi, strict = self.k3_min, self.k3_max, self.k3_min_strict or self.k3_max_strict
+        if lo is not None and hi is not None and (lo > hi or lo == hi and strict):
+            ends = "[("[self.k3_min_strict], "])"[self.k3_max_strict]
+            raise ValueError(f"empty k3 interval {ends[0]}{lo},{hi}{ends[1]}")
+        for name in ("rx_exact", "rx_max", "max_visited"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.tail_max_index < 4:
             raise ValueError(f"tail_max_index must be >= 4, got {self.tail_max_index}")
         return self
@@ -256,7 +262,7 @@ class ClassificationConstraints(_ConstraintFields):
             lo, hi = self.p_bounds(m)
             if not lo <= seq[m] <= hi:
                 return False
-        return _filter(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
+        return FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
 
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import add, attrgetter, ge, itemgetter, mul, sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "OrbifoldPair",
@@ -502,9 +502,7 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
     if upto <= FILTER_HORIZON:
         return _table(wb.p1, _basket_terms(wb.basket))[:upto + 1]
-    seq = [0]
-    seq.extend(p for _, p in islice(_plurigenera(wb), upto))
-    return seq
+    return [0, *(p for _, p in islice(_plurigenera(wb), upto))]
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -567,18 +565,6 @@ class FilterConfig(NamedTuple):
         return FilterConfig(*[False] * len(FilterConfig._fields))
 
 
-class FilterResult(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # for j = 2..FILTER_HORIZON, the position of d_{j//2} in the increments below
 _HALVES = itemgetter(*(j // 2 - 1 for j in range(2, FILTER_HORIZON + 1)))
 
@@ -603,48 +589,71 @@ def _superadditivity_failure(p: list[int]) -> tuple[int, int] | None:
     ), None)
 
 
-def _filter(config: FilterConfig, volume: int, gamma: int, den: int, rx: int, rmax: int,
-            p: list[int]) -> FilterResult:
-    """``geometric_filter`` on integers: -K^3 and gamma as numerators over
-    ``den``, r_X, r_max (0 for the empty basket) and p = [0, P_{-1}, ...,
-    P_{-FILTER_HORIZON}].  A Fraction is built only to word a failure."""
-    failures: list[str] = []
+class FilterResult(_Frozen):
+    """The verdict of the checks ``config`` enables on what they read: -K^3
+    and gamma as numerators over ``den``, r_X, r_max (0 for no entries) and p =
+    [0, P_{-1}, ..., P_{-FILTER_HORIZON}].  ``ok`` is decided on building, at the
+    first failed check; ``failures`` and ``first_failure`` word them on each read.
+    """
 
-    def k3() -> str:
-        return format_rational(Fraction(volume, den))
+    __slots__ = ("ok", "_config", "_volume", "_gamma", "_den", "_rx", "_rmax", "_p")
 
-    if config.volume_positive and not volume > 0:
-        failures.append(f"volume_positive: -K^3 = {k3()} <= 0")
-    if config.min_volume and not 330 * volume >= den:
-        failures.append(f"min_volume: -K^3 = {k3()} < 1/330")
-    if config.gamma_nonneg and gamma < 0:
-        failures.append(f"gamma_nonneg: gamma = {format_rational(Fraction(gamma, den))} < 0")
-    if config.rmax_le_24 and rmax > 24:
-        failures.append(f"rmax_le_24: r_max = {rmax}")
-    if config.index_bound:
-        if rx > 660 and rx != 840:
-            failures.append(f"index_bound: r_X = {rx}")
-        elif rx == 840 and rmax != 8:
-            failures.append(f"index_bound: r_X = 840 needs r_max = 8, got {rmax}")
-    if config.integrality and min(p) < 0:
-        m = next(m for m, v in enumerate(p) if v < 0)
-        failures.append(f"integrality: P[-{m}] = {p[m]}")
-    if config.p_positive_from_6 and min(p[6:]) <= 0:
-        m = next(m for m in range(6, FILTER_HORIZON + 1) if p[m] <= 0)
-        failures.append(f"p_positive_from_6: P[-{m}] = {p[m]}")
-    if config.p8_at_least_2 and p[8] < 2:
-        failures.append(f"p8_at_least_2: P[-8] = {p[8]}")
-    if config.superadditivity and (pair := _superadditivity_failure(p)):
-        m, n = pair
-        failures.append(f"superadditivity: P[-{m + n}] = {p[m + n]} < P[-{m}] + P[-{n}] - 1")
-    return FilterResult(ok=not failures, failures=tuple(failures))
+    def __init__(self, config: FilterConfig, volume: int, gamma: int, den: int, rx: int,
+                 rmax: int, p: list[int]) -> None:
+        for name, value in zip(self.__slots__[1:], (config, volume, gamma, den, rx, rmax, p)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ok", next(self._failed(), None) is None)
+
+    def _failed(self) -> Iterator[tuple[str, Callable[[FilterResult], str]]]:
+        return ((name, word) for on, (name, failed, word) in zip(self._config, _CHECKS) if on and failed(self))
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(f"{name}: {word(self)}" for name, word in self._failed())
+
+    @property
+    def first_failure(self) -> str | None:
+        return next((f"{name}: {word(self)}" for name, word in self._failed()), None)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __repr__(self) -> str:
+        return f"FilterResult(ok={self.ok}, failures={self.failures})"
+
+    def _over(self, num: int) -> str:
+        return format_rational(Fraction(num, self._den))
+
+    def _first_below(self, start: int, bound: int) -> str:
+        m = next(m for m in range(start, len(self._p)) if self._p[m] < bound)
+        return f"P[-{m}] = {self._p[m]}"
+
+    def _superadditivity(self) -> str:
+        m, n = _superadditivity_failure(self._p)
+        return f"P[-{m + n}] = {self._p[m + n]} < P[-{m}] + P[-{n}] - 1"
+
+
+# The checks in ``FilterConfig`` field order, each once: its field, whether
+# a FilterResult's integers fail it, and the wording of that failure
+_CHECKS = (
+    ("volume_positive", lambda f: f._volume <= 0, lambda f: f"-K^3 = {f._over(f._volume)} <= 0"),
+    ("min_volume", lambda f: 330 * f._volume < f._den, lambda f: f"-K^3 = {f._over(f._volume)} < 1/330"),
+    ("gamma_nonneg", lambda f: f._gamma < 0, lambda f: f"gamma = {f._over(f._gamma)} < 0"),
+    ("rmax_le_24", lambda f: f._rmax > 24, lambda f: f"r_max = {f._rmax}"),
+    ("index_bound", lambda f: f._rx > 660 and (f._rx != 840 or f._rmax != 8),
+     lambda f: f"r_X = {f._rx}" if f._rx != 840 else f"r_X = 840 needs r_max = 8, got {f._rmax}"),
+    ("integrality", lambda f: min(f._p) < 0, lambda f: f._first_below(1, 0)),
+    ("p_positive_from_6", lambda f: min(f._p[6:]) < 1, lambda f: f._first_below(6, 1)),
+    ("p8_at_least_2", lambda f: f._p[8] < 2, lambda f: f"P[-8] = {f._p[8]}"),
+    ("superadditivity", lambda f: _superadditivity_failure(f._p) is not None, FilterResult._superadditivity),
+)
 
 
 def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
     """Run the selected geometric checks; failures are reported in check order."""
     basket = wb.basket
     rx = r_index(basket)
-    return _filter(
+    return FilterResult(
         config, _scaled_volume(wb, rx), _scaled_gamma(basket, rx), rx, rx,
         r_max(basket) if len(basket) else 0, _table(wb.p1, _basket_terms(basket)),
     )

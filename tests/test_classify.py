@@ -417,6 +417,11 @@ class TestConstraintsText:
         assert c.k3_min == Fraction(-3, 2) and c.k3_max == Fraction(1, 1000)
         assert c.k3_min_strict and not c.k3_max_strict
 
+    def test_a_point_k3_interval_is_valid(self):
+        # [a,a] holds one volume; (a,a], [a,a) and (a,a) are empty and rejected
+        c = parse_constraints("p[1]=1 p[2]=1 p[8]=2 k3=[1/60,1/60]")
+        assert [str(wb) for wb in classify(c)] == ["((1,2),(1,3),(1,4),(2,5),(1,10); p1=1)"]
+
     def test_rx_and_indices(self):
         c = parse_constraints("p[1]=1 rx=840 indices={2,3,5,7,8}")
         assert c.rx_exact == 840
@@ -467,7 +472,8 @@ class TestConstraintsText:
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "sigma5=x", "rmax=a..3", "rmax=", "rx=abc", "rx<=abc",
         "indices={2,x}", "tailmax=abc", "tailmax=3", "tailmax=0", "filters=", "filters=,",
-        "k3=(a,1/30)", "filters=gamma,foo",
+        "k3=(a,1/30)", "filters=gamma,foo", "k3=(1/2,1/30)", "k3=(1/30,1/30)", "k3=[1/30,1/30)",
+        "k3=(1/30,1/30]", "rx=0", "rx<=0", "rx=-840",
     ])
     def test_malformed_value_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
@@ -768,10 +774,12 @@ def constraint_sets(draw) -> ClassificationConstraints:
 
     kwargs = {}
     if draw(st.booleans()):
+        # a non-empty interval: its ends ascend, and a point [a,a] is inclusive
         ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
+        lo, hi = sorted((draw(ends), draw(ends)))
         kwargs.update(
-            k3_min=draw(ends), k3_min_strict=draw(st.booleans()),
-            k3_max=draw(ends), k3_max_strict=draw(st.booleans()),
+            k3_min=lo, k3_min_strict=lo < hi and draw(st.booleans()),
+            k3_max=hi, k3_max_strict=lo < hi and draw(st.booleans()),
         )
     names = draw(st.sets(st.sampled_from(sorted(n for n, f in _FILTER_FIELDS.items() if f))))
     return ClassificationConstraints(

@@ -205,7 +205,7 @@ class TestClassify:
     @pytest.mark.parametrize("token", [
         "sigma5=1..2..3", "rmax=a..3", "rx=abc", "rx<=abc", "indices={2,x}", "tailmax=abc",
         "tailmax=3", "filters=", "filters=,", "p[1]=-1", "p[1]=-1..2", "k3=(a,1/30)",
-        "filters=gamma,foo",
+        "filters=gamma,foo", "k3=(1/2,1/30)", "k3=(1/30,1/30)", "rx=0", "rx<=0", "rx=-840",
     ])
     def test_malformed_token_is_usage_error(self, tmp_path, token):
         path = tmp_path / "c.txt"

@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from reidbasket.core import Basket, WeightedBasket, anti_volume, plurigenus_sequence
+from reidbasket.core import (
+    Basket,
+    WeightedBasket,
+    anti_volume,
+    geometric_filter,
+    plurigenus_sequence,
+    r_max,
+)
 from reidbasket.criteria import (
     BranchSpec,
+    _lambda_for,
     CriterionInputs,
     Mu0Candidate,
     PipelinePolicy,
@@ -236,3 +244,44 @@ class TestPipeline:
         assert rep.summary_row().split("\t") == [
             "(1,2),(1,3),(2,5),(2,11)", "1/330", "1", "1", "37", "5", "11", "64",
         ]
+
+
+def auto_policy(p1: int) -> PipelinePolicy:
+    # the CLI's "auto" policy: six consecutive values and case 2 when P_{-1} = 0
+    return PipelinePolicy(n1_window=6 if p1 == 0 else 1, case=2 if p1 == 0 else 3)
+
+
+def test_pipeline_fields_against_independent_routes(bench_universe):
+    """Every 4th universe basket that passes the filter at P_{-1} = 0..3:
+    each report field by a route of its own.  n1 is the least m whose
+    window ``not_pencil_by_plurigenus`` certifies, m0 and nu0 come from
+    ``plurigenus_sequence``, -K^3 from ``anti_volume`` and (M, lambda)
+    from ``_lambda_for``."""
+    checked = set()
+    for basket in bench_universe[::4]:
+        for p1 in range(4):
+            wb = WeightedBasket(basket, p1)
+            if not geometric_filter(wb).ok:
+                continue
+            policy = auto_policy(p1)
+            report = table_pipeline(wb, policy)
+            m_big, rx, lam = _lambda_for(wb)
+            certified = {}
+
+            def window_certified(m: int) -> bool:
+                for n in range(m, m + policy.n1_window):
+                    if n not in certified:
+                        certified[n] = not_pencil_by_plurigenus(wb, n)
+                return all(certified[n] for n in range(m, m + policy.n1_window))
+
+            n1 = next(m for m in range(1, 401) if window_certified(m))
+            seq = plurigenus_sequence(wb, max(8, n1))
+            m0 = next(m for m in range(1, len(seq)) if seq[m] >= 2)
+            nu0 = next(m for m in range(1, len(seq)) if seq[m] >= 1)
+            assert (report.m_big, report.rx, report.lam) == (m_big, rx, lam), str(wb)
+            assert (report.n1, report.m0, report.nu0) == (n1, m0, nu0), str(wb)
+            assert (report.k3, report.rmax) == (anti_volume(wb), r_max(basket)), str(wb)
+            inputs = CriterionInputs.for_weighted_basket(wb, m0, max(n1, m0), m0, nu0)
+            assert report.headline_n2 == birational_bound_b(inputs, policy.case), str(wb)
+            checked.add(p1)
+    assert checked == {0, 1, 2, 3}

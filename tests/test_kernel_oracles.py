@@ -7,6 +7,8 @@ predicates.  The fast paths must agree with them exactly, failure messages
 included.
 """
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,9 +17,11 @@ from pathlib import Path
 import pytest
 
 import reidbasket.classify as classify_module
+import reidbasket.core as core_module
 from conftest import random_basket
 from reidbasket.canonical import b0_from_plurigenera
 from reidbasket.classify import (
+    ClassificationConstraints,
     _chain_state,
     _index_profiles,
     _multisets,
@@ -72,6 +76,8 @@ def reference_volume(wb: WeightedBasket) -> Fraction:
     return 2 * wb.p1 + sum(p.b for p in wb.basket) - reference_sigma_prime(wb.basket) - 6
 
 
+# memoized: the filter oracle reads one basket's sequence once per config
+@functools.lru_cache(maxsize=4096)
 def reference_sequence(wb: WeightedBasket, upto: int) -> list[Fraction]:
     sig = sum(p.b for p in wb.basket)
     seq = [Fraction(0), Fraction(wb.p1)]
@@ -187,23 +193,49 @@ class TestGeometricFilter:
         FilterConfig.none()._replace(**{name: True}) for name in SINGLE_CHECKS
     )
 
-    def test_failures_identical_to_fraction_filter(self):
+    def test_failures_identical_to_fraction_filter(self, bench_universe):
+        # a result decides ok when it is built and words its failures when
+        # they are read, so every order of reading must give the reference:
+        # the cases take the six orders in turn, each twice over
         cases = table_weighted_baskets()[::7] + seeded_weighted_baskets(32, 150)
         cases += seeded_weighted_baskets(33, 60, coprime=False, rmax=30)
+        cases += [WeightedBasket(b, p1) for b in bench_universe[::41] for p1 in range(4)]
+        orders = itertools.cycle(itertools.permutations(("ok", "failures", "first_failure")))
         seen: set[str] = set()
         passed = 0
         for wb in cases:
             for config in self.CONFIGS:
-                result = geometric_filter(wb, config)
                 expected = reference_filter(wb, config)
-                assert result.failures == expected, (str(wb), config)
-                assert result.ok == (not expected)
+                reference = {"ok": not expected, "failures": expected,
+                             "first_failure": expected[0] if expected else None}
+                order = next(orders)
+                result = geometric_filter(wb, config)
+                for name in order + order:
+                    assert getattr(result, name) == reference[name], (str(wb), config, order)
+                assert bool(result) == reference["ok"]
                 seen.update(f.split(":")[0] for f in expected)
             passed += geometric_filter(wb).ok
         # the sample exercises every check and includes geometric baskets
         assert seen == set(SINGLE_CHECKS)
         assert passed > 0
         assert {wb.p1 for wb in cases} == {0, 1, 2, 3}
+
+    def test_deciding_ok_words_no_failure(self, monkeypatch):
+        # 12x(1,2) at P_{-1} = 0 fails volume_positive and min_volume
+        wb = WeightedBasket(Basket.of(*[(1, 2)] * 12), 0)
+
+        def refuse(result):
+            raise AssertionError("a failure was worded")
+
+        checks = [(name, failed, refuse) for name, failed, _ in core_module._CHECKS]
+        monkeypatch.setattr(core_module, "_CHECKS", tuple(checks))
+        result = geometric_filter(wb)
+        assert result.ok is False and not result
+        assert not ClassificationConstraints(p_fixed={1: 0}).admits(wb)
+        with pytest.raises(AssertionError, match="worded"):
+            result.first_failure
+        with pytest.raises(AssertionError, match="worded"):
+            result.failures
 
     def test_superadditivity_one_pass_matches_the_ordered_scan(self, bench_universe):
         # the one-pass test on the increments is only sufficient: where it

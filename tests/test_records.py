@@ -17,7 +17,7 @@ import pytest
 from conftest import src_env
 from reidbasket.canonical import in_level_set
 from reidbasket.classify import ClassificationConstraints, parse_constraints
-from reidbasket.core import Basket, FilterConfig, OrbifoldPair, WeightedBasket
+from reidbasket.core import Basket, FilterConfig, OrbifoldPair, WeightedBasket, geometric_filter
 from reidbasket.criteria import CriterionInputs
 
 X66 = Basket.of((1, 2), (2, 5), (1, 3), (2, 11))
@@ -110,6 +110,36 @@ class TestWeightedBasket:
         assert str(wb) == "((1,2),(1,3),(2,5),(2,11); p1=3)"
 
 
+class TestFilterResult:
+    def test_a_passing_result(self):
+        result = geometric_filter(WeightedBasket(X66, 1))
+        assert (result.ok, result.failures, result.first_failure, bool(result)) == (True, (), None, True)
+        assert repr(result) == "FilterResult(ok=True, failures=())"
+
+    def test_a_failing_result_words_its_failures_on_each_read(self):
+        result = geometric_filter(WeightedBasket(Basket.of(*[(1, 2)] * 12), 0))
+        assert (result.ok, bool(result)) == (False, False)
+        failures = ("volume_positive: -K^3 = 0 <= 0", "min_volume: -K^3 = 0 < 1/330")
+        assert result.failures == failures and result.failures is not result.failures
+        assert result.first_failure == failures[0]
+        assert repr(result) == f"FilterResult(ok=False, failures={failures})"
+        only_rmax = FilterConfig.none()._replace(rmax_le_24=True)
+        result = geometric_filter(WeightedBasket(Basket.of((1, 25)), 4), only_rmax)
+        assert result.failures == ("rmax_le_24: r_max = 25",)
+
+    def test_immutable_and_not_a_tuple(self):
+        result = geometric_filter(WeightedBasket(X66, 1))
+        for attr in ("ok", "failures", "first_failure", "_volume"):
+            with pytest.raises(AttributeError):
+                setattr(result, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(result, attr)
+        with pytest.raises(AttributeError):
+            result.extra = 0
+        assert not isinstance(result, tuple)
+        assert not hasattr(result, "_replace") and not hasattr(result, "_asdict")
+
+
 class TestCriterionInputs:
     FIELDS = dict(k3=Fraction(1, 66), rx=660, rmax=11, m_big=10, m0=4, m1=5, mu0=Fraction(4))
 
@@ -163,6 +193,11 @@ class TestClassificationConstraints:
         ({"p_ranges": {2: (3, 1)}}, "empty range 3..1 for P_{-2}"),
         ({"sigma5": (3, 2)}, "empty range 3..2 for sigma5"),
         ({"rmax_range": (9, 5)}, "empty range 9..5 for rmax_range"),
+        ({"k3_min": Fraction(1, 2), "k3_max": Fraction(1, 30)}, "empty k3 interval [1/2,1/30]"),
+        ({"k3_min": Fraction(1, 30), "k3_max": Fraction(1, 30), "k3_max_strict": True},
+         "empty k3 interval [1/30,1/30)"),
+        ({"rx_exact": 0}, "rx_exact must be >= 1, got 0"),
+        ({"rx_max": -840}, "rx_max must be >= 1, got -840"),
     ])
     def test_value_rules(self, change, message):
         c = ClassificationConstraints(p_fixed={8: 2}, p_ranges={3: (0, 4)})
@@ -176,7 +211,9 @@ class TestClassificationConstraints:
         code = (
             "from reidbasket.classify import ClassificationConstraints, parse_constraints\n"
             "for build in (lambda: ClassificationConstraints(p_fixed={0: 3}),\n"
-            "              lambda: parse_constraints('p[1]=1 p[2]=3..1')):\n"
+            "              lambda: parse_constraints('p[1]=1 p[2]=3..1'),\n"
+            "              lambda: parse_constraints('p[1]=1 k3=(1/2,1/30)'),\n"
+            "              lambda: parse_constraints('p[1]=1 rx=0')):\n"
             "    try:\n"
             "        build()\n"
             "    except ValueError as exc:\n"
@@ -189,6 +226,8 @@ class TestClassificationConstraints:
         assert proc.stdout == (
             "P_{-m} needs m >= 1, got m = 0\n"
             "bad constraints token 'p[2]=3..1': empty range 3..1 for P_{-2}\n"
+            "bad constraints token 'k3=(1/2,1/30)': empty k3 interval (1/2,1/30)\n"
+            "bad constraints token 'rx=0': rx_exact must be >= 1, got 0\n"
         )
 
     def test_replace(self):
