@@ -15,9 +15,10 @@ P_{-1} and one part per basket entry, so each pair (b, r) keeps a bounded,
 memoized table of its share of P_{-1} .. P_{-FILTER_HORIZON}, and
 P_{-m} up to the horizon is a column sum of the entries' tables; past the
 horizon the recursion carries on from P_{-FILTER_HORIZON}.  The geometric
-filter runs on integers too (``_filter``), so ``classify`` can check a
-candidate from the integers it carries.  The volume -K^3, sigma' and gamma
-are integer numerators over r_X, and are returned as one ``Fraction`` each.
+filter runs on integers too: a ``FilterResult`` decides ``ok`` from them and
+words a failure only when it is read, so ``classify`` checks a candidate
+from the integers it carries.  The volume -K^3, sigma' and gamma are
+integer numerators over r_X, and are returned as one ``Fraction`` each.
 ``plurigenus_closed`` evaluates the Riemann-Roch closed form in
 ``Fraction``s as the independent oracle for that kernel.
 """
@@ -477,9 +478,9 @@ def _beyond(p1: int, pairs: list[tuple[int, int, int]], table: list[int]) -> Ite
         yield m, p
 
 
-def _plurigenera(wb: WeightedBasket) -> Iterator[tuple[int, int]]:
-    """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end."""
-    table = _table(wb.p1, _basket_terms(wb.basket))
+def _plurigenera(wb: WeightedBasket, table: list[int] | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end, from ``table`` if given."""
+    table = table or _table(wb.p1, _basket_terms(wb.basket))
     yield from islice(enumerate(table), 1, None)
     yield from _beyond(wb.p1, [(pair.b, pair.r, k) for pair, k in wb.basket.counts()], table)
 
@@ -502,7 +503,9 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
     if upto <= FILTER_HORIZON:
         return _table(wb.p1, _basket_terms(wb.basket))[:upto + 1]
-    return [0, *(p for _, p in islice(_plurigenera(wb), upto))]
+    seq = [0]
+    seq.extend(p for _, p in islice(_plurigenera(wb), upto))
+    return seq
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -617,9 +620,6 @@ class FilterResult(_Frozen):
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return f"FilterResult(ok={self.ok}, failures={self.failures})"
 
     def _over(self, num: int) -> str:
         return format_rational(Fraction(num, self._den))

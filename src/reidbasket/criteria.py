@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     Basket,
@@ -208,15 +208,19 @@ def first_not_pencil(wb: WeightedBasket, window: int = 1, limit: int = 400) -> i
     P_{-1} = 0 convention, where six consecutive certified values plus
     P_{-m} > 0 for m >= 6 cover everything beyond.
     """
+    return _pencil_scan(_plurigenera(wb), _lambda_for(wb)[2], window, limit)
+
+
+def _pencil_scan(values: Iterator[tuple[int, int]], lam: Fraction, window: int, limit: int) -> int:
+    """``first_not_pencil`` on the (n, P_{-n}) that ``values`` yields from n = 1 on."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    _, _, lam = _lambda_for(wb)
     # P_{-n} > lam * n + 1 reads, in integers, P_{-n} * lam.den >
     # lam.num * n + lam.den; the sequence is extended only until the first
     # certified window ends
     num, den = lam.numerator, lam.denominator
     run = 0
-    for n, p in islice(_plurigenera(wb), max(limit + window - 1, 0)):
+    for n, p in islice(values, max(limit + window - 1, 0)):
         if p * den > num * n + den:
             run += 1
             if run == window:
@@ -518,19 +522,20 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
 
     The default branch takes m1 = n1, mu0' = m0 and the policy's criterion
     case, which is how every summary table row is produced; explicit
-    branches refine the bound under finer pencil assumptions.
+    branches refine the bound under finer pencil assumptions.  The basket
+    is read once, by the filter: its M = r_X * (-K^3), r_X and P_{-1..24}
+    feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2 passed) and -K^3.
     """
     check = geometric_filter(wb)
     if not check.ok:
         raise ValueError(f"rejected by geometric filter: {check.first_failure}")
-
-    m_big, rx, lam = _lambda_for(wb)
-    n1 = first_not_pencil(wb, window=policy.n1_window)
-    values = list(islice(_plurigenera(wb), max(8, n1)))
-    m0 = next(m for m, p in values if p >= 2)
-    nu0 = next(m for m, p in values if p >= 1)
+    m_big, rx, p = check._volume, check._rx, check._p
+    lam = lambda_of(m_big, rx)
+    n1 = _pencil_scan(_plurigenera(wb, p), lam, policy.n1_window, 400)
+    m0 = next(m for m, v in enumerate(p) if v >= 2)
+    nu0 = next(m for m, v in enumerate(p) if v >= 1)
     rmax = r_max(wb.basket)
-    k3 = anti_volume(wb)
+    k3 = Fraction(m_big, rx)
 
     def run_branch(spec: BranchSpec) -> BranchResult:
         m1 = spec.m1 if spec.m1 is not None else n1

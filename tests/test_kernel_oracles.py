@@ -196,7 +196,7 @@ class TestGeometricFilter:
     def test_failures_identical_to_fraction_filter(self, bench_universe):
         # a result decides ok when it is built and words its failures when
         # they are read, so every order of reading must give the reference:
-        # the cases take the six orders in turn, each twice over
+        # the cases take the six orders in turn and read each value twice
         cases = table_weighted_baskets()[::7] + seeded_weighted_baskets(32, 150)
         cases += seeded_weighted_baskets(33, 60, coprime=False, rmax=30)
         cases += [WeightedBasket(b, p1) for b in bench_universe[::41] for p1 in range(4)]

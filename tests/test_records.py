@@ -114,7 +114,6 @@ class TestFilterResult:
     def test_a_passing_result(self):
         result = geometric_filter(WeightedBasket(X66, 1))
         assert (result.ok, result.failures, result.first_failure, bool(result)) == (True, (), None, True)
-        assert repr(result) == "FilterResult(ok=True, failures=())"
 
     def test_a_failing_result_words_its_failures_on_each_read(self):
         result = geometric_filter(WeightedBasket(Basket.of(*[(1, 2)] * 12), 0))
@@ -122,7 +121,6 @@ class TestFilterResult:
         failures = ("volume_positive: -K^3 = 0 <= 0", "min_volume: -K^3 = 0 < 1/330")
         assert result.failures == failures and result.failures is not result.failures
         assert result.first_failure == failures[0]
-        assert repr(result) == f"FilterResult(ok=False, failures={failures})"
         only_rmax = FilterConfig.none()._replace(rmax_le_24=True)
         result = geometric_filter(WeightedBasket(Basket.of((1, 25)), 4), only_rmax)
         assert result.failures == ("rmax_le_24: r_max = 25",)
