@@ -331,3 +331,35 @@ def test_pair_caches_are_bounded_and_hold_the_session_working_set():
         info = helper.cache_info()
         # the second pass is all hits: nothing of the working set was evicted
         assert (info.misses, info.hits, info.currsize) == (len(keys),) * 3, helper
+
+
+def test_b5_witnesses_against_the_explicit_coefficients():
+    # every witness name and value of b5_from_plurigenera over a grid of
+    # P_{-1..5} and tails, against the level-5 coefficients written out
+    tails = ({}, {5: 1}, {6: 2}, {5: 1, 7: 1, 11: 2})
+    seen = set()
+    for tail in tails:
+        s5 = sum(tail.values())
+        for p1 in range(3):
+            for p2 in range(4):
+                for p3 in range(5):
+                    for p4 in range(6):
+                        for p5 in range(8):
+                            n0_14 = 1 + 3 * p1 - p2 - 2 * p3 + p4 - s5
+                            named = (
+                                ("n5[1,2]", 3 - 6 * p1 + 3 * p2 - p3 + 2 * p4 - p5 + s5),
+                                ("n5[2,5]", 2 + p2 - 2 * p4 + p5 - s5),
+                                ("n5[1,3]", 2 - 2 * p1 - 3 * p2 + 3 * p3 + p4 - p5 + s5),
+                                ("n5[1,4]", n0_14),
+                            )
+                            got = b5_from_plurigenera(p1, p2, p3, p4, p5, tail)
+                            witness = next((Infeasible(n, v) for n, v in named if v < 0), None)
+                            if witness is not None:
+                                assert isinstance(got, Infeasible) and tuple(got) == tuple(witness)
+                                seen.add(witness.coefficient)
+                                continue
+                            assert isinstance(got, Basket)
+                            assert [got.entries.count(core.OrbifoldPair(b, r)) for b, r in
+                                    ((1, 2), (2, 5), (1, 3), (1, 4))] == [v for _, v in named]
+                            assert len(got) == sum(v for _, v in named) + s5
+    assert seen == {"n5[1,2]", "n5[2,5]", "n5[1,3]", "n5[1,4]"}

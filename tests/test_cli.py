@@ -125,6 +125,24 @@ class TestPack:
         assert out == "(1,2),(1,3)\t-29/6\t6\t3\n# visited 1 baskets, emitted 1\n"
 
 
+    def test_k3_max_prunes_as_volume_at_most(self):
+        # the option's listing is the closure under volume_at_most(Q, P), in
+        # order, and it cuts baskets the unpruned closure lists
+        from fractions import Fraction
+
+        from reidbasket.core import parse_basket
+        from reidbasket.packing import closure, volume_at_most
+
+        root = "4x(1,2),2x(1,3),(1,4)"
+        code, out, err = run_cli("pack", "--basket", root, "--k3-max", "1/10", "--p1", "1")
+        assert (code, err) == (0, "")
+        result = closure(parse_basket(root), prune=volume_at_most(Fraction(1, 10), 1))
+        *rows, last = out.splitlines()
+        assert [row.split("\t")[0] for row in rows] == [str(b) for b in result.baskets]
+        assert last == f"# visited {result.visited} baskets, emitted {len(result.baskets)}"
+        assert 0 < len(rows) < len(closure(parse_basket(root)).baskets)
+
+
 class TestClassify:
     def test_from_file(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -262,6 +280,12 @@ class TestCriteria:
         assert code == 0
         assert "headline_n2=52" in out.splitlines()[0]
 
+    def test_same_pencil_k_needs_two_sections(self):
+        # P_{-1} = 1 < 2: no same-pencil branch at K = 1
+        assert run_cli(
+            "criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1", "--same-pencil-k", "1",
+        ) == (2, "", "error: P[-1] = 1 < 2, no same-pencil branch available\n")
+
     def test_deterministic_output(self):
         args = ("criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1")
         assert run_cli(*args) == run_cli(*args)
@@ -282,6 +306,24 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--manifest")
         assert code == 0
         assert "manifest OK" in out
+
+    def test_manifest_lists_each_problem(self, tmp_path, monkeypatch):
+        # one table edited, one unlisted and one missing, on a copy
+        from reidbasket.fixtures import fixtures_dir
+
+        for path in fixtures_dir().iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        with open(tmp_path / "table1.tsv", "a") as handle:
+            handle.write("(1,2)\t-\t-\t-\t-\t-\t-\t-\t-\n")
+        (tmp_path / "table17.tsv").unlink()
+        (tmp_path / "table99.tsv").write_text("# table: 99\n")
+        monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+        assert run_cli("verify", "--manifest") == (1, (
+            "checksum mismatch: table1.tsv\n"
+            "listed but missing: table17.tsv\n"
+            "present but unlisted: table99.tsv\n"
+            "3 problem(s)\n"
+        ), "")
 
     def test_all(self):
         code, out, _ = run_cli("verify", "--all", "--jobs", "2")

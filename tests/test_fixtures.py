@@ -122,3 +122,71 @@ def test_table7_is_checked_against_level0_enumeration():
     fixture = load_table(7)
     assert fixture.kind == "b0_list"
     assert verify_table(7).ok
+
+
+# the harness's failure paths, on one-row tables of the extremal basket at
+# P_{-1} = 1: -K^3 = 1/330, M = 1, lambda = 1, n1 = 37, m0 = 5, r_max = 11, n2 = 64
+EXTREMAL_HEADER = "# table: 50\n# kind: pipeline\n# p1: 1\n# n1_window: 1\n# case: 3\n"
+
+
+def verify_one_row(tmp_path, monkeypatch, fields: str):
+    (tmp_path / "table50.tsv").write_text(f"{EXTREMAL_HEADER}(1,2),(1,3),(2,5),(2,11)\t{fields}\n")
+    monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+    return verify_table(50)
+
+
+def test_negative_volume_cell_on_a_positive_volume(tmp_path, monkeypatch):
+    report = verify_one_row(tmp_path, monkeypatch, "<0\t-\t-\t-\t-\t-\t-\t-")
+    [diff] = report.mismatches
+    assert (report.rows_checked, report.cells_checked, report.known_discrepancies) == (1, 1, [])
+    assert (diff.row, diff.column, diff.expected, diff.computed, diff.known) == (1, "k3", "<0", "1/330", False)
+    assert str(diff) == "  MISMATCH: row 1 {(1,2),(1,3),(2,5),(2,11)} k3: table says <0, recomputed 1/330"
+
+
+def test_typo_cell_the_row_does_not_force(tmp_path, monkeypatch):
+    # the annotation says the row forces 36; it forces 37, so this is a failure
+    report = verify_one_row(tmp_path, monkeypatch, "-\t-\t-\t35\t-\t-\t-\ttypo:n1=36")
+    [diff] = report.mismatches
+    assert report.cells_checked == 1 and report.known_discrepancies == []
+    assert (diff.column, diff.expected, diff.computed) == ("n1", "35 (annotated 36)", "37")
+    # and an annotation the row does force is a known discrepancy
+    report = verify_one_row(tmp_path, monkeypatch, "-\t-\t-\t35\t-\t-\t-\ttypo:n1=37")
+    [known] = report.known_discrepancies
+    assert report.ok and report.mismatches == []
+    assert (known.column, known.expected, known.computed, known.known) == ("n1", "35", "37", True)
+    assert str(known) == (
+        "  known discrepancy: row 1 {(1,2),(1,3),(2,5),(2,11)} n1: table says 35, recomputed 37"
+    )
+
+
+def test_mismatch_order(tmp_path, monkeypatch):
+    # rmax is reported before M, though the file prints it after m0
+    report = verify_one_row(tmp_path, monkeypatch, "1/330\t2\t1\t37\t5\t12\t64")
+    assert [(d.column, d.expected, d.computed) for d in report.mismatches] == [
+        ("rmax", "12", "11"), ("M", "2", "1"),
+    ]
+    assert report.cells_checked == 7
+    report = verify_one_row(tmp_path, monkeypatch, "1/331\t2\t2\t36\t6\t12\t63")
+    assert [(d.column, d.computed) for d in report.mismatches] == [
+        ("k3", "1/330"), ("rmax", "11"), ("M", "1"), ("lambda", "1"), ("n1", "37"), ("m0", "5"), ("n2", "64"),
+    ]
+    # a question row does not compare n2; check and cross rows compare k3 and rmax only
+    for flag, checked in (("question", 6), ("check", 2), ("cross", 2)):
+        report = verify_one_row(tmp_path, monkeypatch, f"1/331\t2\t2\t36\t6\t12\t63\t{flag}")
+        assert report.cells_checked == checked == len(report.mismatches)
+
+
+def test_b0_list_reports_both_directions(tmp_path, monkeypatch):
+    # one listed basket removed, one basket no enumeration produces added
+    rows = load_table(7).rows
+    text = (fixtures_dir() / "table7.tsv").read_text()
+    text = text.replace("8x(1,2),2x(1,3),(1,4)\n", "9x(1,2)\n")
+    (tmp_path / "table7.tsv").write_text(text)
+    monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+    report = verify_table(7)
+    assert (report.rows_checked, report.cells_checked) == (len(rows), len(rows))
+    assert [str(d) for d in report.mismatches] == [
+        "  MISMATCH: row -1 {9x(1,2)} basket: table says listed, recomputed not produced by enumeration",
+        "  MISMATCH: row -1 {8x(1,2),2x(1,3),(1,4)} basket: table says absent from table, "
+        "recomputed produced by enumeration",
+    ]
