@@ -209,11 +209,12 @@ def canonical_sequence(basket: Basket) -> CanonicalSequence:
 #   n0[1,3] = 4 - 2 p1 - 2 p2 + 3 p3 - p4
 #   n0[1,4] = 1 + 3 p1 - p2 - 2 p3 + p4 - sigma5
 #
-# and the level-5 basket has
+# Each of the epsilon_5 = 2 + p2 - 2 p4 + p5 - sigma5 packings of level 5
+# merges one (1,2) and one (1,3) into a (2,5), so the level-5 basket has
 #
-#   n5[1,2] = 3 - 6 p1 + 3 p2 - p3 + 2 p4 - p5 + sigma5
-#   n5[2,5] = 2 + p2 - 2 p4 + p5 - sigma5          (= epsilon_5)
-#   n5[1,3] = 2 - 2 p1 - 3 p2 + 3 p3 + p4 - p5 + sigma5
+#   n5[1,2] = n0[1,2] - epsilon_5
+#   n5[2,5] = epsilon_5
+#   n5[1,3] = n0[1,3] - epsilon_5
 #   n5[1,4] = n0[1,4]
 #   n5[1,r] = n0[1,r] for r >= 5.
 #
@@ -231,15 +232,28 @@ class Infeasible(NamedTuple):
         return False
 
 
-def _tail_entries(tail: dict[int, int]) -> list[OrbifoldPair]:
-    entries: list[OrbifoldPair] = []
+def _level0_counts(p1: int, p2: int, p3: int, p4: int, sigma5: int) -> tuple[int, int, int]:
+    """n0[1,2], n0[1,3] and n0[1,4] of the level-0 basket."""
+    return (
+        5 - 6 * p1 + 4 * p2 - p3,
+        4 - 2 * p1 - 2 * p2 + 3 * p3 - p4,
+        1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5,
+    )
+
+
+def _from_counts(level: int, counts: tuple, tail: dict[int, int]) -> Basket | Infeasible:
+    """The basket of the (b, r, multiplicity) ``counts`` and the r >= 5
+    tail, or the first negative multiplicity, named n<level>[b,r]."""
+    for b, r, k in counts:
+        if k < 0:
+            return Infeasible(coefficient=f"n{level}[{b},{r}]", value=k)
     for r in sorted(tail):
         if r < 5:
             raise ValueError(f"tail indices start at r = 5, got {r}")
         if tail[r] < 0:
             raise ValueError(f"tail multiplicity for r = {r} is negative")
-        entries.extend([OrbifoldPair(1, r)] * tail[r])
-    return entries
+        counts += ((1, r, tail[r]),)
+    return _basket(list(counts))
 
 
 def b0_from_plurigenera(
@@ -247,20 +261,8 @@ def b0_from_plurigenera(
 ) -> Basket | Infeasible:
     """The level-0 basket determined by P_{-1}..P_{-4} and the r >= 5 tail."""
     tail = tail or {}
-    sigma5 = sum(tail.values())
-    n12 = 5 - 6 * p1 + 4 * p2 - p3
-    n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-    n14 = 1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5
-    for name, value in (("n0[1,2]", n12), ("n0[1,3]", n13), ("n0[1,4]", n14)):
-        if value < 0:
-            return Infeasible(coefficient=name, value=value)
-    entries = (
-        [OrbifoldPair(1, 2)] * n12
-        + [OrbifoldPair(1, 3)] * n13
-        + [OrbifoldPair(1, 4)] * n14
-        + _tail_entries(tail)
-    )
-    return Basket(entries)
+    n12, n13, n14 = _level0_counts(p1, p2, p3, p4, sum(tail.values()))
+    return _from_counts(0, ((1, 2, n12), (1, 3, n13), (1, 4, n14)), tail)
 
 
 def b5_from_plurigenera(
@@ -269,23 +271,9 @@ def b5_from_plurigenera(
     """The level-5 basket determined by P_{-1}..P_{-5} and the r >= 5 tail."""
     tail = tail or {}
     sigma5 = sum(tail.values())
-    n12 = 3 - 6 * p1 + 3 * p2 - p3 + 2 * p4 - p5 + sigma5
-    n25 = 2 + p2 - 2 * p4 + p5 - sigma5
-    n13 = 2 - 2 * p1 - 3 * p2 + 3 * p3 + p4 - p5 + sigma5
-    n14 = 1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5
-    for name, value in (
-        ("n5[1,2]", n12), ("n5[2,5]", n25), ("n5[1,3]", n13), ("n5[1,4]", n14),
-    ):
-        if value < 0:
-            return Infeasible(coefficient=name, value=value)
-    entries = (
-        [OrbifoldPair(1, 2)] * n12
-        + [OrbifoldPair(1, 3)] * n13
-        + [OrbifoldPair(1, 4)] * n14
-        + [OrbifoldPair(2, 5)] * n25
-        + _tail_entries(tail)
-    )
-    return Basket(entries)
+    n12, n13, n14 = _level0_counts(p1, p2, p3, p4, sigma5)
+    eps5 = epsilon5_from_plurigenera(p2, p4, p5, sigma5)
+    return _from_counts(5, ((1, 2, n12 - eps5), (2, 5, eps5), (1, 3, n13 - eps5), (1, 4, n14)), tail)
 
 
 def epsilon5_from_plurigenera(p2: int, p4: int, p5: int, sigma5: int) -> int:

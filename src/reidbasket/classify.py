@@ -18,10 +18,10 @@ The engine walks the same road the classification arguments do:
 3. re-verify every leaf of the walk against the full constraint set and
    the geometric filter -- mandatory, not an optimization -- from its entry
    counts and the gamma and -K^3 the walk carried into it, build a
-   ``Basket`` only for an admitted leaf, and sort those of each P_{-1} once.
+   ``Basket`` only for an admitted leaf, and sort them once by (P_{-1},
+   basket).
 
-Everything is exact.  The roots come sorted by P_{-1}, so the output is
-built in (P_{-1}, basket) order, without duplicates.  Step 1 and
+Everything is exact, and the output has no duplicates.  Step 1 and
 ``enumerate_index_profiles`` draw their index multisets from one
 generator, ``_multisets``, which spends the gamma budget in integers:
 every entry cost r - 1/r is scaled by one L = lcm(2..24).
@@ -33,7 +33,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, islice, product
+from itertools import combinations_with_replacement, islice, product
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -423,29 +423,25 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     return tuple(steps), tuple(ends), frozen_uses
 
 
-def _walk(
-    roots: list[WeightedBasket], constraints: ClassificationConstraints, budget: int | None = None,
-) -> tuple[list[tuple], int]:
-    """The leaves of the canonical chains up from ``roots`` (of one P_{-1})
-    that the cuts keep, and the number of states visited.  A leaf is its
-    (b, r, multiplicity) triples with the gamma and -K^3 numerators over S
-    that the walk carried into it.
+def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
+    """The leaves of the canonical chains up from ``roots`` that the cuts
+    keep, and the number of states visited.  A leaf is its root's P_{-1},
+    its (b, r, multiplicity) triples and the gamma and -K^3 numerators
+    over S that the walk carried into it.
 
     Level n = 5, 6, ... chooses how many merges into each new fraction b/n
     of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
     terminal basket has one chain, so each leaf comes once, from its own
     level-0 basket.  A merge adds fixed steps to the integers a state
     carries, and its count is tried ascending up to the first cut.  Raises
-    ClosureTruncated when more than ``budget`` states (by default
-    ``max_visited``) pass the cuts.
+    ClosureTruncated when more than ``max_visited`` states pass the cuts.
     """
-    if budget is None:
-        budget = constraints.max_visited
+    budget = constraints.max_visited
     ms = tuple(m for m, _, _ in _windows(constraints))
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
-    # cached: the walks of one ``classify`` call share one build
+    # cached: every walk with the same top and ms shares one build
     steps, ends, uses = _merge_steps(top, ms)
     leaves: list[tuple] = []
     visited = 0
@@ -486,10 +482,10 @@ def _walk(
             k = counts.pop(new, 0)
             counts[p] += k
             counts[q] += k
-        leaves.append(([(b, r, k) for (b, r), k in counts.items() if k], gamma, volume))
+        leaves.append((p1, [(b, r, k) for (b, r), k in counts.items() if k], gamma, volume))
 
     for root in roots:
-        entries = root.basket.entries
+        p1, entries = root.p1, root.basket.entries
         state = _chain_state(root, ms)
         # the root fixes P_{-1}..P_{-4}
         if (ceiling is not None and entries and entries[-1].r > ceiling) or not prune_ok(*state, 4):
@@ -508,26 +504,20 @@ def _walk(
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """All weighted baskets meeting the constraints and the geometric filter.
 
-    One chain walk per P_{-1} up from its level-0 roots (``_walk``).  Each
-    leaf is re-verified from its integers by ``admits``' own check; its
-    sigma5 is its root's, which ``enumerate_b0`` checked.  Only the
-    admitted leaves become baskets, and they are sorted.
+    One chain walk up from every level-0 root (``_walk``).  Each leaf is
+    re-verified from its integers by ``admits``' own check; its sigma5 is
+    its root's, which ``enumerate_b0`` checked.  Only the admitted leaves
+    become baskets, sorted once by (P_{-1}, basket).
     A basket is listed when it is admitted and its own level-0 basket is a
     root, which, under the gamma filter, every admitted basket is (gamma(B)
-    <= gamma(B^(0))).  ``max_visited`` is one budget for the whole call:
-    each walk gets the states the walks before it left.  Raises
-    ClosureTruncated when more states than that pass the cuts: a partial
-    classification is never returned silently.
+    <= gamma(B^(0))).  ``max_visited`` is the walk's budget, so one budget
+    for the whole call.  Raises ClosureTruncated when more states than that
+    pass the cuts: a partial classification is never returned silently.
     """
-    found: list[WeightedBasket] = []
-    budget = constraints.max_visited
-    for p1, roots in groupby(enumerate_b0(constraints), key=lambda root: root[0].p1):
-        leaves, visited = _walk([wb for wb, _ in roots], constraints, budget)
-        budget -= visited
-        admitted = (_basket(triples) for triples, gamma, volume in leaves
-                    if constraints._admits(p1, triples, gamma, volume, S))
-        found += (WeightedBasket(basket, p1) for basket in sorted(admitted, key=Basket.sort_key))
-    return found
+    leaves, _ = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
+             if constraints._admits(p1, triples, gamma, volume, S)]
+    return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 
 # ---------------------------------------------------------------------------

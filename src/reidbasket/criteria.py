@@ -97,11 +97,11 @@ def floor_plus_sqrt(mu: Fraction | int, v: Fraction | int) -> int:
     mu, v = Fraction(mu), Fraction(v)
     if v < 0:
         raise ValueError("floor_plus_sqrt needs v >= 0")
+    # floor(mu) <= mu and floor_sqrt(v) <= sqrt(v), so f <= mu + sqrt(v)
+    # from the start, and only the upward correction can be needed
     f = math.floor(mu) + floor_sqrt(v)
     while _le_sqrt(f + 1 - mu, v):
         f += 1
-    while not _le_sqrt(f - mu, v):
-        f -= 1
     return f
 
 
@@ -523,8 +523,9 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     The default branch takes m1 = n1, mu0' = m0 and the policy's criterion
     case, which is how every summary table row is produced; explicit
     branches refine the bound under finer pencil assumptions.  The basket
-    is read once, by the filter: its M = r_X * (-K^3), r_X and P_{-1..24}
-    feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2 passed) and -K^3.
+    is read once, by the filter: its M = r_X * (-K^3), r_X, r_max and
+    P_{-1..24} feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2
+    passed) and -K^3.
     """
     check = geometric_filter(wb)
     if not check.ok:
@@ -534,7 +535,8 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     n1 = _pencil_scan(_plurigenera(wb, p), lam, policy.n1_window, 400)
     m0 = next(m for m, v in enumerate(p) if v >= 2)
     nu0 = next(m for m, v in enumerate(p) if v >= 1)
-    rmax = r_max(wb.basket)
+    # the empty basket is the Gorenstein case, r_X = 1
+    rmax = check._rmax or 1
     k3 = Fraction(m_big, rx)
 
     def run_branch(spec: BranchSpec) -> BranchResult:

@@ -189,73 +189,53 @@ def load_table(table_id: int) -> TableFixture | None:
 # verification
 # ---------------------------------------------------------------------------
 
-def _same(expected: str, computed: Fraction | int) -> bool:
-    return parse_rational(expected) == computed
+# the order in which a row's cells are checked and its mismatches listed
+_CHECK_ORDER = ("k3", "rmax", "M", "lambda", "n1", "m0", "n2")
+
+
+def _check_cell(report: TableReport, index: int, row: TableRow, column: str, computed: Fraction | int) -> None:
+    """Count one printed cell and compare it with its recomputed value.
+
+    A cell printed as ``<0`` asks for the sign alone.  A ``typo:col=v``
+    cell is a known discrepancy when the row forces v, and a failure
+    otherwise; any other cell must equal the value exactly.
+    """
+    printed = row.cells[column]
+    wanted = row.typos.get(column, printed)
+    ok = computed < 0 if wanted == "<0" else parse_rational(wanted) == computed
+    report.cells_checked += 1
+    if column in row.typos and ok:
+        report.known_discrepancies.append(
+            CellDiff(index, row.basket_text, column, printed, format_rational(computed), known=True)
+        )
+    elif not ok:
+        expected = f"{printed} (annotated {wanted})" if column in row.typos else printed
+        report.mismatches.append(CellDiff(index, row.basket_text, column, expected, format_rational(computed)))
 
 
 def _verify_pipeline_row(
     fixture: TableFixture, index: int, row: TableRow, report: TableReport
 ) -> None:
     wb = WeightedBasket(row.basket, fixture.p1)
-
-    def diff(column: str, computed) -> None:
-        computed_text = format_rational(computed) if isinstance(computed, (Fraction, int)) else str(computed)
-        expected = row.cells[column]
-        report.cells_checked += 1
-        if column in row.typos:
-            # the printed value is recorded, but the row itself forces the
-            # annotated value; anything else is a genuine failure
-            ok_value = row.typos[column]
-            if _same(ok_value, computed):
-                report.known_discrepancies.append(
-                    CellDiff(index, row.basket_text, column, expected, computed_text, known=True)
-                )
-            else:
-                report.mismatches.append(
-                    CellDiff(index, row.basket_text, column, f"{expected} (annotated {ok_value})", computed_text)
-                )
-            return
-        if not _same(expected, computed):
-            report.mismatches.append(
-                CellDiff(index, row.basket_text, column, expected, computed_text)
-            )
-
+    computed: dict[str, Fraction | int] = {}
     if "k3" in row.cells:
-        vol = anti_volume(wb)
-        if row.cells["k3"] == "<0":
-            report.cells_checked += 1
-            if not vol < 0:
-                report.mismatches.append(
-                    CellDiff(index, row.basket_text, "k3", "<0", format_rational(vol))
-                )
-        else:
-            diff("k3", vol)
+        computed["k3"] = anti_volume(wb)
     if "rmax" in row.cells:
-        diff("rmax", r_max(wb.basket))
-
-    skip_derived = bool(row.flags & {"check", "cross"})
-    needs_pipeline = any(c in row.cells for c in ("M", "lambda", "n1", "m0", "n2"))
-    if skip_derived or not needs_pipeline:
-        report.rows_checked += 1
-        return
-
-    case = fixture.case
-    if "star" in row.flags:
-        if fixture.star_case is None:
-            raise ValueError(f"table {fixture.table_id} has a star row but no star_case")
-        case = fixture.star_case
-    rep = table_pipeline(wb, PipelinePolicy(n1_window=fixture.n1_window, case=case))
-
-    if "M" in row.cells:
-        diff("M", rep.m_big)
-    if "lambda" in row.cells:
-        diff("lambda", rep.lam)
-    if "n1" in row.cells:
-        diff("n1", rep.n1)
-    if "m0" in row.cells:
-        diff("m0", rep.m0)
-    if "n2" in row.cells and "question" not in row.flags:
-        diff("n2", rep.headline_n2)
+        computed["rmax"] = r_max(wb.basket)
+    derived = row.cells.keys() & {"M", "lambda", "n1", "m0", "n2"}
+    if derived and not row.flags & {"check", "cross"}:
+        case = fixture.case
+        if "star" in row.flags:
+            if fixture.star_case is None:
+                raise ValueError(f"table {fixture.table_id} has a star row but no star_case")
+            case = fixture.star_case
+        rep = table_pipeline(wb, PipelinePolicy(n1_window=fixture.n1_window, case=case))
+        computed.update({"M": rep.m_big, "lambda": rep.lam, "n1": rep.n1, "m0": rep.m0})
+        if "question" not in row.flags:
+            computed["n2"] = rep.headline_n2
+    for column in _CHECK_ORDER:
+        if column in row.cells and column in computed:
+            _check_cell(report, index, row, column, computed[column])
     report.rows_checked += 1
 
 

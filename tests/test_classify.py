@@ -150,7 +150,8 @@ class TestClassify:
             classify(c)
 
     def test_one_budget_for_the_whole_call(self):
-        # every walk stays below the budget, and their sum goes above it
+        # the roots of each P_{-1} alone stay below the budget, and all of
+        # them, walked in one call, go above it
         c = parse_constraints("p[1]=0..3")
         assert [_walk(group, c)[1] for group in roots_by_p1(c)] == [376, 5554, 8183, 8338]
         with pytest.raises(ClosureTruncated, match="after visiting 20000 states"):
@@ -526,24 +527,20 @@ def roots_by_p1(constraints) -> list[list[WeightedBasket]]:
     return list(roots.values())
 
 
-def built_leaves(leaves: list[tuple], p1: int) -> list[tuple[WeightedBasket, tuple]]:
+def built_leaves(leaves: list[tuple]) -> list[tuple[WeightedBasket, tuple]]:
     """``_walk``'s leaf states, each with the weighted basket built from its
-    (b, r, multiplicity) triples."""
+    P_{-1} and (b, r, multiplicity) triples."""
     return [
-        (WeightedBasket(Basket.of(*((b, r) for b, r, k in leaf[0] for _ in range(k))), p1), leaf)
+        (WeightedBasket(Basket.of(*((b, r) for b, r, k in leaf[1] for _ in range(k))), leaf[0]), leaf)
         for leaf in leaves
     ]
 
 
-def walk_by_p1(constraints) -> tuple[list[WeightedBasket], int]:
-    """``_walk`` over the roots of ``constraints``, one P_{-1} at a time:
-    the leaves as weighted baskets, and the states visited."""
-    leaves, visited = [], 0
-    for group in roots_by_p1(constraints):
-        found, states = _walk(group, constraints)
-        leaves += (wb for wb, _ in built_leaves(found, group[0].p1))
-        visited += states
-    return leaves, visited
+def walk_all(constraints) -> tuple[list[WeightedBasket], int]:
+    """``_walk`` over every root of ``constraints``: the leaves as weighted
+    baskets, and the states visited."""
+    found, visited = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    return [wb for wb, _ in built_leaves(found)], visited
 
 
 def leaf_verdicts(constraints) -> tuple[int, int]:
@@ -551,11 +548,11 @@ def leaf_verdicts(constraints) -> tuple[int, int]:
     carried integers agrees with ``admits`` on the built weighted basket;
     returns the counts of (rejected, admitted) leaves."""
     verdicts = [0, 0]
-    for group in roots_by_p1(constraints):
-        for wb, (triples, gamma, volume) in built_leaves(_walk(group, constraints)[0], group[0].p1):
-            got = constraints._admits(wb.p1, triples, gamma, volume, S)
-            assert got == constraints.admits(wb), (constraints, str(wb))
-            verdicts[got] += 1
+    found, _ = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    for wb, (p1, triples, gamma, volume) in built_leaves(found):
+        got = constraints._admits(p1, triples, gamma, volume, S)
+        assert got == constraints.admits(wb), (constraints, str(wb))
+        verdicts[got] += 1
     return verdicts[0], verdicts[1]
 
 
@@ -620,13 +617,13 @@ class TestChainWalk:
         # of every path: each once, each one unpacking step above a state of
         # the level before, and holding the level-n basket of every leaf
         constraints = parse_constraints(text)
-        leaves, _ = walk_by_p1(constraints)
+        leaves, _ = walk_all(constraints)
         assert leaves
         top = classify_module._rmax_ceiling(constraints)
         states: dict[int, set[WeightedBasket]] = {}
         for n in [0] + list(range(5, top + 1)):
             monkeypatch.setattr(classify_module, "TOP", n)
-            found, _ = walk_by_p1(constraints)
+            found, _ = walk_all(constraints)
             states[n] = set(found)
             assert len(found) == len(states[n])
             if n:
@@ -664,23 +661,23 @@ class TestChainWalk:
             return recording
 
         found = classify(constraints)
-        groups = roots_by_p1(constraints)
+        roots = [wb for wb, _ in enumerate_b0(constraints)]
         monkeypatch.setattr(classify_module, "_windows", every_window)
         assert classify(constraints) == found
         monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
         checked = 0
-        for root in (root for group in groups for root in group):
+        for root in roots:
             # one root at a time: each leaf follows the one check at the
             # root's last level (at 4, the root itself, below level 5) that
             # passes with the leaf's state, and those come in leaf order
             events.clear()
-            leaves = built_leaves(_walk([root], constraints)[0], root.p1)
+            leaves = built_leaves(_walk([root], constraints)[0])
             if not leaves:
                 continue
             last = max(final for final, *_ in events)
             carried = [state for final, *state in events if final == last]
             assert len(carried) == len(leaves)
-            for (wb, (_, gamma, volume)), (g, v, window) in zip(leaves, carried):
+            for (wb, (_, _, gamma, volume)), (g, v, window) in zip(leaves, carried):
                 assert (gamma, volume) == (g, v)
                 assert _chain_state(wb, ms) == (gamma, volume, window), str(wb)
                 checked += 1
@@ -701,7 +698,7 @@ class TestChainWalk:
     def test_leaves_are_the_universe_each_once(self, bench_universe):
         # from every root at P_{-1} = 3 under the gamma filter alone, the
         # leaves are every terminal gamma >= 0 basket, each once
-        leaves, visited = walk_by_p1(parse_constraints("p[1]=3 filters=gamma"))
+        leaves, visited = walk_all(parse_constraints("p[1]=3 filters=gamma"))
         assert sorted(wb.basket for wb in leaves) == bench_universe
         assert visited >= len(leaves) == len(bench_universe) == 8338
 
@@ -739,13 +736,13 @@ class TestChainWalk:
 
     def test_merge_steps_are_built_once_per_classification(self):
         # the merge steps depend on the ceiling and the windows alone, so the
-        # walks of the four P_{-1} share one build, and list what walks with
-        # a build of their own list
+        # one walk over the four P_{-1} looks them up once, and lists what
+        # walks with a build of their own list
         text = "k3=(0,1/30)"
         steps = classify_module._merge_steps
         steps.cache_clear()
         found = classify(parse_constraints(f"p[1]=0..3 {text}"))
-        assert steps.cache_info()[:2] == (3, 1)
+        assert steps.cache_info()[:2] == (0, 1)
         separate = []
         for p1 in range(4):
             steps.cache_clear()

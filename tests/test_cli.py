@@ -280,6 +280,22 @@ class TestCriteria:
         assert code == 0
         assert "headline_n2=52" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("p1, row", [
+        ("4", "\t2\t2\t2\t1\t1\t1\t4"),
+        ("5", "\t4\t4\t4\t2\t1\t1\t5"),
+        ("8", "\t10\t10\t10\t2\t1\t1\t5"),
+    ])
+    def test_empty_basket_is_gorenstein(self, p1, row):
+        # the empty basket passes the filter from P_{-1} = 4 on, with r_max = r_X = 1
+        code, out, err = run_cli("criteria", "--basket", "", "--p1", p1)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == row
+
+    def test_empty_basket_below_p1_4_is_rejected(self):
+        assert run_cli("criteria", "--basket", "", "--p1", "3") == (
+            2, "", "error: rejected by geometric filter: volume_positive: -K^3 = 0 <= 0\n",
+        )
+
     def test_same_pencil_k_needs_two_sections(self):
         # P_{-1} = 1 < 2: no same-pencil branch at K = 1
         assert run_cli(

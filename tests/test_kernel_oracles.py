@@ -490,8 +490,8 @@ class TestRmaxCeiling:
         visited = []
         walk = classify_module._walk
 
-        def counting_walk(roots, constraints, *budget):
-            leaves, states = walk(roots, constraints, *budget)
+        def counting_walk(roots, constraints):
+            leaves, states = walk(roots, constraints)
             visited.append(states)
             return leaves, states
 
