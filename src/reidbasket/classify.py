@@ -436,7 +436,6 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     carries, and its count is tried ascending up to the first cut.  Raises
     ClosureTruncated when more than ``max_visited`` states pass the cuts.
     """
-    budget = constraints.max_visited
     ms = tuple(m for m, _, _ in _windows(constraints))
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)
@@ -452,7 +451,7 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         # were both present, in order, and live[j:] are ahead
         nonlocal visited
         visited += 1
-        if visited > budget:
+        if visited > constraints.max_visited:
             raise ClosureTruncated(
                 f"classification truncated after visiting {constraints.max_visited} states"
             )
