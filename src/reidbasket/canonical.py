@@ -19,6 +19,10 @@ it entrywise defines the level-n approximation of a basket; levels 0, 5,
 the basket itself, and the number of prime packings consumed between
 consecutive levels is epsilon_n = Delta^n(level n-1) - Delta^n(B).
 
+Both are entrywise, so ``canonical_sequence`` reads the chain off one
+memoized table per pair (``_chain``); ``unpack`` and ``epsilon_n`` keep
+the direct definitions as its independent oracle.
+
 Levels 1-4 are not part of the construction and are rejected.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .core import PAIR_CACHE_SIZE, Basket, OrbifoldPair, _delta
@@ -150,16 +155,13 @@ def epsilon_n(basket: Basket, n: int) -> int:
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
     triples = [(pair.b, pair.r, k) for pair, k in basket.counts()]
-    return _epsilon(_unpacked(triples, 0 if n == 5 else n - 1), triples, n)
+    previous = _unpacked(triples, 0 if n == 5 else n - 1)
+    return _checked(n, _delta(previous, n) - _delta(triples, n))
 
 
-def _epsilon(previous: list[tuple[int, int, int]], triples: list[tuple[int, int, int]], n: int) -> int:
-    # Delta^n of the level before n minus Delta^n of the basket, on triples
-    value = _delta(previous, n) - _delta(triples, n)
+def _checked(n: int, value: int) -> int:
     if value < 0:
-        raise AssertionError(
-            f"invariant violated: epsilon_{n} = {value} is negative"
-        )
+        raise AssertionError(f"invariant violated: epsilon_{n} = {value} is negative")
     return value
 
 
@@ -170,33 +172,53 @@ class CanonicalSequence(NamedTuple):
     stabilization_level: int
 
 
-def canonical_sequence(basket: Basket) -> CanonicalSequence:
-    """Levels 0, 5, 6, ... up to stabilization, each built once.
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _chain(b: int, r: int) -> tuple[int, tuple, tuple[int, ...], frozenset[int]]:
+    """One pair's chain table (top, levels, shares, changes).
 
-    epsilon_n is read off the level before n, on the (b, r, multiplicity)
-    triples of ``_unpack_entry``.  An entry b/r is its own level n exactly
-    when b/r in lowest terms is a unit fraction or has a denominator of at
-    most n, so the walk stops at the first n >= 5 where that holds for
-    every entry, and lists the basket itself there; level 5 is always
-    listed.  A level equal to the one before it shares its Basket.  The
-    stabilization level is 0 when level 0 already is the basket.
+    top is the lowest-terms denominator of b/r, 0 for a unit fraction.
+    levels[n] holds the pair's level-n entries for n < top (levels 1-4
+    repeat level 0) and levels[top] the pair itself.  shares[n - 5] is
+    Delta^n(level before n) - Delta^n(pair) for 5 <= n <= top, and
+    changes holds the levels n >= 5 at which the unpacking changes.
     """
-    triples = [(pair.b, pair.r, k) for pair, k in basket.counts()]
-    # the largest lowest-terms denominator of an entry that is no unit
-    # fraction, 0 when there is none
-    top = max((r // g for b, r, _ in triples if (g := math.gcd(b, r)) != b), default=0)
-    previous = _unpacked(triples, 0)
-    level = basket if not top else _basket(previous)
+    g = math.gcd(b, r)
+    top = 0 if g == b else r // g
+    triples = [_unpack_entry(b, r, 0)] * min(top, 5)
+    triples += [_unpack_entry(b, r, n) for n in range(5, top)] + [((b, r, 1),)]
+    # one tuple of OrbifoldPairs per distinct unpacking, shared by its levels
+    entries = {t: sum(((OrbifoldPair(qb, qr),) * m for qb, qr, m in t), ()) for t in triples}
+    steps = range(5, top + 1)
+    shares = tuple(_delta(triples[n - 1], n) - _delta(triples[top], n) for n in steps)
+    changes = frozenset(n for n in steps if triples[n] != triples[n - 1])
+    return top, tuple(entries[t] for t in triples), shares, changes
+
+
+def canonical_sequence(basket: Basket) -> CanonicalSequence:
+    """Levels 0, 5, 6, ... up to stabilization, from per-pair chain tables.
+
+    The chain stops at the largest lowest-terms denominator of an entry
+    that is no unit fraction, where every entry is its own level, or at 5,
+    and lists the basket itself there.  epsilon_n is the column sum of the
+    entries' shares.  A level is built only where some entry's unpacking
+    changes and otherwise shares the Basket before it; the stabilization
+    level is 0 when level 0 already is the basket.
+    """
+    chains = [_chain(p.b, p.r) for p in basket.entries]
+    # an entry's shares run over levels 5..top, so the longest ends at the top
+    eps = list(map(sum, zip_longest(*[shares for _, _, shares, _ in chains], fillvalue=0)))
+    top = len(eps) + 4 if eps else 0
+    if eps and min(eps) < 0:
+        _checked(*next((n, e) for n, e in enumerate(eps, 5) if e < 0))
+    changes = frozenset().union(*[changed for *_, changed in chains])
+    level = Basket([p for _, entries, _, _ in chains for p in entries[0]]) if top else basket
     levels: list[tuple[int, Basket, int]] = [(0, level, 0)]
     for n in range(5, max(top, 5)):
-        current = _unpacked(triples, n)
-        if current != previous:
-            level = _basket(current)
-        levels.append((n, level, _epsilon(previous, triples, n)))
-        previous = current
-    n = max(top, 5)
-    levels.append((n, basket, _epsilon(previous, triples, n)))
-    return CanonicalSequence(levels=tuple(levels), stabilization_level=n if top else 0)
+        if n in changes:
+            level = Basket([p for last, entries, _, _ in chains for p in entries[min(n, last)]])
+        levels.append((n, level, eps[n - 5]))
+    levels.append((max(top, 5), basket, eps[-1] if top else 0))
+    return CanonicalSequence(levels=tuple(levels), stabilization_level=top)
 
 
 # ---------------------------------------------------------------------------

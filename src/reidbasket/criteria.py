@@ -38,7 +38,6 @@ from .core import (
     geometric_filter,
     plurigenus_sequence,
     r_index,
-    r_max,
 )
 
 __all__ = [
@@ -189,6 +188,11 @@ def _lambda_for(wb: WeightedBasket) -> tuple[int, int, Fraction]:
     return m_big, rx, lambda_of(m_big, rx)
 
 
+def _rmax(basket: Basket) -> int:
+    """r_max, read as 1 on the empty basket: the Gorenstein case, r_X = 1."""
+    return max((p.r for p in basket), default=1)
+
+
 def not_pencil_by_plurigenus(wb: WeightedBasket, m: int) -> bool:
     """True iff P_{-m} > lambda(M) * m + 1, exactly.
 
@@ -328,7 +332,7 @@ class CriterionInputs(_CriterionFields):
     ) -> "CriterionInputs":
         m_big, rx, _ = _lambda_for(wb)
         return CriterionInputs(
-            k3=anti_volume(wb), rx=rx, rmax=r_max(wb.basket), m_big=m_big,
+            k3=anti_volume(wb), rx=rx, rmax=_rmax(wb.basket), m_big=m_big,
             m0=m0, m1=m1, mu0=Fraction(mu0), nu0=nu0, n0=n0,
         )
 
@@ -523,9 +527,9 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     The default branch takes m1 = n1, mu0' = m0 and the policy's criterion
     case, which is how every summary table row is produced; explicit
     branches refine the bound under finer pencil assumptions.  The basket
-    is read once, by the filter: its M = r_X * (-K^3), r_X, r_max and
-    P_{-1..24} feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2
-    passed) and -K^3.
+    is read once, by the filter: its M = r_X * (-K^3), r_X and P_{-1..24}
+    feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2 passed) and
+    -K^3.  r_max follows the same rule as ``for_weighted_basket``.
     """
     check = geometric_filter(wb)
     if not check.ok:
@@ -535,8 +539,7 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     n1 = _pencil_scan(_plurigenera(wb, p), lam, policy.n1_window, 400)
     m0 = next(m for m, v in enumerate(p) if v >= 2)
     nu0 = next(m for m, v in enumerate(p) if v >= 1)
-    # the empty basket is the Gorenstein case, r_X = 1
-    rmax = check._rmax or 1
+    rmax = _rmax(wb.basket)
     k3 = Fraction(m_big, rx)
 
     def run_branch(spec: BranchSpec) -> BranchResult:

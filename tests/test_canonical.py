@@ -187,12 +187,23 @@ class TestSequenceOracle:
 
     def test_equals_the_level_by_level_definition(self, bench_universe):
         # the bench's whole terminal gamma >= 0 universe, from the empty
-        # basket on, seeded non-terminal baskets and a level-0 basket
+        # basket on, seeded baskets, a level-0 basket, and seeded baskets
+        # with r <= 40, non-coprime pairs such as (2,6) and (4,10) and
+        # repeated pairs
         rng = random.Random(44)
         baskets = [random_basket(rng, max_entries=8, rmax=30) for _ in range(600)]
         baskets += bench_universe + [B((1, 2), (1, 2), (1, 3), (1, 7))]
-        assert len(baskets) >= 8900
+        baskets += [B((2, 6), (4, 10)), B((2, 6), (2, 6), (4, 10), (4, 10), (3, 7))]
+        for _ in range(2000):
+            entries = list(random_basket(rng, max_entries=6, rmax=40, coprime=False))
+            if entries:
+                entries += [rng.choice(entries)] * rng.randint(0, 3)
+            baskets.append(Basket(entries))
+        assert len(baskets) >= 10900
         assert Basket() in baskets and B((1, 2), (1, 2), (1, 3), (1, 7)) in baskets
+        assert sum(not basket.all_terminal for basket in baskets) > 1000
+        assert sum(len(set(basket)) < len(basket) for basket in baskets) > 1000
+        assert max(p.r for basket in baskets for p in basket) == 40
         stabilizations = set()
         for basket in baskets:
             seq = canonical_sequence(basket)
@@ -200,6 +211,23 @@ class TestSequenceOracle:
             stabilizations.add(seq.stabilization_level)
         # level 0 already the basket, level 5, and levels beyond 5 all occur
         assert {0, 5} < stabilizations and max(stabilizations) > 12
+
+    def test_equal_levels_share_one_basket(self, bench_universe):
+        # a level equal to the one before it is that same object, and the
+        # last level is the input basket itself
+        rng = random.Random(46)
+        baskets = bench_universe[::5]
+        baskets += [random_basket(rng, max_entries=6, rmax=40, coprime=False) for _ in range(300)]
+        shared = 0
+        for basket in baskets:
+            levels = [level for _, level, _ in canonical_sequence(basket).levels]
+            assert levels[-1] is basket
+            for before, level in zip(levels, levels[1:]):
+                assert (level == before) is (level is before), str(basket)
+                shared += level is before
+        assert shared > len(baskets)
+        seq = canonical_sequence(B((2, 5), (3, 7)))
+        assert seq.levels[2][1] is seq.levels[1][1]
 
     def test_level0_basket_lists_levels_0_and_5(self):
         for basket in (Basket(), B((1, 2), (1, 3))):
@@ -315,12 +343,14 @@ class TestFromPlurigenera:
 
 
 def test_pair_caches_are_bounded_and_hold_the_session_working_set():
-    # every coprime pair with r <= 24, at n <= 24 and at the levels 0, 5..24
+    # every coprime pair with r <= 24, at n <= 24, at the levels 0, 5..24 and
+    # on its own for the per-pair chain table
     pairs = [(b, r) for r in range(2, 25) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1]
     levels = [0, *range(5, 25)]
     working_sets = {
         core._l_entry: [(b, r, n) for b, r in pairs for n in range(1, 25)],
         canonical._unpack_entry: [(b, r, level) for b, r in pairs for level in levels],
+        canonical._chain: pairs,
     }
     for helper, keys in working_sets.items():
         assert isinstance(helper.cache_info().maxsize, int)

@@ -94,6 +94,16 @@ class TestCanonical:
         assert (code, out) == (2, "")
         assert f"bad --levels item {item!r}" in err
 
+    def test_listings_are_pinned_byte_for_byte(self):
+        # unit fractions only, a non-coprime pair, and a chain of 24 levels
+        blocks = []
+        for basket in ("(2,5),(3,7)", "(2,6),(3,10)", "(1,2),(1,3)", "(5,24)"):
+            code, out, err = run_cli("canonical", "--basket", basket)
+            assert (code, err) == (0, "")
+            blocks.append(f'$ reidbasket canonical --basket "{basket}"\n{out}')
+        expected = (Path(__file__).parent / "expected" / "canonical.txt").read_bytes()
+        assert "".join(blocks).encode() == expected
+
 
 class TestPack:
     def test_closure_listing(self):
@@ -581,10 +591,15 @@ _VERIFYING = sorted(_CLASSIFYING + ["reidbasket.criteria", "reidbasket.fixtures"
     (["--help"], 0, _PARSING, False, False),
     (["eval", "--basket", "(2,5)"], 2, _PARSING, False, False),
     (["eval", "--basket", "(2,5)", "--p1", "1"], 0, sorted(_PARSING + ["reidbasket.core"]), True, False),
+    (["canonical", "--basket", "(2,5),(3,7)"], 0,
+     sorted(_PARSING + ["reidbasket.core", "reidbasket.canonical"]), True, False),
+    (["pack", "--basket", "(2,5)"], 0,
+     sorted(_PARSING + ["reidbasket.core", "reidbasket.packing"]), True, False),
     (["classify", "--constraints", str(BENCH / "inputs" / "census_p8.txt")], 0, _CLASSIFYING, True, False),
     (["verify", "--all", "--jobs", "1"], 0, _VERIFYING, True, False),
     (["verify", "--manifest"], 0, _VERIFYING, True, True),
-], ids=["help", "usage-error", "eval", "classify", "verify-all", "verify-manifest"])
+], ids=["help", "usage-error", "eval", "canonical", "pack", "classify", "verify-all",
+        "verify-manifest"])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, fractions, hashlib):
     # without a bytecode cache every module loaded is compiled from source,
     # so an import that a command does not use costs its start-up time

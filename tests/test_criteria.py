@@ -285,3 +285,20 @@ def test_pipeline_fields_against_independent_routes(bench_universe):
             assert report.headline_n2 == birational_bound_b(inputs, policy.case), str(wb)
             checked.add(p1)
     assert checked == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("entries, p1, values", [
+    ((), 4, (1, 1, 2, Fraction(2))),
+    (((1, 2), (2, 5), (1, 3), (2, 11)), 1, (11, 330, 1, Fraction(1, 330))),
+])
+def test_both_routes_to_the_criterion_inputs_agree(entries, p1, values):
+    # table_pipeline reads the basket through the filter and
+    # for_weighted_basket reads it directly; on the empty basket, the
+    # Gorenstein case, both read r_max as 1
+    wb = WeightedBasket(Basket.of(*entries), p1)
+    report = table_pipeline(wb)
+    inputs = CriterionInputs.for_weighted_basket(
+        wb, report.m0, max(report.n1, report.m0), report.m0, report.nu0
+    )
+    assert (inputs.rmax, inputs.rx, inputs.m_big, inputs.k3) == values
+    assert (report.rmax, report.rx, report.m_big, report.k3) == values
