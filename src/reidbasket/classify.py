@@ -50,12 +50,11 @@ from .core import (
     WeightedBasket,
     _beyond,
     _pair_terms,
-    _scaled_gamma,
-    _scaled_volume,
+    _record,
     _table,
+    _volume,
     parse_rational,
     plurigenus_sequence,
-    r_index,
 )
 
 __all__ = [
@@ -233,9 +232,9 @@ class ClassificationConstraints(_ConstraintFields):
             s5 = sum(1 for p in unpack(basket, 0) if p.r >= 5)
             if not lo <= s5 <= hi:
                 return False
-        rx = r_index(basket)
+        rec = _record(basket)
         triples = [(p.b, p.r, k) for p, k in basket.counts()]
-        return self._admits(wb.p1, triples, _scaled_gamma(basket, rx), _scaled_volume(wb, rx), rx)
+        return self._admits(wb.p1, triples, rec[4], _volume(wb.p1, rec), rec[0])
 
     def _admits(
         self, p1: int, triples: list[tuple[int, int, int]], gamma: int, volume: int, den: int,
@@ -358,7 +357,9 @@ def _chain_state(wb: WeightedBasket, ms: tuple[int, ...]) -> tuple[int, int, tup
     """What the walk carries for ``wb``: gamma and -K^3 as numerators over S
     (every index divides it) and P_{-m} for the ascending ``ms``."""
     seq = plurigenus_sequence(wb, ms[-1]) if ms else ()
-    return _scaled_gamma(wb.basket, S), _scaled_volume(wb, S), tuple(seq[m] for m in ms)
+    rec = _record(wb.basket)
+    scale = S // rec[0]
+    return rec[4] * scale, _volume(wb.p1, rec) * scale, tuple(seq[m] for m in ms)
 
 
 def _prune_factory(constraints: ClassificationConstraints):

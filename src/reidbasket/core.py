@@ -17,8 +17,12 @@ P_{-m} up to the horizon is a column sum of the entries' tables; past the
 horizon the recursion carries on from P_{-FILTER_HORIZON}.  The geometric
 filter runs on integers too: a ``FilterResult`` decides ``ok`` from them and
 words a failure only when it is read, so ``classify`` checks a candidate
-from the integers it carries.  The volume -K^3, sigma' and gamma are
-integer numerators over r_X, and are returned as one ``Fraction`` each.
+from the integers it carries.  A basket sums its integers once, on first
+use, and keeps them: r_X, r_max, sigma, and sigma' and gamma as numerators
+over r_X, with -K^3 = 2 P_{-1} + sigma - sigma' - 6 over r_X from them.
+The invariants, the filter, ``classify`` and the packing prune clauses all
+read that record; the public functions wrap one numerator in one
+``Fraction``, and the predicates compare numerators.
 ``plurigenus_closed`` evaluates the Riemann-Roch closed form in
 ``Fraction``s as the independent oracle for that kernel.
 """
@@ -62,7 +66,8 @@ __all__ = [
 
 class _Frozen:
     """Base of the immutable ``__slots__`` classes: a subclass sets its
-    slots once, with ``object.__setattr__``, in ``__init__``."""
+    slots once, with ``object.__setattr__`` or the slot's own ``__set__``,
+    in ``__init__`` or, for a cache, on first use."""
 
     __slots__ = ()
 
@@ -137,13 +142,17 @@ class Basket(_Frozen):
     basket is legal and corresponds to the Gorenstein (smooth) case.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_hash", "_ints")
 
     entries: tuple[OrbifoldPair, ...]
 
     def __init__(self, entries: Iterable[OrbifoldPair] = ()) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(entries, key=_PAIR_ORDER)))
-        object.__setattr__(self, "_hash", hash(self.entries))
+        _SET_ENTRIES(self, tuple(sorted(entries, key=_PAIR_ORDER)))
+        # both filled on first use: a level basket of a canonical sequence
+        # is never hashed, and a packing child already seen never sums
+        # its invariants
+        _SET_HASH(self, None)
+        _SET_INTS(self, None)
 
     @staticmethod
     def of(*pairs: tuple[int, int]) -> "Basket":
@@ -161,7 +170,11 @@ class Basket(_Frozen):
         return isinstance(other, Basket) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(self.entries)
+            _SET_HASH(self, h)
+        return h
 
     def __lt__(self, other: "Basket") -> bool:
         # canonical cross-basket order, used to sort listings deterministically
@@ -195,6 +208,12 @@ class Basket(_Frozen):
     @property
     def all_terminal(self) -> bool:
         return all(p.terminal for p in self.entries)
+
+
+# the slot setters, a little cheaper than object.__setattr__ on the pack path
+_SET_ENTRIES = Basket.entries.__set__
+_SET_HASH = Basket._hash.__set__
+_SET_INTS = Basket._ints.__set__
 
 
 class _WeightedBasketFields(NamedTuple):
@@ -323,34 +342,47 @@ def parse_rational(text: str) -> Fraction:
 # basket invariants
 # ---------------------------------------------------------------------------
 
+_R = attrgetter("r")
+
+
+def _record(basket: Basket) -> tuple[int, int, int, int, int]:
+    """(r_X, r_max, sigma, r_X sigma', r_X gamma) of ``basket``, summed in one
+    pass on first use and kept on the basket; r_max is 0 and r_X is 1 on the
+    empty basket.  Every r_i divides r_X, so sigma' and gamma are integers over it.
+    """
+    rec = basket._ints
+    if rec is None:
+        # r_X sigma' = sum b^2 (r_X / r), r_X gamma = (24 - sum r) r_X + sum r_X / r
+        entries = basket.entries
+        rx = math.lcm(*map(_R, entries))
+        sig = sp = shares = total_r = 0
+        for p in entries:
+            b, r = p.b, p.r
+            q = rx // r
+            sig += b
+            sp += b * b * q
+            shares += q
+            total_r += r
+        rec = (rx, entries[-1].r if entries else 0, sig, sp, (24 - total_r) * rx + shares)
+        _SET_INTS(basket, rec)
+    return rec
+
+
+def _volume(p1: int, rec: tuple[int, int, int, int, int]) -> int:
+    """r_X (-K^3) = (2 P_{-1} + sigma - 6) r_X - r_X sigma' from a ``_record``."""
+    rx, _, sig, sp, _ = rec
+    return (2 * p1 + sig - 6) * rx - sp
+
+
 def sigma(basket: Basket) -> int:
     """sigma(B) = sum of the b_i, counted with multiplicity."""
-    return sum(p.b for p in basket)
-
-
-# The invariants below are summed as integers over r_X (every r_i divides
-# it); the public functions wrap one numerator in one Fraction, and the
-# search predicates compare the numerators directly.
-
-def _scaled_sigma_prime(basket: Basket, rx: int) -> int:
-    # r_X * sigma' = sum b_i^2 r_X / r_i
-    return sum(p.b * p.b * (rx // p.r) for p in basket)
-
-
-def _scaled_gamma(basket: Basket, rx: int) -> int:
-    # r_X * gamma = sum r_X / r_i + (24 - sum r_i) r_X
-    return 24 * rx + sum(rx // p.r - p.r * rx for p in basket)
-
-
-def _scaled_volume(wb: WeightedBasket, rx: int) -> int:
-    # r_X * (-K^3) = (2 p1 + sigma - 6) r_X - sum b_i^2 r_X / r_i
-    return (2 * wb.p1 + sigma(wb.basket) - 6) * rx - _scaled_sigma_prime(wb.basket, rx)
+    return _record(basket)[2]
 
 
 def sigma_prime(basket: Basket) -> Fraction:
     """sigma'(B) = sum of b_i^2 / r_i, summed as integers over r_X, one Fraction."""
-    rx = r_index(basket)
-    return Fraction(_scaled_sigma_prime(basket, rx), rx)
+    rec = _record(basket)
+    return Fraction(rec[3], rec[0])
 
 
 def _delta(pairs: list[tuple[int, int, int]], n: int) -> int:
@@ -386,8 +418,8 @@ def gamma(basket: Basket) -> Fraction:
     positivity constraint), which bounds both the number of entries and
     every local index.  Summed as integers over r_X, one Fraction.
     """
-    rx = r_index(basket)
-    return Fraction(_scaled_gamma(basket, rx), rx)
+    rec = _record(basket)
+    return Fraction(rec[4], rec[0])
 
 
 def anti_volume(wb: WeightedBasket) -> Fraction:
@@ -395,19 +427,19 @@ def anti_volume(wb: WeightedBasket) -> Fraction:
 
     Summed as integers over r_X, one Fraction.
     """
-    rx = r_index(wb.basket)
-    return Fraction(_scaled_volume(wb, rx), rx)
+    rec = _record(wb.basket)
+    return Fraction(_volume(wb.p1, rec), rec[0])
 
 
 def r_index(basket: Basket) -> int:
     """Gorenstein index r_X = lcm of the local indices (1 for the empty basket)."""
-    return math.lcm(*(p.r for p in basket)) if len(basket) else 1
+    return _record(basket)[0]
 
 
 def r_max(basket: Basket) -> int:
     if not len(basket):
         raise ValueError("r_max is undefined on the empty basket")
-    return max(p.r for p in basket)
+    return _record(basket)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +490,16 @@ def _pair_terms(b: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _base_row(p1: int) -> tuple[int, ...]:
+    """p1 U[m] + V[m] for m = 0..FILTER_HORIZON: the share of P_{-1} itself."""
+    return tuple(map(add, map(mul, _U, repeat(p1)), _V))
+
+
 def _table(p1: int, terms: list[tuple[int, ...]]) -> list[int]:
     """[0, P_{-1}, ..., P_{-FILTER_HORIZON}] from the ``_pair_terms`` of every
     entry, a pair's table repeated once per entry."""
-    return list(map(sum, zip(map(add, map(mul, _U, repeat(p1)), _V), *terms)))
+    return list(map(sum, zip(_base_row(p1), *terms)))
 
 
 def _basket_terms(basket: Basket) -> list[tuple[int, ...]]:
@@ -503,7 +541,8 @@ def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:
     if upto < 1:
         raise ValueError(f"plurigenus_sequence needs upto >= 1, got {upto}")
     if upto <= FILTER_HORIZON:
-        return _table(wb.p1, _basket_terms(wb.basket))[:upto + 1]
+        table = _table(wb.p1, _basket_terms(wb.basket))
+        return table if upto == FILTER_HORIZON else table[:upto + 1]
     seq = [0]
     seq.extend(p for _, p in islice(_plurigenera(wb), upto))
     return seq
@@ -652,9 +691,8 @@ _CHECKS = (
 
 def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:
     """Run the selected geometric checks; failures are reported in check order."""
-    basket = wb.basket
-    rx = r_index(basket)
+    rec = _record(wb.basket)
+    rx = rec[0]
     return FilterResult(
-        config, _scaled_volume(wb, rx), _scaled_gamma(basket, rx), rx, rx,
-        r_max(basket) if len(basket) else 0, _table(wb.p1, _basket_terms(basket)),
+        config, _volume(wb.p1, rec), rec[4], rx, rx, rec[1], _table(wb.p1, _basket_terms(wb.basket)),
     )

@@ -31,13 +31,13 @@ from .core import (
     Basket,
     WeightedBasket,
     _plurigenera,
-    _scaled_volume,
+    _record,
+    _volume,
     anti_volume,
     format_basket,
     format_rational,
     geometric_filter,
     plurigenus_sequence,
-    r_index,
 )
 
 __all__ = [
@@ -181,8 +181,8 @@ def lambda_ratio_bound(k3: Fraction, rx: int) -> Fraction:
 
 def _lambda_for(wb: WeightedBasket) -> tuple[int, int, Fraction]:
     """(M, r_X, lambda(M)) for M = r_X * (-K^3), an integer; M must be positive."""
-    rx = r_index(wb.basket)
-    m_big = _scaled_volume(wb, rx)
+    rec = _record(wb.basket)
+    rx, m_big = rec[0], _volume(wb.p1, rec)
     if m_big <= 0:
         raise ValueError(f"M = r_X * (-K^3) = {m_big} is not a positive integer")
     return m_big, rx, lambda_of(m_big, rx)
@@ -190,7 +190,7 @@ def _lambda_for(wb: WeightedBasket) -> tuple[int, int, Fraction]:
 
 def _rmax(basket: Basket) -> int:
     """r_max, read as 1 on the empty basket: the Gorenstein case, r_X = 1."""
-    return max((p.r for p in basket), default=1)
+    return _record(basket)[1] or 1
 
 
 def not_pencil_by_plurigenus(wb: WeightedBasket, m: int) -> bool:

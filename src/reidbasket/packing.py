@@ -23,10 +23,8 @@ from .core import (
     ClosureTruncated,
     OrbifoldPair,
     WeightedBasket,
-    anti_volume,
-    gamma,
-    sigma,
-    sigma_prime,
+    _record,
+    _volume,
 )
 
 __all__ = [
@@ -162,25 +160,20 @@ def closure(
 
 def dominates(basket: Basket, other: Basket) -> bool:
     """True iff ``other`` is reachable from ``basket`` by finitely many packings."""
-    if basket == other:
-        return True
-    # fast rejects: packing preserves sigma and sum(r), shortens the basket,
-    # and never increases sigma'
-    if sigma(basket) != sigma(other):
+    # packing preserves sigma and sum(r), shortens the basket and never
+    # increases sigma', so every basket on a path to ``other``, ``basket``
+    # included, is longer and has sigma' >= its own (numerators over each r_X)
+    target_rx, _, target_sig, target_sp, _ = _record(other)
+    if _record(basket)[2] != target_sig or sum(p.r for p in basket) != sum(p.r for p in other):
         return False
-    if sum(p.r for p in basket) != sum(p.r for p in other):
-        return False
-    if len(basket) <= len(other):
-        return False
-    if sigma_prime(basket) < sigma_prime(other):
-        return False
-    # every basket on a path to ``other`` is longer and has sigma' >= its own
-    target_len, sp_target = len(other), sigma_prime(other)
-    reach = closure(
-        basket,
-        prune=lambda b: b == other or (len(b) > target_len and sigma_prime(b) >= sp_target),
-    ).require_complete()
-    return other in reach.baskets
+
+    def on_a_path(b: Basket) -> bool:
+        if len(b) <= len(other):
+            return b == other
+        rx, _, _, sp, _ = _record(b)
+        return sp * target_rx >= target_sp * rx
+
+    return other in closure(basket, prune=on_a_path).require_complete().baskets
 
 
 # -- prune / emission clause helpers ----------------------------------------
@@ -188,13 +181,26 @@ def dominates(basket: Basket, other: Basket) -> bool:
 def gamma_at_least(bound: Fraction | int) -> Predicate:
     """Prune-safe: gamma never increases along packing."""
     bound = Fraction(bound)
-    return lambda basket: gamma(basket) >= bound
+    num, den = bound.numerator, bound.denominator
+
+    def clause(basket: Basket) -> bool:
+        rec = _record(basket)
+        return rec[4] * den >= num * rec[0]
+
+    return clause
 
 
 def volume_at_most(bound: Fraction | int, p1: int) -> Predicate:
     """Prune-safe: -K^3 never decreases along packing (p1 fixed)."""
     bound = Fraction(bound)
-    return lambda basket: anti_volume(WeightedBasket(basket, p1)) <= bound
+    num, den = bound.numerator, bound.denominator
+    WeightedBasket(Basket(), p1)  # the P_{-1} rule, checked once
+
+    def clause(basket: Basket) -> bool:
+        rec = _record(basket)
+        return _volume(p1, rec) * den <= num * rec[0]
+
+    return clause
 
 
 def all_of(*predicates: Predicate) -> Predicate:

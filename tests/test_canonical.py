@@ -344,13 +344,14 @@ class TestFromPlurigenera:
 
 def test_pair_caches_are_bounded_and_hold_the_session_working_set():
     # every coprime pair with r <= 24, at n <= 24, at the levels 0, 5..24 and
-    # on its own for the per-pair chain table
+    # on its own for the per-pair chain table; the base rows of P_{-1} <= 8
     pairs = [(b, r) for r in range(2, 25) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1]
     levels = [0, *range(5, 25)]
     working_sets = {
         core._l_entry: [(b, r, n) for b, r in pairs for n in range(1, 25)],
         canonical._unpack_entry: [(b, r, level) for b, r in pairs for level in levels],
         canonical._chain: pairs,
+        core._base_row: [(p1,) for p1 in range(9)],
     }
     for helper, keys in working_sets.items():
         assert isinstance(helper.cache_info().maxsize, int)

@@ -19,7 +19,7 @@ import pytest
 import reidbasket.classify as classify_module
 import reidbasket.core as core_module
 from conftest import random_basket
-from reidbasket.canonical import b0_from_plurigenera
+from reidbasket.canonical import b0_from_plurigenera, unpack
 from reidbasket.classify import (
     ClassificationConstraints,
     _chain_state,
@@ -32,9 +32,11 @@ from reidbasket.classify import (
     parse_constraints,
 )
 from reidbasket.core import (
+    MAX_VISITED,
     Basket,
     FilterConfig,
     WeightedBasket,
+    _record,
     _superadditivity_failure,
     anti_volume,
     delta_n,
@@ -50,6 +52,7 @@ from reidbasket.core import (
 )
 from reidbasket.criteria import first_not_pencil, lambda_of
 from reidbasket.fixtures import available_tables, load_table
+from reidbasket.packing import all_of, closure, dominates, gamma_at_least, pack_once, single_packings, volume_at_most
 
 SINGLE_CHECKS = tuple(
     name for name in FilterConfig._fields if type(FilterConfig._field_defaults[name]) is bool
@@ -305,6 +308,142 @@ class TestVolume:
             for p1 in (0, 1, 3):
                 wb = WeightedBasket(basket, p1)
                 assert anti_volume(wb) == reference_volume(wb)
+
+
+def reference_record(basket: Basket) -> tuple:
+    """(r_X, r_max, sigma, r_X sigma', r_X gamma), with r_max 0 on the empty basket."""
+    rs = [p.r for p in basket]
+    rx = math.lcm(*rs)
+    return (rx, max(rs, default=0), sum(p.b for p in basket),
+            reference_sigma_prime(basket) * rx, reference_gamma(basket) * rx)
+
+
+# the public reads that fill a fresh basket's record, any one of them first
+FIRST_READS = (
+    sigma, sigma_prime, gamma, r_index, hash,
+    lambda b: r_max(b) if len(b) else None,
+    lambda b: anti_volume(WeightedBasket(b, 1)),
+    lambda b: geometric_filter(WeightedBasket(b, 2)),
+)
+
+
+def nonterminal_packings(seed: int, count: int) -> list[Basket]:
+    """Seeded packings of coprime roots that hold a non-terminal entry."""
+    rng = random.Random(seed)
+    out: list[Basket] = []
+    while len(out) < count:
+        basket = random_basket(rng, max_entries=10, rmax=12, min_entries=3)
+        for _ in range(rng.randint(1, len(basket) - 1)):
+            basket = pack_once(basket, *rng.sample(range(len(basket)), 2))
+        if not basket.all_terminal:
+            out.append(basket)
+    return out
+
+
+class TestRecord:
+    SPECIAL = (Basket(), Basket.of(*[(1, 2)] * 1000), Basket.of((1, 8), (1, 3), (2, 5), (3, 7)))
+
+    @staticmethod
+    def check(basket: Basket, first) -> None:
+        fresh = Basket(basket.entries)
+        first(fresh)
+        expected = reference_record(basket)
+        assert _record(fresh) == expected, str(basket)
+        assert (r_index(fresh), sigma(fresh), sigma_prime(fresh), gamma(fresh)) == (
+            expected[0], expected[2], reference_sigma_prime(basket), reference_gamma(basket))
+        for p1 in (0, 3):
+            wb = WeightedBasket(fresh, p1)
+            assert anti_volume(wb) == reference_volume(wb)
+        if len(fresh):
+            assert r_max(fresh) == expected[1]
+        else:
+            with pytest.raises(ValueError, match="r_max is undefined on the empty basket"):
+                r_max(fresh)
+
+    def test_universe_baskets(self, bench_universe):
+        # each basket reads one of the public invariants first, in turn
+        for i, basket in enumerate(bench_universe):
+            self.check(basket, FIRST_READS[i % len(FIRST_READS)])
+
+    def test_nonterminal_packings_and_edge_baskets(self):
+        cases = nonterminal_packings(41, 500) + list(self.SPECIAL)
+        assert TestRecord.SPECIAL[2] in cases and r_index(TestRecord.SPECIAL[2]) == 840
+        for basket in cases:
+            for first in FIRST_READS:
+                self.check(basket, first)
+
+
+# the bounds of the clause oracle: negative, zero, the smallest volume and a
+# positive one, each on both sides of some basket of the seeded roots
+CLAUSE_BOUNDS = (Fraction(-7, 3), Fraction(0), Fraction(1, 330), Fraction(5, 2))
+
+
+def clause_roots() -> list[Basket]:
+    """Seeded roots, most of them level-0 unpackings as in the session's
+    pack op, and 16x(1,2), whose gamma is exactly 0."""
+    rng = random.Random(42)
+    roots = [Basket.of(*[(1, 2)] * 16)]
+    while len(roots) < 31:
+        basket = random_basket(rng, max_entries=5, rmax=13, min_entries=1)
+        if reference_gamma(basket) >= -2:
+            roots.append(unpack(basket, 0) if rng.random() < 0.7 else basket)
+    return roots
+
+
+class TestClauseIntegerForms:
+    """The prune clauses compare a basket's record integers; the Fraction
+    clauses they replaced are the reference."""
+
+    @pytest.mark.parametrize("bound", CLAUSE_BOUNDS, ids=str)
+    def test_closures_match_the_fraction_clauses(self, bound):
+        # the same baskets, visited count and truncation, on full and on
+        # truncated searches; ``cut_inside`` counts the searches that a
+        # clause cut below the root
+        cut_inside = {"gamma": 0, "volume": 0, "both": 0}
+        for root in clause_roots():
+            free = len(closure(root).baskets)
+            for p1 in range(4):
+                ref_gamma = lambda b: reference_gamma(b) >= bound  # noqa: E731
+                ref_volume = lambda b: reference_volume(WeightedBasket(b, p1)) <= bound  # noqa: E731
+                cases = (
+                    ("gamma", gamma_at_least(bound), ref_gamma),
+                    ("volume", volume_at_most(bound, p1), ref_volume),
+                    ("both", all_of(gamma_at_least(bound), volume_at_most(bound, p1)),
+                     lambda b: ref_gamma(b) and ref_volume(b)),
+                )
+                for name, clause, reference in cases:
+                    for budget in (MAX_VISITED, 6):
+                        got = closure(Basket(root.entries), prune=clause, max_visited=budget)
+                        assert got == closure(root, prune=reference, max_visited=budget), (str(root), p1, budget)
+                    cut_inside[name] += 0 < len(got.baskets) < free
+        assert all(cut_inside.values()), cut_inside
+
+    def test_the_bound_itself_passes(self):
+        root = Basket.of(*[(1, 2)] * 16)
+        assert gamma(root) == 0
+        assert closure(root, prune=gamma_at_least(0)).baskets == (root,)
+        assert not gamma_at_least(Fraction(1, 10 ** 9))(root)
+        wb = WeightedBasket(Basket.of((1, 2), (2, 5)), 2)
+        assert volume_at_most(anti_volume(wb), 2)(wb.basket)
+        assert not volume_at_most(anti_volume(wb) - Fraction(1, 10 ** 9), 2)(wb.basket)
+
+    def test_a_negative_p1_is_rejected_when_the_clause_is_built(self):
+        with pytest.raises(ValueError, match="P_{-1} must be a non-negative integer"):
+            volume_at_most(1, -1)
+
+    def test_dominates_matches_closure_membership(self):
+        # two siblings share sigma and sum(r), so their closures meet the
+        # fast rejects and the pruned search decides
+        rng = random.Random(43)
+        verdicts = []
+        for _ in range(40):
+            root = random_basket(rng, max_entries=6, rmax=9, min_entries=4)
+            first, second = rng.sample(single_packings(root), 2)
+            reachable = set(closure(first).baskets)
+            for other in closure(second).baskets:
+                verdicts.append(dominates(first, other))
+                assert verdicts[-1] == (other in reachable), (str(first), str(other))
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 def reference_rmax_ceiling(constraints) -> int | None:

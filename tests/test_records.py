@@ -17,7 +17,18 @@ import pytest
 from conftest import src_env
 from reidbasket.canonical import in_level_set
 from reidbasket.classify import ClassificationConstraints, parse_constraints
-from reidbasket.core import Basket, FilterConfig, OrbifoldPair, WeightedBasket, geometric_filter
+from reidbasket.core import (
+    Basket,
+    FilterConfig,
+    OrbifoldPair,
+    WeightedBasket,
+    gamma,
+    geometric_filter,
+    plurigenus_sequence,
+    r_index,
+    r_max,
+    sigma,
+)
 from reidbasket.criteria import CriterionInputs
 
 X66 = Basket.of((1, 2), (2, 5), (1, 3), (2, 11))
@@ -85,6 +96,48 @@ def test_basket_is_immutable():
     with pytest.raises(AttributeError):
         del basket.entries
     assert basket == Basket.of((2, 5), (1, 2)) and len(basket) == 2
+
+
+class TestBasketCaches:
+    """A basket fills its hash and its integer record on first use; neither
+    shows in its value, its hash or its pickle."""
+
+    def test_caches_cannot_be_set_or_deleted(self):
+        fresh, filled = Basket.of((1, 2), (2, 5)), Basket.of((1, 2), (2, 5))
+        hash(filled), gamma(filled)
+        for basket in (fresh, filled):
+            for name in ("_ints", "_hash"):
+                with pytest.raises(AttributeError, match="Basket is immutable"):
+                    setattr(basket, name, None)
+                with pytest.raises(AttributeError, match="Basket is immutable"):
+                    delattr(basket, name)
+        assert fresh == filled and hash(fresh) == hash(filled) and gamma(fresh) == gamma(filled)
+
+    @pytest.mark.parametrize("basket", [X66, Basket(), Basket.of(*[(1, 2)] * 1000)],
+                             ids=["x66", "empty", "1000x(1,2)"])
+    def test_hash_is_the_entry_tuple_hash(self, basket):
+        # so every set and dict of baskets iterates as it did before the cache
+        assert hash(basket) == hash(basket.entries) == hash(Basket(basket.entries))
+
+    def test_pickle_round_trip_of_filled_caches(self):
+        basket = Basket.of((1, 2), (2, 5), (1, 3), (3, 7))
+        value = (hash(basket), r_index(basket), sigma(basket), gamma(basket))
+        copy = pickle.loads(pickle.dumps(basket))
+        assert copy == basket and copy is not basket
+        assert (hash(copy), r_index(copy), sigma(copy), gamma(copy)) == value
+
+    def test_plurigenus_sequence_is_a_fresh_list_on_each_call(self):
+        wb = WeightedBasket(X66, 1)
+        first, second = plurigenus_sequence(wb, 24), plurigenus_sequence(wb, 24)
+        assert first == second and first is not second and len(first) == 25
+        first[8] = -1
+        assert plurigenus_sequence(wb, 24) == second
+
+    def test_r_max_of_the_empty_basket_still_raises_after_its_record(self):
+        empty = Basket()
+        assert (r_index(empty), sigma(empty), gamma(empty)) == (1, 0, 24)
+        with pytest.raises(ValueError, match="r_max is undefined on the empty basket"):
+            r_max(empty)
 
 
 class TestWeightedBasket:
