@@ -1,8 +1,9 @@
 """Constraint-driven classification of geometric baskets.
 
 Give the engine plurigenus constraints; it enumerates the feasible
-level-0 baskets, closes them under packing with monotone pruning, and
-re-verifies every survivor.  Two classics:
+level-0 baskets, walks up the canonical chain B^(0) >= B^(5) >= B^(6)
+>= ... from each of them with monotone cuts, and re-verifies every leaf.
+Two classics:
 
 * P_{-1} = P_{-2} = 1 and P_{-8} = 2 has exactly three solutions;
 * Gorenstein index exactly 840 forces one of five baskets once

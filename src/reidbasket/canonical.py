@@ -141,7 +141,7 @@ def _basket(triples: list[tuple[int, int, int]]) -> Basket:
 def unpack(basket: Basket, level: int) -> Basket:
     """The level-n approximation: entrywise Farey unpacking (idempotent)."""
     _check_level(level)
-    return _basket(_unpacked([(pair.b, pair.r, 1) for pair in basket], level))
+    return _basket(_unpacked(basket.counts(), level))
 
 
 def epsilon_n(basket: Basket, n: int) -> int:
@@ -154,7 +154,7 @@ def epsilon_n(basket: Basket, n: int) -> int:
     """
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
-    triples = [(pair.b, pair.r, k) for pair, k in basket.counts()]
+    triples = basket.counts()
     previous = _unpacked(triples, 0 if n == 5 else n - 1)
     return _checked(n, _delta(previous, n) - _delta(triples, n))
 

@@ -33,12 +33,12 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .canonical import _basket, unpack
+from .canonical import _basket, _unpack_entry, _unpacked
 from .core import (
     FILTER_HORIZON,
     MAX_VISITED,
@@ -224,17 +224,15 @@ class ClassificationConstraints(_ConstraintFields):
 
     def admits(self, wb: WeightedBasket) -> bool:
         """Full re-verification of one candidate (the mandatory final pass)."""
-        basket = wb.basket
+        counts = wb.basket.counts()
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
             # r >= 5 entries of its own level-0 unpacking
             lo, hi = self.sigma5
-            s5 = sum(1 for p in unpack(basket, 0) if p.r >= 5)
-            if not lo <= s5 <= hi:
+            if not lo <= sum(k for _, r, k in _unpacked(counts, 0) if r >= 5) <= hi:
                 return False
-        rec = _record(basket)
-        triples = [(p.b, p.r, k) for p, k in basket.counts()]
-        return self._admits(wb.p1, triples, rec[4], _volume(wb.p1, rec), rec[0])
+        rec = _record(wb.basket)
+        return self._admits(wb.p1, counts, rec[4], _volume(wb.p1, rec), rec[0])
 
     def _admits(
         self, p1: int, triples: list[tuple[int, int, int]], gamma: int, volume: int, den: int,
@@ -410,10 +408,11 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     for n in range(5, top + 1):
         for b in range(2, (n + 1) // 2):
             if math.gcd(b, n) == 1:
-                merged = Basket([OrbifoldPair(b, n)])
-                parts = unpack(merged, 0 if n == 5 else n - 1)
-                (g0, v0, w0), (g1, v1, w1) = (_chain_state(WeightedBasket(x, 0), ms) for x in (parts, merged))
-                p, q = ((pair.b, pair.r) for pair in parts)
+                # b/n unpacks one level down into its two parents, one entry each
+                p, q = (entry[:2] for entry in _unpack_entry(b, n, 0 if n == 5 else n - 1))
+                (g0, v0, w0), (g1, v1, w1) = (
+                    _chain_state(WeightedBasket(Basket.of(*pairs), 0), ms) for pairs in ((p, q), ((b, n),))
+                )
                 uses.setdefault(p, []).append((len(steps), q))
                 uses.setdefault(q, []).append((len(steps), p))
                 steps.append((n, p, q, (b, n), g1 - g0, v1 - v0, tuple(map(sub, w1, w0))))
@@ -491,8 +490,7 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         if (ceiling is not None and entries and entries[-1].r > ceiling) or not prune_ok(*state, 4):
             continue
         counts.clear()
-        for pair in entries:
-            counts[pair.b, pair.r] = counts.get((pair.b, pair.r), 0) + 1
+        counts.update(((b, r), k) for b, r, k in root.basket.counts())
         level = min(sum(p.r for p in entries), top)
         end = ends[level] if level >= 5 else 0
         live = {i for i in range(end) if steps[i][1] is None}
@@ -559,19 +557,14 @@ def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:
 
 def _numerator_assignments(profile: tuple[int, ...]):
     """All coprime (b, r) choices over an index multiset, deduplicated."""
-    groups: dict[int, int] = {}
-    for r in profile:
-        groups[r] = groups.get(r, 0) + 1
     per_group: list[list[tuple[OrbifoldPair, ...]]] = []
-    for r, count in sorted(groups.items()):
+    for r, group in groupby(sorted(profile)):
         options = [
             OrbifoldPair(b, r)
             for b in range(1, r // 2 + 1)
             if math.gcd(b, r) == 1
         ]
-        per_group.append(
-            [combo for combo in combinations_with_replacement(options, count)]
-        )
+        per_group.append(list(combinations_with_replacement(options, len(list(group)))))
     for chosen in product(*per_group):
         yield Basket([p for combo in chosen for p in combo])
 

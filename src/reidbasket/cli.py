@@ -227,6 +227,10 @@ def _cmd_criteria(args) -> int:
     from .core import WeightedBasket, parse_basket, plurigenus_sequence
     from .criteria import BranchSpec, PipelinePolicy, table_pipeline
 
+    if args.same_pencil_k is not None and args.same_pencil_k < 1:
+        raise ValueError(f"--same-pencil-k must be >= 1, got {args.same_pencil_k}")
+    if args.n0 < 1:
+        raise ValueError(f"--n0 must be >= 1, got {args.n0}")
     basket = parse_basket(args.basket)
     wb = WeightedBasket(basket, args.p1)
     p1_zero = args.p1 == 0

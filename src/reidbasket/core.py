@@ -33,7 +33,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from operator import add, attrgetter, ge, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -195,15 +195,9 @@ class Basket(_Frozen):
     def sort_key(self) -> tuple:
         return tuple(map(_PAIR_ORDER, self.entries))
 
-    def counts(self) -> list[tuple[OrbifoldPair, int]]:
-        """Entries grouped with multiplicities, in canonical order."""
-        out: list[tuple[OrbifoldPair, int]] = []
-        for p in self.entries:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+    def counts(self) -> list[tuple[int, int, int]]:
+        """(b, r, multiplicity) of each distinct entry, in canonical order."""
+        return [(b, r, len(list(group))) for (r, b), group in groupby(map(_PAIR_ORDER, self.entries))]
 
     @property
     def all_terminal(self) -> bool:
@@ -314,10 +308,7 @@ def parse_basket(text: str) -> Basket:
 
 
 def format_basket(basket: Basket) -> str:
-    items = []
-    for pair, k in basket.counts():
-        items.append(f"{k}x{pair}" if k > 1 else str(pair))
-    return ",".join(items)
+    return ",".join(f"{k}x({b},{r})" if k > 1 else f"({b},{r})" for b, r, k in basket.counts())
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -326,13 +317,22 @@ def format_rational(q: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# The largest decimal exponent ``parse_rational`` reads, the interpreter's
+# default limit on the digits of an int read from text: Fraction("1e-10000000")
+# takes seconds, and each further exponent digit about 30 times longer
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Read an exact rational: "p", "p/q" or an exact decimal like "0.21" or "1e-3".
 
-    The inverse of ``format_rational``.  Bad text, a zero denominator
-    included, raises ValueError naming the token.
+    The inverse of ``format_rational``.  Bad text, a zero denominator and an
+    exponent beyond _MAX_EXPONENT either way included, raises ValueError
+    naming the token.
     """
     try:
+        if abs(int(text.lower().partition("e")[2] or 0)) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
@@ -408,7 +408,7 @@ def delta_n(basket: Basket, n: int) -> int:
     """The correction term Delta^n(B) of the plurigenus recursion, n >= 2."""
     if n < 2:
         raise ValueError(f"delta_n needs n >= 2, got {n}")
-    return _delta([(pair.b, pair.r, k) for pair, k in basket.counts()], n)
+    return _delta(basket.counts(), n)
 
 
 def gamma(basket: Basket) -> Fraction:
@@ -521,7 +521,7 @@ def _plurigenera(wb: WeightedBasket, table: list[int] | None = None) -> Iterator
     """Yield (m, P_{-m}) as integers for m = 1, 2, ... without end, from ``table`` if given."""
     table = table or _table(wb.p1, _basket_terms(wb.basket))
     yield from islice(enumerate(table), 1, None)
-    yield from _beyond(wb.p1, [(pair.b, pair.r, k) for pair, k in wb.basket.counts()], table)
+    yield from _beyond(wb.p1, wb.basket.counts(), table)
 
 
 def plurigenus(wb: WeightedBasket, m: int) -> int:

@@ -342,6 +342,20 @@ class TestFromPlurigenera:
         assert b5_from_plurigenera(ps[1], ps[2], ps[3], ps[4], ps[5]) == B((2, 5))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: in_level_set(Fraction(3, 5), 5), "fraction 3/5 outside (0, 1/2]"),
+    (lambda: in_level_set(Fraction(0), 0), "fraction 0 outside (0, 1/2]"),
+    (lambda: epsilon_n(B((2, 5), (3, 7)), 4), "epsilon_n needs n >= 5, got 4"),
+    # feasible P_{-1..4}, so the tail itself is read
+    (lambda: b0_from_plurigenera(0, 1, 2, 5, {4: 1}), "tail indices start at r = 5, got 4"),
+    (lambda: b0_from_plurigenera(0, 1, 2, 5, {5: -1}), "tail multiplicity for r = 5 is negative"),
+], ids=["in_level_set-above", "in_level_set-zero", "epsilon_n", "b0-tail-index", "b0-tail-count"])
+def test_argument_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_pair_caches_are_bounded_and_hold_the_session_working_set():
     # every coprime pair with r <= 24, at n <= 24, at the levels 0, 5..24 and
     # on its own for the per-pair chain table; the base rows of P_{-1} <= 8

@@ -480,6 +480,21 @@ class TestConstraintsText:
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
             parse_constraints(f"p[1]=1 {token}")
 
+    @pytest.mark.parametrize("token", ["indices=2,3", "indices={2,3", "indices=2,3}"])
+    def test_indices_without_braces_pins_the_message(self, token):
+        with pytest.raises(ValueError) as info:
+            parse_constraints(f"p[1]=1 {token}")
+        assert str(info.value) == f"bad constraints token {token!r}: expected indices={{r,r,...}}"
+
+    def test_k3_end_with_a_huge_exponent_is_rejected_at_once(self):
+        # Fraction would spend minutes on 10 ** 100000000
+        with pytest.raises(ValueError) as info:
+            parse_constraints("p[1]=1 k3=(1e-100000000,1/30)")
+        assert str(info.value) == (
+            "bad constraints token 'k3=(1e-100000000,1/30)': not an exact rational: '1e-100000000'"
+        )
+        assert parse_constraints("p[1]=1 k3=(1e-4300,1/30)").k3_min == Fraction(1, 10 ** 4300)
+
     @pytest.mark.parametrize("token", ["p[1]=-1", "p[1]=-1..2", "p[1]=-3..-1"])
     def test_negative_p1_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):

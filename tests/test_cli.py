@@ -134,6 +134,19 @@ class TestPack:
         assert code == 3 and "TRUNCATED" in err
         assert out == "(1,2),(1,3)\t-29/6\t6\t3\n# visited 1 baskets, emitted 1\n"
 
+    @pytest.mark.parametrize("option", ["--gamma-min", "--k3-max"])
+    def test_huge_exponent_is_an_argparse_error_at_once(self, option):
+        # Fraction would spend minutes on 10 ** 100000000
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            main(["pack", "--basket", "(1,2),(1,3)", option, "1e-100000000"])
+        assert time.perf_counter() - start < 1
+        assert exit_.value.code == 2
+        assert err.getvalue().endswith(
+            f"\nreidbasket pack: error: argument {option}: invalid parse_rational value: '1e-100000000'\n"
+        )
+        assert run_cli("pack", "--basket", "(1,2),(1,3)", option, "1e-4300")[0] == 0
 
     def test_k3_max_prunes_as_volume_at_most(self):
         # the option's listing is the closure under volume_at_most(Q, P), in
@@ -203,6 +216,22 @@ class TestClassify:
         code, out, err = run_cli("classify", "--constraints", str(path), "--jobs", "1")
         assert code == 2
         assert "'1/0'" in err and out == ""
+
+    def test_huge_k3_exponent_is_usage_error_at_once(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=1 p[2]=1 p[8]=2 k3=(1e-100000000,1/30)\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("classify", "--constraints", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bad constraints token 'k3=(1e-100000000,1/30)': not an exact rational: '1e-100000000'\n"
+        )
+        # 10 ** -4300 is read, and lies below every volume of the set
+        path.write_text("p[1]=1 p[2]=1 p[8]=2 k3=(1e-4300,1/30)\n")
+        assert run_cli("classify", "--constraints", str(path)) == (
+            0, (BENCH / "expected" / "census_p8.txt").read_text(), "",
+        )
 
     def test_inverted_range_is_usage_error(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -311,6 +340,17 @@ class TestCriteria:
         assert run_cli(
             "criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1", "--same-pencil-k", "1",
         ) == (2, "", "error: P[-1] = 1 < 2, no same-pencil branch available\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--same-pencil-k", "0"), "--same-pencil-k must be >= 1, got 0"),
+        (("--same-pencil-k", "-3", "--n0", "0"), "--same-pencil-k must be >= 1, got -3"),
+        (("--same-pencil-k", "8", "--n0", "0"), "--n0 must be >= 1, got 0"),
+        (("--n0", "-1"), "--n0 must be >= 1, got -1"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, flags, message):
+        # checked before the basket is read
+        for basket in ("(1,2),(2,5),(1,3),(2,11)", "(1,2),(2,5"):
+            assert run_cli("criteria", "--basket", basket, "--p1", "1", *flags) == (2, "", f"error: {message}\n")
 
     def test_deterministic_output(self):
         args = ("criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1")

@@ -123,6 +123,28 @@ class TestGrammar:
         with pytest.raises(ValueError, match=re.escape(f"not an exact rational: {bad!r}")):
             parse_rational(bad)
 
+    def test_parse_rational_reads_exponents_up_to_4300(self):
+        assert parse_rational("1e-4300") == Fraction(1, 10 ** 4300)
+        assert parse_rational(" 25E+4300 ") == 25 * 10 ** 4300
+        assert parse_rational("-1.5e-3") == Fraction(-3, 2000)
+
+    @pytest.mark.parametrize("bad", [
+        "1e-4301", "1E4301", "2.5e+100000000", "1e-100000000", "1e-" + "9" * 5000,
+    ], ids=["e-4301", "E4301", "e+10^8", "e-10^8", "5000 digits"])
+    def test_parse_rational_rejects_a_larger_exponent_at_once(self, bad):
+        # Fraction would spend seconds on 10 ** 10000000 and minutes on more
+        with pytest.raises(ValueError) as info:
+            parse_rational(bad)
+        assert str(info.value) == f"not an exact rational: {bad!r}"
+
+    def test_counts_are_integer_triples_in_canonical_order(self):
+        assert Basket().counts() == []
+        assert MIXED.counts() == [(1, 2, 2), (1, 3, 1), (1, 4, 1), (2, 5, 3)]
+        # a non-coprime packing keeps its own (b, r), apart from its lowest terms
+        packed = B((2, 6), (1, 3), (1, 2), (2, 4), (1, 3), (3, 6))
+        assert packed.counts() == [(1, 2, 1), (1, 3, 2), (2, 4, 1), (2, 6, 1), (3, 6, 1)]
+        assert all(type(x) is int for triple in packed.counts() for x in triple)
+
 
 class TestInvariants:
     def test_sigma(self):
@@ -223,6 +245,18 @@ class TestPlurigenera:
         # no orbifold part: P_{-m} is a pure polynomial in m
         wb = WeightedBasket(Basket(), p1)
         assert plurigenus(wb, m) == plurigenus_closed(Basket(), anti_volume(wb), m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: plurigenus(WeightedBasket(X66, 1), 0), "plurigenus needs m >= 1, got 0"),
+    (lambda: plurigenus_sequence(WeightedBasket(X66, 1), -2), "plurigenus_sequence needs upto >= 1, got -2"),
+    (lambda: l_term(X66, 0), "l_term needs n >= 1, got 0"),
+    (lambda: plurigenus_closed(X66, Fraction(1, 330), 0), "plurigenus_closed needs n >= 1, got 0"),
+], ids=["plurigenus", "plurigenus_sequence", "l_term", "plurigenus_closed"])
+def test_argument_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestGeometricFilter:

@@ -251,6 +251,46 @@ def auto_policy(p1: int) -> PipelinePolicy:
     return PipelinePolicy(n1_window=6 if p1 == 0 else 1, case=2 if p1 == 0 else 3)
 
 
+ARGUMENT_CHECKS = {
+    "floor_sqrt": (lambda: floor_sqrt(-1), "floor_sqrt needs q >= 0"),
+    "floor_plus_sqrt": (lambda: floor_plus_sqrt(0, Fraction(-1, 2)), "floor_plus_sqrt needs v >= 0"),
+    "lambda_of": (lambda: lambda_of(0, 1), "lambda_of needs M >= 1"),
+    "theta": (lambda: theta(10, 2, 0), "theta needs N >= 1"),
+    "lambda_ratio_bound": (lambda: lambda_ratio_bound(Fraction(0), 2), "lambda_ratio_bound needs -K^3 > 0"),
+    # -K^3 = -6 on the empty basket at P_{-1} = 0, and r_X = 1
+    "first_not_pencil-M": (
+        lambda: first_not_pencil(WeightedBasket(Basket(), 0)), "M = r_X * (-K^3) = -6 is not a positive integer",
+    ),
+    "for_weighted_basket-M": (
+        lambda: CriterionInputs.for_weighted_basket(WeightedBasket(Basket(), 0), m0=1, m1=1, mu0=1),
+        "M = r_X * (-K^3) = -6 is not a positive integer",
+    ),
+    "first_not_pencil-window": (lambda: first_not_pencil(X66, window=0), "window must be >= 1"),
+    "table_pipeline-window": (lambda: table_pipeline(X66, PipelinePolicy(n1_window=0)), "window must be >= 1"),
+    "rr_lower_bound": (lambda: rr_lower_bound(Fraction(1, 330), 11, 10, 0), "rr_lower_bound needs t > 0"),
+    "not_pencil_threshold": (
+        lambda: not_pencil_threshold(Fraction(1, 330), 330, 11, Fraction(-1, 2)), "not_pencil_threshold needs t > 0",
+    ),
+    "birational_bound_b": (
+        lambda: birational_bound_b(CriterionInputs.for_weighted_basket(X66, m0=5, m1=37, mu0=5), case=4),
+        "case must be 1, 2 or 3, got 4",
+    ),
+    # P_{-1} = 1 on X66
+    "mu0_candidates": (lambda: mu0_candidates(X66, 1), "mu0_candidates needs P[-1] >= 2"),
+    "table_pipeline-criterion": (
+        lambda: table_pipeline(X66, PipelinePolicy(branches=(BranchSpec("any", criterion="c"),))),
+        "unknown criterion 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS.keys())
+def test_argument_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_pipeline_fields_against_independent_routes(bench_universe):
     """Every 4th universe basket that passes the filter at P_{-1} = 0..3:
     each report field by a route of its own.  n1 is the least m whose

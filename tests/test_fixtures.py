@@ -190,3 +190,22 @@ def test_b0_list_reports_both_directions(tmp_path, monkeypatch):
         "  MISMATCH: row -1 {8x(1,2),2x(1,3),(1,4)} basket: table says absent from table, "
         "recomputed produced by enumeration",
     ]
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{EXTREMAL_HEADER}(1,2),(1,3),(2,5),(2,11)\t1/330\t1\t1\t37\t5\t11\t64\tstar\n",
+     "table 50 has a star row but no star_case"),
+    ("# table: 50\n# kind: basket_list\n# constraints: p[1]=0\n(1,2)\n", "unknown fixture kind 'basket_list'"),
+], ids=["star-row-without-star-case", "unknown-kind"])
+def test_malformed_fixture_names_its_fault(tmp_path, monkeypatch, text, message):
+    (tmp_path / "table50.tsv").write_text(text)
+    monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+    with pytest.raises(ValueError) as info:
+        verify_table(50)
+    assert str(info.value) == message
+
+
+def test_missing_manifest_is_the_one_problem(tmp_path, monkeypatch):
+    (tmp_path / "table50.tsv").write_text(EXTREMAL_HEADER)
+    monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+    assert verify_manifest() == [f"manifest missing: {tmp_path / 'MANIFEST.sha256'}"]
