@@ -21,10 +21,10 @@ The engine walks the same road the classification arguments do:
    ``Basket`` only for an admitted leaf, and sort them once by (P_{-1},
    basket).
 
-Everything is exact, and the output has no duplicates.  Step 1 and
-``enumerate_index_profiles`` draw their index multisets from one
-generator, ``_multisets``, which spends the gamma budget in integers:
-every entry cost r - 1/r is scaled by one L = lcm(2..24).
+Everything is exact, and the output has no duplicates.  Step 1 and the
+route of an exact r_X, ``enumerate_index_profiles``, draw their index
+multisets from one generator, ``_multisets``, which spends the gamma
+budget in integers: every entry cost r - 1/r is scaled by one L = lcm(2..24).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .core import (
     FilterResult,
     OrbifoldPair,
     WeightedBasket,
+    _MAX_EXPONENT,
     _beyond,
     _pair_terms,
     _record,
@@ -156,7 +157,11 @@ class ClassificationConstraints(_ConstraintFields):
         lo, hi, strict = self.k3_min, self.k3_max, self.k3_min_strict or self.k3_max_strict
         if lo is not None and hi is not None and (lo > hi or lo == hi and strict):
             ends = "[("[self.k3_min_strict], "])"[self.k3_max_strict]
-            raise ValueError(f"empty k3 interval {ends[0]}{lo},{hi}{ends[1]}")
+            try:
+                interval = f" {ends[0]}{lo},{hi}{ends[1]}"
+            except ValueError:  # an end past the int-digit limit does not print
+                interval = ""
+            raise ValueError(f"empty k3 interval{interval}")
         for name in ("rx_exact", "rx_max", "max_visited"):
             if (value := getattr(self, name)) is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -223,13 +228,17 @@ class ClassificationConstraints(_ConstraintFields):
         return True
 
     def admits(self, wb: WeightedBasket) -> bool:
-        """Full re-verification of one candidate (the mandatory final pass)."""
+        """``classify``'s membership test on its universe: the constraints, the filter
+        and the walk's root rules (level-0 indices <= ``tail_max_index``, P_{-2..4} >= 0)."""
         counts = wb.basket.counts()
+        level0 = _unpacked(counts, 0)
+        if max((r for _, r, _ in level0), default=0) > self.tail_max_index:
+            return False
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
             # r >= 5 entries of its own level-0 unpacking
             lo, hi = self.sigma5
-            if not lo <= sum(k for _, r, k in _unpacked(counts, 0) if r >= 5) <= hi:
+            if not lo <= sum(k for _, r, k in level0 if r >= 5) <= hi:
                 return False
         rec = _record(wb.basket)
         return self._admits(wb.p1, counts, rec[4], _volume(wb.p1, rec), rec[0])
@@ -237,10 +246,10 @@ class ClassificationConstraints(_ConstraintFields):
     def _admits(
         self, p1: int, triples: list[tuple[int, int, int]], gamma: int, volume: int, den: int,
     ) -> bool:
-        """``admits`` but for sigma5, on integers: the (b, r, multiplicity)
-        ``triples`` of the basket, and gamma and -K^3 as numerators over
-        ``den``.  The plurigenera come from one table, which the filter
-        reads too, carried on by the recursion to a constrained m above it.
+        """``admits`` but for the level-0 rules, on integers: the (b, r,
+        multiplicity) ``triples`` of the basket, and gamma and -K^3 as
+        numerators over ``den``.  One plurigenus table serves P_{-2..4} >= 0
+        and the filter, carried on by the recursion to a constrained m above.
         """
         if not self.volume_ok(volume, den):
             return False
@@ -259,7 +268,7 @@ class ClassificationConstraints(_ConstraintFields):
             lo, hi = self.p_bounds(m)
             if not lo <= seq[m] <= hi:
                 return False
-        return FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
+        return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
 
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
@@ -452,9 +461,7 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
         nonlocal visited
         visited += 1
         if visited > constraints.max_visited:
-            raise ClosureTruncated(
-                f"classification truncated after visiting {constraints.max_visited} states"
-            )
+            raise _truncated(constraints)
         while j < len(live):
             n, p, q, new, dg, dv, dp = steps[live[j]]
             j += 1
@@ -499,19 +506,25 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
     return leaves, visited
 
 
-def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
-    """All weighted baskets meeting the constraints and the geometric filter.
+def _truncated(constraints: ClassificationConstraints) -> ClosureTruncated:
+    return ClosureTruncated(f"classification truncated after visiting {constraints.max_visited} states")
 
-    One chain walk up from every level-0 root (``_walk``).  Each leaf is
-    re-verified from its integers by ``admits``' own check; its sigma5 is
-    its root's, which ``enumerate_b0`` checked.  Only the admitted leaves
-    become baskets, sorted once by (P_{-1}, basket).
-    A basket is listed when it is admitted and its own level-0 basket is a
-    root, which, under the gamma filter, every admitted basket is (gamma(B)
-    <= gamma(B^(0))).  ``max_visited`` is the walk's budget, so one budget
-    for the whole call.  Raises ClosureTruncated when more states than that
-    pass the cuts: a partial classification is never returned silently.
-    """
+
+def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
+    """The weighted baskets that ``admits`` accepts among the coprime baskets
+    whose level-0 basket has gamma >= 0 (all, under the gamma filter), sorted
+    by (P_{-1}, basket).  An exact ``rx_exact`` with the gamma filter on scans
+    the index profiles of r_X; any other record walks the canonical chain.
+    ``max_visited`` budgets the whole call on either route: ClosureTruncated
+    is raised when it runs out, and a partial answer is never returned."""
+    if constraints.rx_exact is not None and constraints.filters.gamma_nonneg:
+        return enumerate_index_profiles(constraints.rx_exact, constraints)
+    return _classify_walk(constraints)
+
+
+def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBasket]:
+    """``classify`` by one chain walk up from every level-0 root (``_walk``),
+    each leaf re-verified from its integers by ``admits``' own check."""
     leaves, _ = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
     found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
              if constraints._admits(p1, triples, gamma, volume, S)]
@@ -527,17 +540,21 @@ def enumerate_index_profiles(
 ) -> list[WeightedBasket]:
     """All coprime baskets whose local indices have lcm exactly ``lcm_target``,
 
-    filtered by the constraint set.  Index multisets are cut down a priori
-    by the gamma budget (``_index_profiles``), then every coprime
-    numerator assignment is screened by the mandatory re-verification pass.
+    filtered by the constraint set: every coprime numerator assignment of an
+    index multiset cut down a priori by the gamma budget (``_index_profiles``)
+    is screened at each P_{-1} by ``admits``, one step of ``max_visited`` each.
     ``lcm_target`` must be >= 1; 1 stands for the empty basket alone.
     """
     if lcm_target < 1:
         raise ValueError(f"index profile lcm must be >= 1, got {lcm_target}")
+    p1s, checked = constraints.p1_values(), 0
     out: set[WeightedBasket] = set()
     for profile in _index_profiles(lcm_target):
         for basket in _numerator_assignments(profile):
-            for p1 in constraints.p1_values():
+            checked += len(p1s)
+            if checked > constraints.max_visited:
+                raise _truncated(constraints)
+            for p1 in p1s:
                 wb = WeightedBasket(basket, p1)
                 if constraints.admits(wb):
                     out.add(wb)
@@ -598,11 +615,21 @@ _FILTER_FIELDS = {
 }
 
 
+# the one integer token: ASCII digits, as many as a decimal exponent may have
+_INT = rf"-?[0-9]{{1,{_MAX_EXPONENT}}}"
+
+
+def _int(text: str) -> int:
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_range(text: str) -> tuple[int, int]:
     """An integer "v" (read as v..v) or a closed range "lo..hi"."""
     lo, sep, hi = text.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        return _int(lo), _int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"expected an integer or a range lo..hi, got {text!r}") from None
 
@@ -620,7 +647,7 @@ def _k3_fields(text: str) -> dict:
 def _index_fields(text: str) -> dict:
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError("expected indices={r,r,...}")
-    return {"allowed_indices": frozenset(int(r) for r in text[1:-1].split(",") if r)}
+    return {"allowed_indices": frozenset(_int(r) for r in text[1:-1].split(",") if r)}
 
 
 def _filter_fields(text: str) -> dict:
@@ -642,13 +669,13 @@ _KEYS = {
     "sigma5": lambda text: {"sigma5": _parse_int_range(text)},
     "k3": _k3_fields,
     "rmax": lambda text: {"rmax_range": _parse_int_range(text)},
-    "rx": lambda text: {"rx_exact": int(text)},
-    "rx<": lambda text: {"rx_max": int(text)},
+    "rx": lambda text: {"rx_exact": _int(text)},
+    "rx<": lambda text: {"rx_max": _int(text)},
     "indices": _index_fields,
-    "tailmax": lambda text: {"tail_max_index": int(text)},
+    "tailmax": lambda text: {"tail_max_index": _int(text)},
     "filters": _filter_fields,
 }
-_P_KEY = re.compile(r"p\[(-?\d+)\]")
+_P_KEY = re.compile(rf"p\[({_INT})\]")
 
 
 def parse_constraints(text: str) -> ClassificationConstraints:

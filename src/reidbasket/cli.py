@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--constraints", required=True)
     p_cls.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
     p_cls.add_argument("--profiles", type=int, metavar="LCM", default=None,
-                       help="enumerate fixed-Gorenstein-index profiles instead of the chain walk")
+                       help="the same as rx=LCM in the constraints file")
 
     p_crit = sub.add_parser("criteria", help="birationality report for one basket")
     p_crit.add_argument("--basket", required=True)
@@ -201,8 +201,10 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import classify, enumerate_index_profiles, parse_constraints
+    from .classify import classify, parse_constraints
 
+    if args.profiles is not None and args.profiles < 1:
+        raise ValueError(f"--profiles must be >= 1, got {args.profiles}")
     try:
         with open(args.constraints) as handle:
             text = handle.read()
@@ -213,9 +215,10 @@ def _cmd_classify(args) -> int:
         ) from None
     constraints = parse_constraints(text)
     if args.profiles is not None:
-        found = enumerate_index_profiles(args.profiles, constraints)
-    else:
-        found = classify(constraints)
+        if constraints.rx_exact not in (None, args.profiles):
+            raise ValueError(f"--profiles {args.profiles} differs from rx={constraints.rx_exact} in the file")
+        constraints = constraints._replace(rx_exact=args.profiles)
+    found = classify(constraints)
     _print_rows(found)
     print(f"# {len(found)} basket(s)")
     return EXIT_OK

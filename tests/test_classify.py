@@ -27,6 +27,7 @@ from reidbasket.classify import (
     TOP,
     ClassificationConstraints,
     _chain_state,
+    _classify_walk,
     _walk,
     classify,
     enumerate_b0,
@@ -297,6 +298,18 @@ def universe_sets(bench_universe) -> list[ClassificationConstraints]:
     return universe_constraint_sets(bench_universe)
 
 
+def universe_scan(c: ClassificationConstraints, universe: list[Basket]) -> list[WeightedBasket]:
+    """The weighted baskets over ``universe`` that ``admits`` accepts, in
+    ``classify``'s order."""
+    found = [
+        wb
+        for p1 in c.p1_values()
+        for wb in (WeightedBasket(basket, p1) for basket in universe)
+        if c.admits(wb)
+    ]
+    return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
+
+
 class TestUniverseOracle:
     """``classify`` against a plain scan of the bench's 8338-basket universe.
 
@@ -322,15 +335,17 @@ class TestUniverseOracle:
     @pytest.mark.parametrize("index", range(UNIVERSE_SETS))
     def test_classify_equals_the_universe_scan(self, index, universe_sets, bench_universe):
         c = universe_sets[index]
-        scan = [
-            wb
-            for p1 in c.p1_values()
-            for wb in (WeightedBasket(basket, p1) for basket in bench_universe)
-            if c.admits(wb)
-        ]
-        scan.sort(key=lambda wb: (wb.p1, wb.basket.sort_key()))
+        scan = universe_scan(c, bench_universe)
         assert scan, c
         assert classify(c) == scan
+
+    @pytest.mark.parametrize("text, count", [("p[1]=1 filters=gamma", 5554), ("p[1]=1 tailmax=6", 4218)])
+    def test_admits_holds_the_rules_of_the_roots(self, text, count, bench_universe):
+        # every root has P_{-2..4} >= 0 and its level-0 indices at most
+        # tailmax; without those rules the scan admits 8338 and 5262 here
+        c = parse_constraints(text)
+        found = classify(c)
+        assert found == universe_scan(c, bench_universe) and len(found) == count
 
     def test_leaf_check_is_admits_on_the_sets(self, universe_sets):
         rejecting = 0
@@ -382,8 +397,20 @@ class TestIndexProfiles:
         assert str(info.value) == f"index profile lcm must be >= 1, got {lcm}"
 
     def test_lcm_one_is_the_empty_basket(self):
+        # at P_{-1} = 0, 1, 2 the empty basket has P_{-2} = -10, -5 and
+        # P_{-3} = -7, so no root holds it
         c = ClassificationConstraints(p_ranges={1: (0, 3)}, filters=FilterConfig.none())
-        assert enumerate_index_profiles(1, c) == [WeightedBasket(Basket(), p1) for p1 in range(4)]
+        assert enumerate_index_profiles(1, c) == [WeightedBasket(Basket(), 3)]
+
+    @pytest.mark.parametrize("text, candidates", [
+        ((INPUTS / "census_rx840.txt").read_text(), 120), ("p[1]=0..3 rx=60", 1796),
+    ])
+    def test_the_budget_counts_the_candidates(self, text, candidates):
+        # each (basket, P_{-1}) checked is one step of the call's budget
+        c = parse_constraints(text)
+        assert classify(c._replace(max_visited=candidates)) == classify(c)
+        with pytest.raises(ClosureTruncated, match=f"after visiting {candidates - 1} states"):
+            classify(c._replace(max_visited=candidates - 1))
 
     def test_630_case_split(self):
         c = ClassificationConstraints(
@@ -398,6 +425,65 @@ class TestIndexProfiles:
             B((1, 2), (1, 2), (1, 5), (2, 7), (1, 9)),
         }
         assert {anti_volume(wb) for wb in result} == {Fraction(71, 630), Fraction(37, 315)}
+
+
+# the rx= sets of ROADMAP item 7, then sets that cut by tailmax= and by the
+# gamma filter alone
+ITEM7_SETS = (
+    "p[1]=0..4 p[2]=0..1 rx=840", "p[1]=0..4 rx=840", "p[1]=1 p[2]=1 rx=840", "p[1]=0..3 rx=630",
+    "p[1]=0..3 rx=60", "p[1]=0..3 rx=60 k3=(0,1/2) sigma5=0..2", "p[1]=0..3 rx=30 indices={2,3,5}",
+    "p[1]=0..2 rx=2520", "p[1]=0..5 rx=1",
+)
+ROOT_RULE_SETS = ("p[1]=0..3 rx=12 tailmax=4", "p[1]=0..3 rx=60 tailmax=5", "p[1]=0..3 rx=12 filters=gamma")
+
+
+class TestRoutes:
+    """``classify`` scans the index profiles of an exact rx= under the gamma
+    filter and walks the canonical chain on any other record; the walk is
+    the profile route's oracle."""
+
+    @pytest.mark.parametrize("text, route", [
+        ("p[1]=1 rx=840", ("profiles", 840)),
+        ("p[1]=1 rx=12 filters=gamma", ("profiles", 12)),
+        ("p[1]=1 rx=840 filters=volume,index", "walk"),
+        ("p[1]=1 rx<=840", "walk"),
+        ("p[1]=1", "walk"),
+    ])
+    def test_the_record_picks_the_route(self, text, route, monkeypatch):
+        taken = []
+        monkeypatch.setattr(classify_module, "_classify_walk", lambda c: taken.append("walk") or [])
+        monkeypatch.setattr(
+            classify_module, "enumerate_index_profiles", lambda r, c: taken.append(("profiles", r)) or [],
+        )
+        assert classify(parse_constraints(text)) == [] and taken == [route]
+
+    def test_profiles_equal_the_universe_scan_on_every_rx(self, bench_universe):
+        # admits turns away every basket of another r_X, so each rx scans
+        # its own baskets
+        by_rx: dict[int, list[Basket]] = {}
+        for basket in bench_universe:
+            by_rx.setdefault(r_index(basket), []).append(basket)
+        assert len(by_rx) == 112
+        listed = 0
+        for rx, baskets in by_rx.items():
+            c = parse_constraints(f"p[1]=0..3 rx={rx}")
+            found = classify(c)
+            assert found == universe_scan(c, baskets), rx
+            listed += bool(found)
+        assert listed > 50
+
+    @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS)
+    def test_walk_equals_the_profiles(self, text):
+        c = parse_constraints(text)
+        assert _classify_walk(c) == enumerate_index_profiles(c.rx_exact, c)
+
+    def test_walk_equals_the_profiles_on_the_universe_sets(self, universe_sets):
+        # a set without rx= takes the r_X of the first basket it lists
+        for c in universe_sets:
+            if c.rx_exact is None:
+                c = c._replace(rx_exact=r_index(_classify_walk(c)[0].basket))
+            found = _classify_walk(c)
+            assert found and found == enumerate_index_profiles(c.rx_exact, c), c
 
 
 class TestConstraintsText:
@@ -427,6 +513,8 @@ class TestConstraintsText:
         c = parse_constraints("p[1]=1 rx=840 indices={2,3,5,7,8}")
         assert c.rx_exact == 840
         assert c.allowed_indices == frozenset({2, 3, 5, 7, 8})
+        # 4300 digits, the most an integer token holds
+        assert parse_constraints("p[1]=1 rx=" + "0" * 4299 + "1").rx_exact == 1
 
     def test_filter_subset(self):
         c = parse_constraints("p[1]=1 filters=volume,gamma")
@@ -474,11 +562,29 @@ class TestConstraintsText:
         "sigma5=1..2..3", "sigma5=x", "rmax=a..3", "rmax=", "rx=abc", "rx<=abc",
         "indices={2,x}", "tailmax=abc", "tailmax=3", "tailmax=0", "filters=", "filters=,",
         "k3=(a,1/30)", "filters=gamma,foo", "k3=(1/2,1/30)", "k3=(1/30,1/30)", "k3=[1/30,1/30)",
-        "k3=(1/30,1/30]", "rx=0", "rx<=0", "rx=-840",
+        "k3=(1/30,1/30]", "rx=0", "rx<=0", "rx=-840", "tailmax=x", "p[2]=1_0", "rx=8_40",
+        "rx=\u0668\u0664\u0660", "rx=+840", pytest.param("rx=" + "1" * 4301, id="rx=4301 digits"),
     ])
     def test_malformed_value_names_the_token(self, token):
         with pytest.raises(ValueError, match=f"bad constraints token '{re.escape(token)}'"):
             parse_constraints(f"p[1]=1 {token}")
+
+    @pytest.mark.parametrize("token, value", [
+        ("rx=abc", "abc"), ("rx<=1_0", "1_0"), ("tailmax=x", "x"), ("indices={2,x}", "x"),
+        ("rx=+840", "+840"), ("p[2]=\u0661", "\u0661"),
+        pytest.param("rx=" + "9" * 4301, "9" * 4301, id="rx=4301 digits"),
+    ])
+    def test_an_integer_is_ascii_digits(self, token, value):
+        # one token, -?[0-9]+ of at most 4300 digits; a p[m] range says so
+        with pytest.raises(ValueError) as info:
+            parse_constraints(f"p[1]=1 {token}")
+        reason = f"expected an integer{' or a range lo..hi' if token[0] == 'p' else ''}, got {value!r}"
+        assert str(info.value) == f"bad constraints token {token!r}: {reason}"
+
+    def test_an_empty_k3_interval_with_a_huge_end_is_worded_without_it(self):
+        with pytest.raises(ValueError) as info:
+            parse_constraints("p[1]=1 k3=(1e4300,1)")
+        assert str(info.value) == "bad constraints token 'k3=(1e4300,1)': empty k3 interval"
 
     @pytest.mark.parametrize("token", ["indices=2,3", "indices={2,3", "indices=2,3}"])
     def test_indices_without_braces_pins_the_message(self, token):
@@ -675,10 +781,10 @@ class TestChainWalk:
 
             return recording
 
-        found = classify(constraints)
+        found = _classify_walk(constraints)
         roots = [wb for wb, _ in enumerate_b0(constraints)]
         monkeypatch.setattr(classify_module, "_windows", every_window)
-        assert classify(constraints) == found
+        assert _classify_walk(constraints) == found
         monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
         checked = 0
         for root in roots:

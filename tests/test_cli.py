@@ -193,7 +193,22 @@ class TestClassify:
         path.write_text("p[1]=1 p[2]=1 p[8]=2\n")
         code, out, err = run_cli("classify", "--constraints", str(path), "--profiles", lcm)
         assert (code, out) == (2, "")
-        assert err == f"error: index profile lcm must be >= 1, got {lcm}\n"
+        assert err == f"error: --profiles must be >= 1, got {lcm}\n"
+
+    def test_profiles_against_another_rx_is_usage_error(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=1 p[2]=1 rx=840\n")
+        code, out, err = run_cli("classify", "--constraints", str(path), "--profiles", "630")
+        assert (code, out) == (2, "")
+        assert err == "error: --profiles 630 differs from rx=840 in the file\n"
+
+    def test_profiles_is_the_files_rx(self, tmp_path):
+        # one answer per file: without the gamma filter both run the walk
+        path = tmp_path / "c.txt"
+        path.write_text("p[1]=0..2 rx=840 filters=none\n")
+        plain = run_cli("classify", "--constraints", str(path))
+        assert plain[1].endswith("# 109 basket(s)\n")
+        assert run_cli("classify", "--constraints", str(path), "--profiles", "840") == plain
 
     def test_profiles_one_is_the_empty_basket(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -263,6 +278,7 @@ class TestClassify:
         "sigma5=1..2..3", "rmax=a..3", "rx=abc", "rx<=abc", "indices={2,x}", "tailmax=abc",
         "tailmax=3", "filters=", "filters=,", "p[1]=-1", "p[1]=-1..2", "k3=(a,1/30)",
         "filters=gamma,foo", "k3=(1/2,1/30)", "k3=(1/30,1/30)", "rx=0", "rx<=0", "rx=-840",
+        "rx=8_40", "p[1]=1_0", "k3=(1e4300,1)",
     ])
     def test_malformed_token_is_usage_error(self, tmp_path, token):
         path = tmp_path / "c.txt"

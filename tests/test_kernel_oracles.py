@@ -488,6 +488,11 @@ def reference_prune(constraints, p1: int, basket: Basket, final: int) -> bool:
 def reference_admits(constraints, wb: WeightedBasket) -> bool:
     assert constraints.sigma5 is None
     vol = reference_volume(wb)
+    # the rules of the walk's roots: the level-0 indices and P_{-2..4} >= 0
+    if any(p.r > constraints.tail_max_index for p in unpack(wb.basket, 0)):
+        return False
+    if any(plurigenus_closed(wb.basket, vol, m) < 0 for m in (2, 3, 4)):
+        return False
     lo, hi = constraints.k3_min, constraints.k3_max
     if lo is not None and (vol < lo or (vol == lo and constraints.k3_min_strict)):
         return False
@@ -532,6 +537,10 @@ BOUNDED_SETS = (
 # the baskets they find
 INDEX_SETS = ("p[1]=0 rx<=12", "p[1]=0..1 rmax=5..7 indices={2,3,5,7}")
 
+# sets where the rules of the walk's roots decide what the filter does not:
+# P_{-2..4} >= 0 under the gamma filter alone, and the level-0 tail cap
+ROOT_RULE_SETS = ("p[1]=0..2 filters=gamma", "p[1]=0..2 tailmax=6")
+
 # each sits on an end of a bounded set: -K^3 = 0, 1/30 and 1/2 on
 # non-geometric baskets, and 1/2, 1/30, 1/330 on geometric ones
 ON_THE_BOUNDS = (
@@ -558,7 +567,7 @@ class TestClassifyPredicates:
 
     def constraint_sets(self) -> list:
         assert len(CENSUS_INPUTS) == 3
-        texts = [path.read_text() for path in CENSUS_INPUTS] + list(BOUNDED_SETS + INDEX_SETS)
+        texts = [path.read_text() for path in CENSUS_INPUTS] + list(BOUNDED_SETS + INDEX_SETS + ROOT_RULE_SETS)
         return [parse_constraints(text) for text in texts]
 
     def pool(self, sets) -> list[WeightedBasket]:
@@ -638,7 +647,7 @@ class TestRmaxCeiling:
             patch.setattr(classify_module, "_walk", counting_walk)
             if not ceiling:
                 patch.setattr(classify_module, "_rmax_ceiling", lambda constraints: None)
-            return classify(constraints), sum(visited)
+            return classify_module._classify_walk(constraints), sum(visited)
 
     @pytest.mark.parametrize("text", SETS)
     def test_same_baskets_fewer_states(self, text, monkeypatch):
@@ -699,12 +708,13 @@ class TestNoP2Clause:
         def with_empty_p2_window(constraints):
             return ((2, 1, 0),) + windows(constraints)
 
-        found = classify(constraints)
+        walk = classify_module._classify_walk
+        found = walk(constraints)
         monkeypatch.setattr(classify_module, "_windows", with_p2_window)
-        assert found and classify(constraints) == found
+        assert found and walk(constraints) == found
         # the window is read: one that no P_{-2} meets cuts every root
         monkeypatch.setattr(classify_module, "_windows", with_empty_p2_window)
-        assert classify(constraints) == []
+        assert walk(constraints) == []
 
 
 class TestNoMinVolumeClause:
@@ -736,9 +746,10 @@ class TestNoMinVolumeClause:
         def without_the_roots_it_cuts(constraints):
             return [root for root in roots(constraints) if not self.clause_cuts(root[0].p1, root[0].basket)]
 
-        found = classify(constraints)
+        walk = classify_module._classify_walk
+        found = walk(constraints)
         monkeypatch.setattr(classify_module, "enumerate_b0", without_the_roots_it_cuts)
-        assert found and classify(constraints) == found
+        assert found and walk(constraints) == found
 
 
 def reference_root_gamma(n12: int, n13: int, n14: int, tail: dict[int, int]) -> Fraction:
