@@ -49,6 +49,8 @@ from .core import (
     OrbifoldPair,
     WeightedBasket,
     _MAX_EXPONENT,
+    _U,
+    _basket_terms,
     _beyond,
     _pair_terms,
     _record,
@@ -271,6 +273,11 @@ class ClassificationConstraints(_ConstraintFields):
         return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
 
 
+def _root_windows(constraints: ClassificationConstraints) -> list[tuple[int, int | float]]:
+    """The (lo, hi) that a walk root keeps P_{-2}, P_{-3} and P_{-4} in: their ranges, cut at 0."""
+    return [(max(lo or 0, 0), math.inf if hi is None else hi) for lo, hi in map(constraints.p_bounds, (2, 3, 4))]
+
+
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
     """All feasible level-0 weighted baskets with their (P_{-1}..P_{-4}).
 
@@ -285,10 +292,7 @@ def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedB
     """
     indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
     pairs = {r: OrbifoldPair(1, r) for r in indices}
-    (lo2, hi2), (lo3, hi3), (lo4, hi4) = (
-        (max(lo or 0, 0), math.inf if hi is None else hi)
-        for lo, hi in map(constraints.p_bounds, (2, 3, 4))
-    )
+    (lo2, hi2), (lo3, hi3), (lo4, hi4) = _root_windows(constraints)
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
     # P_{-m} = P_{-(m-1)} + m^2 (P_{-1} - 3) + sigma m(m-1)/2 + 2 - Delta^m
     # with sigma = n, the entry count.  P_{-2} = 5 P_{-1} + n - 10 reads n
@@ -542,19 +546,25 @@ def enumerate_index_profiles(
 
     filtered by the constraint set: every coprime numerator assignment of an
     index multiset cut down a priori by the gamma budget (``_index_profiles``)
-    is screened at each P_{-1} by ``admits``, one step of ``max_visited`` each.
-    ``lcm_target`` must be >= 1; 1 stands for the empty basket alone.
+    is screened by ``admits`` at each P_{-1} that its P_{-2..4} windows allow,
+    one step of ``max_visited`` each.  ``lcm_target`` must be >= 1; 1 stands
+    for the empty basket alone.
     """
     if lcm_target < 1:
         raise ValueError(f"index profile lcm must be >= 1, got {lcm_target}")
-    p1s, checked = constraints.p1_values(), 0
+    p1s, checked, windows = constraints.p1_values(), 0, _root_windows(constraints)
     out: set[WeightedBasket] = set()
     for profile in _index_profiles(lcm_target):
         for basket in _numerator_assignments(profile):
-            checked += len(p1s)
+            # P_{-m} grows by _U[m] per unit of P_{-1}: keep the P_{-1} that
+            # hold P_{-2..4} in the root windows
+            lo, hi, at0 = p1s.start, p1s.stop - 1, _table(0, _basket_terms(basket))
+            for m, (wlo, whi) in zip((2, 3, 4), windows):
+                lo, hi = max(lo, -((at0[m] - wlo) // _U[m])), min(hi, (whi - at0[m]) // _U[m])
+            checked += max(hi - lo + 1, 0)
             if checked > constraints.max_visited:
                 raise _truncated(constraints)
-            for p1 in p1s:
+            for p1 in range(lo, hi + 1):
                 wb = WeightedBasket(basket, p1)
                 if constraints.admits(wb):
                     out.add(wb)

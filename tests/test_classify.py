@@ -403,10 +403,12 @@ class TestIndexProfiles:
         assert enumerate_index_profiles(1, c) == [WeightedBasket(Basket(), 3)]
 
     @pytest.mark.parametrize("text, candidates", [
-        ((INPUTS / "census_rx840.txt").read_text(), 120), ("p[1]=0..3 rx=60", 1796),
+        ((INPUTS / "census_rx840.txt").read_text(), 5), ("p[1]=0..3 rx=60", 1224),
+        ("p[1]=0..3000 p[2]=1 rx=60", 78),
     ])
     def test_the_budget_counts_the_candidates(self, text, candidates):
-        # each (basket, P_{-1}) checked is one step of the call's budget
+        # each (basket, P_{-1}) checked is one step of the call's budget, at
+        # the P_{-1} that the basket's P_{-2..4} windows allow
         c = parse_constraints(text)
         assert classify(c._replace(max_visited=candidates)) == classify(c)
         with pytest.raises(ClosureTruncated, match=f"after visiting {candidates - 1} states"):
@@ -435,6 +437,10 @@ ITEM7_SETS = (
     "p[1]=0..2 rx=2520", "p[1]=0..5 rx=1",
 )
 ROOT_RULE_SETS = ("p[1]=0..3 rx=12 tailmax=4", "p[1]=0..3 rx=60 tailmax=5", "p[1]=0..3 rx=12 filters=gamma")
+# wide P_{-1} ranges that the P_{-2..3} windows cut to a few values per basket
+WIDE_P1_SETS = (
+    "p[1]=0..3000 p[2]=1 rx=60", "p[1]=0..3000 p[2]=2..10 rx=840", "p[1]=0..3000 p[2]=0..5 p[3]=3..8 rx=12",
+)
 
 
 class TestRoutes:
@@ -472,7 +478,7 @@ class TestRoutes:
             listed += bool(found)
         assert listed > 50
 
-    @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS)
+    @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS + WIDE_P1_SETS)
     def test_walk_equals_the_profiles(self, text):
         c = parse_constraints(text)
         assert _classify_walk(c) == enumerate_index_profiles(c.rx_exact, c)
