@@ -34,12 +34,10 @@ assert classify(parse_constraints(text)) == classify(c)
 
 print("\nGorenstein index 840 with P_{-1} = P_{-2} = 1:")
 c840 = ClassificationConstraints(p_fixed={1: 1, 2: 1}, rx_exact=840)
-for wb in enumerate_index_profiles(840, c840):
+for wb in enumerate_index_profiles(c840):
     print(f"  {wb.basket}    -K^3 = {anti_volume(wb)}")
 
-every = enumerate_index_profiles(
-    840, ClassificationConstraints(p_ranges={1: (0, 4)}, rx_exact=840)
-)
+every = enumerate_index_profiles(ClassificationConstraints(p_ranges={1: (0, 4)}, rx_exact=840))
 print("\nacross every admissible index-840 weighted basket:")
 print("  count:", len(every))
 print("  min -K^3:", min(anti_volume(wb) for wb in every), "(= 47/840)")

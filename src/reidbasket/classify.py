@@ -2,10 +2,11 @@
 
 The engine walks the same road the classification arguments do:
 
-1. enumerate the feasible level-0 baskets, the multisets of (1, r) entries
-   bounded a priori by gamma >= 0 (which caps every local index at 24 and
-   the total entry weight at Sigma(r - 1/r) <= 24), and keep those whose
-   P_{-1}..P_{-4} and r >= 5 tail meet the constraints;
+1. draw the level-0 roots lazily, as P_{-1} and (1, r, multiplicity)
+   integers (``_roots``): the multisets of (1, r) entries bounded a priori
+   by gamma >= 0 (which caps every local index at 24 and the total entry
+   weight at Sigma(r - 1/r) <= 24), at each P_{-1} where the P_{-2}..P_{-4}
+   their counts give, and their r >= 5 tail, meet the constraints;
 2. walk up the canonical chain B^(0) >= B^(5) >= B^(6) >= ... >= B from
    each root (``_walk``): level n merges Farey neighbours of S(n-1) into
    the new fractions b/n of S(n), so every terminal basket is reached
@@ -25,6 +26,7 @@ Everything is exact, and the output has no duplicates.  Step 1 and the
 route of an exact r_X, ``enumerate_index_profiles``, draw their index
 multisets from one generator, ``_multisets``, which spends the gamma
 budget in integers: every entry cost r - 1/r is scaled by one L = lcm(2..24).
+Both cut P_{-1} by one rule, ``_p1_span``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .canonical import _basket, _unpack_entry, _unpacked
 from .core import (
@@ -48,16 +50,16 @@ from .core import (
     FilterResult,
     OrbifoldPair,
     WeightedBasket,
-    _MAX_EXPONENT,
+    _INT,
     _U,
     _basket_terms,
     _beyond,
+    _int,
     _pair_terms,
     _record,
     _table,
     _volume,
     parse_rational,
-    plurigenus_sequence,
 )
 
 __all__ = [
@@ -67,6 +69,9 @@ __all__ = [
     "classify",
     "enumerate_index_profiles",
 ]
+
+# a basket read as its (b, r, multiplicity) triples
+_Triples = list[tuple[int, int, int]]
 
 # gamma >= 0 caps every local index at 24 and the entry costs r - 1/r at a
 # total of 24; both budgets count them in integers over this one scale
@@ -245,9 +250,7 @@ class ClassificationConstraints(_ConstraintFields):
         rec = _record(wb.basket)
         return self._admits(wb.p1, counts, rec[4], _volume(wb.p1, rec), rec[0])
 
-    def _admits(
-        self, p1: int, triples: list[tuple[int, int, int]], gamma: int, volume: int, den: int,
-    ) -> bool:
+    def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int, den: int) -> bool:
         """``admits`` but for the level-0 rules, on integers: the (b, r,
         multiplicity) ``triples`` of the basket, and gamma and -K^3 as
         numerators over ``den``.  One plurigenus table serves P_{-2..4} >= 0
@@ -259,18 +262,27 @@ class ClassificationConstraints(_ConstraintFields):
         rx = math.lcm(*rs)
         if not self._indices_ok(rs, rx):
             return False
-        terms = []
-        for b, r, k in triples:
-            terms += [_pair_terms(b, r)] * k
-        p = seq = _table(p1, terms)
         ms = self.constrained_ms()
-        if ms and ms[-1] > FILTER_HORIZON:
-            seq = p + [v for _, v in islice(_beyond(p1, triples, p), ms[-1] - FILTER_HORIZON)]
+        seq = _sequence(p1, triples, ms[-1] if ms else 0)
         for m in ms:
             lo, hi = self.p_bounds(m)
             if not lo <= seq[m] <= hi:
                 return False
+        p = seq[:FILTER_HORIZON + 1]
         return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
+
+
+def _sequence(p1: int, triples: _Triples, upto: int) -> list[int]:
+    """[0, P_{-1}, ..., P_{-m}] of the basket of (b, r, multiplicity)
+    ``triples``, m = max(upto, FILTER_HORIZON): the table, and the recursion
+    carried on past it."""
+    terms = []
+    for b, r, k in triples:
+        terms += [_pair_terms(b, r)] * k
+    p = _table(p1, terms)
+    if upto > FILTER_HORIZON:
+        p += [v for _, v in islice(_beyond(p1, triples, p), upto - FILTER_HORIZON)]
+    return p
 
 
 def _root_windows(constraints: ClassificationConstraints) -> list[tuple[int, int | float]]:
@@ -278,51 +290,50 @@ def _root_windows(constraints: ClassificationConstraints) -> list[tuple[int, int
     return [(max(lo or 0, 0), math.inf if hi is None else hi) for lo, hi in map(constraints.p_bounds, (2, 3, 4))]
 
 
-def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
-    """All feasible level-0 weighted baskets with their (P_{-1}..P_{-4}).
+def _p1_span(p1s: range, at0: Sequence[int], windows: list[tuple[int, int | float]]) -> range:
+    """The P_{-1} of ``p1s`` that hold P_{-2}, P_{-3}, ... within ``windows``,
+    from their values ``at0[m]`` at P_{-1} = 0: P_{-m} grows by _U[m] per
+    unit of P_{-1}."""
+    lo, hi = p1s.start, p1s.stop - 1
+    for m, (wlo, whi) in zip((2, 3, 4), windows):
+        lo, hi = max(lo, -((at0[m] - wlo) // _U[m])), min(hi, (whi - at0[m]) // _U[m])
+    return range(lo, hi + 1)
+
+
+def _roots(constraints: ClassificationConstraints) -> Iterator[tuple[int, _Triples]]:
+    """The walk's level-0 roots, lazily, each as (P_{-1}, (1, r, multiplicity) triples).
 
     A level-0 basket is a multiset of (1, r) entries, and gamma >= 0 bounds
     it: ``_multisets`` lists every candidate over the indices 2..24 (2152
-    of them), the r >= 5 tail cut at ``tail_max_index``.  P_{-2}..P_{-4}
-    follow from the entry counts by the plurigenus recursion with the
-    level-0 values Delta^2 = 0, Delta^3 = n_{1,2} and Delta^4 = 2 n_{1,2}
-    + n_{1,3} (``core._delta``).  A root keeps them >= 0 and within their
-    ranges, and its r >= 5 count within ``sigma5``.  Each candidate is one
-    basket, so the roots are distinct; they come sorted by (P_{-1}, basket).
+    of them), the r >= 5 tail cut at ``tail_max_index``.  A root keeps its
+    r >= 5 count within ``sigma5``, and P_{-2}..P_{-4} >= 0 and within their
+    ranges at each P_{-1} that ``_p1_span`` gives.  The roots are distinct
+    and come in no particular order.
     """
     indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
-    pairs = {r: OrbifoldPair(1, r) for r in indices}
-    (lo2, hi2), (lo3, hi3), (lo4, hi4) = _root_windows(constraints)
+    p1s, windows = constraints.p1_values(), _root_windows(constraints)
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
-    # P_{-m} = P_{-(m-1)} + m^2 (P_{-1} - 3) + sigma m(m-1)/2 + 2 - Delta^m
-    # with sigma = n, the entry count.  P_{-2} = 5 P_{-1} + n - 10 reads n
-    # alone, so the P_{-1} it admits are listed per n, for n <= 16 (every
-    # entry costs at least 3/2 of the budget 24); the multisets come
-    # shortest first, so the longest n admitted ends the search
-    p1s = constraints.p1_values()
-    live = [[p1 for p1 in p1s if lo2 <= 5 * p1 + n - 10 <= hi2] for n in range(17)]
-    longest = max((n for n in range(17) if live[n]), default=-1)
-    out: list[tuple[WeightedBasket, tuple[int, int, int, int]]] = []
+    # P_{-2} = 5 P_{-1} + n - 10 reads the entry count n alone, so the span
+    # of its window is found once per n <= 16 (every entry costs at least
+    # 3/2 of the budget 24)
+    spans = [_p1_span(p1s, (0, 0, n - 10), windows[:1]) for n in range(17)]
+    # one (1, r) entry's share of P_{-1}..P_{-4}
+    head = {r: _pair_terms(1, r)[:5] for r in indices}
     for entries in _multisets(indices):
-        n = len(entries)
-        if n > longest:
-            break
-        if not live[n]:
-            continue
-        n12, n13 = entries.count(2), entries.count(3)
-        if not s5lo <= n - n12 - n13 - entries.count(4) <= s5hi:
-            continue
-        basket = None
-        for p1 in live[n]:
-            p2 = 5 * p1 + n - 10
-            p3 = p2 + 9 * p1 + 3 * n - 25 - n12
-            p4 = p3 + 16 * p1 + 6 * n - 46 - 2 * n12 - n13
-            if lo3 <= p3 <= hi3 and lo4 <= p4 <= hi4:
-                if basket is None:
-                    basket = Basket([pairs[r] for r in entries])
-                out.append((WeightedBasket(basket, p1), (p1, p2, p3, p4)))
-    out.sort(key=lambda item: (item[0].p1, item[0].basket.sort_key()))
-    return out
+        span = spans[len(entries)]
+        if span and s5lo <= sum(r >= 5 for r in entries) <= s5hi:
+            span = _p1_span(span, _table(0, [head[r] for r in entries]), windows)
+            if span:
+                triples = [(1, r, len(list(group))) for r, group in groupby(entries)]
+                yield from ((p1, triples) for p1 in span)
+
+
+def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
+    """The walk's roots (``_roots``) as weighted baskets with their
+    (P_{-1}..P_{-4}), sorted by (P_{-1}, basket)."""
+    roots = [(WeightedBasket(_basket(triples), p1), tuple(_sequence(p1, triples, 4)[1:5]))
+             for p1, triples in _roots(constraints)]
+    return sorted(roots, key=lambda item: (item[0].p1, item[0].basket.sort_key()))
 
 
 def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
@@ -360,17 +371,20 @@ S = math.lcm(*range(2, TOP + 1))
 
 def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int, int], ...]:
     """(m, lo, hi) of each constrained P_{-m} with m >= 5: the root fixes
-    P_{-1}..P_{-4}, and ``enumerate_b0`` draws the roots from their ranges."""
+    P_{-1}..P_{-4}, and ``_roots`` draws the roots from their ranges."""
     return tuple((m, *constraints.p_bounds(m)) for m in constraints.constrained_ms() if m >= 5)
 
 
-def _chain_state(wb: WeightedBasket, ms: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """What the walk carries for ``wb``: gamma and -K^3 as numerators over S
-    (every index divides it) and P_{-m} for the ascending ``ms``."""
-    seq = plurigenus_sequence(wb, ms[-1]) if ms else ()
-    rec = _record(wb.basket)
-    scale = S // rec[0]
-    return rec[4] * scale, _volume(wb.p1, rec) * scale, tuple(seq[m] for m in ms)
+def _chain_state(p1: int, triples: _Triples, ms: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """What the walk carries for the basket of (b, r, multiplicity)
+    ``triples`` at ``p1``: gamma = (24 - Sigma r) + Sigma 1/r and -K^3 =
+    2 P_{-1} + sigma - 6 - Sigma b^2/r as numerators over S (every index
+    divides it), and P_{-m} for the ascending ``ms``."""
+    shares = [(b, S // r * k) for b, r, k in triples]
+    gamma = (24 - sum(r * k for _, r, k in triples)) * S + sum(q for _, q in shares)
+    volume = (2 * p1 + sum(b * k for b, _, k in triples) - 6) * S - sum(b * b * q for b, q in shares)
+    seq = _sequence(p1, triples, ms[-1]) if ms else ()
+    return gamma, volume, tuple(seq[m] for m in ms)
 
 
 def _prune_factory(constraints: ClassificationConstraints):
@@ -424,7 +438,7 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
                 # b/n unpacks one level down into its two parents, one entry each
                 p, q = (entry[:2] for entry in _unpack_entry(b, n, 0 if n == 5 else n - 1))
                 (g0, v0, w0), (g1, v1, w1) = (
-                    _chain_state(WeightedBasket(Basket.of(*pairs), 0), ms) for pairs in ((p, q), ((b, n),))
+                    _chain_state(0, triples, ms) for triples in ([(*p, 1), (*q, 1)], [(b, n, 1)])
                 )
                 uses.setdefault(p, []).append((len(steps), q))
                 uses.setdefault(q, []).append((len(steps), p))
@@ -436,11 +450,12 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     return tuple(steps), tuple(ends), frozen_uses
 
 
-def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
+def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
     """The leaves of the canonical chains up from ``roots`` that the cuts
-    keep, and the number of states visited.  A leaf is its root's P_{-1},
-    its (b, r, multiplicity) triples and the gamma and -K^3 numerators
-    over S that the walk carried into it.
+    keep, and the number of states visited.  A root is a P_{-1} and the
+    (b, r, multiplicity) triples of a level-0 basket, ascending in r, as
+    ``_roots`` yields them; a leaf is its root's P_{-1}, its own triples
+    and the gamma and -K^3 numerators over S that the walk carried into it.
 
     Level n = 5, 6, ... chooses how many merges into each new fraction b/n
     of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
@@ -494,15 +509,14 @@ def _walk(roots: list[WeightedBasket], constraints: ClassificationConstraints) -
             counts[q] += k
         leaves.append((p1, [(b, r, k) for (b, r), k in counts.items() if k], gamma, volume))
 
-    for root in roots:
-        p1, entries = root.p1, root.basket.entries
-        state = _chain_state(root, ms)
+    for p1, triples in roots:
+        state = _chain_state(p1, triples, ms)
         # the root fixes P_{-1}..P_{-4}
-        if (ceiling is not None and entries and entries[-1].r > ceiling) or not prune_ok(*state, 4):
+        if (ceiling is not None and triples and triples[-1][1] > ceiling) or not prune_ok(*state, 4):
             continue
         counts.clear()
-        counts.update(((b, r), k) for b, r, k in root.basket.counts())
-        level = min(sum(p.r for p in entries), top)
+        counts.update(((b, r), k) for b, r, k in triples)
+        level = min(sum(r * k for _, r, k in triples), top)
         end = ends[level] if level >= 5 else 0
         live = {i for i in range(end) if steps[i][1] is None}
         live.update(i for key in counts for i, other in uses.get(key, ()) if i < end and other in counts)
@@ -522,14 +536,14 @@ def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     ``max_visited`` budgets the whole call on either route: ClosureTruncated
     is raised when it runs out, and a partial answer is never returned."""
     if constraints.rx_exact is not None and constraints.filters.gamma_nonneg:
-        return enumerate_index_profiles(constraints.rx_exact, constraints)
+        return enumerate_index_profiles(constraints)
     return _classify_walk(constraints)
 
 
 def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """``classify`` by one chain walk up from every level-0 root (``_walk``),
     each leaf re-verified from its integers by ``admits``' own check."""
-    leaves, _ = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    leaves, _ = _walk(_roots(constraints), constraints)
     found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
              if constraints._admits(p1, triples, gamma, volume, S)]
     return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
@@ -539,32 +553,25 @@ def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBaske
 # index-profile enumeration (fixed Gorenstein index)
 # ---------------------------------------------------------------------------
 
-def enumerate_index_profiles(
-    lcm_target: int, constraints: ClassificationConstraints
-) -> list[WeightedBasket]:
-    """All coprime baskets whose local indices have lcm exactly ``lcm_target``,
-
-    filtered by the constraint set: every coprime numerator assignment of an
-    index multiset cut down a priori by the gamma budget (``_index_profiles``)
-    is screened by ``admits`` at each P_{-1} that its P_{-2..4} windows allow,
-    one step of ``max_visited`` each.  ``lcm_target`` must be >= 1; 1 stands
-    for the empty basket alone.
+def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[WeightedBasket]:
+    """All coprime baskets whose local indices have lcm exactly the record's
+    ``rx_exact``, filtered by the constraint set: every coprime numerator
+    assignment of an index multiset cut down a priori by the gamma budget
+    (``_index_profiles``) is screened by ``admits`` at each P_{-1} that
+    ``_p1_span`` keeps in the root windows, one step of ``max_visited``
+    each.  An ``rx_exact`` of 1 stands for the empty basket alone.
     """
-    if lcm_target < 1:
-        raise ValueError(f"index profile lcm must be >= 1, got {lcm_target}")
+    if constraints.rx_exact is None:
+        raise ValueError("enumerate_index_profiles needs rx_exact, got None")
     p1s, checked, windows = constraints.p1_values(), 0, _root_windows(constraints)
     out: set[WeightedBasket] = set()
-    for profile in _index_profiles(lcm_target):
+    for profile in _index_profiles(constraints.rx_exact):
         for basket in _numerator_assignments(profile):
-            # P_{-m} grows by _U[m] per unit of P_{-1}: keep the P_{-1} that
-            # hold P_{-2..4} in the root windows
-            lo, hi, at0 = p1s.start, p1s.stop - 1, _table(0, _basket_terms(basket))
-            for m, (wlo, whi) in zip((2, 3, 4), windows):
-                lo, hi = max(lo, -((at0[m] - wlo) // _U[m])), min(hi, (whi - at0[m]) // _U[m])
-            checked += max(hi - lo + 1, 0)
+            span = _p1_span(p1s, _table(0, _basket_terms(basket)), windows)
+            checked += len(span)
             if checked > constraints.max_visited:
                 raise _truncated(constraints)
-            for p1 in range(lo, hi + 1):
+            for p1 in span:
                 wb = WeightedBasket(basket, p1)
                 if constraints.admits(wb):
                     out.add(wb)
@@ -623,16 +630,6 @@ _FILTER_FIELDS = {
     "sigma": None,
     "superadditive": "superadditivity",
 }
-
-
-# the one integer token: ASCII digits, as many as a decimal exponent may have
-_INT = rf"-?[0-9]{{1,{_MAX_EXPONENT}}}"
-
-
-def _int(text: str) -> int:
-    if not re.fullmatch(_INT, text):
-        raise ValueError(f"expected an integer, got {text!r}")
-    return int(text)
 
 
 def _parse_int_range(text: str) -> tuple[int, int]:

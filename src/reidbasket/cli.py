@@ -41,6 +41,14 @@ def parse_rational(text: str):
     return core.parse_rational(text)
 
 
+def parse_int(text: str) -> int:
+    # the type of every integer option, ``core``'s one integer token, loaded
+    # the same way
+    from . import core
+
+    return core._int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reidbasket",
@@ -50,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="basket invariants and anti-plurigenera")
     p_eval.add_argument("--basket", required=True)
-    p_eval.add_argument("--p1", type=int, required=True)
-    p_eval.add_argument("--upto", type=int, default=12)
+    p_eval.add_argument("--p1", type=parse_int, required=True)
+    p_eval.add_argument("--upto", type=parse_int, default=12)
 
     p_canon = sub.add_parser("canonical", help="level approximations and packing counts")
     p_canon.add_argument("--basket", required=True)
@@ -61,37 +69,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--basket", required=True)
     p_pack.add_argument("--gamma-min", type=parse_rational, default=None)
     p_pack.add_argument("--k3-max", type=parse_rational, default=None)
-    p_pack.add_argument("--p1", type=int, default=0,
+    p_pack.add_argument("--p1", type=parse_int, default=0,
                         help="weight used for volume columns and --k3-max")
     p_pack.add_argument("--coprime-only", action="store_true")
     # None: ``_cmd_pack`` reads core.MAX_VISITED, so parsing loads no library module
-    p_pack.add_argument("--max-states", type=int, default=None)
+    p_pack.add_argument("--max-states", type=parse_int, default=None)
 
     p_cls = sub.add_parser("classify", help="enumerate baskets from a constraints file")
     p_cls.add_argument("--constraints", required=True)
-    p_cls.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
-    p_cls.add_argument("--profiles", type=int, metavar="LCM", default=None,
+    p_cls.add_argument("--jobs", type=parse_int, metavar="N", help=_JOBS_HELP)
+    p_cls.add_argument("--profiles", type=parse_int, metavar="LCM", default=None,
                        help="the same as rx=LCM in the constraints file")
 
     p_crit = sub.add_parser("criteria", help="birationality report for one basket")
     p_crit.add_argument("--basket", required=True)
-    p_crit.add_argument("--p1", type=int, required=True)
+    p_crit.add_argument("--p1", type=parse_int, required=True)
     p_crit.add_argument("--policy", choices=("auto", "single", "six"), default="auto",
                         help="n1 convention: six consecutive values (P_{-1} = 0) or a single one")
-    p_crit.add_argument("--case", type=int, choices=(1, 2, 3), default=None,
+    p_crit.add_argument("--case", type=parse_int, choices=(1, 2, 3), default=None,
                         help="criterion case for the default branch (default: 2 if P_{-1}=0 else 3)")
-    p_crit.add_argument("--same-pencil-k", type=int, default=None, metavar="K",
+    p_crit.add_argument("--same-pencil-k", type=parse_int, default=None, metavar="K",
                         help="add the branch pair for |-KK| being (or not) the same pencil as |-m0 K|")
-    p_crit.add_argument("--n0", type=int, default=1,
+    p_crit.add_argument("--n0", type=parse_int, default=1,
                         help="N0 used by the same-pencil b2 branch (default 1)")
     p_crit.add_argument("--format", choices=("text", "records"), default="text")
 
     p_ver = sub.add_parser("verify", help="diff pipeline output against the bundled tables")
     group = p_ver.add_mutually_exclusive_group(required=True)
-    group.add_argument("--table", type=int)
+    group.add_argument("--table", type=parse_int)
     group.add_argument("--all", action="store_true")
     group.add_argument("--manifest", action="store_true")
-    p_ver.add_argument("--jobs", type=int, metavar="N", help=_JOBS_HELP)
+    p_ver.add_argument("--jobs", type=parse_int, metavar="N", help=_JOBS_HELP)
     p_ver.add_argument("--audit", action="store_true",
                        help="downgrade mismatches to discrepancy reports (exit 0)")
 
@@ -143,8 +151,10 @@ def _cmd_eval(args) -> int:
 
 
 def _level(item: str) -> int:
+    from .core import _int
+
     try:
-        return int(item)
+        return _int(item.strip())
     except ValueError:
         raise ValueError(f"bad --levels item {item!r} (expected an integer)") from None
 

@@ -266,7 +266,25 @@ class BasketSyntaxError(ValueError):
 # the budget 24); the cap only stops "10**12x(1,2)" from exhausting memory.
 MAX_BASKET_ENTRIES = 1000
 
-_ITEM = re.compile(r"\s*(?:(\d+)\s*x\s*)?\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
+# The largest decimal exponent ``parse_rational`` reads, the interpreter's
+# default limit on the digits of an int read from text: Fraction("1e-10000000")
+# takes seconds, and each further exponent digit about 30 times longer
+_MAX_EXPONENT = 4300
+
+# the one integer token of every grammar (baskets, constraints, the CLI's
+# options): ASCII digits, as many as a decimal exponent may have
+_DIGITS = rf"[0-9]{{1,{_MAX_EXPONENT}}}"
+_INT = "-?" + _DIGITS
+
+
+def _int(text: str) -> int:
+    """The integer of one ``_INT`` token; ValueError naming ``text`` otherwise."""
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+_ITEM = re.compile(rf"\s*(?:({_DIGITS})\s*x\s*)?\(\s*({_DIGITS})\s*,\s*({_DIGITS})\s*\)\s*")
 
 
 def parse_basket(text: str) -> Basket:
@@ -315,12 +333,6 @@ def format_rational(q: Fraction | int) -> str:
     """Serialize exactly: "p/q" in lowest terms, plain "p" for integers."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-# The largest decimal exponent ``parse_rational`` reads, the interpreter's
-# default limit on the digits of an int read from text: Fraction("1e-10000000")
-# takes seconds, and each further exponent digit about 30 times longer
-_MAX_EXPONENT = 4300
 
 
 def parse_rational(text: str) -> Fraction:

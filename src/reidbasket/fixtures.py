@@ -242,7 +242,7 @@ def _verify_pipeline_row(
 def _verify_basket_list(fixture: TableFixture, report: TableReport) -> None:
     constraints = parse_constraints(fixture.constraints or "")
     if fixture.kind == "index_profiles":
-        computed = {wb.basket for wb in enumerate_index_profiles(fixture.lcm, constraints)}
+        computed = {wb.basket for wb in enumerate_index_profiles(constraints._replace(rx_exact=fixture.lcm))}
     elif fixture.kind == "b0_list":
         computed = {wb.basket for wb, _ in enumerate_b0(constraints)}
     else:

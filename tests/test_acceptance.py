@@ -103,14 +103,10 @@ def test_acceptance_4_classifications():
     assert {wb.basket for wb in result_b} == table18
     # (c) Gorenstein index 840 with P_{-1} = P_{-2} = 1: the published five,
     # and the volume bound holds on every admissible index-840 basket
-    result_c = enumerate_index_profiles(
-        840, ClassificationConstraints(p_fixed={1: 1, 2: 1}, rx_exact=840)
-    )
+    result_c = enumerate_index_profiles(ClassificationConstraints(p_fixed={1: 1, 2: 1}, rx_exact=840))
     table16 = {row.basket for row in load_table(16).rows}
     assert {wb.basket for wb in result_c} == table16
-    every_840 = enumerate_index_profiles(
-        840, ClassificationConstraints(p_ranges={1: (0, 4)}, rx_exact=840)
-    )
+    every_840 = enumerate_index_profiles(ClassificationConstraints(p_ranges={1: (0, 4)}, rx_exact=840))
     assert every_840 and all(anti_volume(wb) >= Fraction(47, 840) for wb in every_840)
     print("\nPASS acceptance 4: classifications a (3 baskets), b (4 baskets), "
           "c (5 baskets, volume >= 47/840)")

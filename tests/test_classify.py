@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from reidbasket.classify import (
     ClassificationConstraints,
     _chain_state,
     _classify_walk,
+    _merge_steps,
+    _roots,
     _walk,
     classify,
     enumerate_b0,
@@ -162,6 +165,13 @@ class TestClassify:
         assert classify(c._replace(max_visited=376 + 5554)) == classify(c)
         with pytest.raises(ClosureTruncated):
             classify(c._replace(max_visited=376 + 5554 - 1))
+
+    def test_a_p3_window_cuts_a_wide_p1_range(self):
+        # P_{-3} = 3 holds every root to P_{-1} <= 2 out of 0..3000
+        c = parse_constraints("p[1]=0..3000 p[3]=3")
+        assert Counter(p1 for p1, _ in _roots(c)) == {0: 8, 1: 98, 2: 19}
+        found = classify(c)
+        assert len(found) == 501 and Counter(wb.p1 for wb in found) == {0: 40, 1: 461}
 
     def test_every_emitted_basket_readmits(self):
         c = ClassificationConstraints(p_fixed={1: 1, 2: 1, 8: 2})
@@ -360,7 +370,7 @@ class TestUniverseOracle:
 class TestIndexProfiles:
     def test_table16(self):
         c = ClassificationConstraints(p_fixed={1: 1, 2: 1}, rx_exact=840)
-        result = enumerate_index_profiles(840, c)
+        result = enumerate_index_profiles(c)
         assert {wb.basket for wb in result} == {
             B((1, 2), (1, 3), (2, 5), (1, 7), (1, 8)),
             B((1, 2), (1, 3), (1, 5), (2, 7), (1, 8)),
@@ -374,13 +384,13 @@ class TestIndexProfiles:
         # over the whole index-840 family, P_{-2} <= 1 happens exactly on
         # the five special baskets (elsewhere P_{-2} >= 2)
         c = ClassificationConstraints(p_ranges={1: (0, 4), 2: (0, 1)}, rx_exact=840)
-        got = {wb.basket for wb in enumerate_index_profiles(840, c)}
+        got = {wb.basket for wb in enumerate_index_profiles(c)}
         table16 = ClassificationConstraints(p_fixed={1: 1, 2: 1}, rx_exact=840)
-        assert got == {wb.basket for wb in enumerate_index_profiles(840, table16)}
+        assert got == {wb.basket for wb in enumerate_index_profiles(table16)}
 
     def test_840_forces_p1_positive_and_volume_bound(self):
         c = ClassificationConstraints(p_ranges={1: (0, 4)}, rx_exact=840)
-        result = enumerate_index_profiles(840, c)
+        result = enumerate_index_profiles(c)
         assert result, "the 840 family is non-empty"
         assert all(wb.p1 >= 1 for wb in result)
         assert min(anti_volume(wb) for wb in result) == Fraction(47, 840)
@@ -391,16 +401,26 @@ class TestIndexProfiles:
 
     @pytest.mark.parametrize("lcm", [0, -4])
     def test_lcm_below_one_is_rejected(self, lcm):
+        # the scan reads r_X from the record, which holds rx_exact >= 1
         c = ClassificationConstraints(p_fixed={1: 1})
         with pytest.raises(ValueError) as info:
-            enumerate_index_profiles(lcm, c)
-        assert str(info.value) == f"index profile lcm must be >= 1, got {lcm}"
+            c._replace(rx_exact=lcm)
+        assert str(info.value) == f"rx_exact must be >= 1, got {lcm}"
+
+    def test_the_record_gives_the_lcm(self):
+        # r_X has one source: a record without rx_exact has none to scan
+        c = parse_constraints("p[1]=1 p[2]=1")
+        with pytest.raises(ValueError, match="rx_exact"):
+            enumerate_index_profiles(c)
+        table16 = enumerate_index_profiles(c._replace(rx_exact=840))
+        assert len(table16) == 5 and {r_index(wb.basket) for wb in table16} == {840}
+        assert enumerate_index_profiles(c._replace(rx_exact=630)) == classify(c._replace(rx_exact=630))
 
     def test_lcm_one_is_the_empty_basket(self):
         # at P_{-1} = 0, 1, 2 the empty basket has P_{-2} = -10, -5 and
         # P_{-3} = -7, so no root holds it
-        c = ClassificationConstraints(p_ranges={1: (0, 3)}, filters=FilterConfig.none())
-        assert enumerate_index_profiles(1, c) == [WeightedBasket(Basket(), 3)]
+        c = ClassificationConstraints(p_ranges={1: (0, 3)}, filters=FilterConfig.none(), rx_exact=1)
+        assert enumerate_index_profiles(c) == [WeightedBasket(Basket(), 3)]
 
     @pytest.mark.parametrize("text, candidates", [
         ((INPUTS / "census_rx840.txt").read_text(), 5), ("p[1]=0..3 rx=60", 1224),
@@ -421,7 +441,7 @@ class TestIndexProfiles:
             k3_max=Fraction(12, 100), k3_max_strict=True,
             rx_exact=630,
         )
-        result = enumerate_index_profiles(630, c)
+        result = enumerate_index_profiles(c)
         assert {wb.basket for wb in result} == {
             B((1, 2), (2, 5), (1, 7), (2, 9)),
             B((1, 2), (1, 2), (1, 5), (2, 7), (1, 9)),
@@ -459,7 +479,7 @@ class TestRoutes:
         taken = []
         monkeypatch.setattr(classify_module, "_classify_walk", lambda c: taken.append("walk") or [])
         monkeypatch.setattr(
-            classify_module, "enumerate_index_profiles", lambda r, c: taken.append(("profiles", r)) or [],
+            classify_module, "enumerate_index_profiles", lambda c: taken.append(("profiles", c.rx_exact)) or [],
         )
         assert classify(parse_constraints(text)) == [] and taken == [route]
 
@@ -481,7 +501,7 @@ class TestRoutes:
     @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS + WIDE_P1_SETS)
     def test_walk_equals_the_profiles(self, text):
         c = parse_constraints(text)
-        assert _classify_walk(c) == enumerate_index_profiles(c.rx_exact, c)
+        assert _classify_walk(c) == enumerate_index_profiles(c)
 
     def test_walk_equals_the_profiles_on_the_universe_sets(self, universe_sets):
         # a set without rx= takes the r_X of the first basket it lists
@@ -489,7 +509,7 @@ class TestRoutes:
             if c.rx_exact is None:
                 c = c._replace(rx_exact=r_index(_classify_walk(c)[0].basket))
             found = _classify_walk(c)
-            assert found and found == enumerate_index_profiles(c.rx_exact, c), c
+            assert found and found == enumerate_index_profiles(c), c
 
 
 class TestConstraintsText:
@@ -647,26 +667,35 @@ CENSUS_TEXTS = [
 ]
 
 
-def roots_by_p1(constraints) -> list[list[WeightedBasket]]:
-    roots: dict[int, list[WeightedBasket]] = {}
-    for wb, _ in enumerate_b0(constraints):
-        roots.setdefault(wb.p1, []).append(wb)
-    return list(roots.values())
+def roots_by_p1(constraints) -> list[list[tuple]]:
+    """The walk's roots of ``constraints`` in one group per P_{-1}, ascending."""
+    roots: dict[int, list[tuple]] = {}
+    for root in _roots(constraints):
+        roots.setdefault(root[0], []).append(root)
+    return [roots[p1] for p1 in sorted(roots)]
+
+
+def built(p1: int, triples: list[tuple[int, int, int]]) -> WeightedBasket:
+    """The weighted basket of ``p1`` and (b, r, multiplicity) ``triples``."""
+    return WeightedBasket(Basket.of(*((b, r) for b, r, k in triples for _ in range(k))), p1)
+
+
+def invariants_over_s(wb: WeightedBasket, ms: tuple[int, ...]) -> tuple:
+    """gamma and -K^3 times S, and P_{-m} for ``ms``, read off the built basket."""
+    seq = plurigenus_sequence(wb, max(ms, default=1))
+    return gamma(wb.basket) * S, anti_volume(wb) * S, tuple(seq[m] for m in ms)
 
 
 def built_leaves(leaves: list[tuple]) -> list[tuple[WeightedBasket, tuple]]:
     """``_walk``'s leaf states, each with the weighted basket built from its
     P_{-1} and (b, r, multiplicity) triples."""
-    return [
-        (WeightedBasket(Basket.of(*((b, r) for b, r, k in leaf[1] for _ in range(k))), leaf[0]), leaf)
-        for leaf in leaves
-    ]
+    return [(built(leaf[0], leaf[1]), leaf) for leaf in leaves]
 
 
 def walk_all(constraints) -> tuple[list[WeightedBasket], int]:
     """``_walk`` over every root of ``constraints``: the leaves as weighted
     baskets, and the states visited."""
-    found, visited = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    found, visited = _walk(_roots(constraints), constraints)
     return [wb for wb, _ in built_leaves(found)], visited
 
 
@@ -675,7 +704,7 @@ def leaf_verdicts(constraints) -> tuple[int, int]:
     carried integers agrees with ``admits`` on the built weighted basket;
     returns the counts of (rejected, admitted) leaves."""
     verdicts = [0, 0]
-    found, _ = _walk([wb for wb, _ in enumerate_b0(constraints)], constraints)
+    found, _ = _walk(_roots(constraints), constraints)
     for wb, (p1, triples, gamma, volume) in built_leaves(found):
         got = constraints._admits(p1, triples, gamma, volume, S)
         assert got == constraints.admits(wb), (constraints, str(wb))
@@ -716,7 +745,7 @@ class TestChainWalk:
         for n, b, below in self.new_fractions():
             for p1 in range(3):
                 before, after = (
-                    _chain_state(WeightedBasket(x, p1), ms)[2] for x in (unpack(B((b, n)), below), B((b, n)))
+                    _chain_state(p1, x.counts(), ms)[2] for x in (unpack(B((b, n)), below), B((b, n)))
                 )
                 growth = dict(zip(ms, (y - x for x, y in zip(before, after))))
                 assert [growth[m] for m in range(2, n + 1)] == [0] * (n - 2) + [1]
@@ -788,7 +817,7 @@ class TestChainWalk:
             return recording
 
         found = _classify_walk(constraints)
-        roots = [wb for wb, _ in enumerate_b0(constraints)]
+        roots = list(_roots(constraints))
         monkeypatch.setattr(classify_module, "_windows", every_window)
         assert _classify_walk(constraints) == found
         monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
@@ -804,11 +833,33 @@ class TestChainWalk:
             last = max(final for final, *_ in events)
             carried = [state for final, *state in events if final == last]
             assert len(carried) == len(leaves)
-            for (wb, (_, _, gamma, volume)), (g, v, window) in zip(leaves, carried):
+            for (wb, (_, triples, gamma, volume)), (g, v, window) in zip(leaves, carried):
                 assert (gamma, volume) == (g, v)
-                assert _chain_state(wb, ms) == (gamma, volume, window), str(wb)
+                assert _chain_state(wb.p1, triples, ms) == (gamma, volume, window), str(wb)
+                assert invariants_over_s(wb, ms) == (gamma, volume, window), str(wb)
                 checked += 1
         assert checked > 0
+
+    def test_chain_state_reads_the_built_basket(self):
+        # on both sides of every merge, and on every root of the census sets,
+        # the integers the walk carries are the basket's own invariants, a
+        # P_{-m} past the table's horizon included
+        ms = (5, 8, 24, 30)
+        merges = [step for step in _merge_steps(TOP, ms)[0] if step[1] is not None]
+        assert len(merges) > 100
+        for p1 in (0, 2):
+            for n, p, q, new, dg, dv, dw in merges:
+                parents, child = [(*p, 1), (*q, 1)], [(*new, 1)]
+                before, after = (_chain_state(p1, triples, ms) for triples in (parents, child))
+                assert before == invariants_over_s(built(p1, parents), ms)
+                assert after == invariants_over_s(built(p1, child), ms)
+                assert (after[0] - before[0], after[1] - before[1]) == (dg, dv)
+                assert tuple(y - x for x, y in zip(before[2], after[2])) == dw
+        for text in CENSUS_TEXTS:
+            roots = list(_roots(parse_constraints(text)))
+            assert roots
+            for p1, triples in roots:
+                assert _chain_state(p1, triples, ms) == invariants_over_s(built(p1, triples), ms)
 
     @pytest.mark.parametrize("text, count", [
         *zip(CENSUS_TEXTS, (293, 3, 5)),

@@ -88,7 +88,9 @@ class TestCanonical:
         assert out.splitlines()[-2:] == ["B(1000000) = (2,5),(3,7)", "epsilon_1000000 = 0"]
         assert time.perf_counter() - start < 5
 
-    @pytest.mark.parametrize("levels, item", [("0,,5", ""), ("0,x", "x"), ("5,", "")])
+    @pytest.mark.parametrize("levels, item", [
+        ("0,,5", ""), ("0,x", "x"), ("5,", ""), ("0,1_0", "1_0"), ("0,\u0665", "\u0665"), ("0,+5", "+5"),
+    ])
     def test_malformed_levels_item_is_usage_error(self, levels, item):
         code, out, err = run_cli("canonical", "--basket", "(2,5)", "--levels", levels)
         assert (code, out) == (2, "")
@@ -513,26 +515,53 @@ def test_help_output_is_pinned(monkeypatch):
     assert "".join(blocks) == (Path(__file__).parent / "expected" / "cli_help.txt").read_text()
 
 
-@pytest.mark.parametrize("option", ["--gamma-min", "--k3-max"])
-def test_bad_rational_option_is_an_argparse_error(option):
+_EVAL = ("eval", "--basket", "(1,2)")
+_CRITERIA = ("criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1")
+
+
+@pytest.mark.parametrize("argv, option, value, kind", [
+    pytest.param(("pack", "--basket", "(1,2)"), "--gamma-min", "abc", "parse_rational", id="--gamma-min"),
+    pytest.param(("pack", "--basket", "(1,2)"), "--k3-max", "abc", "parse_rational", id="--k3-max"),
+    # every integer option reads one token, ASCII digits with an optional -
+    pytest.param(("classify", "--constraints", "c.txt"), "--profiles", "8_40", "parse_int", id="--profiles"),
+    pytest.param(("classify", "--constraints", "c.txt"), "--jobs", "\u0661", "parse_int", id="classify --jobs"),
+    pytest.param(_EVAL, "--p1", "\u0663", "parse_int", id="eval --p1"),
+    pytest.param(_EVAL, "--p1", "1_0", "parse_int", id="eval --p1 1_0"),
+    pytest.param((*_EVAL, "--p1", "0"), "--upto", "+3", "parse_int", id="--upto"),
+    pytest.param(("pack", "--basket", "(1,2)"), "--p1", " 1", "parse_int", id="pack --p1"),
+    pytest.param(("pack", "--basket", "(1,2)"), "--max-states", "1" * 4301, "parse_int", id="--max-states"),
+    pytest.param(_CRITERIA, "--same-pencil-k", "2_4", "parse_int", id="--same-pencil-k"),
+    pytest.param(_CRITERIA, "--n0", "\u0661", "parse_int", id="--n0"),
+    pytest.param(_CRITERIA, "--case", "\u0662", "parse_int", id="--case"),
+    pytest.param(("verify",), "--table", "1_7", "parse_int", id="--table"),
+    pytest.param(("verify", "--all"), "--jobs", "\u0661", "parse_int", id="verify --jobs"),
+])
+def test_bad_option_value_is_an_argparse_error(argv, option, value, kind):
     # argparse names the option's type function in its message
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
-        main(["pack", "--basket", "(1,2)", option, "abc"])
+        main([*argv, option, value])
     assert exit_.value.code == 2
-    assert err.getvalue().startswith("usage: reidbasket pack [-h] --basket BASKET")
+    assert err.getvalue().startswith(f"usage: reidbasket {argv[0]} [-h]")
     assert err.getvalue().endswith(
-        f"\nreidbasket pack: error: argument {option}: invalid parse_rational value: 'abc'\n"
+        f"\nreidbasket {argv[0]}: error: argument {option}: invalid {kind} value: {value!r}\n"
     )
 
 
-@pytest.mark.parametrize("command", [
-    ("eval", "--p1", "0"), ("canonical",), ("pack",), ("criteria", "--p1", "0"),
+@pytest.mark.parametrize("command, basket, at", [
+    pytest.param(command, "(1,2),(2,5", "(2,5", id=f"command{i}")
+    for i, command in enumerate([("eval", "--p1", "0"), ("canonical",), ("pack",), ("criteria", "--p1", "0")])
+] + [
+    # an integer of a basket is ASCII digits, at most 4300 of them
+    pytest.param(("eval", "--p1", "0"), "(\u0661,\u0662)", "(\u0661,\u0662)", id="non-ASCII digits"),
+    pytest.param(("canonical",), "(1,2),\u0662x(1,3)", "\u0662x(1,3)", id="non-ASCII multiplicity"),
+    pytest.param(("pack",), "(1,2),(1_0,21)", "(1_0,21)", id="1_0"),
+    pytest.param(("eval", "--p1", "0"), "(1,2),(" + "1" * 4301 + ",2)", "(" + "1" * 19, id="4301 digits"),
 ])
-def test_bad_basket_names_the_token(command):
-    code, out, err = run_cli(*command, "--basket", "(1,2),(2,5")
+def test_bad_basket_names_the_token(command, basket, at):
+    code, out, err = run_cli(*command, "--basket", basket)
     assert (code, out) == (2, "")
-    assert err == "error: bad basket item at '(2,5' (expected '[Nx](b,r)')\n"
+    assert err == f"error: bad basket item at {at!r} (expected '[Nx](b,r)')\n"
 
 
 def test_verify_all_under_optimize_flag():

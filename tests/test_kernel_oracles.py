@@ -26,6 +26,7 @@ from reidbasket.classify import (
     _index_profiles,
     _multisets,
     _prune_factory,
+    _roots,
     _windows,
     classify,
     enumerate_b0,
@@ -467,7 +468,7 @@ def reference_prune(constraints, p1: int, basket: Basket, final: int) -> bool:
     """The chain walk's cut, in Fractions: gamma >= 0, the upper k3 end, and
     the P_{-m} windows with m >= 5, their lower ends only for m <= ``final``.
 
-    The root fixes P_{-1}..P_{-4} (``enumerate_b0`` draws the roots from
+    The root fixes P_{-1}..P_{-4} (``_roots`` draws the roots from
     their ranges), and the walk stops at the r_max ceiling, so neither is a
     clause here."""
     if constraints.filters.gamma_nonneg and reference_gamma(basket) < 0:
@@ -601,7 +602,7 @@ class TestClassifyPredicates:
                 got = constraints.admits(wb)
                 assert got == reference_admits(constraints, wb), (constraints, str(wb))
                 verdicts[got] += 1
-                state = _chain_state(wb, ms)
+                state = _chain_state(wb.p1, wb.basket.counts(), ms)
                 for final in {4, 24, *ms}:
                     kept = prune_ok(*state, final)
                     expected = reference_prune(constraints, wb.p1, wb.basket, final)
@@ -682,7 +683,7 @@ class TestRmaxCeiling:
 class TestNoP2Clause:
     """``prune_ok`` has no P_{-2} clause: P_{-2} = 5 P_{-1} + sigma - 10 and
     sigma is a packing invariant, so every state keeps the P_{-2} of its
-    root, and ``enumerate_b0`` draws the roots from the p[2] range."""
+    root, and ``_roots`` draws the roots from the p[2] range."""
 
     P2_SETS = ("p[1]=1 p[2]=1 p[8]=2", "p[1]=0..4 p[2]=0..1 rx=840", "p[1]=1 p[2]=1..3")
 
@@ -727,13 +728,13 @@ class TestNoMinVolumeClause:
     SETS = [path.read_text() for path in CENSUS_INPUTS] + ["p[1]=3"]
 
     @staticmethod
-    def clause_cuts(p1: int, basket: Basket) -> bool:
-        return 2 * p1 + sigma(basket) - 6 <= 0
+    def clause_cuts(p1: int, sig: int) -> bool:
+        return 2 * p1 + sig - 6 <= 0
 
     def test_the_clause_cuts_one_root(self):
         roots = enumerate_b0(parse_constraints("p[1]=0..6"))
         assert len(roots) == 11517
-        cut = [wb for wb, _ in roots if self.clause_cuts(wb.p1, wb.basket)]
+        cut = [wb for wb, _ in roots if self.clause_cuts(wb.p1, sigma(wb.basket))]
         assert cut == [WeightedBasket(Basket(), 3)]
         assert not parse_constraints("p[1]=3").admits(cut[0])
 
@@ -741,15 +742,21 @@ class TestNoMinVolumeClause:
     def test_classify_unchanged_by_a_min_volume_clause(self, text, monkeypatch):
         constraints = parse_constraints(text)
         assert constraints.filters.min_volume
-        roots = classify_module.enumerate_b0
+        roots = classify_module._roots
+        kept = []
 
         def without_the_roots_it_cuts(constraints):
-            return [root for root in roots(constraints) if not self.clause_cuts(root[0].p1, root[0].basket)]
+            for p1, triples in roots(constraints):
+                if not self.clause_cuts(p1, sum(b * k for b, _, k in triples)):
+                    kept.append(p1)
+                    yield p1, triples
 
         walk = classify_module._classify_walk
         found = walk(constraints)
-        monkeypatch.setattr(classify_module, "enumerate_b0", without_the_roots_it_cuts)
+        monkeypatch.setattr(classify_module, "_roots", without_the_roots_it_cuts)
         assert found and walk(constraints) == found
+        # the walk drew its roots through the clause
+        assert len(kept) == len(list(roots(constraints))) - (text == "p[1]=3")
 
 
 def reference_root_gamma(n12: int, n13: int, n14: int, tail: dict[int, int]) -> Fraction:
@@ -809,6 +816,27 @@ def reference_roots(constraints) -> list:
     return sorted(roots, key=lambda item: (item[0].p1, item[0].basket.sort_key()))
 
 
+def reference_root_set(constraints) -> set:
+    """The walk's roots the long way, for any P_{-2..4} windows: every
+    multiset of (1, r) entries within the gamma budget, at every P_{-1} in
+    range, kept when its tail meets ``tail_max_index`` and ``sigma5`` and
+    ``plurigenus_sequence`` puts its P_{-2..4} at >= 0 within their ranges."""
+    s5lo, s5hi = constraints.sigma5 or (0, math.inf)
+    windows = [(m, *constraints.p_bounds(m)) for m in (2, 3, 4)]
+    roots = set()
+    for entries in _multisets(tuple(range(2, 25))):
+        tail = [r for r in entries if r >= 5]
+        if any(r > constraints.tail_max_index for r in tail) or not s5lo <= len(tail) <= s5hi:
+            continue
+        basket = Basket.of(*((1, r) for r in entries))
+        for p1 in constraints.p1_values():
+            wb = WeightedBasket(basket, p1)
+            p = plurigenus_sequence(wb, 4)
+            if all(p[m] >= 0 and (lo is None or p[m] >= lo) and (hi is None or p[m] <= hi) for m, lo, hi in windows):
+                roots.add(wb)
+    return roots
+
+
 def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
     """Every multiset of divisors d >= 2 of the target with lcm equal to it
     and Sigma(d - 1/d) <= 24, summed in Fractions."""
@@ -849,6 +877,20 @@ class TestIntegerGammaBudgets:
                     if pair.r >= 5:
                         tail[pair.r] = tail.get(pair.r, 0) + 1
                 assert b0_from_plurigenera(*plurigenera, tail) == wb.basket
+
+    @pytest.mark.parametrize("text", [
+        "p[1]=0..60 p[3]=3..40", "p[1]=0..60 p[4]=10..80", "p[1]=0..60 p[2]=20..90 p[3]=40..200 p[4]=0..600",
+        "p[1]=0..8 p[3]=0..9 p[4]=5..30 sigma5=1..3 tailmax=11",
+    ])
+    def test_roots_meet_their_p3_and_p4_windows(self, text):
+        # every P_{-1} of the range, each root once
+        constraints = parse_constraints(text)
+        roots = [
+            WeightedBasket(Basket.of(*((b, r) for b, r, k in triples for _ in range(k))), p1)
+            for p1, triples in _roots(constraints)
+        ]
+        assert roots and len(roots) == len(set(roots))
+        assert set(roots) == reference_root_set(constraints)
 
     def test_tail_index_cap_beyond_24_changes_nothing(self):
         # no index above 24 fits a gamma budget, so a huge tailmax= is cut
