@@ -25,8 +25,8 @@ The engine walks the same road the classification arguments do:
 Everything is exact, and the output has no duplicates.  Step 1 and the
 route of an exact r_X, ``enumerate_index_profiles``, draw their index
 multisets from one generator, ``_multisets``, which spends the gamma
-budget in integers: every entry cost r - 1/r is scaled by one L = lcm(2..24).
-Both cut P_{-1} by one rule, ``_p1_span``.
+budget in integers: every entry cost r - 1/r is scaled by the walk's own
+S = lcm(2..32).  Both cut P_{-1} by one rule, ``_p1_span``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, islice, product
-from operator import add, sub
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -73,21 +72,23 @@ __all__ = [
 # a basket read as its (b, r, multiplicity) triples
 _Triples = list[tuple[int, int, int]]
 
-# gamma >= 0 caps every local index at 24 and the entry costs r - 1/r at a
-# total of 24; both budgets count them in integers over this one scale
-L = math.lcm(*range(2, 25))
-_COST = {r: r * L - L // r for r in range(2, 25)}
+# Every root has at most 16 entries and Sigma(r - 1/r) <= 24, so Sigma r <= 32
+# bounds every index along its chains: the walk counts gamma and -K^3, and
+# the gamma budget its entry costs, as numerators over this one scale
+TOP = 32
+S = math.lcm(*range(2, TOP + 1))
+_COST = {r: r * S - S // r for r in range(2, 25)}
 
 
 def _multisets(indices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every ascending multiset over ``indices`` whose costs sum to at most 24.
 
-    ``indices`` ascend within 2..24.  The multisets come shortest first,
-    from the empty one; the cost r - 1/r grows with r, so each multiset
-    is extended only by the indices that still fit.
+    ``indices`` ascend within 2..24 (each divides S).  The multisets come
+    shortest first, from the empty one; the cost r - 1/r grows with r, so
+    each multiset is extended only by the indices that still fit.
     """
     # (multiset, position of its last index, budget left), extended in turn
-    found = [((), 0, 24 * L)]
+    found = [((), 0, 24 * S)]
     for current, start, budget in found:
         yield current
         for i in range(start, len(indices)):
@@ -330,10 +331,16 @@ def _roots(constraints: ClassificationConstraints) -> Iterator[tuple[int, _Tripl
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
     """The walk's roots (``_roots``) as weighted baskets with their
-    (P_{-1}..P_{-4}), sorted by (P_{-1}, basket)."""
-    roots = [(WeightedBasket(_basket(triples), p1), tuple(_sequence(p1, triples, 4)[1:5]))
-             for p1, triples in _roots(constraints)]
-    return sorted(roots, key=lambda item: (item[0].p1, item[0].basket.sort_key()))
+    (P_{-1}..P_{-4}), sorted by (P_{-1}, basket).  The roots of one level-0
+    basket come in a row, and share its ``Basket`` and its P_{-m} at P_{-1} = 0."""
+    groups = []
+    for triples, roots in groupby(_roots(constraints), key=itemgetter(1)):
+        at0 = _table(0, [_pair_terms(1, r)[:5] for _, r, k in triples for _ in range(k)])
+        groups.append((_basket(triples), [(p1, tuple([at0[m] + p1 * _U[m] for m in (1, 2, 3, 4)])) for p1, _ in roots]))
+    groups.sort(key=lambda group: group[0].sort_key())
+    # the sort is stable, so the baskets of one P_{-1} stay in order
+    return sorted(((WeightedBasket(basket, p1), p) for basket, roots in groups for p1, p in roots),
+                  key=lambda root: root[0].p1)
 
 
 def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
@@ -360,13 +367,6 @@ def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
     if constraints.filters.rmax_le_24:
         caps.append(24)
     return min(caps, default=None)
-
-
-# Every root has at most 16 entries and Sigma(r - 1/r) <= 24, so Sigma r <= 32
-# bounds every index along its chains: the walk counts gamma and -K^3 as
-# numerators over this one scale
-TOP = 32
-S = math.lcm(*range(2, TOP + 1))
 
 
 def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int, int], ...]:
@@ -415,7 +415,6 @@ def _prune_factory(constraints: ClassificationConstraints):
     return prune_ok
 
 
-@lru_cache(maxsize=32)
 def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     """The walk's merges up to level ``top``, carrying P_{-m} for ``ms``.
 
@@ -425,9 +424,7 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     ``steps`` lists the merges in level order, ``(n, p, q, (b, n), dgamma,
     dvolume, dwindow)``, and a level n with a P_{-n} window ends in a marker
     (p = None); ``ends[n]`` is where level n ends; ``uses`` lists per
-    fraction the merges it is a parent of, with the other parent.  All of
-    it is immutable, because every walk with the same ``top`` and ``ms``
-    shares it.
+    fraction the merges it is a parent of, with the other parent.
     """
     steps: list[tuple] = []
     ends = [0] * (top + 1)
@@ -446,8 +443,7 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
         if n in ms:
             steps.append((n, None, None, None, 0, 0, ()))
         ends[n] = len(steps)
-    frozen_uses = MappingProxyType({key: tuple(value) for key, value in uses.items()})
-    return tuple(steps), tuple(ends), frozen_uses
+    return steps, ends, uses
 
 
 def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
@@ -468,7 +464,6 @@ def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationCons
     prune_ok = _prune_factory(constraints)
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
-    # cached: every walk with the same top and ms shares one build
     steps, ends, uses = _merge_steps(top, ms)
     leaves: list[tuple] = []
     visited = 0
@@ -564,7 +559,7 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
     if constraints.rx_exact is None:
         raise ValueError("enumerate_index_profiles needs rx_exact, got None")
     p1s, checked, windows = constraints.p1_values(), 0, _root_windows(constraints)
-    out: set[WeightedBasket] = set()
+    out: list[WeightedBasket] = []
     for profile in _index_profiles(constraints.rx_exact):
         for basket in _numerator_assignments(profile):
             span = _p1_span(p1s, _table(0, _basket_terms(basket)), windows)
@@ -574,7 +569,7 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
             for p1 in span:
                 wb = WeightedBasket(basket, p1)
                 if constraints.admits(wb):
-                    out.add(wb)
+                    out.append(wb)
     return sorted(out, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 

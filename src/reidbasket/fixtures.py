@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .classify import enumerate_b0, enumerate_index_profiles, parse_constraints
+from .classify import classify, enumerate_b0, parse_constraints
 from .core import Basket, WeightedBasket, anti_volume, format_rational, parse_basket, parse_rational, r_max
 from .criteria import PipelinePolicy, table_pipeline
 
@@ -62,13 +62,12 @@ class TableRow(NamedTuple):
 
 class TableFixture(NamedTuple):
     table_id: int
-    kind: str            # "pipeline" | "basket_list"... see files
+    kind: str            # "pipeline" | "index_profiles" | "b0_list"
     p1: int
     n1_window: int
     case: int
     star_case: int | None
     constraints: str | None
-    lcm: int | None
     rows: tuple[TableRow, ...]
 
 
@@ -180,7 +179,6 @@ def load_table(table_id: int) -> TableFixture | None:
         case=int(meta.get("case", 3)),
         star_case=int(meta["star_case"]) if "star_case" in meta else None,
         constraints=meta.get("constraints"),
-        lcm=int(meta["lcm"]) if "lcm" in meta else None,
         rows=tuple(rows),
     )
 
@@ -242,7 +240,7 @@ def _verify_pipeline_row(
 def _verify_basket_list(fixture: TableFixture, report: TableReport) -> None:
     constraints = parse_constraints(fixture.constraints or "")
     if fixture.kind == "index_profiles":
-        computed = {wb.basket for wb in enumerate_index_profiles(constraints._replace(rx_exact=fixture.lcm))}
+        computed = {wb.basket for wb in classify(constraints)}
     elif fixture.kind == "b0_list":
         computed = {wb.basket for wb, _ in enumerate_b0(constraints)}
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -87,6 +88,29 @@ class TestCanonical:
         assert code == 0
         assert out.splitlines()[-2:] == ["B(1000000) = (2,5),(3,7)", "epsilon_1000000 = 0"]
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("r", [1000001, 10 ** 29 + 1])
+    def test_chain_past_the_level_budget_exits_3(self, r):
+        # before any level is built: unbounded, this printed 1,999,996 lines
+        # in 27 s at r = 1000001, and nothing in 30 s at r = 10**29 + 1
+        start = time.perf_counter()
+        code, out, err = run_cli("canonical", "--basket", f"(1,2),(3,{r})")
+        assert (code, out) == (3, "")
+        assert err == f"error: canonical chain of (3,{r}) runs to level {r}, past the level budget 600000\n"
+        assert time.perf_counter() - start < 1
+
+    def test_chain_below_the_level_budget_is_listed_as_before(self):
+        # a child process, so that the chain's 100 MB of levels is not kept
+        # in this one's pair cache
+        run = subprocess.run(
+            [sys.executable, "-m", "reidbasket", "canonical", "--basket", "(1,2),(3,300001)"],
+            capture_output=True, env=src_env(),
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout.count(b"\n") == 599996
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "8acb7a463752753c7377f51214b8db296201955ee00a4560c1cce017aa6b955f"
+        )
 
     @pytest.mark.parametrize("levels, item", [
         ("0,,5", ""), ("0,x", "x"), ("5,", ""), ("0,1_0", "1_0"), ("0,\u0665", "\u0665"), ("0,+5", "+5"),

@@ -66,4 +66,14 @@ def test_bench_tracer_names_resolve():
         layer, fn = name.split(".")
         assert callable(getattr(importlib.import_module(f"reidbasket.{layer}"), fn, None)), name
     assert tracer.ADMITS == "classify.admits"
-    assert callable(importlib.import_module("reidbasket.classify").ClassificationConstraints.admits)
+    cls = importlib.import_module("reidbasket.classify").ClassificationConstraints
+    admits = cls.__dict__["admits"]
+    # the tracer's own lookups find every name, and put each back
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        rebound = {f"{original.__module__.removeprefix('reidbasket.')}.{attr}" for _, attr, original in traced._restore}
+        assert rebound >= {*names, tracer.COUNTED, tracer.ADMITS}
+    finally:
+        traced.uninstall()
+    assert cls.__dict__["admits"] is admits

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from reidbasket.fixtures import (
+    TableFixture,
     available_tables,
     fixtures_dir,
     load_table,
@@ -90,8 +91,12 @@ def test_mismatch_is_detected(tmp_path, monkeypatch):
 
 
 def test_table16_is_checked_against_profile_enumeration():
+    # through classify, which its rx=840 routes to the profile scan: the
+    # fixture carries no lcm of its own
     fixture = load_table(16)
-    assert fixture.kind == "index_profiles"
+    assert fixture.kind == "index_profiles" and "rx=840" in fixture.constraints
+    assert "lcm" not in TableFixture._fields
+    assert "# lcm:" not in (fixtures_dir() / "table16.tsv").read_text()
     assert verify_table(16).ok
 
 

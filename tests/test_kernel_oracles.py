@@ -858,14 +858,14 @@ def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
 
 
 class TestIntegerGammaBudgets:
-    """``_multisets`` spends gamma in integers scaled by L = lcm(2..24) for
+    """``_multisets`` spends gamma in integers scaled by S = lcm(2..32) for
     the roots and the profiles; the references spend it in Fractions."""
 
     def test_tails_match_fraction_reference_on_census_tuples(self):
         # whole root lists, tuples and order included, and per root its
         # P_{-1..4} by the kernel and its rebuild from them
         texts = [path.read_text() for path in CENSUS_INPUTS]
-        texts += ["p[1]=0..6", "p[1]=0..3 sigma5=1..2", "p[1]=0..3 tailmax=7"]
+        texts += ["p[1]=0..6", "p[1]=0..3 sigma5=1..2", "p[1]=0..3 tailmax=7", "p[1]=0..3 k3=(0,1/30)"]
         for text in texts:
             constraints = parse_constraints(text)
             roots = enumerate_b0(constraints)
