@@ -19,11 +19,18 @@ it entrywise defines the level-n approximation of a basket; levels 0, 5,
 the basket itself, and the number of prime packings consumed between
 consecutive levels is epsilon_n = Delta^n(level n-1) - Delta^n(B).
 
+The division points come from one integer descent, ``_bracket``: from the
+unit fractions around b/r, each step moves one end by a whole run of
+Stern-Brocot mediants.  The runs are the partial quotients of b/r cut off
+at level n, so one entry at one level costs O(log r) integer steps.
+
 Both are entrywise, so ``canonical_sequence`` reads the chain off one
 memoized table per pair (``_chain``); ``unpack`` and ``epsilon_n`` keep
 the direct definitions as its independent oracle.
 
-Levels 1-4 are not part of the construction and are rejected.
+Levels 1-4 are not part of the construction and are rejected.  ``unpack``
+and a pair's chain raise ClosureTruncated before they build a level of
+more than ``_MAX_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -73,57 +80,52 @@ def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
     satisfies lower < frac < upper with the unimodularity relation
     upper.n * lower.d - upper.d * lower.n = 1.
     """
-    _check_level(level)
-    if not 0 < frac <= Fraction(1, 2):
-        raise ValueError(f"fraction {frac} outside (0, 1/2]")
     if in_level_set(frac, level):
         raise ValueError(f"{frac} already lies in S({level})")
-    q, p = frac.numerator, frac.denominator
-    k = p // q  # 1/(k+1) < frac < 1/k; k >= 2 because frac < 1/2 here
-    upper, lower = Fraction(1, k), Fraction(1, k + 1)
-    if level == 0 or k >= level:
-        # no admissible fraction with denominator <= level fits strictly
-        # between consecutive unit fractions below 1/level
-        return upper, lower
-    # mediant (Stern-Brocot) descent: refine within the unit-fraction
-    # bracket while the mediant still has admissible denominator
+    (ln, ld, _), (un, ud, _) = _unpack_entry(frac.numerator, frac.denominator, level)
+    return Fraction(un, ud), Fraction(ln, ld)
+
+
+def _bracket(q: int, p: int, level: int) -> tuple[int, int, int, int]:
+    """(un, ud, ln, ld): ln/ld < q/p < un/ud adjacent in S(level), q/p reduced."""
+    un, ud, ln, ld = 1, p // q, 1, p // q + 1
     while True:
-        med = Fraction(upper.numerator + lower.numerator, upper.denominator + lower.denominator)
-        if med.denominator > level:
-            break
-        if med < frac:
-            lower = med
-        else:
-            upper = med
-    if upper.numerator * lower.denominator - upper.denominator * lower.numerator != 1:
+        # q/p - ln/ld = a/(p ld) and un/ud - q/p = c/(p ud); t mediants stay
+        # on their side of q/p while t c < a (t a < c), and within the level
+        a, c = q * ld - ln * p, un * p - q * ud
+        t = min((a - 1) // c, (level - ld) // ud)
+        if t > 0:  # the lower end takes t upper ends
+            ln, ld = ln + t * un, ld + t * ud
+            continue
+        t = min((c - 1) // a, (level - ud) // ld)
+        if t < 1:
+            return un, ud, ln, ld
+        un, ud = un + t * ln, ud + t * ld  # the upper end takes t lower ends
+
+
+def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
+    g = math.gcd(b, r)
+    q, p = b // g, r // g
+    if q == 1 or p <= level:
+        return ((b, r, 1),)
+    un, ud, ln, ld = _bracket(q, p, level)
+    if un * ld - ud * ln != 1:
         raise AssertionError(
-            f"invariant violated: Farey neighbors {upper}, {lower} of {frac} "
+            f"invariant violated: Farey neighbors {un}/{ud}, {ln}/{ld} of {q}/{p} "
             f"at level {level} are not unimodular"
         )
-    return upper, lower
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
-    frac = Fraction(b, r)
-    if in_level_set(frac, level):
-        return ((b, r, 1),)
-    upper, lower = farey_neighbors(frac, level)
-    ql, pl = upper.numerator, upper.denominator
-    qn, pn = lower.numerator, lower.denominator
-    m_low = r * ql - b * pl     # copies of the lower point (qn, pn)
-    m_high = -r * qn + b * pn   # copies of the upper point (ql, pl)
+    m_low, m_high = g * (un * p - q * ud), g * (q * ld - ln * p)  # copies of ln/ld and of un/ud
     if m_low < 1 or m_high < 1:
         raise AssertionError(
             f"invariant violated: unpacking ({b},{r}) at level {level} "
             f"needs positive multiplicities, got {m_low} and {m_high}"
         )
-    if m_low * qn + m_high * ql != b or m_low * pn + m_high * pl != r:
+    if m_low * ln + m_high * un != b or m_low * ld + m_high * ud != r:
         raise AssertionError(
             f"invariant violated: unpacking ({b},{r}) at level {level} "
             f"does not sum back to the pair"
         )
-    return ((qn, pn, m_low), (ql, pl, m_high))
+    return ((ln, ld, m_low), (un, ud, m_high))
 
 
 def _unpacked(triples: list[tuple[int, int, int]], level: int) -> list[tuple[int, int, int]]:
@@ -138,10 +140,17 @@ def _basket(triples: list[tuple[int, int, int]]) -> Basket:
     return Basket(entries)
 
 
+def _check_entries(size: int, what: str) -> None:
+    if size > _MAX_ENTRIES:
+        raise ClosureTruncated(f"{what} holds {size} entries, past the entry budget {_MAX_ENTRIES}")
+
+
 def unpack(basket: Basket, level: int) -> Basket:
     """The level-n approximation: entrywise Farey unpacking (idempotent)."""
     _check_level(level)
-    return _basket(_unpacked(basket.counts(), level))
+    triples = _unpacked(basket.counts(), level)
+    _check_entries(sum(m for *_, m in triples), f"level {level}")
+    return _basket(triples)
 
 
 def epsilon_n(basket: Basket, n: int) -> int:
@@ -172,8 +181,12 @@ class CanonicalSequence(NamedTuple):
     stabilization_level: int
 
 
-# one pair's level budget: (1,2),(3,300001) lists in 5.5-8 s, (2,600001) took 16.7 s and 178 MB
+# one pair's level budget: (1,2),(3,300001) lists in 6-8 s, (2,599999) in 13 s at 177 MB
 _MAX_TOP = 600_000
+
+# the entries of one level, just above the most that printed within 200 MB:
+# --levels 0 on (2200000,4400001), 2,200,000 entries in 1.3 s at 201 MB
+_MAX_ENTRIES = 2_250_000
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -185,14 +198,17 @@ def _chain(b: int, r: int) -> tuple[int, tuple, tuple[int, ...], frozenset[int]]
     repeat level 0) and levels[top] the pair itself.  shares[n - 5] is
     Delta^n(level before n) - Delta^n(pair) for 5 <= n <= top, and
     changes holds the levels n >= 5 at which the unpacking changes.  A top
-    past ``_MAX_TOP`` raises ClosureTruncated before any level is built.
+    past ``_MAX_TOP``, or a level 0 (the largest level, as each packing step
+    merges two entries into one) of more than ``_MAX_ENTRIES`` entries,
+    raises ClosureTruncated before any level is built.
     """
     g = math.gcd(b, r)
     top = 0 if g == b else r // g
     if top > _MAX_TOP:
         raise ClosureTruncated(f"canonical chain of ({b},{r}) runs to level {top}, past the level budget {_MAX_TOP}")
-    triples = [_unpack_entry(b, r, 0)] * min(top, 5)
-    triples += [_unpack_entry(b, r, n) for n in range(5, top)] + [((b, r, 1),)]
+    level0 = _unpack_entry(b, r, 0)
+    _check_entries(sum(m for *_, m in level0), f"level 0 of the canonical chain of ({b},{r})")
+    triples = [level0] * min(top, 5) + [_unpack_entry(b, r, n) for n in range(5, top)] + [((b, r, 1),)]
     # one tuple of OrbifoldPairs per distinct unpacking, shared by its levels
     entries = {t: sum(((OrbifoldPair(qb, qr),) * m for qb, qr, m in t), ()) for t in triples}
     steps = range(5, top + 1)

@@ -477,10 +477,9 @@ def r_max(basket: Basket) -> int:
 FILTER_HORIZON = 24
 
 # The bound of the memoized per-pair helpers (here and in ``canonical``).
-# Every coprime pair with r <= 24 (about 90 of them) at n <= 24, or at the
-# 21 canonical levels 0, 5..24, is 900-2200 keys per helper (about 90 for
-# the tables keyed by the pair alone), so this holds that working set with
-# room to spare while a long session cannot grow it.
+# Every coprime pair with r <= 24 (about 90) at n <= 24 is about 2200 keys,
+# so this holds that working set with room to spare while a long session
+# cannot grow it.
 PAIR_CACHE_SIZE = 4096
 
 # Summed from P_{-1}, the recursion reads

@@ -68,6 +68,67 @@ class TestFareyNeighbors:
                 assert upper.numerator * lower.denominator - upper.denominator * lower.numerator == 1
 
 
+def mediant_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
+    """The definition of the neighbours (upper, lower) of ``frac`` in S(level):
+    refine 1/(k+1) < frac < 1/k one Stern-Brocot mediant at a time while the
+    mediant's denominator stays <= level."""
+    k = frac.denominator // frac.numerator
+    upper, lower = Fraction(1, k), Fraction(1, k + 1)
+    while level and k < level:
+        med = Fraction(upper.numerator + lower.numerator, upper.denominator + lower.denominator)
+        if med.denominator > level:
+            break
+        if med < frac:
+            lower = med
+        else:
+            upper = med
+    return upper, lower
+
+
+def mediant_unpacking(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
+    """(b, r) at ``level`` as (b, r, multiplicity) triples, from the mediant loop."""
+    frac = Fraction(b, r)
+    if in_level_set(frac, level):
+        return ((b, r, 1),)
+    upper, lower = mediant_neighbors(frac, level)
+    return (
+        (lower.numerator, lower.denominator, r * upper.numerator - b * upper.denominator),
+        (upper.numerator, upper.denominator, b * lower.denominator - r * lower.numerator),
+    )
+
+
+class TestDescentOracle:
+    """The integer descent of ``_unpack_entry`` and ``farey_neighbors``
+    against the mediant loop that defines the neighbours."""
+
+    @staticmethod
+    def check(b, r, level):
+        assert canonical._unpack_entry(b, r, level) == mediant_unpacking(b, r, level), (b, r, level)
+        frac = Fraction(b, r)
+        if not in_level_set(frac, level):
+            assert farey_neighbors(frac, level) == mediant_neighbors(frac, level), (b, r, level)
+
+    def test_every_pair_up_to_r_60(self):
+        # non-coprime pairs included, at level 0 and every level 5..r+1
+        cases = 0
+        for r in range(2, 61):
+            for b in range(1, r // 2 + 1):
+                for level in (0, *range(5, r + 2)):
+                    self.check(b, r, level)
+                    cases += 1
+        assert cases == 34656
+
+    def test_seeded_pairs_up_to_r_10000(self):
+        # near-Farey-point pairs such as (n, 2n+1) are where the runs are long
+        rng = random.Random(47)
+        cases = [(n, 2 * n + 1, level) for n in (2500, 4999) for level in (0, 5, 6, 1001, 2 * n)]
+        for _ in range(20000):
+            r = rng.randint(5, 10 ** 4)
+            cases.append((rng.randint(1, r // 2), r, rng.choice((0, rng.randint(5, r + 1)))))
+        for case in cases:
+            self.check(*case)
+
+
 class TestUnpack:
     def test_examples(self):
         assert unpack(B((2, 5)), 0) == B((1, 2), (1, 3))
@@ -272,6 +333,30 @@ def test_sequence_checks_epsilon_under_optimize_flag():
     assert "AssertionError: invariant violated: epsilon_5 = -1" in proc.stderr
 
 
+@pytest.mark.parametrize("bracket, message", [
+    # 1/2 and 1/4 are not unimodular
+    ((1, 2, 1, 4), "invariant violated: Farey neighbors 1/2, 1/4 of 3/7 at level 5 are not unimodular"),
+    # 1/3 and 1/4 are unimodular but lie below 3/7
+    ((1, 3, 1, 4), "invariant violated: unpacking (3,7) at level 5 needs positive multiplicities, got -2 and 5"),
+], ids=["unimodular", "positive"])
+def test_descent_checks_survive_optimize_flag(bracket, message):
+    # a descent that returns a wrong bracket is caught by explicit raises
+    import subprocess
+    import sys
+
+    code = (
+        "from reidbasket import canonical\n"
+        "from reidbasket.core import Basket\n"
+        f"canonical._bracket = lambda q, p, level: {bracket}\n"
+        "canonical.unpack(Basket.of((3, 7)), 5)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+    )
+    assert proc.returncode == 1
+    assert f"AssertionError: {message}" in proc.stderr
+
+
 class TestFromPlurigenera:
     def test_b0_example(self):
         assert b0_from_plurigenera(1, 2, 2, 3) == B(*([(1, 2)] * 5 + [(1, 3), (1, 4)]))
@@ -357,13 +442,11 @@ def test_argument_checks_name_the_bad_value(call, message):
 
 
 def test_pair_caches_are_bounded_and_hold_the_session_working_set():
-    # every coprime pair with r <= 24, at n <= 24, at the levels 0, 5..24 and
-    # on its own for the per-pair chain table; the base rows of P_{-1} <= 8
+    # every coprime pair with r <= 24, at n <= 24 and on its own for the
+    # per-pair chain table; the base rows of P_{-1} <= 8
     pairs = [(b, r) for r in range(2, 25) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1]
-    levels = [0, *range(5, 25)]
     working_sets = {
         core._l_entry: [(b, r, n) for b, r in pairs for n in range(1, 25)],
-        canonical._unpack_entry: [(b, r, level) for b, r in pairs for level in levels],
         canonical._chain: pairs,
         core._base_row: [(p1,) for p1 in range(9)],
     }

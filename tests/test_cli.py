@@ -112,6 +112,38 @@ class TestCanonical:
             "8acb7a463752753c7377f51214b8db296201955ee00a4560c1cce017aa6b955f"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        # level 5 of the pair would hold 49,999,999 entries
+        (["--basket", "(50000000,100000001)", "--levels", "5"], "level 5 holds 49999999 entries"),
+        # a chain that stops at level 5, but whose level 0 holds 2,500,000 entries
+        (["--basket", "(2500000,6250000)"],
+         "level 0 of the canonical chain of (2500000,6250000) holds 2500000 entries"),
+    ], ids=["unpack", "chain"])
+    def test_level_past_the_entry_budget_exits_3(self, argv, message):
+        # read off the multiplicities before any level basket is built
+        start = time.perf_counter()
+        code, out, err = run_cli("canonical", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}, past the entry budget 2250000\n")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("basket, level, lines", [
+        # the lower end runs up from 1/3 to 49999999/99999999
+        ("(50000000,100000001)", "99999999",
+         [b"B(99999999) = (1,2),(49999999,99999999)", b"epsilon_99999999 = 1"]),
+        # the upper end runs down from 1/2 to 33333333/99999998
+        ("(33333334,100000001)", "100000000",
+         [b"B(100000000) = (1,3),(33333333,99999998)", b"epsilon_100000000 = 0"]),
+    ])
+    def test_deep_level_is_one_descent(self, basket, level, lines):
+        # a child with a timeout: one Stern-Brocot mediant per step would
+        # take either query past a minute
+        run = subprocess.run(
+            [sys.executable, "-m", "reidbasket", "canonical", "--basket", basket, "--levels", level],
+            capture_output=True, env=src_env(), timeout=30,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout.splitlines() == lines
+
     @pytest.mark.parametrize("levels, item", [
         ("0,,5", ""), ("0,x", "x"), ("5,", ""), ("0,1_0", "1_0"), ("0,\u0665", "\u0665"), ("0,+5", "+5"),
     ])

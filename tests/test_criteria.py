@@ -1,9 +1,13 @@
+import io
 import random
+from contextlib import redirect_stdout
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
+from reidbasket import criteria
+from reidbasket.cli import main
 from reidbasket.core import (
     Basket,
     WeightedBasket,
@@ -15,6 +19,7 @@ from reidbasket.core import (
 from reidbasket.criteria import (
     BranchSpec,
     _lambda_for,
+    _pencil_scan,
     CriterionInputs,
     Mu0Candidate,
     PipelinePolicy,
@@ -342,3 +347,28 @@ def test_both_routes_to_the_criterion_inputs_agree(entries, p1, values):
     )
     assert (inputs.rmax, inputs.rx, inputs.m_big, inputs.k3) == values
     assert (report.rmax, report.rx, report.m_big, report.k3) == values
+
+
+def test_pencil_scan_window_starts_after_a_gap():
+    # with lambda = 0 a value is certified when P_{-n} > 1: n = 1 is, n = 2 is
+    # not, n = 3..8 are; one value starts at 1, six consecutive ones at 3
+    values = [(1, 2), (2, 1)] + [(n, 2) for n in range(3, 9)]
+    assert _pencil_scan(iter(values), Fraction(0), 1, 400) == 1
+    assert _pencil_scan(iter(values), Fraction(0), 6, 400) == 3
+
+
+@pytest.mark.parametrize("p1, window", [("0", 6), ("1", 1)])
+def test_auto_policy_hands_its_window_to_the_scan(monkeypatch, p1, window):
+    # the CLI's auto policy scans six consecutive values at P_{-1} = 0 and
+    # one value otherwise; 13x(1,2) passes the filter at both
+    windows = []
+    scan = criteria._pencil_scan
+
+    def recorded(values, lam, size, limit):
+        windows.append(size)
+        return scan(values, lam, size, limit)
+
+    monkeypatch.setattr(criteria, "_pencil_scan", recorded)
+    with redirect_stdout(io.StringIO()):
+        assert main(["criteria", "--basket", "13x(1,2)", "--p1", p1]) == 0
+    assert windows == [window]
