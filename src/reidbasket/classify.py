@@ -236,11 +236,15 @@ class ClassificationConstraints(_ConstraintFields):
         return True
 
     def admits(self, wb: WeightedBasket) -> bool:
-        """``classify``'s membership test on its universe: the constraints, the filter
-        and the walk's root rules (level-0 indices <= ``tail_max_index``, P_{-2..4} >= 0)."""
+        """Whether ``classify`` lists ``wb``: the constraints, the filter and
+        the rules every root of the walk meets -- coprime entries, P_{-2..4}
+        >= 0, and level-0 indices at most ``tail_max_index`` whose costs fit
+        the gamma budget of ``_multisets`` (so none is above 24)."""
         counts = wb.basket.counts()
-        level0 = _unpacked(counts, 0)
-        if max((r for _, r, _ in level0), default=0) > self.tail_max_index:
+        if any(math.gcd(b, r) > 1 for b, r, _ in counts):
+            return False
+        level0, tail = _unpacked(counts, 0), min(self.tail_max_index, 24)
+        if any(r > tail for _, r, _ in level0) or sum(_COST[r] * k for _, r, k in level0) > 24 * S:
             return False
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
@@ -252,7 +256,7 @@ class ClassificationConstraints(_ConstraintFields):
         return self._admits(wb.p1, counts, rec[4], _volume(wb.p1, rec), rec[0])
 
     def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int, den: int) -> bool:
-        """``admits`` but for the level-0 rules, on integers: the (b, r,
+        """``admits`` but for the coprime and level-0 rules, on integers: the (b, r,
         multiplicity) ``triples`` of the basket, and gamma and -K^3 as
         numerators over ``den``.  One plurigenus table serves P_{-2..4} >= 0
         and the filter, carried on by the recursion to a constrained m above.
@@ -524,10 +528,9 @@ def _truncated(constraints: ClassificationConstraints) -> ClosureTruncated:
 
 
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
-    """The weighted baskets that ``admits`` accepts among the coprime baskets
-    whose level-0 basket has gamma >= 0 (all, under the gamma filter), sorted
-    by (P_{-1}, basket).  An exact ``rx_exact`` with the gamma filter on scans
-    the index profiles of r_X; any other record walks the canonical chain.
+    """The weighted baskets that ``admits`` accepts, sorted by (P_{-1},
+    basket).  An exact ``rx_exact`` with the gamma filter on scans the index
+    profiles of r_X; any other record walks the canonical chain.
     ``max_visited`` budgets the whole call on either route: ClosureTruncated
     is raised when it runs out, and a partial answer is never returned."""
     if constraints.rx_exact is not None and constraints.filters.gamma_nonneg:

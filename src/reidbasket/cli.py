@@ -151,12 +151,15 @@ def _cmd_eval(args) -> int:
 
 
 def _level(item: str) -> int:
+    from .canonical import _check_level
     from .core import _int
 
     try:
-        return _int(item.strip())
+        level = _int(item.strip())
     except ValueError:
         raise ValueError(f"bad --levels item {item!r} (expected an integer)") from None
+    _check_level(level)
+    return level
 
 
 def _cmd_canonical(args) -> int:
@@ -165,15 +168,10 @@ def _cmd_canonical(args) -> int:
 
     basket = parse_basket(args.basket)
     if args.levels:
-        # each level on its own: a level far past stabilization costs no
-        # more than one near it
+        # every item is checked before any level prints; each level is built
+        # on its own, so one far past stabilization costs no more than one near it
         for n in sorted({_level(x) for x in args.levels.split(",")}):
-            try:
-                approx = unpack(basket, n)
-            except ValueError:
-                print(f"B({n}): level not defined", file=sys.stderr)
-                return EXIT_USAGE
-            print(f"B({n}) = {format_basket(approx)}")
+            print(f"B({n}) = {format_basket(unpack(basket, n))}")
             if n >= 5:
                 print(f"epsilon_{n} = {epsilon_n(basket, n)}")
     else:
@@ -193,7 +191,8 @@ def _cmd_pack(args) -> int:
     max_states = MAX_VISITED if args.max_states is None else args.max_states
     if max_states < 1:
         raise ValueError(f"--max-states must be >= 1, got {max_states}")
-    basket = parse_basket(args.basket)
+    # a bad --p1 is refused here, before the search
+    root = WeightedBasket(parse_basket(args.basket), args.p1)
     prune_clauses = []
     if args.gamma_min is not None:
         prune_clauses.append(gamma_at_least(args.gamma_min))
@@ -201,7 +200,7 @@ def _cmd_pack(args) -> int:
         prune_clauses.append(volume_at_most(args.k3_max, args.p1))
     prune = all_of(*prune_clauses) if prune_clauses else None
     emit = coprime_only if args.coprime_only else None
-    result = closure(basket, prune=prune, emit=emit, max_visited=max_states)
+    result = closure(root.basket, prune=prune, emit=emit, max_visited=max_states)
     _print_rows(WeightedBasket(b, args.p1) for b in result.baskets)
     print(f"# visited {result.visited} baskets, emitted {len(result.baskets)}")
     if result.truncated:
@@ -254,9 +253,7 @@ def _cmd_criteria(args) -> int:
         k = args.same_pencil_k
         seq = plurigenus_sequence(wb, k)
         if seq[k] < 2:
-            print(f"error: P[-{k}] = {seq[k]} < 2, "
-                  "no same-pencil branch available", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"P[-{k}] = {seq[k]} < 2, no same-pencil branch available")
         branches = (
             BranchSpec(
                 f"|-{k}K| and the m0-system not composed with the same pencil",

@@ -17,9 +17,11 @@ tables:
                   rest of its own row; v is the value forced by the row
                   (reported as a known discrepancy, not a failure).
 
-The harness recomputes every comparable cell from scratch and diffs.
-Fixture integrity is pinned by a SHA-256 manifest; the directory can be
-overridden with the ``REID_BASKET_FIXTURES`` environment variable.
+The harness recomputes every comparable cell from scratch and diffs; a
+``classify`` table lists baskets only, and is diffed both ways against
+``classify`` on its ``# constraints:`` line.  Fixture integrity is pinned
+by a SHA-256 manifest; the directory can be overridden with the
+``REID_BASKET_FIXTURES`` environment variable.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .classify import classify, enumerate_b0, parse_constraints
+from .classify import classify, parse_constraints
 from .core import Basket, WeightedBasket, anti_volume, format_rational, parse_basket, parse_rational, r_max
 from .criteria import PipelinePolicy, table_pipeline
 
@@ -62,7 +64,7 @@ class TableRow(NamedTuple):
 
 class TableFixture(NamedTuple):
     table_id: int
-    kind: str            # "pipeline" | "index_profiles" | "b0_list"
+    kind: str            # "pipeline" (cells per row) | "classify" (a basket list)
     p1: int
     n1_window: int
     case: int
@@ -238,13 +240,9 @@ def _verify_pipeline_row(
 
 
 def _verify_basket_list(fixture: TableFixture, report: TableReport) -> None:
-    constraints = parse_constraints(fixture.constraints or "")
-    if fixture.kind == "index_profiles":
-        computed = {wb.basket for wb in classify(constraints)}
-    elif fixture.kind == "b0_list":
-        computed = {wb.basket for wb, _ in enumerate_b0(constraints)}
-    else:
+    if fixture.kind != "classify":
         raise ValueError(f"unknown fixture kind {fixture.kind!r}")
+    computed = {wb.basket for wb in classify(parse_constraints(fixture.constraints or ""))}
     listed = {row.basket for row in fixture.rows}
     report.rows_checked = len(fixture.rows)
     report.cells_checked = len(fixture.rows)

@@ -308,6 +308,32 @@ def universe_sets(bench_universe) -> list[ClassificationConstraints]:
     return universe_constraint_sets(bench_universe)
 
 
+# baskets that ``admits`` once took and ``classify`` never lists: one that is
+# not coprime, and one whose level-0 basket has gamma < 0
+OFF_THE_LIST = (
+    ("p[1]=3", WeightedBasket(B((2, 4), (1, 2), (1, 2), (1, 2)), 3)),
+    ("p[1]=5 filters=none", WeightedBasket(B(*[(1, 2)] * 25), 5)),
+)
+
+
+@pytest.fixture(scope="module")
+def superset(bench_universe) -> list[Basket]:
+    """The universe and baskets off it, in canonical order: seeded packings
+    of two universe entries into one that is not coprime, and every coprime
+    basket with Sigma r <= 26 whose level-0 basket has gamma < 0."""
+    rng = random.Random(27)
+    off = {wb.basket for _, wb in OFF_THE_LIST}
+    while len(off) < 1000:
+        entries = list(rng.choice(bench_universe).entries)
+        if len(entries) >= 2:
+            p, q = (entries.pop(i) for i in sorted(rng.sample(range(len(entries)), 2), reverse=True))
+            if math.gcd(p.b + q.b, p.r + q.r) > 1:
+                off.add(B(*((e.b, e.r) for e in entries), (p.b + q.b, p.r + q.r)))
+    negative = [b for b in all_coprime_baskets(26) if gamma(unpack(b, 0)) < 0]
+    assert len(negative) == 1050
+    return sorted(off.union(bench_universe, negative))
+
+
 def universe_scan(c: ClassificationConstraints, universe: list[Basket]) -> list[WeightedBasket]:
     """The weighted baskets over ``universe`` that ``admits`` accepts, in
     ``classify``'s order."""
@@ -325,7 +351,8 @@ class TestUniverseOracle:
 
     With the gamma filter on, every basket that ``classify`` can admit is a
     terminal gamma >= 0 basket, so the universe holds them all, and the
-    scan with ``admits`` is the whole answer.
+    scan with ``admits`` is the whole answer.  Scanned over a superset of
+    the universe, that answer is ``admits`` = membership in the listing.
     """
 
     def test_the_sets_cover_every_kind(self, universe_sets):
@@ -343,11 +370,33 @@ class TestUniverseOracle:
         assert len({c.filters for c in universe_sets}) >= 3
 
     @pytest.mark.parametrize("index", range(UNIVERSE_SETS))
-    def test_classify_equals_the_universe_scan(self, index, universe_sets, bench_universe):
+    def test_classify_equals_the_universe_scan(self, index, universe_sets, superset):
         c = universe_sets[index]
-        scan = universe_scan(c, bench_universe)
+        scan = universe_scan(c, superset)
         assert scan, c
         assert classify(c) == scan
+
+    @pytest.mark.parametrize("text", [
+        "p[1]=5 filters=none", "p[1]=1..4 p[3]=2..6 filters=none", "p[1]=2..3 p[2]=4..8 filters=volume,p8",
+    ])
+    def test_admits_is_membership_without_the_gamma_filter(self, text, superset):
+        # the listing leaves the superset here (gamma < 0), so it is
+        # checked both ways
+        c = parse_constraints(text)
+        listed = set(classify(c))
+        assert all(c.admits(wb) for wb in listed)
+        assert set(universe_scan(c, superset)) <= listed
+        assert any(gamma(wb.basket) < 0 for wb in listed), c
+
+    @pytest.mark.parametrize("text, wb", OFF_THE_LIST)
+    def test_a_basket_off_the_list_is_refused(self, text, wb, superset):
+        c = parse_constraints(text)
+        assert wb.basket in superset and wb not in classify(c)
+        assert not c.admits(wb)
+        # without the rule that refuses it, the rest of admits takes it
+        counts = wb.basket.counts()
+        rec = classify_module._record(wb.basket)
+        assert c._admits(wb.p1, counts, rec[4], classify_module._volume(wb.p1, rec), rec[0])
 
     @pytest.mark.parametrize("text, count", [("p[1]=1 filters=gamma", 5554), ("p[1]=1 tailmax=6", 4218)])
     def test_admits_holds_the_rules_of_the_roots(self, text, count, bench_universe):

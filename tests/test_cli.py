@@ -76,10 +76,11 @@ class TestCanonical:
         code, _, err = run_cli("canonical", "--basket", "(2,5)", "--levels", "3")
         assert code == 2
 
-    def test_undefined_level_ends_the_listing(self):
-        code, out, err = run_cli("canonical", "--basket", "(2,5),(3,7)", "--levels", "0,3,7")
-        assert (code, out) == (2, "B(0) = 3x(1,2),2x(1,3)\n")
-        assert err == "B(3): level not defined\n"
+    @pytest.mark.parametrize("levels", ["0,3,7", "0,3", "7,3,x"])
+    def test_undefined_level_is_refused_before_any_listing(self, levels):
+        # every item is checked first, and main reports the refusal
+        code, out, err = run_cli("canonical", "--basket", "(2,5),(3,7)", "--levels", levels)
+        assert (code, out, err) == (2, "", "error: levels 1-4 are not defined (got 3)\n")
 
     def test_far_level_costs_one_level(self):
         # only the levels asked for are built, not every level below them
@@ -206,6 +207,18 @@ class TestPack:
         )
         assert run_cli("pack", "--basket", "(1,2),(1,3)", option, "1e-4300")[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        # a search that lists nothing, so no row would ever read --p1
+        ("--basket", "(1,2)", "--gamma-min", "100"),
+        # a search that lists baskets
+        ("--basket", "7x(1,2),(1,3)",),
+    ])
+    def test_negative_p1_is_refused_before_the_search(self, argv, monkeypatch):
+        import reidbasket.packing
+
+        monkeypatch.setattr(reidbasket.packing, "closure", lambda *a, **k: pytest.fail("the search ran"))
+        assert run_cli("pack", *argv, "--p1", "-1") == (2, "", "error: P_{-1} must be a non-negative integer\n")
+
     def test_k3_max_prunes_as_volume_at_most(self):
         # the option's listing is the closure under volume_at_most(Q, P), in
         # order, and it cuts baskets the unpruned closure lists
@@ -273,6 +286,25 @@ class TestClassify:
         path.write_text("p[1]=4 filters=none\n")
         code, out, _ = run_cli("classify", "--constraints", str(path), "--profiles", "1")
         assert (code, out) == (0, "\t2\t1\t-\n# 1 basket(s)\n")
+
+    @pytest.mark.parametrize("table_id", [7, 16])
+    def test_a_list_table_is_the_classify_query_of_its_constraints_line(self, tmp_path, table_id):
+        # in a child, as a reader reruns it: the listing is the table's rows
+        from reidbasket.core import parse_basket
+        from reidbasket.fixtures import load_table
+
+        fixture = load_table(table_id)
+        assert fixture.kind == "classify"
+        path = tmp_path / "c.txt"
+        path.write_text(fixture.constraints + "\n")
+        run = subprocess.run(
+            [sys.executable, "-m", "reidbasket", "classify", "--constraints", str(path)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        *rows, last = run.stdout.splitlines()
+        assert last == f"# {len(fixture.rows)} basket(s)"
+        assert sorted(parse_basket(row.split("\t")[0]) for row in rows) == sorted(r.basket for r in fixture.rows)
 
     def test_missing_file_is_usage_error(self):
         code, _, err = run_cli("classify", "--constraints", "/nonexistent/c.txt")

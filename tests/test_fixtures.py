@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from reidbasket.classify import classify, enumerate_b0, parse_constraints
+from reidbasket.core import FilterConfig
 from reidbasket.fixtures import (
     TableFixture,
     available_tables,
@@ -94,7 +96,7 @@ def test_table16_is_checked_against_profile_enumeration():
     # through classify, which its rx=840 routes to the profile scan: the
     # fixture carries no lcm of its own
     fixture = load_table(16)
-    assert fixture.kind == "index_profiles" and "rx=840" in fixture.constraints
+    assert fixture.kind == "classify" and "rx=840" in fixture.constraints
     assert "lcm" not in TableFixture._fields
     assert "# lcm:" not in (fixtures_dir() / "table16.tsv").read_text()
     assert verify_table(16).ok
@@ -124,8 +126,20 @@ def test_lambda_bounds_hold_on_every_fixture_basket():
 
 
 def test_table7_is_checked_against_level0_enumeration():
+    # one classify query: under sigma5=0..0 a level-0 basket is one whose
+    # indices are at most 4, and the level-0 list had no filter, so the
+    # query lists what enumerate_b0 lists on the record without the two
     fixture = load_table(7)
-    assert fixture.kind == "b0_list"
+    assert fixture.kind == "classify"
+    query = parse_constraints(fixture.constraints)
+    record = parse_constraints(fixture.constraints.replace(" rmax=2..4 filters=none", ""))
+    assert record._replace(rmax_range=(2, 4), filters=FilterConfig.none()) == query
+    assert classify(query) == [wb for wb, _ in enumerate_b0(record)] == [wb for wb, _ in enumerate_b0(query)]
+    assert sorted(wb.basket for wb in classify(query)) == sorted(row.basket for row in fixture.rows)
+    # each of the two is needed: the record lists 96, with rmax= alone 3
+    # and with filters=none alone 214
+    alone = [record, record._replace(rmax_range=(2, 4)), record._replace(filters=FilterConfig.none())]
+    assert [len(classify(c)) for c in alone] == [96, 3, 214]
     assert verify_table(7).ok
 
 
@@ -181,7 +195,7 @@ def test_mismatch_order(tmp_path, monkeypatch):
         assert report.cells_checked == checked == len(report.mismatches)
 
 
-def test_b0_list_reports_both_directions(tmp_path, monkeypatch):
+def test_basket_list_reports_both_directions(tmp_path, monkeypatch):
     # one listed basket removed, one basket no enumeration produces added
     rows = load_table(7).rows
     text = (fixtures_dir() / "table7.tsv").read_text()

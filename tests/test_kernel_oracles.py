@@ -489,8 +489,12 @@ def reference_prune(constraints, p1: int, basket: Basket, final: int) -> bool:
 def reference_admits(constraints, wb: WeightedBasket) -> bool:
     assert constraints.sigma5 is None
     vol = reference_volume(wb)
-    # the rules of the walk's roots: the level-0 indices and P_{-2..4} >= 0
-    if any(p.r > constraints.tail_max_index for p in unpack(wb.basket, 0)):
+    # the rules of the walk's roots: coprime entries, a level-0 basket with
+    # gamma >= 0 and indices at most tailmax, and P_{-2..4} >= 0
+    if not wb.basket.all_terminal:
+        return False
+    level0 = unpack(wb.basket, 0)
+    if gamma(level0) < 0 or any(p.r > constraints.tail_max_index for p in level0):
         return False
     if any(plurigenus_closed(wb.basket, vol, m) < 0 for m in (2, 3, 4)):
         return False
