@@ -114,16 +114,13 @@ def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...
             f"invariant violated: Farey neighbors {un}/{ud}, {ln}/{ld} of {q}/{p} "
             f"at level {level} are not unimodular"
         )
-    m_low, m_high = g * (un * p - q * ud), g * (q * ld - ln * p)  # copies of ln/ld and of un/ud
+    # copies of ln/ld and of un/ud; with D = un*ld - ud*ln they sum back to
+    # (g*q*D, g*p*D), which is (b, r) since D = 1 was checked above
+    m_low, m_high = g * (un * p - q * ud), g * (q * ld - ln * p)
     if m_low < 1 or m_high < 1:
         raise AssertionError(
             f"invariant violated: unpacking ({b},{r}) at level {level} "
             f"needs positive multiplicities, got {m_low} and {m_high}"
-        )
-    if m_low * ln + m_high * un != b or m_low * ld + m_high * ud != r:
-        raise AssertionError(
-            f"invariant violated: unpacking ({b},{r}) at level {level} "
-            f"does not sum back to the pair"
         )
     return ((ln, ld, m_low), (un, ud, m_high))
 

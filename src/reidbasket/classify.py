@@ -22,11 +22,12 @@ The engine walks the same road the classification arguments do:
    ``Basket`` only for an admitted leaf, and sort them once by (P_{-1},
    basket).
 
-Everything is exact, and the output has no duplicates.  Step 1 and the
-route of an exact r_X, ``enumerate_index_profiles``, draw their index
-multisets from one generator, ``_multisets``, which spends the gamma
-budget in integers: every entry cost r - 1/r is scaled by the walk's own
-S = lcm(2..32).  Both cut P_{-1} by one rule, ``_p1_span``.
+Everything is exact, and the output has no duplicates.  Every rational
+``classify`` reads is a numerator over one scale, S = lcm(2..32): gamma,
+-K^3 and its ends (``_k3_window``) on both routes, and the entry costs r -
+1/r of the gamma budget that ``_multisets`` spends.  Step 1 and the route
+of an exact r_X, ``enumerate_index_profiles``, draw their index multisets
+from that one generator, and cut P_{-1} by one rule, ``_p1_span``.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ from .core import (
     _beyond,
     _int,
     _pair_terms,
-    _record,
     _table,
-    _volume,
     parse_rational,
 )
 
@@ -96,12 +95,6 @@ def _multisets(indices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             if left < 0:
                 break
             found.append((current + (indices[i],), i, left))
-
-
-def _compare(num: int, den: int, bound: Fraction) -> int:
-    """Sign of num/den - bound for den > 0, by cross-multiplied integers."""
-    a, b = num * bound.denominator, bound.numerator * den
-    return (a > b) - (a < b)
 
 
 # the read-only empty default of the plurigenus maps: no instance shares a
@@ -209,18 +202,6 @@ class ClassificationConstraints(_ConstraintFields):
 
     # -- emission checks ----------------------------------------------------
 
-    def volume_ok(self, num: int, den: int) -> bool:
-        """Whether -K^3 = num / den (den > 0) lies within the k3 bounds."""
-        if self.k3_min is not None:
-            c = _compare(num, den, self.k3_min)
-            if c < 0 or (c == 0 and self.k3_min_strict):
-                return False
-        if self.k3_max is not None:
-            c = _compare(num, den, self.k3_max)
-            if c > 0 or (c == 0 and self.k3_max_strict):
-                return False
-        return True
-
     def _indices_ok(self, rs: list[int], rx: int) -> bool:
         """The index constraints on the entries' indices ``rs`` and r_X."""
         if self.allowed_indices is not None and not self.allowed_indices.issuperset(rs):
@@ -239,7 +220,10 @@ class ClassificationConstraints(_ConstraintFields):
         """Whether ``classify`` lists ``wb``: the constraints, the filter and
         the rules every root of the walk meets -- coprime entries, P_{-2..4}
         >= 0, and level-0 indices at most ``tail_max_index`` whose costs fit
-        the gamma budget of ``_multisets`` (so none is above 24)."""
+        the gamma budget of ``_multisets`` (so none is above 24).  Once the
+        level-0 rules pass, every index is at most the level-0 Sigma r <= 32
+        and divides S, so gamma and -K^3 are read over S as the walk reads
+        them (``_chain_state``)."""
         counts = wb.basket.counts()
         if any(math.gcd(b, r) > 1 for b, r, _ in counts):
             return False
@@ -252,16 +236,18 @@ class ClassificationConstraints(_ConstraintFields):
             lo, hi = self.sigma5
             if not lo <= sum(k for _, r, k in level0 if r >= 5) <= hi:
                 return False
-        rec = _record(wb.basket)
-        return self._admits(wb.p1, counts, rec[4], _volume(wb.p1, rec), rec[0])
+        gamma, volume, _ = _chain_state(wb.p1, counts, ())
+        return self._admits(wb.p1, counts, gamma, volume)
 
-    def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int, den: int) -> bool:
+    def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int) -> bool:
         """``admits`` but for the coprime and level-0 rules, on integers: the (b, r,
         multiplicity) ``triples`` of the basket, and gamma and -K^3 as
-        numerators over ``den``.  One plurigenus table serves P_{-2..4} >= 0
-        and the filter, carried on by the recursion to a constrained m above.
+        numerators over S.  -K^3 is checked against ``_k3_window``; one
+        plurigenus table serves P_{-2..4} >= 0 and the filter, carried on by
+        the recursion to a constrained m above.
         """
-        if not self.volume_ok(volume, den):
+        lo, hi = _k3_window(self)
+        if not lo <= volume <= hi:
             return False
         rs = [r for _, r, _ in triples]
         rx = math.lcm(*rs)
@@ -274,7 +260,7 @@ class ClassificationConstraints(_ConstraintFields):
             if not lo <= seq[m] <= hi:
                 return False
         p = seq[:FILTER_HORIZON + 1]
-        return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, den, rx, max(rs, default=0), p).ok
+        return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, S, rx, max(rs, default=0), p).ok
 
 
 def _sequence(p1: int, triples: _Triples, upto: int) -> list[int]:
@@ -288,6 +274,21 @@ def _sequence(p1: int, triples: _Triples, upto: int) -> list[int]:
     if upto > FILTER_HORIZON:
         p += [v for _, v in islice(_beyond(p1, triples, p), upto - FILTER_HORIZON)]
     return p
+
+
+def _k3_window(constraints: ClassificationConstraints) -> tuple[int | float, int | float]:
+    """(lo, hi): the numerators v over S whose v/S the k3 ends allow are
+    exactly lo <= v <= hi, strictness folded in; a missing end is -inf or inf."""
+
+    def top(end: Fraction, strict: bool) -> int:
+        # the largest v with v/S <= end, or < end if strict
+        num, den = end.numerator * S, end.denominator
+        return -(-num // den) - 1 if strict else num // den
+
+    # the least v with v/S >= end is -top(-end): the same cut, mirrored
+    lo = -math.inf if constraints.k3_min is None else -top(-constraints.k3_min, constraints.k3_min_strict)
+    hi = math.inf if constraints.k3_max is None else top(constraints.k3_max, constraints.k3_max_strict)
+    return lo, hi
 
 
 def _root_windows(constraints: ClassificationConstraints) -> list[tuple[int, int | float]]:
@@ -384,9 +385,11 @@ def _chain_state(p1: int, triples: _Triples, ms: tuple[int, ...]) -> tuple[int, 
     ``triples`` at ``p1``: gamma = (24 - Sigma r) + Sigma 1/r and -K^3 =
     2 P_{-1} + sigma - 6 - Sigma b^2/r as numerators over S (every index
     divides it), and P_{-m} for the ascending ``ms``."""
-    shares = [(b, S // r * k) for b, r, k in triples]
-    gamma = (24 - sum(r * k for _, r, k in triples)) * S + sum(q for _, q in shares)
-    volume = (2 * p1 + sum(b * k for b, _, k in triples) - 6) * S - sum(b * b * q for b, q in shares)
+    gamma, volume = 24 * S, (2 * p1 - 6) * S
+    for b, r, k in triples:
+        q = S // r
+        gamma += k * (q - r * S)
+        volume += k * b * (S - b * q)
     seq = _sequence(p1, triples, ms[-1]) if ms else ()
     return gamma, volume, tuple(seq[m] for m in ms)
 
@@ -402,14 +405,10 @@ def _prune_factory(constraints: ClassificationConstraints):
     """
     windows = _windows(constraints)
     use_gamma = constraints.filters.gamma_nonneg
-    cap = None
-    if constraints.k3_max is not None:
-        # the largest numerator over S within the upper end of -K^3
-        num, den = constraints.k3_max.numerator * S, constraints.k3_max.denominator
-        cap = -(-num // den) - 1 if constraints.k3_max_strict else num // den
+    cap = _k3_window(constraints)[1]
 
     def prune_ok(gamma: int, volume: int, window: tuple[int, ...], final: int) -> bool:
-        if (use_gamma and gamma < 0) or (cap is not None and volume > cap):
+        if (use_gamma and gamma < 0) or volume > cap:
             return False
         for (m, lo, hi), p in zip(windows, window):
             if p > hi or (p < lo and m <= final):
@@ -543,7 +542,7 @@ def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBaske
     each leaf re-verified from its integers by ``admits``' own check."""
     leaves, _ = _walk(_roots(constraints), constraints)
     found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
-             if constraints._admits(p1, triples, gamma, volume, S)]
+             if constraints._admits(p1, triples, gamma, volume)]
     return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 

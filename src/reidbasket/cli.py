@@ -236,7 +236,7 @@ def _cmd_classify(args) -> int:
 def _cmd_criteria(args) -> int:
     from fractions import Fraction
 
-    from .core import WeightedBasket, parse_basket, plurigenus_sequence
+    from .core import WeightedBasket, parse_basket, plurigenus
     from .criteria import BranchSpec, PipelinePolicy, table_pipeline
 
     if args.same_pencil_k is not None and args.same_pencil_k < 1:
@@ -251,9 +251,9 @@ def _cmd_criteria(args) -> int:
     branches: tuple[BranchSpec, ...] = ()
     if args.same_pencil_k is not None:
         k = args.same_pencil_k
-        seq = plurigenus_sequence(wb, k)
-        if seq[k] < 2:
-            raise ValueError(f"P[-{k}] = {seq[k]} < 2, no same-pencil branch available")
+        pk = plurigenus(wb, k)
+        if pk < 2:
+            raise ValueError(f"P[-{k}] = {pk} < 2, no same-pencil branch available")
         branches = (
             BranchSpec(
                 f"|-{k}K| and the m0-system not composed with the same pencil",
@@ -261,7 +261,7 @@ def _cmd_criteria(args) -> int:
             ),
             BranchSpec(
                 f"|-{k}K| and the m0-system composed with the same pencil",
-                "b2", mu0=Fraction(k, seq[k] - 1), n0=args.n0,
+                "b2", mu0=Fraction(k, pk - 1), n0=args.n0,
             ),
         )
     report = table_pipeline(wb, PipelinePolicy(n1_window=window, case=case, branches=branches))

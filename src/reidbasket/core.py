@@ -544,7 +544,8 @@ def plurigenus(wb: WeightedBasket, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"plurigenus needs m >= 1, got {m}")
-    return plurigenus_sequence(wb, m)[m]
+    # one value read off the stream: no list of P_{-1..m} is built
+    return next(islice(_plurigenera(wb), m - 1, None))[1]
 
 
 def plurigenus_sequence(wb: WeightedBasket, upto: int) -> list[int]:

@@ -37,6 +37,7 @@ from .core import (
     format_basket,
     format_rational,
     geometric_filter,
+    plurigenus,
     plurigenus_sequence,
 )
 
@@ -199,9 +200,7 @@ def not_pencil_by_plurigenus(wb: WeightedBasket, m: int) -> bool:
     Under the recorded hypotheses this certifies that |-mK| is not
     composed with a pencil.
     """
-    _, _, lam = _lambda_for(wb)
-    seq = plurigenus_sequence(wb, m)
-    return seq[m] > lam * m + 1
+    return plurigenus(wb, m) > _lambda_for(wb)[2] * m + 1
 
 
 def first_not_pencil(wb: WeightedBasket, window: int = 1, limit: int = 400) -> int:

@@ -395,8 +395,8 @@ class TestUniverseOracle:
         assert not c.admits(wb)
         # without the rule that refuses it, the rest of admits takes it
         counts = wb.basket.counts()
-        rec = classify_module._record(wb.basket)
-        assert c._admits(wb.p1, counts, rec[4], classify_module._volume(wb.p1, rec), rec[0])
+        gamma, volume, _ = classify_module._chain_state(wb.p1, counts, ())
+        assert c._admits(wb.p1, counts, gamma, volume)
 
     @pytest.mark.parametrize("text, count", [("p[1]=1 filters=gamma", 5554), ("p[1]=1 tailmax=6", 4218)])
     def test_admits_holds_the_rules_of_the_roots(self, text, count, bench_universe):
@@ -755,7 +755,7 @@ def leaf_verdicts(constraints) -> tuple[int, int]:
     verdicts = [0, 0]
     found, _ = _walk(_roots(constraints), constraints)
     for wb, (p1, triples, gamma, volume) in built_leaves(found):
-        got = constraints._admits(p1, triples, gamma, volume, S)
+        got = constraints._admits(p1, triples, gamma, volume)
         assert got == constraints.admits(wb), (constraints, str(wb))
         verdicts[got] += 1
     return verdicts[0], verdicts[1]

@@ -407,6 +407,17 @@ def test_census_stdout_matches_golden_file(name, extra):
     assert out.encode() == (BENCH / "expected" / f"{name}.txt").read_bytes()
 
 
+# runs the CLI on its arguments, then writes its exit code and its own peak
+# RSS (VmHWM, kB) to stderr
+_PEAK_REPORT = """
+import sys
+from reidbasket.cli import main
+code = main(sys.argv[1:])
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, peak.split()[1], file=sys.stderr)
+"""
+
+
 class TestCriteria:
     def test_text_report(self):
         code, out, _ = run_cli(
@@ -446,6 +457,25 @@ class TestCriteria:
         assert run_cli(
             "criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1", "--same-pencil-k", "1",
         ) == (2, "", "error: P[-1] = 1 < 2, no same-pencil branch available\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the child's VmHWM")
+    def test_same_pencil_k_reads_one_plurigenus_in_flat_memory(self):
+        # P_{-K} is read off the recursion's stream: a list of P_{-1..K}
+        # held about 125 MB at this K, against 16 MB at K = 24
+        def child(k: int) -> tuple[list[str], int]:
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_REPORT, "criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)",
+                 "--p1", "1", "--same-pencil-k", str(k), "--format", "records"],
+                capture_output=True, text=True, env=src_env(),
+            )
+            code, peak_kb = map(int, proc.stderr.split())
+            assert code == 0
+            return proc.stdout.splitlines(), peak_kb
+
+        _, small = child(24)
+        lines, large = child(2_000_000)
+        assert lines[-1].startswith("branch criterion=b2 n2=51 mu0=2000000/4040407071394949 ")
+        assert large < small + 8 * 1024
 
     @pytest.mark.parametrize("flags, message", [
         (("--same-pencil-k", "0"), "--same-pencil-k must be >= 1, got 0"),

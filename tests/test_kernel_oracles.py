@@ -22,8 +22,10 @@ from conftest import random_basket
 from reidbasket.canonical import b0_from_plurigenera, unpack
 from reidbasket.classify import (
     ClassificationConstraints,
+    S,
     _chain_state,
     _index_profiles,
+    _k3_window,
     _multisets,
     _prune_factory,
     _roots,
@@ -486,6 +488,14 @@ def reference_prune(constraints, p1: int, basket: Basket, final: int) -> bool:
     return True
 
 
+def reference_k3_ok(constraints, vol: Fraction) -> bool:
+    """Whether -K^3 = ``vol`` lies within the k3 ends, each strict or inclusive."""
+    lo, hi = constraints.k3_min, constraints.k3_max
+    if lo is not None and (vol < lo or (vol == lo and constraints.k3_min_strict)):
+        return False
+    return hi is None or vol < hi or (vol == hi and not constraints.k3_max_strict)
+
+
 def reference_admits(constraints, wb: WeightedBasket) -> bool:
     assert constraints.sigma5 is None
     vol = reference_volume(wb)
@@ -498,10 +508,7 @@ def reference_admits(constraints, wb: WeightedBasket) -> bool:
         return False
     if any(plurigenus_closed(wb.basket, vol, m) < 0 for m in (2, 3, 4)):
         return False
-    lo, hi = constraints.k3_min, constraints.k3_max
-    if lo is not None and (vol < lo or (vol == lo and constraints.k3_min_strict)):
-        return False
-    if hi is not None and (vol > hi or (vol == hi and constraints.k3_max_strict)):
+    if not reference_k3_ok(constraints, vol):
         return False
     rs = [p.r for p in wb.basket]
     rx = math.lcm(*rs)
@@ -558,6 +565,14 @@ ON_THE_BOUNDS = (
 )
 
 
+# k3 ends off the S grid, on it (1/30; 0), negative, and past the float range
+K3_ENDS = {
+    "1/37": Fraction(1, 37), "1/330": Fraction(1, 330), "1/30": Fraction(1, 30), "0": Fraction(0),
+    "-1/37": Fraction(-1, 37), "-7/330": Fraction(-7, 330), "1e-4300": Fraction(10) ** -4300,
+    "1e4300": Fraction(10) ** 4300, "-1e4300": -Fraction(10) ** 4300,
+}
+
+
 class TestClassifyPredicates:
     """``prune_ok`` and ``admits`` on one shared pool of weighted baskets.
 
@@ -589,6 +604,19 @@ class TestClassifyPredicates:
             found = classify(constraints)
             pool += found[::max(1, len(found) // 30)]
         return pool
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
+    @pytest.mark.parametrize("end", K3_ENDS.values(), ids=K3_ENDS)
+    def test_k3_window_matches_fraction_reference(self, end, strict):
+        # each end alone, then as the upper end with a lower end one below it
+        for fields in ({"k3_min": end, "k3_min_strict": strict}, {"k3_max": end, "k3_max_strict": strict},
+                       {"k3_min": end - 1, "k3_max": end, "k3_max_strict": strict}):
+            c = ClassificationConstraints(p_fixed={1: 1}, **fields)
+            lo, hi = _k3_window(c)
+            assert (lo == -math.inf) == (c.k3_min is None) and (hi == math.inf) == (c.k3_max is None)
+            for v, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+                if v not in (-math.inf, math.inf):
+                    assert reference_k3_ok(c, Fraction(v, S)) == inside, (fields, v)
 
     def test_prune_and_admits_match_fraction_references(self):
         sets = self.constraint_sets()
