@@ -28,9 +28,10 @@ Both are entrywise, so ``canonical_sequence`` reads the chain off one
 memoized table per pair (``_chain``); ``unpack`` and ``epsilon_n`` keep
 the direct definitions as its independent oracle.
 
-Levels 1-4 are not part of the construction and are rejected.  ``unpack``
-and a pair's chain raise ClosureTruncated before they build a level of
-more than ``_MAX_ENTRIES`` entries.
+Levels 1-4 are not part of the construction and are rejected.  ``unpack``,
+a pair's chain and ``canonical_sequence`` (for a basket's level 0) raise
+ClosureTruncated before they build a level of more than ``_MAX_ENTRIES``
+entries.
 """
 
 from __future__ import annotations
@@ -222,23 +223,34 @@ def canonical_sequence(basket: Basket) -> CanonicalSequence:
     and lists the basket itself there.  epsilon_n is the column sum of the
     entries' shares.  A level is built only where some entry's unpacking
     changes and otherwise shares the Basket before it; the stabilization
-    level is 0 when level 0 already is the basket.
+    level is 0 when level 0 already is the basket.  A unit fraction is its
+    own level everywhere, with no share and no change, so only the other
+    entries' chains are read, and the unit entries join each level as they are.
     """
-    chains = [_chain(p.b, p.r) for p in basket.entries]
-    # an entry's shares run over levels 5..top, so the longest ends at the top
-    eps = list(map(sum, zip_longest(*[shares for _, _, shares, _ in chains], fillvalue=0)))
-    top = len(eps) + 4 if eps else 0
-    if eps and min(eps) < 0:
+    # b = 1 is a unit fraction, with no table to read; (2,4) and the like have one
+    chains = [_chain(p.b, p.r) for p in basket.entries if p.b > 1]
+    live = [chain for chain in chains if chain[0]]
+    if not live:
+        return CanonicalSequence(((0, basket, 0), (5, basket, 0)), 0)
+    units = [p for p in basket.entries if p.b == 1] + [entries[0][0] for last, entries, _, _ in chains if not last]
+    _check_entries(len(units) + sum(len(entries[0]) for _, entries, _, _ in live), "level 0")
+    if len(live) == 1:
+        top, _, eps, changes = live[0]
+    else:
+        # an entry's shares run over levels 5..top, so the longest ends at the top
+        eps = list(map(sum, zip_longest(*[shares for _, _, shares, _ in live], fillvalue=0)))
+        top = len(eps) + 4
+        changes = frozenset().union(*[changed for *_, changed in live])
+    if min(eps) < 0:
         _checked(*next((n, e) for n, e in enumerate(eps, 5) if e < 0))
-    changes = frozenset().union(*[changed for *_, changed in chains])
-    level = Basket([p for _, entries, _, _ in chains for p in entries[0]]) if top else basket
+    level = Basket(units + [p for _, entries, _, _ in live for p in entries[0]])
     levels: list[tuple[int, Basket, int]] = [(0, level, 0)]
-    for n in range(5, max(top, 5)):
+    for n in range(5, top):
         if n in changes:
-            level = Basket([p for last, entries, _, _ in chains for p in entries[min(n, last)]])
+            level = Basket(units + [p for last, entries, _, _ in live for p in entries[min(n, last)]])
         levels.append((n, level, eps[n - 5]))
-    levels.append((max(top, 5), basket, eps[-1] if top else 0))
-    return CanonicalSequence(levels=tuple(levels), stabilization_level=top)
+    levels.append((top, basket, eps[-1]))
+    return CanonicalSequence(tuple(levels), top)
 
 
 # ---------------------------------------------------------------------------

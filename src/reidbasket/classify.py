@@ -225,19 +225,25 @@ class ClassificationConstraints(_ConstraintFields):
         and divides S, so gamma and -K^3 are read over S as the walk reads
         them (``_chain_state``)."""
         counts = wb.basket.counts()
+        state = self._basket_state(counts)
+        return state is not None and self._admits(wb.p1, counts, state[0], state[1] + 2 * wb.p1 * S)
+
+    def _basket_state(self, counts: _Triples) -> tuple[int, int] | None:
+        """Gamma and -K^3 at P_{-1} = 0, over S, of the basket of (b, r,
+        multiplicity) ``counts`` if it meets ``admits``' coprime and level-0
+        rules, else None: what ``admits`` reads of the basket alone."""
         if any(math.gcd(b, r) > 1 for b, r, _ in counts):
-            return False
+            return None
         level0, tail = _unpacked(counts, 0), min(self.tail_max_index, 24)
         if any(r > tail for _, r, _ in level0) or sum(_COST[r] * k for _, r, k in level0) > 24 * S:
-            return False
+            return None
         if self.sigma5 is not None:
             # sigma5 is a property of the basket itself: the number of
             # r >= 5 entries of its own level-0 unpacking
             lo, hi = self.sigma5
             if not lo <= sum(k for _, r, k in level0 if r >= 5) <= hi:
-                return False
-        gamma, volume, _ = _chain_state(wb.p1, counts, ())
-        return self._admits(wb.p1, counts, gamma, volume)
+                return None
+        return _chain_state(0, counts, ())[:2]
 
     def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int) -> bool:
         """``admits`` but for the coprime and level-0 rules, on integers: the (b, r,
@@ -568,10 +574,11 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
             checked += len(span)
             if checked > constraints.max_visited:
                 raise _truncated(constraints)
-            for p1 in span:
-                wb = WeightedBasket(basket, p1)
-                if constraints.admits(wb):
-                    out.append(wb)
+            # -K^3 moves by 2 S per unit of P_{-1}; the rest of the basket's state does not
+            counts = basket.counts()
+            if span and (state := constraints._basket_state(counts)) is not None:
+                out += [WeightedBasket(basket, p1) for p1 in span
+                        if constraints._admits(p1, counts, state[0], state[1] + 2 * p1 * S)]
     return sorted(out, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 

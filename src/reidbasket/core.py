@@ -33,7 +33,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, compress, groupby, islice, repeat
 from operator import add, attrgetter, ge, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -628,15 +628,16 @@ def _superadditivity_failure(p: list[int]) -> tuple[int, int] | None:
     """The first (m, n), m <= n, with P_{-m}, P_{-n} > 0 and P_{-m-n} <
     P_{-m} + P_{-n} - 1, or None.
 
-    One C-level pass decides most baskets.  With d_k = P_{-k} - P_{-(k-1)},
-    d_1 lowered by one, d_j >= max(d_1, ..., d_{j//2}) for every j >= 2
-    gives P_{-m-n} - P_{-n} = d_{n+1} + ... + d_{n+m} >= d_1 + ... + d_m =
-    P_{-m} - 1 for every m <= n.  Only where that fails does the ordered
-    scan run; it skips every m with P_{-m} <= 0.
+    With d_k = P_{-k} - P_{-(k-1)}, d_1 lowered by one, d_j >= max(d_1, ...,
+    d_{j//2}) for every j >= 2 gives P_{-m-n} - P_{-n} = d_{n+1} + ... +
+    d_{n+m} >= d_1 + ... + d_m = P_{-m} - 1 for every m <= n.  Nondecreasing
+    increments meet it at once (the max is d_{j//2} <= d_j); otherwise one
+    C-level pass of running maxima tests it.  Only where it fails does the
+    ordered scan run; it skips every m with P_{-m} <= 0.
     """
     d = list(map(sub, p[1:], p[:-1]))
     d[0] -= 1
-    if all(map(ge, d[1:], _HALVES(list(accumulate(d, max))))):
+    if d == sorted(d) or all(map(ge, d[1:], _HALVES(list(accumulate(d, max))))):
         return None
     return next((
         (m, n) for m in range(1, FILTER_HORIZON) if p[m] > 0
@@ -655,12 +656,12 @@ class FilterResult(_Frozen):
 
     def __init__(self, config: FilterConfig, volume: int, gamma: int, den: int, rx: int,
                  rmax: int, p: list[int]) -> None:
-        for name, value in zip(self.__slots__[1:], (config, volume, gamma, den, rx, rmax, p)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "ok", next(self._failed(), None) is None)
+        for put, value in zip(_PUT, (config, volume, gamma, den, rx, rmax, p)):
+            put(self, value)
+        _SET_OK(self, not any(failed(self) for _, failed, _ in compress(_CHECKS, config)))
 
     def _failed(self) -> Iterator[tuple[str, Callable[[FilterResult], str]]]:
-        return ((name, word) for on, (name, failed, word) in zip(self._config, _CHECKS) if on and failed(self))
+        return ((name, word) for name, failed, word in compress(_CHECKS, self._config) if failed(self))
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -683,6 +684,10 @@ class FilterResult(_Frozen):
     def _superadditivity(self) -> str:
         m, n = _superadditivity_failure(self._p)
         return f"P[-{m + n}] = {self._p[m + n]} < P[-{m}] + P[-{n}] - 1"
+
+
+# the slot setters of ``ok`` and of the integers the checks read, in slot order
+_SET_OK, *_PUT = [getattr(FilterResult, name).__set__ for name in FilterResult.__slots__]
 
 
 # The checks in ``FilterConfig`` field order, each once: its field, whether

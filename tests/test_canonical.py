@@ -265,13 +265,16 @@ class TestSequenceOracle:
         assert sum(not basket.all_terminal for basket in baskets) > 1000
         assert sum(len(set(basket)) < len(basket) for basket in baskets) > 1000
         assert max(p.r for basket in baskets for p in basket) == 40
-        stabilizations = set()
+        stabilizations, non_unit = set(), set()
         for basket in baskets:
             seq = canonical_sequence(basket)
             assert seq == reference_sequence(basket), str(basket)
             stabilizations.add(seq.stabilization_level)
+            non_unit.add(min(sum(math.gcd(p.b, p.r) < p.b for p in basket), 2))
         # level 0 already the basket, level 5, and levels beyond 5 all occur
         assert {0, 5} < stabilizations and max(stabilizations) > 12
+        # the sequence reads no, one and several entries that are no unit fraction
+        assert non_unit == {0, 1, 2}
 
     def test_equal_levels_share_one_basket(self, bench_universe):
         # a level equal to the one before it is that same object, and the
@@ -316,7 +319,8 @@ def test_invariant_checks_survive_optimize_flag():
 
 
 def test_sequence_checks_epsilon_under_optimize_flag():
-    # the walk shares epsilon_n's explicit check, so -O keeps it too
+    # the walk shares epsilon_n's explicit check, so -O keeps it too; (2,5)
+    # is the basket's one entry that is no unit fraction
     import subprocess
     import sys
 

@@ -119,7 +119,12 @@ class TestCanonical:
         # a chain that stops at level 5, but whose level 0 holds 2,500,000 entries
         (["--basket", "(2500000,6250000)"],
          "level 0 of the canonical chain of (2500000,6250000) holds 2500000 entries"),
-    ], ids=["unpack", "chain"])
+        # two pairs whose chains pass the budget each, with a level 0 of
+        # 1,200,000 entries apiece: unbounded, this printed in 1.5 s at 245 MB
+        (["--basket", "2x(1200000,3000000)"], "level 0 holds 2400000 entries"),
+        # the unit-fraction entries count too: 2,249,997 + 4 entries
+        (["--basket", "(2249997,5249993),4x(1,2)"], "level 0 holds 2250001 entries"),
+    ], ids=["unpack", "chain", "basket", "basket with unit entries"])
     def test_level_past_the_entry_budget_exits_3(self, argv, message):
         # read off the multiplicities before any level basket is built
         start = time.perf_counter()

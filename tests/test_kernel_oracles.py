@@ -244,10 +244,10 @@ class TestGeometricFilter:
             result.failures
 
     def test_superadditivity_one_pass_matches_the_ordered_scan(self, bench_universe):
-        # the one-pass test on the increments is only sufficient: where it
-        # fails the ordered scan decides, and both must give the first failing
-        # (m, n) of the plain scan over every pair
-        outcomes = {"one pass": 0, "scan holds": 0, "fails": 0}
+        # nondecreasing increments, and then the one-pass test on them, are
+        # only sufficient: where both fail the ordered scan decides, and all
+        # must give the first failing (m, n) of the plain scan over every pair
+        outcomes = {"sorted": 0, "one pass": 0, "scan holds": 0, "fails": 0}
         for wb in [WeightedBasket(b, p1) for b in bench_universe[::4] for p1 in range(4)] + (
             seeded_weighted_baskets(34, 300, coprime=False, rmax=30)
         ):
@@ -259,9 +259,14 @@ class TestGeometricFilter:
             assert _superadditivity_failure(p) == expected, str(wb)
             d = [p[k] - p[k - 1] - (k == 1) for k in range(1, 25)]
             one_pass = all(d[j - 1] >= max(d[:j // 2]) for j in range(2, 25))
-            assert not (one_pass and expected)
-            outcomes["fails" if expected else "one pass" if one_pass else "scan holds"] += 1
+            ascending = d == sorted(d)
+            assert not ((ascending or one_pass) and expected)
+            outcome = "sorted" if ascending else "one pass" if one_pass else "scan holds"
+            outcomes["fails" if expected else outcome] += 1
         assert min(outcomes.values()) > 0, outcomes
+        # the shortcut reads d_1 too: from d_2 on these increments are
+        # constant, but d_1 = 2 is above them and P_{-2} = 4 < 2 P_{-1} - 1
+        assert _superadditivity_failure([0] + list(range(3, 27))) == (1, 1)
 
 
 class TestFirstNotPencil:
