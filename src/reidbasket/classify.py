@@ -27,13 +27,15 @@ Everything is exact, and the output has no duplicates.  Every rational
 -K^3 and its ends (``_k3_window``) on both routes, and the entry costs r -
 1/r of the gamma budget that ``_multisets`` spends.  Step 1 and the route
 of an exact r_X, ``enumerate_index_profiles``, draw their index multisets
-from that one generator, and cut P_{-1} by one rule, ``_p1_span``.
+from that one generator, and cut P_{-1} by one rule, ``_p1_span``.  The
+P_{-m} windows are one table, read once per call (``_windows``, ``_checks``).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, itemgetter, sub
@@ -147,6 +149,8 @@ class ClassificationConstraints(_ConstraintFields):
         ms = self.constrained_ms()
         if ms and ms[0] < 1:
             raise ValueError(f"P_{{-m}} needs m >= 1, got m = {ms[0]}")
+        if ms and ms[-1] > sys.maxsize:
+            raise ValueError(f"P_{{-m}} needs m <= {sys.maxsize}, got m = {ms[-1]}")
         ranges = [(f"P_{{-{m}}}", self.p_bounds(m)) for m in ms]
         ranges += [(name, getattr(self, name)) for name in ("sigma5", "rmax_range")]
         for name, bounds in ranges:
@@ -223,10 +227,10 @@ class ClassificationConstraints(_ConstraintFields):
         the gamma budget of ``_multisets`` (so none is above 24).  Once the
         level-0 rules pass, every index is at most the level-0 Sigma r <= 32
         and divides S, so gamma and -K^3 are read over S as the walk reads
-        them (``_chain_state``)."""
+        them (``_chain_state``) for the leaf check of ``_checks``."""
         counts = wb.basket.counts()
         state = self._basket_state(counts)
-        return state is not None and self._admits(wb.p1, counts, state[0], state[1] + 2 * wb.p1 * S)
+        return state is not None and _checks(self)[1](wb.p1, counts, state[0], state[1] + 2 * wb.p1 * S)
 
     def _basket_state(self, counts: _Triples) -> tuple[int, int] | None:
         """Gamma and -K^3 at P_{-1} = 0, over S, of the basket of (b, r,
@@ -244,29 +248,6 @@ class ClassificationConstraints(_ConstraintFields):
             if not lo <= sum(k for _, r, k in level0 if r >= 5) <= hi:
                 return None
         return _chain_state(0, counts, ())[:2]
-
-    def _admits(self, p1: int, triples: _Triples, gamma: int, volume: int) -> bool:
-        """``admits`` but for the coprime and level-0 rules, on integers: the (b, r,
-        multiplicity) ``triples`` of the basket, and gamma and -K^3 as
-        numerators over S.  -K^3 is checked against ``_k3_window``; one
-        plurigenus table serves P_{-2..4} >= 0 and the filter, carried on by
-        the recursion to a constrained m above.
-        """
-        lo, hi = _k3_window(self)
-        if not lo <= volume <= hi:
-            return False
-        rs = [r for _, r, _ in triples]
-        rx = math.lcm(*rs)
-        if not self._indices_ok(rs, rx):
-            return False
-        ms = self.constrained_ms()
-        seq = _sequence(p1, triples, ms[-1] if ms else 0)
-        for m in ms:
-            lo, hi = self.p_bounds(m)
-            if not lo <= seq[m] <= hi:
-                return False
-        p = seq[:FILTER_HORIZON + 1]
-        return min(p[2:5]) >= 0 and FilterResult(self.filters, volume, gamma, S, rx, max(rs, default=0), p).ok
 
 
 def _sequence(p1: int, triples: _Triples, upto: int) -> list[int]:
@@ -297,17 +278,21 @@ def _k3_window(constraints: ClassificationConstraints) -> tuple[int | float, int
     return lo, hi
 
 
-def _root_windows(constraints: ClassificationConstraints) -> list[tuple[int, int | float]]:
-    """The (lo, hi) that a walk root keeps P_{-2}, P_{-3} and P_{-4} in: their ranges, cut at 0."""
-    return [(max(lo or 0, 0), math.inf if hi is None else hi) for lo, hi in map(constraints.p_bounds, (2, 3, 4))]
+def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int | float, int | float], ...]:
+    """The (m, lo, hi) rows of the P_{-m} windows, ascending in m: P_{-1}..P_{-4}
+    and every constrained m, a missing end -inf or inf.  Every root has
+    P_{-2..4} >= 0, so their lower ends are cut at 0."""
+    ends = {m: (-math.inf, math.inf) for m in (1, 2, 3, 4)}
+    ends.update((m, constraints.p_bounds(m)) for m in constraints.constrained_ms())
+    return tuple((m, max(lo, 0) if 2 <= m <= 4 else lo, hi) for m, (lo, hi) in sorted(ends.items()))
 
 
-def _p1_span(p1s: range, at0: Sequence[int], windows: list[tuple[int, int | float]]) -> range:
-    """The P_{-1} of ``p1s`` that hold P_{-2}, P_{-3}, ... within ``windows``,
-    from their values ``at0[m]`` at P_{-1} = 0: P_{-m} grows by _U[m] per
-    unit of P_{-1}."""
+def _p1_span(p1s: range, at0: Sequence[int], rows: Sequence[tuple]) -> range:
+    """The P_{-1} of ``p1s`` that hold P_{-m} within its (m, lo, hi) rows of
+    ``_windows`` (m >= 2), from their values ``at0[m]`` at P_{-1} = 0:
+    P_{-m} grows by _U[m] per unit of P_{-1}."""
     lo, hi = p1s.start, p1s.stop - 1
-    for m, (wlo, whi) in zip((2, 3, 4), windows):
+    for m, wlo, whi in rows:
         lo, hi = max(lo, -((at0[m] - wlo) // _U[m])), min(hi, (whi - at0[m]) // _U[m])
     return range(lo, hi + 1)
 
@@ -318,12 +303,12 @@ def _roots(constraints: ClassificationConstraints) -> Iterator[tuple[int, _Tripl
     A level-0 basket is a multiset of (1, r) entries, and gamma >= 0 bounds
     it: ``_multisets`` lists every candidate over the indices 2..24 (2152
     of them), the r >= 5 tail cut at ``tail_max_index``.  A root keeps its
-    r >= 5 count within ``sigma5``, and P_{-2}..P_{-4} >= 0 and within their
-    ranges at each P_{-1} that ``_p1_span`` gives.  The roots are distinct
-    and come in no particular order.
+    r >= 5 count within ``sigma5``, and P_{-2}..P_{-4} within their rows of
+    ``_windows`` at each P_{-1} that ``_p1_span`` gives.  The roots are
+    distinct and come in no particular order.
     """
     indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
-    p1s, windows = constraints.p1_values(), _root_windows(constraints)
+    p1s, windows = constraints.p1_values(), _windows(constraints)[1:4]
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
     # P_{-2} = 5 P_{-1} + n - 10 reads the entry count n alone, so the span
     # of its window is found once per n <= 16 (every entry costs at least
@@ -380,12 +365,6 @@ def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
     return min(caps, default=None)
 
 
-def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int, int], ...]:
-    """(m, lo, hi) of each constrained P_{-m} with m >= 5: the root fixes
-    P_{-1}..P_{-4}, and ``_roots`` draws the roots from their ranges."""
-    return tuple((m, *constraints.p_bounds(m)) for m in constraints.constrained_ms() if m >= 5)
-
-
 def _chain_state(p1: int, triples: _Triples, ms: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     """What the walk carries for the basket of (b, r, multiplicity)
     ``triples`` at ``p1``: gamma = (24 - Sigma r) + Sigma 1/r and -K^3 =
@@ -400,28 +379,42 @@ def _chain_state(p1: int, triples: _Triples, ms: tuple[int, ...]) -> tuple[int, 
     return gamma, volume, tuple(seq[m] for m in ms)
 
 
-def _prune_factory(constraints: ClassificationConstraints):
-    """The walk's cut, ``prune_ok(gamma, volume, window, final)``, on the
-    integers of ``_chain_state`` for the ms of ``_windows``.
+def _checks(constraints: ClassificationConstraints):
+    """The walk's cut ``prune_ok(gamma, volume, window, final)``, on the
+    integers of ``_chain_state`` for the rows of ``_windows`` past P_{-4},
+    and its leaf check ``leaf_ok(p1, triples, gamma, volume)``: ``admits``
+    but for the coprime and level-0 rules, on integers over S.
 
     Along the chain gamma never grows, and -K^3 and every P_{-m} never
     shrink, so their upper ends cut a state with all the states above it.
     P_{-m} is final from level m on (P_{-m}(B^(n)) = P_{-m}(B) for m <= n),
     so the lower ends of the P_{-m} with m <= ``final`` cut too.
     """
-    windows = _windows(constraints)
-    use_gamma = constraints.filters.gamma_nonneg
-    cap = _k3_window(constraints)[1]
+    rows, (floor, cap) = _windows(constraints), _k3_window(constraints)
+    far, top, use_gamma = rows[4:], rows[-1][0], constraints.filters.gamma_nonneg
 
     def prune_ok(gamma: int, volume: int, window: tuple[int, ...], final: int) -> bool:
         if (use_gamma and gamma < 0) or volume > cap:
             return False
-        for (m, lo, hi), p in zip(windows, window):
+        for (m, lo, hi), p in zip(far, window):
             if p > hi or (p < lo and m <= final):
                 return False
         return True
 
-    return prune_ok
+    def leaf_ok(p1: int, triples: _Triples, gamma: int, volume: int) -> bool:
+        if not floor <= volume <= cap:
+            return False
+        rs = [r for _, r, _ in triples]
+        rx = math.lcm(*rs)
+        if not constraints._indices_ok(rs, rx):
+            return False
+        seq = _sequence(p1, triples, top)
+        for m, lo, hi in rows:
+            if not lo <= seq[m] <= hi:
+                return False
+        return FilterResult(constraints.filters, volume, gamma, S, rx, max(rs, default=0), seq[:FILTER_HORIZON + 1]).ok
+
+    return prune_ok, leaf_ok
 
 
 def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
@@ -469,8 +462,8 @@ def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationCons
     carries, and its count is tried ascending up to the first cut.  Raises
     ClosureTruncated when more than ``max_visited`` states pass the cuts.
     """
-    ms = tuple(m for m, _, _ in _windows(constraints))
-    prune_ok = _prune_factory(constraints)
+    ms = tuple(m for m, _, _ in _windows(constraints)[4:])
+    prune_ok = _checks(constraints)[0]
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
     steps, ends, uses = _merge_steps(top, ms)
@@ -547,8 +540,9 @@ def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBaske
     """``classify`` by one chain walk up from every level-0 root (``_walk``),
     each leaf re-verified from its integers by ``admits``' own check."""
     leaves, _ = _walk(_roots(constraints), constraints)
+    leaf_ok = _checks(constraints)[1]
     found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
-             if constraints._admits(p1, triples, gamma, volume)]
+             if leaf_ok(p1, triples, gamma, volume)]
     return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 
@@ -566,7 +560,8 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
     """
     if constraints.rx_exact is None:
         raise ValueError("enumerate_index_profiles needs rx_exact, got None")
-    p1s, checked, windows = constraints.p1_values(), 0, _root_windows(constraints)
+    p1s, checked, windows = constraints.p1_values(), 0, _windows(constraints)[1:4]
+    leaf_ok = _checks(constraints)[1]
     out: list[WeightedBasket] = []
     for profile in _index_profiles(constraints.rx_exact):
         for basket in _numerator_assignments(profile):
@@ -578,7 +573,7 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
             counts = basket.counts()
             if span and (state := constraints._basket_state(counts)) is not None:
                 out += [WeightedBasket(basket, p1) for p1 in span
-                        if constraints._admits(p1, counts, state[0], state[1] + 2 * p1 * S)]
+                        if leaf_ok(p1, counts, state[0], state[1] + 2 * p1 * S)]
     return sorted(out, key=lambda wb: (wb.p1, wb.basket.sort_key()))
 
 

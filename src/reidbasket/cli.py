@@ -135,6 +135,8 @@ def _cmd_eval(args) -> int:
 
     if args.upto < 1:
         raise ValueError(f"--upto must be >= 1, got {args.upto}")
+    if args.upto > sys.maxsize:
+        raise ValueError(f"--upto must be <= {sys.maxsize}, got {args.upto}")
     basket = parse_basket(args.basket)
     wb = WeightedBasket(basket, args.p1)
     print(f"basket = {format_basket(basket)}")
@@ -241,6 +243,8 @@ def _cmd_criteria(args) -> int:
 
     if args.same_pencil_k is not None and args.same_pencil_k < 1:
         raise ValueError(f"--same-pencil-k must be >= 1, got {args.same_pencil_k}")
+    if args.same_pencil_k is not None and args.same_pencil_k > sys.maxsize:
+        raise ValueError(f"--same-pencil-k must be <= {sys.maxsize}, got {args.same_pencil_k}")
     if args.n0 < 1:
         raise ValueError(f"--n0 must be >= 1, got {args.n0}")
     basket = parse_basket(args.basket)

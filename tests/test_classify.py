@@ -28,6 +28,7 @@ from reidbasket.classify import (
     TOP,
     ClassificationConstraints,
     _chain_state,
+    _checks,
     _classify_walk,
     _merge_steps,
     _roots,
@@ -393,10 +394,11 @@ class TestUniverseOracle:
         c = parse_constraints(text)
         assert wb.basket in superset and wb not in classify(c)
         assert not c.admits(wb)
-        # without the rule that refuses it, the rest of admits takes it
+        # without the rule that refuses it, the rest of admits (the leaf
+        # check) takes it
         counts = wb.basket.counts()
         gamma, volume, _ = classify_module._chain_state(wb.p1, counts, ())
-        assert c._admits(wb.p1, counts, gamma, volume)
+        assert _checks(c)[1](wb.p1, counts, gamma, volume)
 
     @pytest.mark.parametrize("text, count", [("p[1]=1 filters=gamma", 5554), ("p[1]=1 tailmax=6", 4218)])
     def test_admits_holds_the_rules_of_the_roots(self, text, count, bench_universe):
@@ -414,6 +416,57 @@ class TestUniverseOracle:
             rejecting += rejected > 0
         # rejected leaves included: most sets' walks leave some
         assert rejecting >= UNIVERSE_SETS // 2, rejecting
+
+
+class TestOneReadPerCall:
+    """``classify`` reads the k3 ends and the P_{-m} windows of its record a
+    few times per call, into one table and one pair of checks, not once per
+    leaf or profile candidate."""
+
+    @pytest.mark.parametrize("text, candidates", [("p[1]=1", 5554), ("p[1]=0..3 rx=60", 1224)])
+    def test_the_ends_are_read_a_few_times_per_call(self, text, candidates, monkeypatch):
+        calls = Counter()
+        checks = classify_module._checks
+
+        def counted(name):
+            read = getattr(classify_module, name)
+
+            def counting(c):
+                calls[name] += 1
+                return read(c)
+
+            return counting
+
+        def counting_checks(c):
+            prune_ok, leaf_ok = checks(c)
+
+            def counting_leaf(*args):
+                calls["leaf_ok"] += 1
+                return leaf_ok(*args)
+
+            return prune_ok, counting_leaf
+
+        for name in ("_k3_window", "_windows"):
+            monkeypatch.setattr(classify_module, name, counted(name))
+        monkeypatch.setattr(classify_module, "_checks", counting_checks)
+        assert classify(parse_constraints(text))
+        assert calls["leaf_ok"] == candidates
+        assert 1 <= calls["_k3_window"] <= 2 and 1 <= calls["_windows"] <= 4, calls
+
+    def test_the_table_rows_are_the_records_ends(self, universe_sets):
+        records = [parse_constraints(text) for text in CENSUS_TEXTS] + universe_sets
+        far = 0
+        for c in records:
+            rows = classify_module._windows(c)
+            assert [m for m, _, _ in rows] == sorted({1, 2, 3, 4, *c.constrained_ms()})
+            for m, lo, hi in rows:
+                want_lo, want_hi = c.p_bounds(m)
+                want_lo = -math.inf if want_lo is None else want_lo
+                want = (max(want_lo, 0) if 2 <= m <= 4 else want_lo, math.inf if want_hi is None else want_hi)
+                assert (lo, hi) == want, (c, m)
+            far += rows[-1][0] >= 5
+        # rows past P_{-4} and rows of unconstrained P_{-2..4} both occur
+        assert far > 0 and any(classify_module._windows(c)[2][1:] == (0, math.inf) for c in records)
 
 
 class TestIndexProfiles:
@@ -754,8 +807,9 @@ def leaf_verdicts(constraints) -> tuple[int, int]:
     returns the counts of (rejected, admitted) leaves."""
     verdicts = [0, 0]
     found, _ = _walk(_roots(constraints), constraints)
+    leaf_ok = _checks(constraints)[1]
     for wb, (p1, triples, gamma, volume) in built_leaves(found):
-        got = constraints._admits(p1, triples, gamma, volume)
+        got = leaf_ok(p1, triples, gamma, volume)
         assert got == constraints.admits(wb), (constraints, str(wb))
         verdicts[got] += 1
     return verdicts[0], verdicts[1]
@@ -847,15 +901,16 @@ class TestChainWalk:
         # into each leaf is gamma, -K^3 and P_{-5..24} of that leaf
         constraints = parse_constraints(text)
         ms = tuple(range(5, 25))
-        windows, factory = classify_module._windows, classify_module._prune_factory
+        windows, checks = classify_module._windows, classify_module._checks
         events = []
 
         def every_window(c):
-            own = {m: (lo, hi) for m, lo, hi in windows(c)}
-            return tuple((m, *own.get(m, (-10 ** 9, 10 ** 9))) for m in ms)
+            rows = windows(c)
+            own = {m: (lo, hi) for m, lo, hi in rows}
+            return rows[:4] + tuple((m, *own.get(m, (-10 ** 9, 10 ** 9))) for m in ms)
 
-        def recording_factory(c):
-            prune_ok = factory(c)
+        def recording_checks(c):
+            prune_ok, leaf_ok = checks(c)
 
             def recording(gamma, volume, window, final):
                 ok = prune_ok(gamma, volume, window, final)
@@ -863,13 +918,13 @@ class TestChainWalk:
                     events.append((final, gamma, volume, window))
                 return ok
 
-            return recording
+            return recording, leaf_ok
 
         found = _classify_walk(constraints)
         roots = list(_roots(constraints))
         monkeypatch.setattr(classify_module, "_windows", every_window)
         assert _classify_walk(constraints) == found
-        monkeypatch.setattr(classify_module, "_prune_factory", recording_factory)
+        monkeypatch.setattr(classify_module, "_checks", recording_checks)
         checked = 0
         for root in roots:
             # one root at a time: each leaf follows the one check at the

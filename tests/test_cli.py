@@ -771,6 +771,27 @@ def test_closed_pipe_in_a_child_process():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+# an index above sys.maxsize, which islice would refuse with a message that
+# names no option or token
+_PAST_MAXSIZE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--basket", "(1,2)", "--p1", "1", "--upto", _PAST_MAXSIZE),
+     f"--upto must be <= {sys.maxsize}, got {_PAST_MAXSIZE}"),
+    (("criteria", "--basket", "(1,2),(2,5),(1,3),(2,11)", "--p1", "1", "--same-pencil-k", _PAST_MAXSIZE),
+     f"--same-pencil-k must be <= {sys.maxsize}, got {_PAST_MAXSIZE}"),
+    (("classify", "--constraints", f"p[1]=1 p[{_PAST_MAXSIZE}]=1"),
+     f"bad constraints token 'p[{_PAST_MAXSIZE}]=1': P_{{-m}} needs m <= {sys.maxsize}, got m = {_PAST_MAXSIZE}"),
+], ids=["eval", "criteria", "classify"])
+def test_an_index_past_maxsize_is_named_before_any_output(argv, message, tmp_path):
+    if argv[0] == "classify":
+        path = tmp_path / "c.txt"
+        path.write_text(argv[2] + "\n")
+        argv = (*argv[:2], str(path))
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+
 def test_huge_multiplicity_is_a_usage_error():
     code, out, err = run_cli("eval", "--basket", f"{10 ** 12}x(1,2)", "--p1", "0")
     assert (code, out) == (2, "")

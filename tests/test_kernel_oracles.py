@@ -24,10 +24,10 @@ from reidbasket.classify import (
     ClassificationConstraints,
     S,
     _chain_state,
+    _checks,
     _index_profiles,
     _k3_window,
     _multisets,
-    _prune_factory,
     _roots,
     _windows,
     classify,
@@ -630,8 +630,8 @@ class TestClassifyPredicates:
         on_bounds = 0
         windows_cut = 0
         for constraints in sets:
-            prune_ok = _prune_factory(constraints)
-            ms = tuple(m for m, _, _ in _windows(constraints))
+            prune_ok = _checks(constraints)[0]
+            ms = tuple(m for m, _, _ in _windows(constraints)[4:])
             for wb in pool:
                 if wb.p1 not in constraints.p1_values():
                     continue
@@ -736,22 +736,27 @@ class TestNoP2Clause:
 
     @pytest.mark.parametrize("text", P2_SETS)
     def test_classify_unchanged_by_a_p2_clause(self, text, monkeypatch):
-        # the walk carries P_{-2} too, and prune_ok cuts on both its ends
+        # the walk carries the rows past the first four, so a P_{-2} row
+        # put there is carried too, and prune_ok cuts on both its ends
         constraints = parse_constraints(text)
         windows = classify_module._windows
 
         def with_p2_window(constraints):
-            return ((2, *constraints.p_bounds(2)),) + windows(constraints)
+            rows = windows(constraints)
+            return rows[:4] + ((2, *constraints.p_bounds(2)),) + rows[4:]
 
         def with_empty_p2_window(constraints):
-            return ((2, 1, 0),) + windows(constraints)
+            rows = windows(constraints)
+            return rows[:4] + ((2, 1, 0),) + rows[4:]
 
         walk = classify_module._classify_walk
         found = walk(constraints)
         monkeypatch.setattr(classify_module, "_windows", with_p2_window)
         assert found and walk(constraints) == found
-        # the window is read: one that no P_{-2} meets cuts every root
+        # the window is read by the walk's cut: one that no P_{-2} meets
+        # cuts every root, so no state is visited
         monkeypatch.setattr(classify_module, "_windows", with_empty_p2_window)
+        assert classify_module._walk(_roots(constraints), constraints) == ([], 0)
         assert walk(constraints) == []
 
 
