@@ -2,33 +2,33 @@
 
 The engine walks the same road the classification arguments do:
 
-1. draw the level-0 roots lazily, as P_{-1} and (1, r, multiplicity)
-   integers (``_roots``): the multisets of (1, r) entries bounded a priori
-   by gamma >= 0 (which caps every local index at 24 and the total entry
-   weight at Sigma(r - 1/r) <= 24), at each P_{-1} where the P_{-2}..P_{-4}
-   their counts give, and their r >= 5 tail, meet the constraints;
+1. draw the level-0 roots lazily, as (1, r, multiplicity) integers
+   (``_roots``): the multisets of (1, r) entries bounded a priori by gamma
+   >= 0 (which caps every local index at 24 and the total entry weight at
+   Sigma(r - 1/r) <= 24), each once, with the span of P_{-1} at which the
+   P_{-2}..P_{-4} their counts give, and their r >= 5 tail, meet the constraints;
 2. walk up the canonical chain B^(0) >= B^(5) >= B^(6) >= ... >= B from
    each root (``_walk``): level n merges Farey neighbours of S(n-1) into
    the new fractions b/n of S(n), so every terminal basket is reached
-   once, from its own level-0 basket.  A state carries gamma, -K^3 and the
-   constrained P_{-m} as integers, and a merge adds fixed steps to them.
-   The cuts are monotone along the chain: gamma >= 0, and the upper ends
-   of -K^3 and P_{-m}, which only grow; a lower end of P_{-n} once level
-   n is done, since P_{-n} is then final; and r_max at most the ceiling
-   the constraints put on every admitted basket, where the walk stops;
+   once, from its own level-0 basket.  No merge reads P_{-1}: a state
+   carries gamma, -K^3 and the constrained P_{-m} at P_{-1} = 0 as integers
+   a merge adds fixed steps to, and the span of P_{-1} its cuts leave.  The
+   cuts are monotone along the chain: gamma >= 0, and the upper ends of
+   -K^3 and P_{-m}, which only grow; a lower end of P_{-n} once level n is
+   done, since P_{-n} is then final; and r_max at most the ceiling the
+   constraints put on every admitted basket, where the walk stops;
 3. re-verify every leaf of the walk against the full constraint set and
    the geometric filter -- mandatory, not an optimization -- from its entry
-   counts and the gamma and -K^3 the walk carried into it, build a
-   ``Basket`` only for an admitted leaf, and sort them once by (P_{-1},
-   basket).
+   counts and the integers the walk carried into it, the filter alone at
+   each P_{-1} of its span, and build one ``Basket`` per admitted leaf.
 
-Everything is exact, and the output has no duplicates.  Every rational
-``classify`` reads is a numerator over one scale, S = lcm(2..32): gamma,
--K^3 and its ends (``_k3_window``) on both routes, and the entry costs r -
-1/r of the gamma budget that ``_multisets`` spends.  Step 1 and the route
-of an exact r_X, ``enumerate_index_profiles``, draw their index multisets
-from that one generator, and cut P_{-1} by one rule, ``_p1_span``.  The
-P_{-m} windows are one table, read once per call (``_windows``, ``_checks``).
+Everything is exact, and the output, sorted once by (P_{-1}, basket), has
+no duplicates.  Every rational ``classify`` reads is a numerator over one
+scale, S = lcm(2..32): gamma, -K^3 and its ends, and the entry costs r -
+1/r of the gamma budget that ``_multisets`` spends.  A unit of P_{-1} moves
+-K^3 by 2 S and P_{-m} by U[m], so one table (``_rows``) and one rule
+(``_trim``) cut P_{-1} for the roots, the walk, the leaves and the route of
+an exact r_X, ``enumerate_index_profiles``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, itemgetter, sub
@@ -135,8 +136,9 @@ class ClassificationConstraints(_ConstraintFields):
     ``sigma5`` and ``rmax_range`` and the k3 interval are non-empty (an
     interval [a, a] is not), P_{-1} is at least 0, ``rx_exact`` and
     ``rx_max`` at least 1, ``tail_max_index`` at least 4 (the level-0
-    indices 2..4 are always used) and ``max_visited``, the state budget of
-    one ``classify`` call, at least 1.
+    indices 2..4 are always used) and ``max_visited``, the budget of one
+    ``classify`` call, at least 1: a walk state or a profile candidate
+    spends one unit per P_{-1} of its span.
     """
 
     __slots__ = ()
@@ -227,10 +229,10 @@ class ClassificationConstraints(_ConstraintFields):
         the gamma budget of ``_multisets`` (so none is above 24).  Once the
         level-0 rules pass, every index is at most the level-0 Sigma r <= 32
         and divides S, so gamma and -K^3 are read over S as the walk reads
-        them (``_chain_state``) for the leaf check of ``_checks``."""
+        them (``_chain_state``) for ``_leaf_check`` at the P_{-1} of ``wb``."""
         counts = wb.basket.counts()
         state = self._basket_state(counts)
-        return state is not None and _checks(self)[1](wb.p1, counts, state[0], state[1] + 2 * wb.p1 * S)
+        return state is not None and bool(_leaf_check(self, _rows(self))(counts, *state, wb.p1, wb.p1))
 
     def _basket_state(self, counts: _Triples) -> tuple[int, int] | None:
         """Gamma and -K^3 at P_{-1} = 0, over S, of the basket of (b, r,
@@ -263,9 +265,15 @@ def _sequence(p1: int, triples: _Triples, upto: int) -> list[int]:
     return p
 
 
-def _k3_window(constraints: ClassificationConstraints) -> tuple[int | float, int | float]:
-    """(lo, hi): the numerators v over S whose v/S the k3 ends allow are
-    exactly lo <= v <= hi, strictness folded in; a missing end is -inf or inf."""
+def _rows(constraints: ClassificationConstraints) -> tuple[tuple, ...]:
+    """What one unit of P_{-1} moves, as (m, step, lo, hi) rows: -K^3 over S
+    (step 2 S), then P_{-1}..P_{-4} and every other constrained P_{-m},
+    ascending (step U[m] = 1 + 4 + ... + m^2).  The ends are integers, None
+    if missing: the numerators v over S whose v/S the k3 ends allow are
+    exactly lo <= v <= hi, strictness folded in, and every root has
+    P_{-2..4} >= 0, so their lower ends are cut at 0.  The lower end of
+    P_{-m} holds once P_{-m} is final, from level m of the walk on, and
+    -K^3 is final only at a leaf: its m is TOP + 1."""
 
     def top(end: Fraction, strict: bool) -> int:
         # the largest v with v/S <= end, or < end if strict
@@ -273,70 +281,62 @@ def _k3_window(constraints: ClassificationConstraints) -> tuple[int | float, int
         return -(-num // den) - 1 if strict else num // den
 
     # the least v with v/S >= end is -top(-end): the same cut, mirrored
-    lo = -math.inf if constraints.k3_min is None else -top(-constraints.k3_min, constraints.k3_min_strict)
-    hi = math.inf if constraints.k3_max is None else top(constraints.k3_max, constraints.k3_max_strict)
+    lo = None if constraints.k3_min is None else -top(-constraints.k3_min, constraints.k3_min_strict)
+    hi = None if constraints.k3_max is None else top(constraints.k3_max, constraints.k3_max_strict)
+    rows = [(TOP + 1, 2 * S, lo, hi)]
+    for m in sorted({1, 2, 3, 4, *constraints.constrained_ms()}):
+        lo, hi = constraints.p_bounds(m)
+        rows.append((m, m * (m + 1) * (2 * m + 1) // 6, max(lo or 0, 0) if 2 <= m <= 4 else lo, hi))
+    return tuple(rows)
+
+
+def _trim(rows: Sequence[tuple], values: Iterable[int], lo: int, hi: int, final: int) -> tuple[int, int]:
+    """The span lo..hi of P_{-1} narrowed to where every row of ``_rows``
+    holds, from ``values``, the rows' values at P_{-1} = 0: a value v is v +
+    P_{-1} step.  Upper ends always cut, and the lower end of a row once its
+    m <= ``final``.  Returns the new (lo, hi), lo > hi when none is left."""
+    for (m, step, low, high), v in zip(rows, values):
+        if high is not None and v + hi * step > high:
+            hi = (high - v) // step
+        if low is not None and v + lo * step < low and m <= final:
+            lo = -((v - low) // step)
     return lo, hi
 
 
-def _windows(constraints: ClassificationConstraints) -> tuple[tuple[int, int | float, int | float], ...]:
-    """The (m, lo, hi) rows of the P_{-m} windows, ascending in m: P_{-1}..P_{-4}
-    and every constrained m, a missing end -inf or inf.  Every root has
-    P_{-2..4} >= 0, so their lower ends are cut at 0."""
-    ends = {m: (-math.inf, math.inf) for m in (1, 2, 3, 4)}
-    ends.update((m, constraints.p_bounds(m)) for m in constraints.constrained_ms())
-    return tuple((m, max(lo, 0) if 2 <= m <= 4 else lo, hi) for m, (lo, hi) in sorted(ends.items()))
-
-
-def _p1_span(p1s: range, at0: Sequence[int], rows: Sequence[tuple]) -> range:
-    """The P_{-1} of ``p1s`` that hold P_{-m} within its (m, lo, hi) rows of
-    ``_windows`` (m >= 2), from their values ``at0[m]`` at P_{-1} = 0:
-    P_{-m} grows by _U[m] per unit of P_{-1}."""
-    lo, hi = p1s.start, p1s.stop - 1
-    for m, wlo, whi in rows:
-        lo, hi = max(lo, -((at0[m] - wlo) // _U[m])), min(hi, (whi - at0[m]) // _U[m])
-    return range(lo, hi + 1)
-
-
-def _roots(constraints: ClassificationConstraints) -> Iterator[tuple[int, _Triples]]:
-    """The walk's level-0 roots, lazily, each as (P_{-1}, (1, r, multiplicity) triples).
+def _roots(constraints: ClassificationConstraints, rows: tuple[tuple, ...]) -> Iterator[tuple[_Triples, int, int]]:
+    """The walk's level-0 roots, lazily, each as (1, r, multiplicity)
+    triples and a span lo..hi of P_{-1}.
 
     A level-0 basket is a multiset of (1, r) entries, and gamma >= 0 bounds
     it: ``_multisets`` lists every candidate over the indices 2..24 (2152
     of them), the r >= 5 tail cut at ``tail_max_index``.  A root keeps its
-    r >= 5 count within ``sigma5``, and P_{-2}..P_{-4} within their rows of
-    ``_windows`` at each P_{-1} that ``_p1_span`` gives.  The roots are
-    distinct and come in no particular order.
+    r >= 5 count within ``sigma5``, and its span is the P_{-1} of the range
+    at which P_{-2}..P_{-4} meet their ``rows`` (``_trim``).  Each level-0
+    basket comes at most once, in no particular order.
     """
     indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
-    p1s, windows = constraints.p1_values(), _windows(constraints)[1:4]
+    p1s = constraints.p1_values()
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
-    # P_{-2} = 5 P_{-1} + n - 10 reads the entry count n alone, so the span
-    # of its window is found once per n <= 16 (every entry costs at least
-    # 3/2 of the budget 24)
-    spans = [_p1_span(p1s, (0, 0, n - 10), windows[:1]) for n in range(17)]
+    # P_{-2} = 5 P_{-1} + n - 10 reads the entry count n alone, so its span
+    # is found once per n <= 16 (every entry costs at least 3/2 of the
+    # budget 24)
+    spans = [_trim(rows[2:3], (n - 10,), p1s.start, p1s.stop - 1, 4) for n in range(17)]
     # one (1, r) entry's share of P_{-1}..P_{-4}
     head = {r: _pair_terms(1, r)[:5] for r in indices}
     for entries in _multisets(indices):
-        span = spans[len(entries)]
-        if span and s5lo <= sum(r >= 5 for r in entries) <= s5hi:
-            span = _p1_span(span, _table(0, [head[r] for r in entries]), windows)
-            if span:
-                triples = [(1, r, len(list(group))) for r, group in groupby(entries)]
-                yield from ((p1, triples) for p1 in span)
+        lo, hi = spans[len(entries)]
+        if lo <= hi and s5lo <= len(entries) - bisect_right(entries, 4) <= s5hi:
+            lo, hi = _trim(rows[3:5], _table(0, [head[r] for r in entries])[3:], lo, hi, 4)
+            if lo <= hi:
+                yield [(1, r, len(list(group))) for r, group in groupby(entries)], lo, hi
 
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
     """The walk's roots (``_roots``) as weighted baskets with their
-    (P_{-1}..P_{-4}), sorted by (P_{-1}, basket).  The roots of one level-0
-    basket come in a row, and share its ``Basket`` and its P_{-m} at P_{-1} = 0."""
-    groups = []
-    for triples, roots in groupby(_roots(constraints), key=itemgetter(1)):
-        at0 = _table(0, [_pair_terms(1, r)[:5] for _, r, k in triples for _ in range(k)])
-        groups.append((_basket(triples), [(p1, tuple([at0[m] + p1 * _U[m] for m in (1, 2, 3, 4)])) for p1, _ in roots]))
-    groups.sort(key=lambda group: group[0].sort_key())
-    # the sort is stable, so the baskets of one P_{-1} stay in order
-    return sorted(((WeightedBasket(basket, p1), p) for basket, roots in groups for p1, p in roots),
-                  key=lambda root: root[0].p1)
+    (P_{-1}..P_{-4}), sorted by (P_{-1}, basket).  Each level-0 basket is
+    built once, for every P_{-1} of its span."""
+    roots = [(_basket(triples), range(lo, hi + 1)) for triples, lo, hi in _roots(constraints, _rows(constraints))]
+    return [(wb, tuple(_table(wb.p1, _basket_terms(wb.basket))[1:5])) for wb in _listing(roots)]
 
 
 def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
@@ -358,8 +358,8 @@ def _rmax_ceiling(constraints: ClassificationConstraints) -> int | None:
         if constraints.rx_exact == 840 and constraints.filters.index_bound:
             # the filter's own rule: r_X = 840 needs r_max = 8
             caps.append(8)
-    # under gamma >= 0 alone no cap is needed: the gamma clause of
-    # ``prune_ok`` already cuts every merge into an index above 24
+    # under gamma >= 0 alone no cap is needed: the walk's gamma cut
+    # already cuts every merge into an index above 24
     if constraints.filters.rmax_le_24:
         caps.append(24)
     return min(caps, default=None)
@@ -379,42 +379,31 @@ def _chain_state(p1: int, triples: _Triples, ms: tuple[int, ...]) -> tuple[int, 
     return gamma, volume, tuple(seq[m] for m in ms)
 
 
-def _checks(constraints: ClassificationConstraints):
-    """The walk's cut ``prune_ok(gamma, volume, window, final)``, on the
-    integers of ``_chain_state`` for the rows of ``_windows`` past P_{-4},
-    and its leaf check ``leaf_ok(p1, triples, gamma, volume)``: ``admits``
-    but for the coprime and level-0 rules, on integers over S.
+def _leaf_check(constraints: ClassificationConstraints, rows: tuple[tuple, ...]):
+    """``admits`` but for the coprime and level-0 rules, as ``leaf(triples,
+    gamma, volume, lo, hi)``: the P_{-1} of lo..hi at which the basket of
+    (b, r, multiplicity) ``triples``, with gamma and -K^3 over S at P_{-1} =
+    0, meets every end of the ``rows`` and the rest of the constraints and
+    the filter.  Only the filter is run once per P_{-1}."""
+    pick, top, filters = itemgetter(*(m for m, *_ in rows[1:])), rows[-1][0], constraints.filters
 
-    Along the chain gamma never grows, and -K^3 and every P_{-m} never
-    shrink, so their upper ends cut a state with all the states above it.
-    P_{-m} is final from level m on (P_{-m}(B^(n)) = P_{-m}(B) for m <= n),
-    so the lower ends of the P_{-m} with m <= ``final`` cut too.
-    """
-    rows, (floor, cap) = _windows(constraints), _k3_window(constraints)
-    far, top, use_gamma = rows[4:], rows[-1][0], constraints.filters.gamma_nonneg
-
-    def prune_ok(gamma: int, volume: int, window: tuple[int, ...], final: int) -> bool:
-        if (use_gamma and gamma < 0) or volume > cap:
-            return False
-        for (m, lo, hi), p in zip(far, window):
-            if p > hi or (p < lo and m <= final):
-                return False
-        return True
-
-    def leaf_ok(p1: int, triples: _Triples, gamma: int, volume: int) -> bool:
-        if not floor <= volume <= cap:
-            return False
+    def leaf(triples: _Triples, gamma: int, volume: int, lo: int, hi: int) -> list[int]:
         rs = [r for _, r, _ in triples]
         rx = math.lcm(*rs)
         if not constraints._indices_ok(rs, rx):
-            return False
-        seq = _sequence(p1, triples, top)
-        for m, lo, hi in rows:
-            if not lo <= seq[m] <= hi:
-                return False
-        return FilterResult(constraints.filters, volume, gamma, S, rx, max(rs, default=0), seq[:FILTER_HORIZON + 1]).ok
+            return []
+        # the values at P_{-1} = lo, so the rows trim the offsets 0..hi - lo
+        seq = _sequence(lo, triples, top)
+        start, stop = _trim(rows, (volume + 2 * S * lo, *pick(seq)), 0, hi - lo, sys.maxsize)
+        p, rmax, admitted = seq[:FILTER_HORIZON + 1], max(rs, default=0), []
+        for p1 in range(lo, lo + stop + 1):
+            if p1 > lo:
+                p = list(map(add, p, _U))
+            if p1 >= lo + start and FilterResult(filters, volume + 2 * p1 * S, gamma, S, rx, rmax, p).ok:
+                admitted.append(p1)
+        return admitted
 
-    return prune_ok, leaf_ok
+    return leaf
 
 
 def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
@@ -424,7 +413,7 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
     S(n-1) (in S(0) at n = 5), and merging them into (b, n) adds the
     difference of the carried integers.  Returns ``(steps, ends, uses)``:
     ``steps`` lists the merges in level order, ``(n, p, q, (b, n), dgamma,
-    dvolume, dwindow)``, and a level n with a P_{-n} window ends in a marker
+    (dvolume, *dwindow))``, and a level n with a P_{-n} window ends in a marker
     (p = None); ``ends[n]`` is where level n ends; ``uses`` lists per
     fraction the merges it is a parent of, with the other parent.
     """
@@ -441,29 +430,33 @@ def _merge_steps(top: int, ms: tuple[int, ...]) -> tuple:
                 )
                 uses.setdefault(p, []).append((len(steps), q))
                 uses.setdefault(q, []).append((len(steps), p))
-                steps.append((n, p, q, (b, n), g1 - g0, v1 - v0, tuple(map(sub, w1, w0))))
+                steps.append((n, p, q, (b, n), g1 - g0, (v1 - v0, *map(sub, w1, w0))))
         if n in ms:
-            steps.append((n, None, None, None, 0, 0, ()))
+            steps.append((n, None, None, None, 0, ()))
         ends[n] = len(steps)
     return steps, ends, uses
 
 
-def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationConstraints) -> tuple[list[tuple], int]:
+def _walk(roots: Iterable[tuple[_Triples, int, int]], constraints: ClassificationConstraints,
+          rows: tuple[tuple, ...]) -> tuple[list[tuple], int]:
     """The leaves of the canonical chains up from ``roots`` that the cuts
-    keep, and the number of states visited.  A root is a P_{-1} and the
-    (b, r, multiplicity) triples of a level-0 basket, ascending in r, as
-    ``_roots`` yields them; a leaf is its root's P_{-1}, its own triples
-    and the gamma and -K^3 numerators over S that the walk carried into it.
+    keep, and the number of states visited.  A root is the (b, r,
+    multiplicity) triples of a level-0 basket, ascending in r, and its span
+    lo..hi of P_{-1}, as ``_roots`` yields them; a leaf is its own triples,
+    the gamma and -K^3 at P_{-1} = 0 the walk carried into it, and its span.
 
     Level n = 5, 6, ... chooses how many merges into each new fraction b/n
     of S(n) to make, up to the root's Sigma r or the r_max ceiling.  Every
     terminal basket has one chain, so each leaf comes once, from its own
     level-0 basket.  A merge adds fixed steps to the integers a state
-    carries, and its count is tried ascending up to the first cut.  Raises
-    ClosureTruncated when more than ``max_visited`` states pass the cuts.
+    carries, and its count is tried ascending up to the first cut: gamma
+    < 0, or an empty span of P_{-1} left by ``_trim`` on the rows of -K^3 and
+    P_{-m}, m >= 5 (the root fixes P_{-1}..P_{-4}).  A state counts once per
+    P_{-1} of its span; ClosureTruncated is raised past ``max_visited``.
     """
-    ms = tuple(m for m, _, _ in _windows(constraints)[4:])
-    prune_ok = _checks(constraints)[0]
+    cut = rows[:1] + rows[5:]
+    ms = tuple(m for m, *_ in rows[5:])
+    use_gamma = constraints.filters.gamma_nonneg
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
     steps, ends, uses = _merge_steps(top, ms)
@@ -471,18 +464,19 @@ def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationCons
     visited = 0
     counts: dict[tuple, int] = {}
 
-    def descend(live: list[int], j: int, gamma: int, volume: int, window: tuple[int, ...]) -> None:
+    def descend(live: list[int], j: int, gamma: int, values: tuple[int, ...], lo: int, hi: int) -> None:
         # one state: ``live`` lists the markers and the merges whose parents
         # were both present, in order, and live[j:] are ahead
         nonlocal visited
-        visited += 1
+        visited += hi - lo + 1
         if visited > constraints.max_visited:
             raise _truncated(constraints)
         while j < len(live):
-            n, p, q, new, dg, dv, dp = steps[live[j]]
+            n, p, q, new, dg, dv = steps[live[j]]
             j += 1
             if p is None:
-                if not prune_ok(gamma, volume, window, n):
+                lo, hi = _trim(cut, values, lo, hi, n)
+                if lo > hi:
                     return
                 continue
             most = min(counts[p], counts[q])
@@ -492,24 +486,27 @@ def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationCons
             # with none.  The new fraction is a parent of later merges
             born = [i for i, other in uses.get(new, ()) if i < end and counts.get(other)]
             ahead, at = (sorted(live[j:] + born), 0) if born else (live, j)
-            g, v, w = gamma, volume, window
+            g, v, klo, khi = gamma, values, lo, hi
             for k in range(1, most + 1):
-                g, v, w = g + dg, v + dv, tuple(map(add, w, dp))
-                if not prune_ok(g, v, w, n - 1):
+                g, v = g + dg, tuple(map(add, v, dv))
+                # a span kept at k merges is kept at k - 1: narrow it on
+                klo, khi = _trim(cut, v, klo, khi, n - 1)
+                if (use_gamma and g < 0) or klo > khi:
                     break
                 counts[p] -= 1
                 counts[q] -= 1
                 counts[new] = k
-                descend(ahead, at, g, v, w)
+                descend(ahead, at, g, v, klo, khi)
             k = counts.pop(new, 0)
             counts[p] += k
             counts[q] += k
-        leaves.append((p1, [(b, r, k) for (b, r), k in counts.items() if k], gamma, volume))
+        leaves.append(([(b, r, k) for (b, r), k in counts.items() if k], gamma, values[0], lo, hi))
 
-    for p1, triples in roots:
-        state = _chain_state(p1, triples, ms)
-        # the root fixes P_{-1}..P_{-4}
-        if (ceiling is not None and triples and triples[-1][1] > ceiling) or not prune_ok(*state, 4):
+    for triples, lo, hi in roots:
+        gamma, volume, window = _chain_state(0, triples, ms)
+        values = (volume, *window)
+        lo, hi = _trim(cut, values, lo, hi, 4)
+        if (ceiling is not None and triples and triples[-1][1] > ceiling) or (use_gamma and gamma < 0) or lo > hi:
             continue
         counts.clear()
         counts.update(((b, r), k) for b, r, k in triples)
@@ -517,12 +514,19 @@ def _walk(roots: Iterable[tuple[int, _Triples]], constraints: ClassificationCons
         end = ends[level] if level >= 5 else 0
         live = {i for i in range(end) if steps[i][1] is None}
         live.update(i for key in counts for i, other in uses.get(key, ()) if i < end and other in counts)
-        descend(sorted(live), 0, *state)
+        descend(sorted(live), 0, gamma, values, lo, hi)
     return leaves, visited
 
 
 def _truncated(constraints: ClassificationConstraints) -> ClosureTruncated:
     return ClosureTruncated(f"classification truncated after visiting {constraints.max_visited} states")
+
+
+def _listing(found: list[tuple[Basket, list[int]]]) -> list[WeightedBasket]:
+    """The weighted baskets of (basket, its P_{-1}s) pairs, sorted by (P_{-1},
+    basket): the baskets are sorted once, and the sort by P_{-1} is stable."""
+    found.sort(key=lambda item: item[0].sort_key())
+    return sorted((WeightedBasket(basket, p1) for basket, p1s in found for p1 in p1s), key=itemgetter(1))
 
 
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
@@ -538,12 +542,11 @@ def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
 
 def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """``classify`` by one chain walk up from every level-0 root (``_walk``),
-    each leaf re-verified from its integers by ``admits``' own check."""
-    leaves, _ = _walk(_roots(constraints), constraints)
-    leaf_ok = _checks(constraints)[1]
-    found = [WeightedBasket(_basket(triples), p1) for p1, triples, gamma, volume in leaves
-             if leaf_ok(p1, triples, gamma, volume)]
-    return sorted(found, key=lambda wb: (wb.p1, wb.basket.sort_key()))
+    each leaf re-verified over its span by ``admits``' own check."""
+    rows = _rows(constraints)
+    leaves, _ = _walk(_roots(constraints, rows), constraints, rows)
+    check = _leaf_check(constraints, rows)
+    return _listing([(_basket(leaf[0]), p1s) for leaf in leaves if (p1s := check(*leaf))])
 
 
 # ---------------------------------------------------------------------------
@@ -554,27 +557,24 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
     """All coprime baskets whose local indices have lcm exactly the record's
     ``rx_exact``, filtered by the constraint set: every coprime numerator
     assignment of an index multiset cut down a priori by the gamma budget
-    (``_index_profiles``) is screened by ``admits`` at each P_{-1} that
-    ``_p1_span`` keeps in the root windows, one step of ``max_visited``
-    each.  An ``rx_exact`` of 1 stands for the empty basket alone.
+    (``_index_profiles``) is screened by ``admits`` over the P_{-1} that its
+    P_{-2..4} rows leave, as the walk's roots are cut, one step of
+    ``max_visited`` each.  An ``rx_exact`` of 1 stands for the empty basket.
     """
     if constraints.rx_exact is None:
         raise ValueError("enumerate_index_profiles needs rx_exact, got None")
-    p1s, checked, windows = constraints.p1_values(), 0, _windows(constraints)[1:4]
-    leaf_ok = _checks(constraints)[1]
-    out: list[WeightedBasket] = []
+    p1s, rows, checked, found = constraints.p1_values(), _rows(constraints), 0, []
+    check = _leaf_check(constraints, rows)
     for profile in _index_profiles(constraints.rx_exact):
         for basket in _numerator_assignments(profile):
-            span = _p1_span(p1s, _table(0, _basket_terms(basket)), windows)
-            checked += len(span)
+            lo, hi = _trim(rows[2:5], _table(0, _basket_terms(basket))[2:], p1s.start, p1s.stop - 1, 4)
+            checked += max(hi - lo + 1, 0)
             if checked > constraints.max_visited:
                 raise _truncated(constraints)
-            # -K^3 moves by 2 S per unit of P_{-1}; the rest of the basket's state does not
             counts = basket.counts()
-            if span and (state := constraints._basket_state(counts)) is not None:
-                out += [WeightedBasket(basket, p1) for p1 in span
-                        if leaf_ok(p1, counts, state[0], state[1] + 2 * p1 * S)]
-    return sorted(out, key=lambda wb: (wb.p1, wb.basket.sort_key()))
+            if lo <= hi and (state := constraints._basket_state(counts)) is not None:
+                found.append((basket, check(counts, *state, lo, hi)))
+    return _listing(found)
 
 
 def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:

@@ -28,10 +28,11 @@ from reidbasket.classify import (
     TOP,
     ClassificationConstraints,
     _chain_state,
-    _checks,
     _classify_walk,
+    _leaf_check,
     _merge_steps,
     _roots,
+    _rows,
     _walk,
     classify,
     enumerate_b0,
@@ -158,7 +159,7 @@ class TestClassify:
         # the roots of each P_{-1} alone stay below the budget, and all of
         # them, walked in one call, go above it
         c = parse_constraints("p[1]=0..3")
-        assert [_walk(group, c)[1] for group in roots_by_p1(c)] == [376, 5554, 8183, 8338]
+        assert [_walk(group, c, _rows(c))[1] for group in roots_by_p1(c)] == [376, 5554, 8183, 8338]
         with pytest.raises(ClosureTruncated, match="after visiting 20000 states"):
             classify(c._replace(max_visited=20000))
         # a budget of exactly the states visited is enough, one less is not
@@ -170,7 +171,7 @@ class TestClassify:
     def test_a_p3_window_cuts_a_wide_p1_range(self):
         # P_{-3} = 3 holds every root to P_{-1} <= 2 out of 0..3000
         c = parse_constraints("p[1]=0..3000 p[3]=3")
-        assert Counter(p1 for p1, _ in _roots(c)) == {0: 8, 1: 98, 2: 19}
+        assert Counter(p1 for _, lo, hi in _roots(c, _rows(c)) for p1 in range(lo, hi + 1)) == {0: 8, 1: 98, 2: 19}
         found = classify(c)
         assert len(found) == 501 and Counter(wb.p1 for wb in found) == {0: 40, 1: 461}
 
@@ -397,8 +398,8 @@ class TestUniverseOracle:
         # without the rule that refuses it, the rest of admits (the leaf
         # check) takes it
         counts = wb.basket.counts()
-        gamma, volume, _ = classify_module._chain_state(wb.p1, counts, ())
-        assert _checks(c)[1](wb.p1, counts, gamma, volume)
+        gamma, volume, _ = classify_module._chain_state(0, counts, ())
+        assert _leaf_check(c, _rows(c))(counts, gamma, volume, wb.p1, wb.p1) == [wb.p1]
 
     @pytest.mark.parametrize("text, count", [("p[1]=1 filters=gamma", 5554), ("p[1]=1 tailmax=6", 4218)])
     def test_admits_holds_the_rules_of_the_roots(self, text, count, bench_universe):
@@ -419,54 +420,109 @@ class TestUniverseOracle:
 
 
 class TestOneReadPerCall:
-    """``classify`` reads the k3 ends and the P_{-m} windows of its record a
-    few times per call, into one table and one pair of checks, not once per
-    leaf or profile candidate."""
+    """``classify`` reads the k3 ends and the P_{-m} windows of its record
+    into one row table, built once per call on either route, and checks
+    each leaf or profile candidate once, over its span of P_{-1}."""
 
     @pytest.mark.parametrize("text, candidates", [("p[1]=1", 5554), ("p[1]=0..3 rx=60", 1224)])
     def test_the_ends_are_read_a_few_times_per_call(self, text, candidates, monkeypatch):
         calls = Counter()
-        checks = classify_module._checks
+        rows_of, leaf_check = classify_module._rows, classify_module._leaf_check
 
-        def counted(name):
-            read = getattr(classify_module, name)
+        def counting_rows(c):
+            calls["_rows"] += 1
+            return rows_of(c)
 
-            def counting(c):
-                calls[name] += 1
-                return read(c)
+        def counting_leaf_check(c, rows):
+            check = leaf_check(c, rows)
+
+            def counting(triples, gamma, volume, lo, hi):
+                calls["leaves"] += 1
+                calls["p1"] += hi - lo + 1
+                return check(triples, gamma, volume, lo, hi)
 
             return counting
 
-        def counting_checks(c):
-            prune_ok, leaf_ok = checks(c)
-
-            def counting_leaf(*args):
-                calls["leaf_ok"] += 1
-                return leaf_ok(*args)
-
-            return prune_ok, counting_leaf
-
-        for name in ("_k3_window", "_windows"):
-            monkeypatch.setattr(classify_module, name, counted(name))
-        monkeypatch.setattr(classify_module, "_checks", counting_checks)
+        monkeypatch.setattr(classify_module, "_rows", counting_rows)
+        monkeypatch.setattr(classify_module, "_leaf_check", counting_leaf_check)
         assert classify(parse_constraints(text))
-        assert calls["leaf_ok"] == candidates
-        assert 1 <= calls["_k3_window"] <= 2 and 1 <= calls["_windows"] <= 4, calls
+        assert calls["p1"] == candidates and calls["leaves"] <= candidates
+        assert calls["_rows"] == 1, calls
 
     def test_the_table_rows_are_the_records_ends(self, universe_sets):
         records = [parse_constraints(text) for text in CENSUS_TEXTS] + universe_sets
         far = 0
         for c in records:
-            rows = classify_module._windows(c)
-            assert [m for m, _, _ in rows] == sorted({1, 2, 3, 4, *c.constrained_ms()})
-            for m, lo, hi in rows:
+            rows = _rows(c)
+            # -K^3 over S, whose lower end holds only past the walk's levels
+            assert rows[0][:2] == (TOP + 1, 2 * S)
+            assert [m for m, *_ in rows[1:]] == sorted({1, 2, 3, 4, *c.constrained_ms()})
+            for m, step, lo, hi in rows[1:]:
                 want_lo, want_hi = c.p_bounds(m)
-                want_lo = -math.inf if want_lo is None else want_lo
-                want = (max(want_lo, 0) if 2 <= m <= 4 else want_lo, math.inf if want_hi is None else want_hi)
-                assert (lo, hi) == want, (c, m)
+                if 2 <= m <= 4:
+                    want_lo = max(want_lo or 0, 0)
+                assert (step, lo, hi) == (sum(j * j for j in range(m + 1)), want_lo, want_hi), (c, m)
             far += rows[-1][0] >= 5
         # rows past P_{-4} and rows of unconstrained P_{-2..4} both occur
-        assert far > 0 and any(classify_module._windows(c)[2][1:] == (0, math.inf) for c in records)
+        assert far > 0 and any(_rows(c)[2][2:] == (0, None) for c in records)
+
+
+class TestOneP1Rule:
+    """A range of P_{-1} is its P_{-1} in turn: ``classify`` on the range
+    lists what it lists at each P_{-1} alone, in that order, and spends as
+    much of ``max_visited``."""
+
+    @staticmethod
+    def at(c: ClassificationConstraints, p1: int) -> ClassificationConstraints:
+        return c._replace(p_fixed={**c.p_fixed, 1: p1}, p_ranges={m: r for m, r in c.p_ranges.items() if m != 1})
+
+    @staticmethod
+    def walked(c: ClassificationConstraints, monkeypatch) -> tuple[list[WeightedBasket], int]:
+        """``classify`` of ``c`` and the states its walk visited."""
+        visited = []
+        walk = classify_module._walk
+
+        def counting_walk(roots, constraints, rows):
+            leaves, states = walk(roots, constraints, rows)
+            visited.append(states)
+            return leaves, states
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, "_walk", counting_walk)
+            return classify(c), sum(visited)
+
+    @pytest.mark.parametrize("text", [
+        "p[1]=0..6", "p[1]=0..3 k3=(0,1/30)", "p[1]=0..3000 p[3]=3", "p[1]=0..3 p[6]=0..40", "p[1]=0..8 k3=(0,1)",
+    ])
+    def test_a_range_walks_its_p1_in_turn(self, text, monkeypatch):
+        c = parse_constraints(text)
+        found, visited = self.walked(c, monkeypatch)
+        # a call at one P_{-1} scans every level-0 multiset, about 10 ms:
+        # past P_{-1} = 40 every 100th is called alone
+        p1s = [p1 for p1 in c.p1_values() if p1 <= 40 or p1 % 100 == 0]
+        alone = [self.walked(self.at(c, p1), monkeypatch) for p1 in p1s]
+        assert found and found == [wb for listed, _ in alone for wb in listed]
+        assert visited == sum(states for _, states in alone)
+        # a budget of exactly the states visited is enough, one less is not
+        assert classify(c._replace(max_visited=visited)) == found
+        with pytest.raises(ClosureTruncated):
+            classify(c._replace(max_visited=visited - 1))
+
+    def test_the_profile_scan_budgets_its_p1_in_turn(self):
+        # the scan spends one step per candidate basket and P_{-1} at which
+        # its P_{-2..4} are >= 0; counted here by the kernel
+        c = parse_constraints("p[1]=0..3 rx=60")
+        candidates = [b for profile in classify_module._index_profiles(60)
+                      for b in classify_module._numerator_assignments(profile)]
+        spent = [sum(min(plurigenus_sequence(WeightedBasket(b, p1), 4)[2:]) >= 0 for b in candidates)
+                 for p1 in c.p1_values()]
+        assert sum(spent) == 1224
+        found = classify(c)
+        assert found == [wb for p1 in c.p1_values() for wb in classify(self.at(c, p1))]
+        for record, budget in [(self.at(c, p1), n) for p1, n in zip(c.p1_values(), spent)] + [(c, sum(spent))]:
+            assert classify(record._replace(max_visited=budget)) == classify(record)
+            with pytest.raises(ClosureTruncated):
+                classify(record._replace(max_visited=budget - 1))
 
 
 class TestIndexProfiles:
@@ -770,10 +826,12 @@ CENSUS_TEXTS = [
 
 
 def roots_by_p1(constraints) -> list[list[tuple]]:
-    """The walk's roots of ``constraints`` in one group per P_{-1}, ascending."""
+    """The walk's roots of ``constraints`` in one group per P_{-1}, ascending,
+    each root of a group with the one P_{-1} of its group as its span."""
     roots: dict[int, list[tuple]] = {}
-    for root in _roots(constraints):
-        roots.setdefault(root[0], []).append(root)
+    for triples, lo, hi in _roots(constraints, _rows(constraints)):
+        for p1 in range(lo, hi + 1):
+            roots.setdefault(p1, []).append((triples, p1, p1))
     return [roots[p1] for p1 in sorted(roots)]
 
 
@@ -790,26 +848,30 @@ def invariants_over_s(wb: WeightedBasket, ms: tuple[int, ...]) -> tuple:
 
 def built_leaves(leaves: list[tuple]) -> list[tuple[WeightedBasket, tuple]]:
     """``_walk``'s leaf states, each with the weighted basket built from its
-    P_{-1} and (b, r, multiplicity) triples."""
-    return [(built(leaf[0], leaf[1]), leaf) for leaf in leaves]
+    (b, r, multiplicity) triples at every P_{-1} of its span."""
+    return [(built(p1, leaf[0]), leaf) for leaf in leaves for p1 in range(leaf[3], leaf[4] + 1)]
 
 
 def walk_all(constraints) -> tuple[list[WeightedBasket], int]:
     """``_walk`` over every root of ``constraints``: the leaves as weighted
     baskets, and the states visited."""
-    found, visited = _walk(_roots(constraints), constraints)
+    rows = _rows(constraints)
+    found, visited = _walk(_roots(constraints, rows), constraints, rows)
     return [wb for wb, _ in built_leaves(found)], visited
 
 
 def leaf_verdicts(constraints) -> tuple[int, int]:
-    """On every leaf state of the walk, ``classify``'s check from the
-    carried integers agrees with ``admits`` on the built weighted basket;
-    returns the counts of (rejected, admitted) leaves."""
+    """On every leaf state of the walk, at every P_{-1} of its span,
+    ``classify``'s check from the carried integers agrees with ``admits`` on
+    the built weighted basket; returns the counts of (rejected, admitted)
+    leaves, one per P_{-1}."""
     verdicts = [0, 0]
-    found, _ = _walk(_roots(constraints), constraints)
-    leaf_ok = _checks(constraints)[1]
-    for wb, (p1, triples, gamma, volume) in built_leaves(found):
-        got = leaf_ok(p1, triples, gamma, volume)
+    rows = _rows(constraints)
+    found, _ = _walk(_roots(constraints, rows), constraints, rows)
+    check = _leaf_check(constraints, rows)
+    admitted = {id(leaf): check(*leaf) for leaf in found}
+    for wb, leaf in built_leaves(found):
+        got = wb.p1 in admitted[id(leaf)]
         assert got == constraints.admits(wb), (constraints, str(wb))
         verdicts[got] += 1
     return verdicts[0], verdicts[1]
@@ -898,50 +960,50 @@ class TestChainWalk:
     @pytest.mark.parametrize("text", CENSUS_TEXTS)
     def test_carried_integers_are_the_leaf_invariants(self, text, monkeypatch):
         # with a window on every P_{-m}, m = 5..24, the state the walk carries
-        # into each leaf is gamma, -K^3 and P_{-5..24} of that leaf
+        # into each leaf is gamma, -K^3 and P_{-5..24} of that leaf at
+        # P_{-1} = 0, and P_{-1} moves them by 2 S and U[m] per unit
         constraints = parse_constraints(text)
         ms = tuple(range(5, 25))
-        windows, checks = classify_module._windows, classify_module._checks
+        rows_of, trim = classify_module._rows, classify_module._trim
         events = []
 
         def every_window(c):
-            rows = windows(c)
-            own = {m: (lo, hi) for m, lo, hi in rows}
-            return rows[:4] + tuple((m, *own.get(m, (-10 ** 9, 10 ** 9))) for m in ms)
+            rows = rows_of(c)
+            own = {m: (lo, hi) for m, _, lo, hi in rows}
+            return rows[:5] + tuple((m, sum(j * j for j in range(m + 1)), *own.get(m, (-10 ** 9, 10 ** 9))) for m in ms)
 
-        def recording_checks(c):
-            prune_ok, leaf_ok = checks(c)
-
-            def recording(gamma, volume, window, final):
-                ok = prune_ok(gamma, volume, window, final)
-                if ok:
-                    events.append((final, gamma, volume, window))
-                return ok
-
-            return recording, leaf_ok
+        def recording_trim(rows, values, lo, hi, final):
+            values = tuple(values)
+            lo, hi = trim(rows, values, lo, hi, final)
+            if lo <= hi:
+                events.append((final, values, lo, hi))
+            return lo, hi
 
         found = _classify_walk(constraints)
-        roots = list(_roots(constraints))
-        monkeypatch.setattr(classify_module, "_windows", every_window)
+        rows = every_window(constraints)
+        roots = list(_roots(constraints, rows))
+        monkeypatch.setattr(classify_module, "_rows", every_window)
         assert _classify_walk(constraints) == found
-        monkeypatch.setattr(classify_module, "_checks", recording_checks)
+        monkeypatch.setattr(classify_module, "_trim", recording_trim)
         checked = 0
         for root in roots:
-            # one root at a time: each leaf follows the one check at the
-            # root's last level (at 4, the root itself, below level 5) that
-            # passes with the leaf's state, and those come in leaf order
+            # one root at a time: each leaf follows the one cut at the root's
+            # last level (at 4, the root itself, below level 5) that leaves
+            # it a span, and those come in leaf order
             events.clear()
-            leaves = built_leaves(_walk([root], constraints)[0])
+            leaves = _walk([root], constraints, rows)[0]
             if not leaves:
                 continue
             last = max(final for final, *_ in events)
             carried = [state for final, *state in events if final == last]
             assert len(carried) == len(leaves)
-            for (wb, (_, triples, gamma, volume)), (g, v, window) in zip(leaves, carried):
-                assert (gamma, volume) == (g, v)
-                assert _chain_state(wb.p1, triples, ms) == (gamma, volume, window), str(wb)
-                assert invariants_over_s(wb, ms) == (gamma, volume, window), str(wb)
-                checked += 1
+            for (triples, gamma, volume, lo, hi), (values, klo, khi) in zip(leaves, carried):
+                assert (volume, lo, hi) == (values[0], klo, khi)
+                assert _chain_state(0, triples, ms) == (gamma, volume, values[1:]), triples
+                for p1 in range(lo, hi + 1):
+                    moved = tuple(v + p1 * sum(j * j for j in range(m + 1)) for m, v in zip(ms, values[1:]))
+                    assert invariants_over_s(built(p1, triples), ms) == (gamma, volume + 2 * p1 * S, moved)
+                    checked += 1
         assert checked > 0
 
     def test_chain_state_reads_the_built_basket(self):
@@ -952,18 +1014,20 @@ class TestChainWalk:
         merges = [step for step in _merge_steps(TOP, ms)[0] if step[1] is not None]
         assert len(merges) > 100
         for p1 in (0, 2):
-            for n, p, q, new, dg, dv, dw in merges:
+            for n, p, q, new, dg, dv in merges:
                 parents, child = [(*p, 1), (*q, 1)], [(*new, 1)]
                 before, after = (_chain_state(p1, triples, ms) for triples in (parents, child))
                 assert before == invariants_over_s(built(p1, parents), ms)
                 assert after == invariants_over_s(built(p1, child), ms)
-                assert (after[0] - before[0], after[1] - before[1]) == (dg, dv)
-                assert tuple(y - x for x, y in zip(before[2], after[2])) == dw
+                assert after[0] - before[0] == dg
+                assert (after[1] - before[1], *(y - x for x, y in zip(before[2], after[2]))) == dv
         for text in CENSUS_TEXTS:
-            roots = list(_roots(parse_constraints(text)))
+            c = parse_constraints(text)
+            roots = list(_roots(c, _rows(c)))
             assert roots
-            for p1, triples in roots:
-                assert _chain_state(p1, triples, ms) == invariants_over_s(built(p1, triples), ms)
+            for triples, lo, hi in roots:
+                for p1 in {lo, hi}:
+                    assert _chain_state(p1, triples, ms) == invariants_over_s(built(p1, triples), ms)
 
     @pytest.mark.parametrize("text, count", [
         *zip(CENSUS_TEXTS, (293, 3, 5)),

@@ -11,6 +11,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +26,11 @@ from reidbasket.classify import (
     ClassificationConstraints,
     S,
     _chain_state,
-    _checks,
     _index_profiles,
-    _k3_window,
     _multisets,
     _roots,
-    _windows,
+    _rows,
+    _trim,
     classify,
     enumerate_b0,
     parse_constraints,
@@ -579,15 +580,15 @@ K3_ENDS = {
 
 
 class TestClassifyPredicates:
-    """``prune_ok`` and ``admits`` on one shared pool of weighted baskets.
+    """The walk's cut and ``admits`` on one shared pool of weighted baskets.
 
     The pool mixes seeded baskets (non-geometric ones included), the
     baskets on the volume bounds, and a sample of what ``classify`` finds
     for every set, so each set also meets baskets found by its neighbours
     (a P_{-3} = 2 basket for the lower end of ``p[3]=3..9``, say).
-    ``prune_ok`` reads the integers ``_chain_state`` carries for a basket,
-    at the root (final = 4), at the level of each window and with every
-    window final.
+    The cut trims the one P_{-1} of a basket by the integers ``_chain_state``
+    carries for it at P_{-1} = 0, at the root (final = 4), at the level of
+    each window and with every window final.
     """
 
     def constraint_sets(self) -> list:
@@ -617,11 +618,11 @@ class TestClassifyPredicates:
         for fields in ({"k3_min": end, "k3_min_strict": strict}, {"k3_max": end, "k3_max_strict": strict},
                        {"k3_min": end - 1, "k3_max": end, "k3_max_strict": strict}):
             c = ClassificationConstraints(p_fixed={1: 1}, **fields)
-            lo, hi = _k3_window(c)
-            assert (lo == -math.inf) == (c.k3_min is None) and (hi == math.inf) == (c.k3_max is None)
-            for v, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
-                if v not in (-math.inf, math.inf):
-                    assert reference_k3_ok(c, Fraction(v, S)) == inside, (fields, v)
+            lo, hi = _rows(c)[0][2:]
+            assert (lo is None) == (c.k3_min is None) and (hi is None) == (c.k3_max is None)
+            for end, shift, inside in ((lo, -1, False), (lo, 0, True), (hi, 0, True), (hi, 1, False)):
+                if end is not None:
+                    assert type(end) is int and reference_k3_ok(c, Fraction(end + shift, S)) == inside, (fields, end)
 
     def test_prune_and_admits_match_fraction_references(self):
         sets = self.constraint_sets()
@@ -630,8 +631,9 @@ class TestClassifyPredicates:
         on_bounds = 0
         windows_cut = 0
         for constraints in sets:
-            prune_ok = _checks(constraints)[0]
-            ms = tuple(m for m, _, _ in _windows(constraints)[4:])
+            # the rows the walk cuts on: -K^3, and P_{-m} past P_{-4}
+            rows, use_gamma = _rows(constraints), constraints.filters.gamma_nonneg
+            cut, ms = rows[:1] + rows[5:], tuple(m for m, *_ in rows[5:])
             for wb in pool:
                 if wb.p1 not in constraints.p1_values():
                     continue
@@ -639,18 +641,93 @@ class TestClassifyPredicates:
                 got = constraints.admits(wb)
                 assert got == reference_admits(constraints, wb), (constraints, str(wb))
                 verdicts[got] += 1
-                state = _chain_state(wb.p1, wb.basket.counts(), ms)
-                for final in {4, 24, *ms}:
-                    kept = prune_ok(*state, final)
+                # the walk's cut: gamma, and the state at P_{-1} = 0 over the
+                # span of the one P_{-1} of wb
+                gamma, volume, window = _chain_state(0, wb.basket.counts(), ms)
+                kept = {
+                    final: not (use_gamma and gamma < 0)
+                    and _trim(cut, (volume, *window), wb.p1, wb.p1, final) == (wb.p1, wb.p1)
+                    for final in {4, 24, *ms}
+                }
+                for final in kept:
                     expected = reference_prune(constraints, wb.p1, wb.basket, final)
-                    assert kept == expected, (constraints, str(wb), final)
-                    verdicts[kept] += 1
-                windows_cut += prune_ok(*state, 4) and not prune_ok(*state, 24)
+                    assert kept[final] == expected, (constraints, str(wb), final)
+                    verdicts[kept[final]] += 1
+                windows_cut += kept[4] and not kept[24]
         assert verdicts[True] > 0 and verdicts[False] > 0
         # every basket of ON_THE_BOUNDS lies on an end of some set
         assert on_bounds >= len(ON_THE_BOUNDS)
         # a final lower end cuts what the upper ends keep
         assert windows_cut > 0
+
+
+class TestTrim:
+    """``_trim``, the one rule that cuts P_{-1}, against a scan of every
+    P_{-1} of the span: on seeded rows, and on the rows of records against
+    -K^3 and P_{-m} read in Fractions."""
+
+    @staticmethod
+    def trimmed(rows, values, lo, hi, final) -> list[int]:
+        lo, hi = _trim(rows, values, lo, hi, final)
+        assert type(lo) is int and type(hi) is int
+        return list(range(lo, hi + 1))
+
+    def test_seeded_rows_match_a_scan(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(3000):
+            rows, values = [], []
+            for m in sorted(rng.sample(range(40), rng.randint(1, 3))):
+                step = 2 * S if m == 0 else m * (m + 1) * (2 * m + 1) // 6
+                v = rng.randint(-30 * step, 30 * step)
+                # an end near the span, or none
+                low, high = (None if rng.random() < 0.3 else v + rng.randint(-5, 45) * step + rng.randint(-step, step)
+                             for _ in range(2))
+                rows.append((m, step, low, high))
+                values.append(v)
+                seen.update({"no lower": low is None, "no upper": high is None, "far": m > 24, "k3": m == 0})
+            lo = rng.randint(0, 30)
+            hi, final = lo + rng.randint(-2, 40), rng.randint(0, 40)
+            kept = [p1 for p1 in range(lo, hi + 1) if all(
+                (high is None or v + p1 * step <= high) and (low is None or m > final or v + p1 * step >= low)
+                for (m, step, low, high), v in zip(rows, values))]
+            assert self.trimmed(rows, values, lo, hi, final) == kept, (rows, values, lo, hi, final)
+            seen["none left" if not kept else "cut" if len(kept) <= hi - lo else "whole"] += 1
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("text", [
+        # both k3 ends strict
+        "p[1]=0..40 k3=(1/330,1/30)",
+        "p[1]=0..40 k3=(-7/3,1/2) p[3]=4..60",
+        # one strict k3 end, and P_{-m} past the table's horizon 24, the
+        # last set without k3 ends
+        "p[1]=0..40 k3=[1/30,100) p[2]=3..200 p[4]=10..1000 p[30]=200000..205000",
+        "p[1]=0..40 p[25]=0..100000 p[31]=150000..155000",
+    ])
+    def test_record_rows_match_fraction_reference(self, text, bench_universe):
+        c = parse_constraints(text)
+        rows = _rows(c)
+        ms = [m for m, *_ in rows[1:]]
+        seen = Counter()
+        for basket in bench_universe[::23]:
+            at0 = WeightedBasket(basket, 0)
+            volume = reference_volume(at0) * S
+            assert volume.denominator == 1
+            seq = plurigenus_sequence(at0, max(ms))
+            kept = []
+            for p1 in c.p1_values():
+                wb = WeightedBasket(basket, p1)
+                vol = reference_volume(wb)
+                ps = {m: plurigenus_closed(basket, vol, m) for m in ms}
+                if reference_k3_ok(c, vol) and all(
+                    (lo is None or ps[m] >= lo) and (hi is None or ps[m] <= hi) and (ps[m] >= 0 or not 2 <= m <= 4)
+                    for m, (lo, hi) in ((m, c.p_bounds(m)) for m in ms)
+                ):
+                    kept.append(p1)
+            got = self.trimmed(rows, [int(volume), *(seq[m] for m in ms)], 0, 40, sys.maxsize)
+            assert got == kept, (text, str(basket))
+            seen["none left" if not kept else "cut" if len(kept) < 41 else "whole"] += 1
+        assert seen["none left"] and seen["cut"], seen
 
 
 def census_sets() -> list:
@@ -676,8 +753,8 @@ class TestRmaxCeiling:
         visited = []
         walk = classify_module._walk
 
-        def counting_walk(roots, constraints):
-            leaves, states = walk(roots, constraints)
+        def counting_walk(roots, constraints, rows):
+            leaves, states = walk(roots, constraints, rows)
             visited.append(states)
             return leaves, states
 
@@ -718,7 +795,7 @@ class TestRmaxCeiling:
 
 
 class TestNoP2Clause:
-    """``prune_ok`` has no P_{-2} clause: P_{-2} = 5 P_{-1} + sigma - 10 and
+    """The walk's cut has no P_{-2} row: P_{-2} = 5 P_{-1} + sigma - 10 and
     sigma is a packing invariant, so every state keeps the P_{-2} of its
     root, and ``_roots`` draws the roots from the p[2] range."""
 
@@ -736,32 +813,33 @@ class TestNoP2Clause:
 
     @pytest.mark.parametrize("text", P2_SETS)
     def test_classify_unchanged_by_a_p2_clause(self, text, monkeypatch):
-        # the walk carries the rows past the first four, so a P_{-2} row
-        # put there is carried too, and prune_ok cuts on both its ends
+        # the walk carries the rows past P_{-4}, so a P_{-2} row put there
+        # is carried too, and the walk's cut trims on both its ends
         constraints = parse_constraints(text)
-        windows = classify_module._windows
+        rows_of = classify_module._rows
 
         def with_p2_window(constraints):
-            rows = windows(constraints)
-            return rows[:4] + ((2, *constraints.p_bounds(2)),) + rows[4:]
+            rows = rows_of(constraints)
+            return rows[:5] + ((2, 5, *constraints.p_bounds(2)),) + rows[5:]
 
         def with_empty_p2_window(constraints):
-            rows = windows(constraints)
-            return rows[:4] + ((2, 1, 0),) + rows[4:]
+            rows = rows_of(constraints)
+            return rows[:5] + ((2, 5, 1, 0),) + rows[5:]
 
         walk = classify_module._classify_walk
         found = walk(constraints)
-        monkeypatch.setattr(classify_module, "_windows", with_p2_window)
+        monkeypatch.setattr(classify_module, "_rows", with_p2_window)
         assert found and walk(constraints) == found
         # the window is read by the walk's cut: one that no P_{-2} meets
-        # cuts every root, so no state is visited
-        monkeypatch.setattr(classify_module, "_windows", with_empty_p2_window)
-        assert classify_module._walk(_roots(constraints), constraints) == ([], 0)
+        # leaves every root an empty span, so no state is visited
+        rows = with_empty_p2_window(constraints)
+        assert classify_module._walk(_roots(constraints, rows), constraints, rows) == ([], 0)
+        monkeypatch.setattr(classify_module, "_rows", with_empty_p2_window)
         assert walk(constraints) == []
 
 
 class TestNoMinVolumeClause:
-    """``prune_ok`` has no min-volume clause 2 P_{-1} + sigma - 6 <= 0: sigma
+    """The walk has no min-volume clause 2 P_{-1} + sigma - 6 <= 0: sigma
     is a packing invariant, so along a chain the clause reads its root, and
     every root keeps P_{-2..4} >= 0, which leaves one root it cuts, the
     empty basket at P_{-1} = 3.  That root has no packings, and ``admits``
@@ -787,18 +865,21 @@ class TestNoMinVolumeClause:
         roots = classify_module._roots
         kept = []
 
-        def without_the_roots_it_cuts(constraints):
-            for p1, triples in roots(constraints):
-                if not self.clause_cuts(p1, sum(b * k for b, _, k in triples)):
-                    kept.append(p1)
-                    yield p1, triples
+        def without_the_roots_it_cuts(constraints, rows):
+            # the clause keeps the P_{-1} above (6 - sigma) / 2
+            for triples, lo, hi in roots(constraints, rows):
+                lo = max(lo, (6 - sum(b * k for b, _, k in triples)) // 2 + 1)
+                kept.extend(range(lo, hi + 1))
+                if lo <= hi:
+                    yield triples, lo, hi
 
         walk = classify_module._classify_walk
         found = walk(constraints)
         monkeypatch.setattr(classify_module, "_roots", without_the_roots_it_cuts)
         assert found and walk(constraints) == found
         # the walk drew its roots through the clause
-        assert len(kept) == len(list(roots(constraints))) - (text == "p[1]=3")
+        every = sum(hi - lo + 1 for _, lo, hi in roots(constraints, _rows(constraints)))
+        assert len(kept) == every - (text == "p[1]=3")
 
 
 def reference_root_gamma(n12: int, n13: int, n14: int, tail: dict[int, int]) -> Fraction:
@@ -929,7 +1010,7 @@ class TestIntegerGammaBudgets:
         constraints = parse_constraints(text)
         roots = [
             WeightedBasket(Basket.of(*((b, r) for b, r, k in triples for _ in range(k))), p1)
-            for p1, triples in _roots(constraints)
+            for triples, lo, hi in _roots(constraints, _rows(constraints)) for p1 in range(lo, hi + 1)
         ]
         assert roots and len(roots) == len(set(roots))
         assert set(roots) == reference_root_set(constraints)
