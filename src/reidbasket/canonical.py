@@ -19,10 +19,13 @@ it entrywise defines the level-n approximation of a basket; levels 0, 5,
 the basket itself, and the number of prime packings consumed between
 consecutive levels is epsilon_n = Delta^n(level n-1) - Delta^n(B).
 
-The division points come from one integer descent, ``_bracket``: from the
-unit fractions around b/r, each step moves one end by a whole run of
+The division points come from one integer descent, ``core._bracket``: from
+the unit fractions around b/r, each step moves one end by a whole run of
 Stern-Brocot mediants.  The runs are the partial quotients of b/r cut off
-at level n, so one entry at one level costs O(log r) integer steps.
+at level n, so one entry at one level costs O(log r) integer steps.  The
+descent and the entrywise unpacking (``core._unpack_entry``,
+``core._unpacked``) live in ``core``, which ``classify`` reads them from
+without loading this module.
 
 Both are entrywise, so ``canonical_sequence`` reads the chain off one
 memoized table per pair (``_chain``); ``unpack`` and ``epsilon_n`` keep
@@ -42,7 +45,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .core import PAIR_CACHE_SIZE, Basket, ClosureTruncated, OrbifoldPair, _delta
+from .core import PAIR_CACHE_SIZE, Basket, ClosureTruncated, OrbifoldPair, _basket, _delta, _unpack_entry, _unpacked
 
 __all__ = [
     "in_level_set",
@@ -85,57 +88,6 @@ def farey_neighbors(frac: Fraction, level: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"{frac} already lies in S({level})")
     (ln, ld, _), (un, ud, _) = _unpack_entry(frac.numerator, frac.denominator, level)
     return Fraction(un, ud), Fraction(ln, ld)
-
-
-def _bracket(q: int, p: int, level: int) -> tuple[int, int, int, int]:
-    """(un, ud, ln, ld): ln/ld < q/p < un/ud adjacent in S(level), q/p reduced."""
-    un, ud, ln, ld = 1, p // q, 1, p // q + 1
-    while True:
-        # q/p - ln/ld = a/(p ld) and un/ud - q/p = c/(p ud); t mediants stay
-        # on their side of q/p while t c < a (t a < c), and within the level
-        a, c = q * ld - ln * p, un * p - q * ud
-        t = min((a - 1) // c, (level - ld) // ud)
-        if t > 0:  # the lower end takes t upper ends
-            ln, ld = ln + t * un, ld + t * ud
-            continue
-        t = min((c - 1) // a, (level - ud) // ld)
-        if t < 1:
-            return un, ud, ln, ld
-        un, ud = un + t * ln, ud + t * ld  # the upper end takes t lower ends
-
-
-def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
-    g = math.gcd(b, r)
-    q, p = b // g, r // g
-    if q == 1 or p <= level:
-        return ((b, r, 1),)
-    un, ud, ln, ld = _bracket(q, p, level)
-    if un * ld - ud * ln != 1:
-        raise AssertionError(
-            f"invariant violated: Farey neighbors {un}/{ud}, {ln}/{ld} of {q}/{p} "
-            f"at level {level} are not unimodular"
-        )
-    # copies of ln/ld and of un/ud; with D = un*ld - ud*ln they sum back to
-    # (g*q*D, g*p*D), which is (b, r) since D = 1 was checked above
-    m_low, m_high = g * (un * p - q * ud), g * (q * ld - ln * p)
-    if m_low < 1 or m_high < 1:
-        raise AssertionError(
-            f"invariant violated: unpacking ({b},{r}) at level {level} "
-            f"needs positive multiplicities, got {m_low} and {m_high}"
-        )
-    return ((ln, ld, m_low), (un, ud, m_high))
-
-
-def _unpacked(triples: list[tuple[int, int, int]], level: int) -> list[tuple[int, int, int]]:
-    """The level-n approximation of (b, r, multiplicity) triples, as triples."""
-    return [(qb, qr, m * k) for b, r, k in triples for qb, qr, m in _unpack_entry(b, r, level)]
-
-
-def _basket(triples: list[tuple[int, int, int]]) -> Basket:
-    entries: list[OrbifoldPair] = []
-    for b, r, mult in triples:
-        entries.extend([OrbifoldPair(b, r)] * mult)
-    return Basket(entries)
 
 
 def _check_entries(size: int, what: str) -> None:

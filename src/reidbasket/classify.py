@@ -5,8 +5,12 @@ The engine walks the same road the classification arguments do:
 1. draw the level-0 roots lazily, as (1, r, multiplicity) integers
    (``_roots``): the multisets of (1, r) entries bounded a priori by gamma
    >= 0 (which caps every local index at 24 and the total entry weight at
-   Sigma(r - 1/r) <= 24), each once, with the span of P_{-1} at which the
-   P_{-2}..P_{-4} their counts give, and their r >= 5 tail, meet the constraints;
+   Sigma(r - 1/r) <= 24), each once, with the span of P_{-1} at which
+   their P_{-2}..P_{-4} and r >= 5 tail meet the constraints.  The roots
+   come from the counts: at P_{-1} = 0, P_{-2}..P_{-4} are linear in the
+   numbers of entries, of (1,2) and of (1,3), which are chosen inside their
+   rows first, then the number of (1,4) and so the size of the tail, and
+   last the tails of that size that the rest of the gamma budget pays for;
 2. walk up the canonical chain B^(0) >= B^(5) >= B^(6) >= ... >= B from
    each root (``_walk``): level n merges Farey neighbours of S(n-1) into
    the new fractions b/n of S(n), so every terminal basket is reached
@@ -25,10 +29,10 @@ The engine walks the same road the classification arguments do:
 Everything is exact, and the output, sorted once by (P_{-1}, basket), has
 no duplicates.  Every rational ``classify`` reads is a numerator over one
 scale, S = lcm(2..32): gamma, -K^3 and its ends, and the entry costs r -
-1/r of the gamma budget that ``_multisets`` spends.  A unit of P_{-1} moves
--K^3 by 2 S and P_{-m} by U[m], so one table (``_rows``) and one rule
-(``_trim``) cut P_{-1} for the roots, the walk, the leaves and the route of
-an exact r_X, ``enumerate_index_profiles``.
+1/r of the gamma budget that the roots and the index profiles spend.  A
+unit of P_{-1} moves -K^3 by 2 S and P_{-m} by U[m], so one table
+(``_rows``) and one rule (``_trim``) cut P_{-1} for the roots, the walk,
+the leaves and the route of an exact r_X, ``enumerate_index_profiles``.
 """
 
 from __future__ import annotations
@@ -36,14 +40,12 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice, product
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .canonical import _basket, _unpack_entry, _unpacked
 from .core import (
     FILTER_HORIZON,
     MAX_VISITED,
@@ -55,11 +57,15 @@ from .core import (
     WeightedBasket,
     _INT,
     _U,
+    _V,
+    _basket,
     _basket_terms,
     _beyond,
     _int,
     _pair_terms,
     _table,
+    _unpack_entry,
+    _unpacked,
     parse_rational,
 )
 
@@ -82,22 +88,36 @@ S = math.lcm(*range(2, TOP + 1))
 _COST = {r: r * S - S // r for r in range(2, 25)}
 
 
-def _multisets(indices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every ascending multiset over ``indices`` whose costs sum to at most 24.
+def _multisets(indices: tuple[int, ...], covers: tuple[int, ...] = (), need: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every ascending multiset over ``indices`` whose costs sum to at most 24
+    and whose ``covers``, one bit mask per index, together hold every bit of
+    ``need`` (with no covers: every multiset).
 
     ``indices`` ascend within 2..24 (each divides S).  The multisets come
     shortest first, from the empty one; the cost r - 1/r grows with r, so
-    each multiset is extended only by the indices that still fit.
+    each multiset is extended only by the indices that still fit, and only
+    while the least cost of the bits it still misses fits too.
     """
-    # (multiset, position of its last index, budget left), extended in turn
-    found = [((), 0, 24 * S)]
-    for current, start, budget in found:
-        yield current
+    covers = covers or (0,) * len(indices)
+    # least[i][m]: the least cost of holding the bits m with indices[i:],
+    # past the budget if they cannot; an index taken twice holds no more
+    least = [[0] + [25 * S] * need]
+    for r, cover in zip(indices[::-1], covers[::-1]):
+        after = least[-1]
+        least.append([min(after[m], _COST[r] + after[m & ~cover]) for m in range(need + 1)])
+    least.reverse()
+    # (multiset, position of its last index, budget left, bits missing), extended in turn
+    found = [((), 0, 24 * S, need)]
+    for current, start, budget, missing in found:
+        if not missing:
+            yield current
         for i in range(start, len(indices)):
             left = budget - _COST[indices[i]]
             if left < 0:
                 break
-            found.append((current + (indices[i],), i, left))
+            rest = missing & ~covers[i]
+            if least[i][rest] <= left:
+                found.append((current + (indices[i],), i, left, rest))
 
 
 # the read-only empty default of the plurigenus maps: no instance shares a
@@ -226,7 +246,7 @@ class ClassificationConstraints(_ConstraintFields):
         """Whether ``classify`` lists ``wb``: the constraints, the filter and
         the rules every root of the walk meets -- coprime entries, P_{-2..4}
         >= 0, and level-0 indices at most ``tail_max_index`` whose costs fit
-        the gamma budget of ``_multisets`` (so none is above 24).  Once the
+        the gamma budget 24 (so none is above 24).  Once the
         level-0 rules pass, every index is at most the level-0 Sigma r <= 32
         and divides S, so gamma and -K^3 are read over S as the walk reads
         them (``_chain_state``) for ``_leaf_check`` at the P_{-1} of ``wb``."""
@@ -307,28 +327,65 @@ def _roots(constraints: ClassificationConstraints, rows: tuple[tuple, ...]) -> I
     """The walk's level-0 roots, lazily, each as (1, r, multiplicity)
     triples and a span lo..hi of P_{-1}.
 
-    A level-0 basket is a multiset of (1, r) entries, and gamma >= 0 bounds
-    it: ``_multisets`` lists every candidate over the indices 2..24 (2152
-    of them), the r >= 5 tail cut at ``tail_max_index``.  A root keeps its
-    r >= 5 count within ``sigma5``, and its span is the P_{-1} of the range
-    at which P_{-2}..P_{-4} meet their ``rows`` (``_trim``).  Each level-0
-    basket comes at most once, in no particular order.
+    A level-0 basket is a multiset of (1, r) entries within the gamma budget
+    24, so of n <= 16 entries (each costs at least 3/2).  At P_{-1} = 0 its
+    P_{-m} is V[m] plus each entry's share T_{1,r}[m] (``_pair_terms``), and
+    for m <= 4 every r >= 4 has one share (Delta^j(1, r) = 0 for j <= 4 <=
+    r): P_{-2} reads n alone, P_{-3} also the count n2 of (1,2), and P_{-4}
+    also the count n3 of (1,3).  So n, n2 and n3 are chosen in turn, each
+    narrowing the span of P_{-1} by its row of ``rows`` (``_trim``); then the
+    count n4 of (1,4), which leaves t = n - n2 - n3 - n4 entries with r >= 5
+    for ``sigma5``; and last the tails of t indices 5..``tail_max_index``
+    that the rest of the budget pays for (``_tails``).  Each level-0 basket
+    comes at most once, in no particular order.
     """
-    indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
     p1s = constraints.p1_values()
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
-    # P_{-2} = 5 P_{-1} + n - 10 reads the entry count n alone, so its span
-    # is found once per n <= 16 (every entry costs at least 3/2 of the
-    # budget 24)
-    spans = [_trim(rows[2:3], (n - 10,), p1s.start, p1s.stop - 1, 4) for n in range(17)]
-    # one (1, r) entry's share of P_{-1}..P_{-4}
-    head = {r: _pair_terms(1, r)[:5] for r in indices}
-    for entries in _multisets(indices):
-        lo, hi = spans[len(entries)]
-        if lo <= hi and s5lo <= len(entries) - bisect_right(entries, 4) <= s5hi:
-            lo, hi = _trim(rows[3:5], _table(0, [head[r] for r in entries])[3:], lo, hi, 4)
-            if lo <= hi:
-                yield [(1, r, len(list(group))) for r, group in groupby(entries)], lo, hi
+    tails = tuple(range(5, min(constraints.tail_max_index, 24) + 1))
+    t2, t3, t4 = (_pair_terms(1, r) for r in (2, 3, 4))
+    c2, c3, c4, c5 = (_COST[r] for r in (2, 3, 4, 5))
+    budget = 24 * S
+    for n in range(budget // c2 + 1):
+        lo, hi = _trim(rows[2:3], (_V[2] + n * t4[2],), p1s.start, p1s.stop - 1, 4)
+        if lo > hi:
+            continue
+        # the fewer (1,2), (1,3) and (1,4) of n entries, the more they cost:
+        # each count descends until the cheapest rest is past the budget
+        for n2 in range(n, -1, -1):
+            if n2 * c2 + (n - n2) * c3 > budget:
+                break
+            lo2, hi2 = _trim(rows[3:4], (_V[3] + n2 * t2[3] + (n - n2) * t4[3],), lo, hi, 4)
+            if lo2 > hi2:
+                continue
+            for n3 in range(n - n2, -1, -1):
+                spent = n2 * c2 + n3 * c3
+                if spent + (n - n2 - n3) * c4 > budget:
+                    break
+                lo3, hi3 = _trim(rows[4:5], (_V[4] + n2 * t2[4] + n3 * t3[4] + (n - n2 - n3) * t4[4],), lo2, hi2, 4)
+                if lo3 > hi3:
+                    continue
+                for n4 in range(n - n2 - n3, -1, -1):
+                    t, left = n - n2 - n3 - n4, budget - spent - n4 * c4
+                    if t * c5 > left or t > s5hi:
+                        break
+                    if t >= s5lo:
+                        head = [(1, r, k) for r, k in ((2, n2), (3, n3), (4, n4)) if k]
+                        for tail in _tails(tails, t, left):
+                            yield head + [(1, r, len(list(group))) for r, group in groupby(tail)], lo3, hi3
+
+
+def _tails(indices: tuple[int, ...], size: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every ascending multiset of ``size`` of the ascending ``indices``
+    whose costs sum to at most ``budget``: an index is taken only while
+    ``size`` copies of it, the cheapest rest, still fit."""
+    if not size:
+        yield ()
+        return
+    for i, r in enumerate(indices):
+        if size * _COST[r] > budget:
+            break
+        for rest in _tails(indices[i:], size - 1, budget - _COST[r]):
+            yield (r, *rest)
 
 
 def enumerate_b0(constraints: ClassificationConstraints) -> list[tuple[WeightedBasket, tuple[int, int, int, int]]]:
@@ -564,10 +621,15 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
     if constraints.rx_exact is None:
         raise ValueError("enumerate_index_profiles needs rx_exact, got None")
     p1s, rows, checked, found = constraints.p1_values(), _rows(constraints), 0, []
+    # the empty basket's P_{-0..4} at P_{-1} = 0: zipped with a basket's
+    # tables it sums only their first five columns, and the leaf check sums
+    # the whole table once
+    head = _V[:5]
     check = _leaf_check(constraints, rows)
     for profile in _index_profiles(constraints.rx_exact):
         for basket in _numerator_assignments(profile):
-            lo, hi = _trim(rows[2:5], _table(0, _basket_terms(basket))[2:], p1s.start, p1s.stop - 1, 4)
+            p = list(map(sum, zip(head, *_basket_terms(basket))))
+            lo, hi = _trim(rows[2:5], p[2:], p1s.start, p1s.stop - 1, 4)
             checked += max(hi - lo + 1, 0)
             if checked > constraints.max_visited:
                 raise _truncated(constraints)
@@ -580,12 +642,24 @@ def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[Wei
 def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:
     """Index multisets with lcm exactly ``lcm_target`` and Sigma(r - 1/r) <= 24.
 
-    Each index divides the target and is at most 24 (gamma >= 0); the
-    multisets come from ``_multisets``.  Each profile lists its indices in
-    descending order.
+    Each index divides the target and is at most 24 (gamma >= 0), and the
+    lcm is the target exactly when each prime power of the target divides an
+    index: ``_multisets`` covers them, one bit each, shortest multiset
+    first.  Each profile lists its indices in descending order.
     """
     divisors = tuple(d for d in range(2, min(lcm_target, 24) + 1) if lcm_target % d == 0)
-    return [m[::-1] for m in _multisets(divisors) if math.lcm(*m) == lcm_target]
+    if math.lcm(*divisors) != lcm_target:
+        return []
+    # a divisor that divides what is left is a prime: its smaller factors are gone
+    powers, rest = [], lcm_target
+    for p in divisors:
+        power = 1
+        while rest % p == 0:
+            rest, power = rest // p, power * p
+        if power > 1:
+            powers.append(power)
+    covers = tuple(sum(1 << j for j, q in enumerate(powers) if d % q == 0) for d in divisors)
+    return [m[::-1] for m in _multisets(divisors, covers, (1 << len(powers)) - 1)]
 
 
 def _numerator_assignments(profile: tuple[int, ...]):

@@ -25,6 +25,11 @@ read that record; the public functions wrap one numerator in one
 ``Fraction``, and the predicates compare numerators.
 ``plurigenus_closed`` evaluates the Riemann-Roch closed form in
 ``Fraction``s as the independent oracle for that kernel.
+
+The integer Farey descent (``_bracket``) and the entrywise unpacking it
+gives (``_unpack_entry``, ``_unpacked``, and ``_basket`` from the triples)
+live here too: ``canonical`` builds its chains from them, and ``classify``
+its level 0 and its merges, so classifying does not load ``canonical``.
 """
 
 from __future__ import annotations
@@ -210,6 +215,62 @@ _SET_HASH = Basket._hash.__set__
 _SET_INTS = Basket._ints.__set__
 
 
+# ---------------------------------------------------------------------------
+# Farey unpacking: the level-n approximation of one entry (b, r) splits it
+# along the division points of S(n) around b/r (the levels: ``canonical``)
+# ---------------------------------------------------------------------------
+
+def _bracket(q: int, p: int, level: int) -> tuple[int, int, int, int]:
+    """(un, ud, ln, ld): ln/ld < q/p < un/ud adjacent in S(level), q/p reduced."""
+    un, ud, ln, ld = 1, p // q, 1, p // q + 1
+    while True:
+        # q/p - ln/ld = a/(p ld) and un/ud - q/p = c/(p ud); t mediants stay
+        # on their side of q/p while t c < a (t a < c), and within the level
+        a, c = q * ld - ln * p, un * p - q * ud
+        t = min((a - 1) // c, (level - ld) // ud)
+        if t > 0:  # the lower end takes t upper ends
+            ln, ld = ln + t * un, ld + t * ud
+            continue
+        t = min((c - 1) // a, (level - ud) // ld)
+        if t < 1:
+            return un, ud, ln, ld
+        un, ud = un + t * ln, ud + t * ld  # the upper end takes t lower ends
+
+
+def _unpack_entry(b: int, r: int, level: int) -> tuple[tuple[int, int, int], ...]:
+    g = math.gcd(b, r)
+    q, p = b // g, r // g
+    if q == 1 or p <= level:
+        return ((b, r, 1),)
+    un, ud, ln, ld = _bracket(q, p, level)
+    if un * ld - ud * ln != 1:
+        raise AssertionError(
+            f"invariant violated: Farey neighbors {un}/{ud}, {ln}/{ld} of {q}/{p} "
+            f"at level {level} are not unimodular"
+        )
+    # copies of ln/ld and of un/ud; with D = un*ld - ud*ln they sum back to
+    # (g*q*D, g*p*D), which is (b, r) since D = 1 was checked above
+    m_low, m_high = g * (un * p - q * ud), g * (q * ld - ln * p)
+    if m_low < 1 or m_high < 1:
+        raise AssertionError(
+            f"invariant violated: unpacking ({b},{r}) at level {level} "
+            f"needs positive multiplicities, got {m_low} and {m_high}"
+        )
+    return ((ln, ld, m_low), (un, ud, m_high))
+
+
+def _unpacked(triples: list[tuple[int, int, int]], level: int) -> list[tuple[int, int, int]]:
+    """The level-n approximation of (b, r, multiplicity) triples, as triples."""
+    return [(qb, qr, m * k) for b, r, k in triples for qb, qr, m in _unpack_entry(b, r, level)]
+
+
+def _basket(triples: list[tuple[int, int, int]]) -> Basket:
+    entries: list[OrbifoldPair] = []
+    for b, r, mult in triples:
+        entries.extend([OrbifoldPair(b, r)] * mult)
+    return Basket(entries)
+
+
 class _WeightedBasketFields(NamedTuple):
     basket: Basket
     p1: int
@@ -340,9 +401,14 @@ def parse_rational(text: str) -> Fraction:
 
     The inverse of ``format_rational``.  Bad text, a zero denominator and an
     exponent beyond _MAX_EXPONENT either way included, raises ValueError
-    naming the token.
+    naming the token.  ASCII "p" and "p/q" (p with an optional "-") are read
+    by ``int`` alone; every other form goes through ``Fraction``'s parser.
     """
     try:
+        num, slash, den = text.partition("/")
+        digits = num[num.startswith("-"):]
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         if abs(int(text.lower().partition("e")[2] or 0)) > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
         return Fraction(text.strip())

@@ -349,9 +349,9 @@ def test_descent_checks_survive_optimize_flag(bracket, message):
     import sys
 
     code = (
-        "from reidbasket import canonical\n"
+        "from reidbasket import canonical, core\n"
         "from reidbasket.core import Basket\n"
-        f"canonical._bracket = lambda q, p, level: {bracket}\n"
+        f"core._bracket = lambda q, p, level: {bracket}\n"
         "canonical.unpack(Basket.of((3, 7)), 5)\n"
     )
     proc = subprocess.run(

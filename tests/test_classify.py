@@ -1,8 +1,10 @@
 import math
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -23,16 +25,19 @@ from reidbasket.canonical import (
     unpack,
 )
 from reidbasket.classify import (
+    _COST,
     _FILTER_FIELDS,
     S,
     TOP,
     ClassificationConstraints,
     _chain_state,
     _classify_walk,
+    _index_profiles,
     _leaf_check,
     _merge_steps,
     _roots,
     _rows,
+    _trim,
     _walk,
     classify,
     enumerate_b0,
@@ -43,6 +48,8 @@ from reidbasket.core import (
     Basket,
     FilterConfig,
     WeightedBasket,
+    _pair_terms,
+    _table,
     anti_volume,
     format_rational,
     gamma,
@@ -619,6 +626,84 @@ ROOT_RULE_SETS = ("p[1]=0..3 rx=12 tailmax=4", "p[1]=0..3 rx=60 tailmax=5", "p[1
 WIDE_P1_SETS = (
     "p[1]=0..3000 p[2]=1 rx=60", "p[1]=0..3000 p[2]=2..10 rx=840", "p[1]=0..3000 p[2]=0..5 p[3]=3..8 rx=12",
 )
+
+
+def scan_multisets(indices):
+    """Every ascending multiset over ``indices`` within the gamma budget,
+    shortest first, extended by every index that still fits: the reference
+    for ``_multisets``' order."""
+    found = [((), 0, 24 * S)]
+    for current, start, budget in found:
+        yield current
+        for i in range(start, len(indices)):
+            left = budget - _COST[indices[i]]
+            if left < 0:
+                break
+            found.append((current + (indices[i],), i, left))
+
+
+def scan_roots(constraints, rows):
+    """``_roots`` the long way: every level-0 multiset in the budget (2,152
+    over 2..24), its P_{-2} span per entry count, and one ``_table`` per
+    candidate for its P_{-3} and P_{-4} rows."""
+    indices = tuple(range(2, min(constraints.tail_max_index, 24) + 1))
+    p1s = constraints.p1_values()
+    s5lo, s5hi = constraints.sigma5 or (0, math.inf)
+    spans = [_trim(rows[2:3], (n - 10,), p1s.start, p1s.stop - 1, 4) for n in range(17)]
+    head = {r: _pair_terms(1, r)[:5] for r in indices}
+    for entries in scan_multisets(indices):
+        lo, hi = spans[len(entries)]
+        if lo <= hi and s5lo <= len(entries) - bisect_right(entries, 4) <= s5hi:
+            lo, hi = _trim(rows[3:5], _table(0, [head[r] for r in entries])[3:], lo, hi, 4)
+            if lo <= hi:
+                yield [(1, r, len(list(group))) for r, group in groupby(entries)], lo, hi
+
+
+def scan_profiles(lcm_target):
+    """``_index_profiles`` the long way: the lcm filter over every multiset
+    of the target's divisors up to 24 in the budget."""
+    divisors = tuple(d for d in range(2, min(lcm_target, 24) + 1) if lcm_target % d == 0)
+    return [m[::-1] for m in scan_multisets(divisors) if math.lcm(*m) == lcm_target]
+
+
+class TestCandidatesAgainstScans:
+    """The roots come from the counts inside the rows and the profiles from
+    a cover of the target's prime powers; the scans see every candidate."""
+
+    @pytest.mark.parametrize("text", [
+        (INPUTS / "census_p0.txt").read_text(),
+        (INPUTS / "census_p8.txt").read_text(),
+        (INPUTS / "census_rx840.txt").read_text(),
+        "p[1]=0 p[2]=1 p[3]=1..2 p[4]=2..4 sigma5=0..0 rmax=2..4 filters=none",  # table 7
+        "p[1]=1 p[2]=1 rx=840",  # table 16
+        "p[1]=3..40",
+        "p[1]=2000 p[3]=3",
+        "p[1]=0..3 sigma5=0..0",
+        "p[1]=0..3 sigma5=1..2",
+        "p[1]=0..6 tailmax=4",
+        "p[1]=0..6 tailmax=6",
+        "p[1]=0..60 p[3]=3..40",
+        "p[1]=0..60 p[4]=10..80",
+        "p[1]=0..8 p[3]=0..9 p[4]=5..30 sigma5=1..3 tailmax=11",
+        "p[1]=1 p[2]=3 p[3]=5 p[4]=9",
+        "p[1]=0 p[2]=0 p[3]=0 p[4]=0",
+        "p[1]=1 p[2]=1 p[3]=3 p[4]=2",
+    ])
+    def test_roots_equal_the_scan(self, text):
+        c = parse_constraints(text)
+        rows = _rows(c)
+        roots = [(tuple(triples), lo, hi) for triples, lo, hi in _roots(c, rows)]
+        scanned = {(tuple(triples), lo, hi) for triples, lo, hi in scan_roots(c, rows)}
+        assert len(roots) == len(set(roots))
+        assert set(roots) == scanned
+        # the two records with an empty answer have no root at all
+        assert bool(roots) == (text not in ("p[1]=2000 p[3]=3", "p[1]=1 p[2]=1 p[3]=3 p[4]=2"))
+
+    def test_index_profiles_equal_the_scan(self):
+        # the same list in the same order, for every r_X up to 840 and 2520
+        for target in [*range(1, 841), 2520]:
+            assert _index_profiles(target) == scan_profiles(target), target
+        assert len(_index_profiles(840)) > 0 and _index_profiles(25) == _index_profiles(2 * 23 * 29) == []
 
 
 class TestRoutes:

@@ -812,7 +812,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("reidbaske
                  + [m in sys.modules for m in ("fractions", "hashlib")]))
 """
 _PARSING = ["reidbasket", "reidbasket.cli"]
-_CLASSIFYING = sorted(_PARSING + ["reidbasket.core", "reidbasket.canonical", "reidbasket.classify"])
+_CLASSIFYING = sorted(_PARSING + ["reidbasket.core", "reidbasket.classify"])
 _VERIFYING = sorted(_CLASSIFYING + ["reidbasket.criteria", "reidbasket.fixtures"])
 
 
@@ -837,3 +837,11 @@ def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, fractio
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == [code, loaded, fractions, hashlib]
+
+
+def test_the_fixtures_do_not_load_canonical():
+    # the library itself, not only the CLI: verifying the tables reads the
+    # Farey descent from core
+    code = "import sys, reidbasket.fixtures; print('reidbasket.canonical' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -137,6 +137,30 @@ class TestGrammar:
             parse_rational(bad)
         assert str(info.value) == f"not an exact rational: {bad!r}"
 
+    @pytest.mark.parametrize("text", [
+        "1", "-0", "007", "17/660", "3/04", "0/5", "1/0", "1/-2", "--1", "+1", " 1", "1 ", "1_000",
+        "\u0661\u0662", "0x10", "1.5", "1e5", "1e4301", "", "7" * 4301, "-" + "7" * 4300 + "/3",
+    ], ids=lambda text: text if len(text) < 20 else f"{len(text)} chars")
+    def test_parse_rational_equals_the_fraction_parser(self, text):
+        # ASCII "p" and "p/q" skip Fraction's text parser; every token reads
+        # as it did through it alone: the same value, or the same error
+        def through_fraction(text):
+            try:
+                if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+                    raise ValueError("exponent beyond 4300")
+                return Fraction(text.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"not an exact rational: {text!r}") from exc
+
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                return "error", str(exc)
+            return type(value), value
+
+        assert outcome(parse_rational) == outcome(through_fraction)
+
     def test_counts_are_integer_triples_in_canonical_order(self):
         assert Basket().counts() == []
         assert MIXED.counts() == [(1, 2, 2), (1, 3, 1), (1, 4, 1), (2, 5, 3)]
