@@ -29,10 +29,12 @@ The engine walks the same road the classification arguments do:
 Everything is exact, and the output, sorted once by (P_{-1}, basket), has
 no duplicates.  Every rational ``classify`` reads is a numerator over one
 scale, S = lcm(2..32): gamma, -K^3 and its ends, and the entry costs r -
-1/r of the gamma budget that the roots and the index profiles spend.  A
-unit of P_{-1} moves -K^3 by 2 S and P_{-m} by U[m], so one table
-(``_rows``) and one rule (``_trim``) cut P_{-1} for the roots, the walk,
-the leaves and the route of an exact r_X, ``enumerate_index_profiles``.
+1/r of the gamma budget that the roots and the pair search spend.  A unit
+of P_{-1} moves -K^3 by 2 S and P_{-m} by U[m], so one table (``_rows``)
+and one rule (``_trim``) cut P_{-1} for the roots, the walk, the leaves
+and the route of an exact r_X (``rx=R`` or ``--profiles R``) under any
+filter set: one search over the multisets of coprime pairs whose index
+divides r_X, ``enumerate_index_profiles``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, islice, product
+from itertools import groupby, islice
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -53,7 +55,6 @@ from .core import (
     ClosureTruncated,
     FilterConfig,
     FilterResult,
-    OrbifoldPair,
     WeightedBasket,
     _INT,
     _U,
@@ -65,7 +66,6 @@ from .core import (
     _pair_terms,
     _table,
     _unpack_entry,
-    _unpacked,
     parse_rational,
 )
 
@@ -88,36 +88,15 @@ S = math.lcm(*range(2, TOP + 1))
 _COST = {r: r * S - S // r for r in range(2, 25)}
 
 
-def _multisets(indices: tuple[int, ...], covers: tuple[int, ...] = (), need: int = 0) -> Iterator[tuple[int, ...]]:
-    """Every ascending multiset over ``indices`` whose costs sum to at most 24
-    and whose ``covers``, one bit mask per index, together hold every bit of
-    ``need`` (with no covers: every multiset).
-
-    ``indices`` ascend within 2..24 (each divides S).  The multisets come
-    shortest first, from the empty one; the cost r - 1/r grows with r, so
-    each multiset is extended only by the indices that still fit, and only
-    while the least cost of the bits it still misses fits too.
-    """
-    covers = covers or (0,) * len(indices)
-    # least[i][m]: the least cost of holding the bits m with indices[i:],
-    # past the budget if they cannot; an index taken twice holds no more
-    least = [[0] + [25 * S] * need]
-    for r, cover in zip(indices[::-1], covers[::-1]):
-        after = least[-1]
-        least.append([min(after[m], _COST[r] + after[m & ~cover]) for m in range(need + 1)])
-    least.reverse()
-    # (multiset, position of its last index, budget left, bits missing), extended in turn
-    found = [((), 0, 24 * S, need)]
-    for current, start, budget, missing in found:
-        if not missing:
-            yield current
-        for i in range(start, len(indices)):
-            left = budget - _COST[indices[i]]
-            if left < 0:
-                break
-            rest = missing & ~covers[i]
-            if least[i][rest] <= left:
-                found.append((current + (indices[i],), i, left, rest))
+def _level0(b: int, r: int) -> tuple[int, int, int] | None:
+    """What the level-0 rules of ``admits`` read of one coprime pair: the
+    cost of its level-0 entries over S, how many have r >= 5 (its share of
+    ``sigma5``) and their largest r; None if that r is past 24."""
+    entries = _unpack_entry(b, r, 0)
+    top = max(q for _, q, _ in entries)
+    if top > 24:
+        return None
+    return sum(_COST[q] * k for _, q, k in entries), sum(k for _, q, k in entries if q >= 5), top
 
 
 # the read-only empty default of the plurigenus maps: no instance shares a
@@ -157,8 +136,8 @@ class ClassificationConstraints(_ConstraintFields):
     interval [a, a] is not), P_{-1} is at least 0, ``rx_exact`` and
     ``rx_max`` at least 1, ``tail_max_index`` at least 4 (the level-0
     indices 2..4 are always used) and ``max_visited``, the budget of one
-    ``classify`` call, at least 1: a walk state or a profile candidate
-    spends one unit per P_{-1} of its span.
+    ``classify`` call, at least 1: a walk state or a candidate of the pair
+    search spends one unit per P_{-1} of its span.
     """
 
     __slots__ = ()
@@ -260,15 +239,16 @@ class ClassificationConstraints(_ConstraintFields):
         rules, else None: what ``admits`` reads of the basket alone."""
         if any(math.gcd(b, r) > 1 for b, r, _ in counts):
             return None
-        level0, tail = _unpacked(counts, 0), min(self.tail_max_index, 24)
-        if any(r > tail for _, r, _ in level0) or sum(_COST[r] * k for _, r, k in level0) > 24 * S:
+        level0 = [(_level0(b, r), k) for b, r, k in counts]
+        if any(data is None or data[2] > min(self.tail_max_index, 24) for data, _ in level0):
             return None
-        if self.sigma5 is not None:
-            # sigma5 is a property of the basket itself: the number of
-            # r >= 5 entries of its own level-0 unpacking
-            lo, hi = self.sigma5
-            if not lo <= sum(k for _, r, k in level0 if r >= 5) <= hi:
-                return None
+        # sigma5 is a property of the basket itself: its share sums the
+        # r >= 5 entries of its own level-0 unpacking
+        cost = sum(data[0] * k for data, k in level0)
+        share = sum(data[1] * k for data, k in level0)
+        lo, hi = self.sigma5 or (0, share)
+        if cost > 24 * S or not lo <= share <= hi:
+            return None
         return _chain_state(0, counts, ())[:2]
 
 
@@ -516,7 +496,7 @@ def _walk(roots: Iterable[tuple[_Triples, int, int]], constraints: Classificatio
     use_gamma = constraints.filters.gamma_nonneg
     ceiling = _rmax_ceiling(constraints)
     top = TOP if ceiling is None else min(ceiling, TOP)
-    steps, ends, uses = _merge_steps(top, ms)
+    steps = ends = uses = None  # built for the first root that passes the cut
     leaves: list[tuple] = []
     visited = 0
     counts: dict[tuple, int] = {}
@@ -565,6 +545,8 @@ def _walk(roots: Iterable[tuple[_Triples, int, int]], constraints: Classificatio
         lo, hi = _trim(cut, values, lo, hi, 4)
         if (ceiling is not None and triples and triples[-1][1] > ceiling) or (use_gamma and gamma < 0) or lo > hi:
             continue
+        if steps is None:
+            steps, ends, uses = _merge_steps(top, ms)
         counts.clear()
         counts.update(((b, r), k) for b, r, k in triples)
         level = min(sum(r * k for _, r, k in triples), top)
@@ -588,11 +570,12 @@ def _listing(found: list[tuple[Basket, list[int]]]) -> list[WeightedBasket]:
 
 def classify(constraints: ClassificationConstraints) -> list[WeightedBasket]:
     """The weighted baskets that ``admits`` accepts, sorted by (P_{-1},
-    basket).  An exact ``rx_exact`` with the gamma filter on scans the index
-    profiles of r_X; any other record walks the canonical chain.
-    ``max_visited`` budgets the whole call on either route: ClosureTruncated
-    is raised when it runs out, and a partial answer is never returned."""
-    if constraints.rx_exact is not None and constraints.filters.gamma_nonneg:
+    basket).  An exact ``rx_exact`` searches the coprime pairs whose index
+    divides it (``enumerate_index_profiles``), under any filter set; any
+    other record walks the canonical chain.  ``max_visited`` budgets the
+    whole call on either route: ClosureTruncated is raised when it runs
+    out, and a partial answer is never returned."""
+    if constraints.rx_exact is not None:
         return enumerate_index_profiles(constraints)
     return _classify_walk(constraints)
 
@@ -607,73 +590,82 @@ def _classify_walk(constraints: ClassificationConstraints) -> list[WeightedBaske
 
 
 # ---------------------------------------------------------------------------
-# index-profile enumeration (fixed Gorenstein index)
+# the route of an exact r_X: multisets of coprime pairs whose index divides it
 # ---------------------------------------------------------------------------
 
 def enumerate_index_profiles(constraints: ClassificationConstraints) -> list[WeightedBasket]:
-    """All coprime baskets whose local indices have lcm exactly the record's
-    ``rx_exact``, filtered by the constraint set: every coprime numerator
-    assignment of an index multiset cut down a priori by the gamma budget
-    (``_index_profiles``) is screened by ``admits`` over the P_{-1} that its
-    P_{-2..4} rows leave, as the walk's roots are cut, one step of
-    ``max_visited`` each.  An ``rx_exact`` of 1 stands for the empty basket.
-    """
+    """``classify`` of a record with an exact ``rx_exact`` (1 stands for the
+    empty basket): each candidate of ``_pair_multisets`` goes to the walk's
+    leaf check over the span of P_{-1} that its P_{-2..4} rows leave, as the
+    walk's roots are cut, one step of ``max_visited`` per P_{-1}."""
     if constraints.rx_exact is None:
         raise ValueError("enumerate_index_profiles needs rx_exact, got None")
     p1s, rows, checked, found = constraints.p1_values(), _rows(constraints), 0, []
-    # the empty basket's P_{-0..4} at P_{-1} = 0: zipped with a basket's
-    # tables it sums only their first five columns, and the leaf check sums
-    # the whole table once
-    head = _V[:5]
     check = _leaf_check(constraints, rows)
-    for profile in _index_profiles(constraints.rx_exact):
-        for basket in _numerator_assignments(profile):
-            p = list(map(sum, zip(head, *_basket_terms(basket))))
-            lo, hi = _trim(rows[2:5], p[2:], p1s.start, p1s.stop - 1, 4)
-            checked += max(hi - lo + 1, 0)
-            if checked > constraints.max_visited:
-                raise _truncated(constraints)
-            counts = basket.counts()
-            if lo <= hi and (state := constraints._basket_state(counts)) is not None:
-                found.append((basket, check(counts, *state, lo, hi)))
+    for triples in _pair_multisets(constraints):
+        values = [_V[m] + sum(k * _pair_terms(b, r)[m] for b, r, k in triples) for m in (2, 3, 4)]
+        lo, hi = _trim(rows[2:5], values, p1s.start, p1s.stop - 1, 4)
+        checked += max(hi - lo + 1, 0)
+        if checked > constraints.max_visited:
+            raise _truncated(constraints)
+        if lo <= hi and (admitted := check(triples, *_chain_state(0, triples, ())[:2], lo, hi)):
+            found.append((_basket(triples), admitted))
     return _listing(found)
 
 
-def _index_profiles(lcm_target: int) -> list[tuple[int, ...]]:
-    """Index multisets with lcm exactly ``lcm_target`` and Sigma(r - 1/r) <= 24.
-
-    Each index divides the target and is at most 24 (gamma >= 0), and the
-    lcm is the target exactly when each prime power of the target divides an
-    index: ``_multisets`` covers them, one bit each, shortest multiset
-    first.  Each profile lists its indices in descending order.
-    """
-    divisors = tuple(d for d in range(2, min(lcm_target, 24) + 1) if lcm_target % d == 0)
-    if math.lcm(*divisors) != lcm_target:
-        return []
-    # a divisor that divides what is left is a prime: its smaller factors are gone
-    powers, rest = [], lcm_target
-    for p in divisors:
+def _pair_multisets(constraints: ClassificationConstraints) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Every multiset of coprime pairs whose indices, each at most the r_max
+    ceiling and TOP (the level-0 Sigma r), have lcm ``rx_exact`` and that
+    meets the level-0 rules of ``admits``, as (b, r, multiplicity) triples
+    ascending in (r, b).  It spends the budget 24 S: each pair's r S - S/r
+    under the gamma filter, else its level-0 cost (never more: gamma falls
+    along packing).  The lcm is r_X when each prime power of r_X divides an
+    index, one cover bit each: a multiset grows only while the least cost
+    of the bits it still misses fits."""
+    rx = constraints.rx_exact
+    indices = [r for r in range(2, min(_rmax_ceiling(constraints), TOP) + 1) if rx % r == 0]
+    if math.lcm(*indices) != rx:
+        return
+    # an index that divides what is left is a prime: its smaller factors are gone
+    powers, rest = [], rx
+    for p in indices:
         power = 1
         while rest % p == 0:
             rest, power = rest // p, power * p
         if power > 1:
             powers.append(power)
-    covers = tuple(sum(1 << j for j, q in enumerate(powers) if d % q == 0) for d in divisors)
-    return [m[::-1] for m in _multisets(divisors, covers, (1 << len(powers)) - 1)]
-
-
-def _numerator_assignments(profile: tuple[int, ...]):
-    """All coprime (b, r) choices over an index multiset, deduplicated."""
-    per_group: list[list[tuple[OrbifoldPair, ...]]] = []
-    for r, group in groupby(sorted(profile)):
-        options = [
-            OrbifoldPair(b, r)
-            for b in range(1, r // 2 + 1)
-            if math.gcd(b, r) == 1
-        ]
-        per_group.append(list(combinations_with_replacement(options, len(list(group)))))
-    for chosen in product(*per_group):
-        yield Basket([p for combo in chosen for p in combo])
+    tail, use_gamma = min(constraints.tail_max_index, 24), constraints.filters.gamma_nonneg
+    s5lo, s5hi = constraints.sigma5 or (0, math.inf)
+    covers = [sum(1 << j for j, q in enumerate(powers) if r % q == 0) for r in indices]
+    pairs, cheapest = [], [25 * S] * len(indices)
+    for i, r in enumerate(indices):
+        for b in range(1, r // 2 + 1):
+            if math.gcd(b, r) == 1 and (level0 := _level0(b, r)) is not None and level0[2] <= tail:
+                pairs.append((b, r, r * S - S // r if use_gamma else level0[0], level0[1], i))
+                cheapest[i] = min(cheapest[i], pairs[-1][2])
+    # least[i][m]: the least cost of the bits m with indices[i:], past the
+    # budget if they cannot; an index taken twice holds no more
+    need = (1 << len(powers)) - 1
+    least = [[0] + [25 * S] * need]
+    for cost, cover in zip(cheapest[::-1], covers[::-1]):
+        after = least[-1]
+        least.append([min(after[m], cost + after[m & ~cover]) for m in range(need + 1)])
+    least.reverse()
+    # (multiset, position of the next pair, budget left, bits missing, sigma5 share)
+    stack = [((), 0, 24 * S, need, 0)]
+    while stack:
+        triples, start, budget, missing, share = stack.pop()
+        if not missing and share >= s5lo:
+            yield triples
+        for j in range(start, len(pairs)):
+            b, r, cost, own, i = pairs[j]
+            if least[i][missing] > budget:
+                break
+            # the other pairs of index r hold no bit that this one does not
+            rest, k, left = missing & ~covers[i], 1, budget - cost
+            while left >= least[i + 1][rest] and share + k * own <= s5hi:
+                stack.append((triples + ((b, r, k),), j + 1, left, rest, share + k * own))
+                k, left = k + 1, left - cost
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import reidbasket
+from reidbasket.classify import _COST, S, _pair_multisets, parse_constraints
 from reidbasket.core import Basket, OrbifoldPair
 
 
@@ -75,6 +76,42 @@ def all_coprime_baskets(max_sum_r: int) -> list[Basket]:
 
     rec(0, max_sum_r, [])
     return results
+
+
+def scan_multisets(indices):
+    """Every ascending multiset over ``indices`` within the gamma budget,
+    shortest first, extended by every index that still fits: over 2..24,
+    the 2,152 level-0 baskets."""
+    found = [((), 0, 24 * S)]
+    for current, start, budget in found:
+        yield current
+        for i in range(start, len(indices)):
+            left = budget - _COST[indices[i]]
+            if left < 0:
+                break
+            found.append((current + (indices[i],), i, left))
+
+
+def candidate_profiles(lcm_target: int) -> dict[tuple[int, ...], int]:
+    """The index multisets, descending, of the candidates that the search of
+    an exact r_X = ``lcm_target`` yields under the gamma filter alone, each
+    with the number of candidates that have it."""
+    c = parse_constraints(f"p[1]=0 rx={lcm_target} filters=gamma")
+    profiles: dict[tuple[int, ...], int] = {}
+    for triples in _pair_multisets(c):
+        profile = tuple(sorted((r for _, r, k in triples for _ in range(k)), reverse=True))
+        profiles[profile] = profiles.get(profile, 0) + 1
+    return profiles
+
+
+def numerator_assignments(profile: tuple[int, ...]) -> int:
+    """How many coprime baskets have the index multiset ``profile``: per
+    index r taken k times, the multisets of k of its numerators b <= r/2."""
+    count = 1
+    for r in set(profile):
+        numerators = sum(math.gcd(b, r) == 1 for b in range(1, r // 2 + 1))
+        count *= math.comb(numerators + profile.count(r) - 1, profile.count(r))
+    return count
 
 
 @pytest.fixture(scope="session")

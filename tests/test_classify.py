@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_coprime_baskets
+from conftest import all_coprime_baskets, candidate_profiles, numerator_assignments, scan_multisets
 import reidbasket.classify as classify_module
 from reidbasket.canonical import (
     canonical_sequence,
@@ -25,16 +25,15 @@ from reidbasket.canonical import (
     unpack,
 )
 from reidbasket.classify import (
-    _COST,
     _FILTER_FIELDS,
     S,
     TOP,
     ClassificationConstraints,
     _chain_state,
     _classify_walk,
-    _index_profiles,
     _leaf_check,
     _merge_steps,
+    _pair_multisets,
     _roots,
     _rows,
     _trim,
@@ -519,8 +518,7 @@ class TestOneP1Rule:
         # the scan spends one step per candidate basket and P_{-1} at which
         # its P_{-2..4} are >= 0; counted here by the kernel
         c = parse_constraints("p[1]=0..3 rx=60")
-        candidates = [b for profile in classify_module._index_profiles(60)
-                      for b in classify_module._numerator_assignments(profile)]
+        candidates = [B(*((b, r) for b, r, k in triples for _ in range(k))) for triples in _pair_multisets(c)]
         spent = [sum(min(plurigenus_sequence(WeightedBasket(b, p1), 4)[2:]) >= 0 for b in candidates)
                  for p1 in c.p1_values()]
         assert sum(spent) == 1224
@@ -590,6 +588,10 @@ class TestIndexProfiles:
     @pytest.mark.parametrize("text, candidates", [
         ((INPUTS / "census_rx840.txt").read_text(), 5), ("p[1]=0..3 rx=60", 1224),
         ("p[1]=0..3000 p[2]=1 rx=60", 78),
+        # without the gamma filter: 27 of the 109 are listed
+        ("p[1]=0..2 rx=840 filters=none k3=(0,1)", 109),
+        # the r_max ceiling cuts the search: 1,224 without it
+        ("p[1]=0..3 rx=60 rmax=2..5", 505),
     ])
     def test_the_budget_counts_the_candidates(self, text, candidates):
         # each (basket, P_{-1}) checked is one step of the call's budget, at
@@ -626,20 +628,11 @@ ROOT_RULE_SETS = ("p[1]=0..3 rx=12 tailmax=4", "p[1]=0..3 rx=60 tailmax=5", "p[1
 WIDE_P1_SETS = (
     "p[1]=0..3000 p[2]=1 rx=60", "p[1]=0..3000 p[2]=2..10 rx=840", "p[1]=0..3000 p[2]=0..5 p[3]=3..8 rx=12",
 )
-
-
-def scan_multisets(indices):
-    """Every ascending multiset over ``indices`` within the gamma budget,
-    shortest first, extended by every index that still fits: the reference
-    for ``_multisets``' order."""
-    found = [((), 0, 24 * S)]
-    for current, start, budget in found:
-        yield current
-        for i in range(start, len(indices)):
-            left = budget - _COST[indices[i]]
-            if left < 0:
-                break
-            found.append((current + (indices[i],), i, left))
+# rx= sets without the gamma filter: the level-0 cost is the search's budget
+FILTER_SETS = (
+    "p[1]=0..2 rx=840 filters=none", "p[1]=0..4 p[2]=0..1 rx=840 filters=none", "p[1]=0..3 rx=30 filters=none",
+    "p[1]=0..2 rx=12 rmax=2..4 filters=none", "p[1]=1 rx=840 filters=volume,index",
+)
 
 
 def scan_roots(constraints, rows):
@@ -660,8 +653,8 @@ def scan_roots(constraints, rows):
 
 
 def scan_profiles(lcm_target):
-    """``_index_profiles`` the long way: the lcm filter over every multiset
-    of the target's divisors up to 24 in the budget."""
+    """The index multisets of an exact r_X the long way: the lcm filter over
+    every multiset of the target's divisors up to 24 in the budget."""
     divisors = tuple(d for d in range(2, min(lcm_target, 24) + 1) if lcm_target % d == 0)
     return [m[::-1] for m in scan_multisets(divisors) if math.lcm(*m) == lcm_target]
 
@@ -700,21 +693,25 @@ class TestCandidatesAgainstScans:
         assert bool(roots) == (text not in ("p[1]=2000 p[3]=3", "p[1]=1 p[2]=1 p[3]=3 p[4]=2"))
 
     def test_index_profiles_equal_the_scan(self):
-        # the same list in the same order, for every r_X up to 840 and 2520
+        # the search's candidates under the gamma filter have the scan's
+        # index multisets, each once per coprime numerator assignment, for
+        # every r_X up to 840 and 2520
         for target in [*range(1, 841), 2520]:
-            assert _index_profiles(target) == scan_profiles(target), target
-        assert len(_index_profiles(840)) > 0 and _index_profiles(25) == _index_profiles(2 * 23 * 29) == []
+            got = candidate_profiles(target)
+            assert sorted(got) == sorted(scan_profiles(target)), target
+            assert all(count == numerator_assignments(profile) for profile, count in got.items()), target
+        assert candidate_profiles(840) and candidate_profiles(25) == candidate_profiles(2 * 23 * 29) == {}
 
 
 class TestRoutes:
-    """``classify`` scans the index profiles of an exact rx= under the gamma
-    filter and walks the canonical chain on any other record; the walk is
-    the profile route's oracle."""
+    """``classify`` searches the coprime pairs of an exact rx= under any
+    filter set and walks the canonical chain on any other record; the walk
+    is the pair route's oracle."""
 
     @pytest.mark.parametrize("text, route", [
         ("p[1]=1 rx=840", ("profiles", 840)),
         ("p[1]=1 rx=12 filters=gamma", ("profiles", 12)),
-        ("p[1]=1 rx=840 filters=volume,index", "walk"),
+        ("p[1]=1 rx=840 filters=volume,index", ("profiles", 840)),
         ("p[1]=1 rx<=840", "walk"),
         ("p[1]=1", "walk"),
     ])
@@ -741,7 +738,7 @@ class TestRoutes:
             listed += bool(found)
         assert listed > 50
 
-    @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS + WIDE_P1_SETS)
+    @pytest.mark.parametrize("text", ITEM7_SETS + ROOT_RULE_SETS + WIDE_P1_SETS + FILTER_SETS)
     def test_walk_equals_the_profiles(self, text):
         c = parse_constraints(text)
         assert _classify_walk(c) == enumerate_index_profiles(c)
@@ -1090,6 +1087,15 @@ class TestChainWalk:
                     assert invariants_over_s(built(p1, triples), ms) == (gamma, volume + 2 * p1 * S, moved)
                     checked += 1
         assert checked > 0
+
+    def test_a_record_with_no_root_builds_no_merge_table(self, monkeypatch):
+        # the merges are built for the first root that passes the cut
+        built = []
+        merge_steps = classify_module._merge_steps
+        monkeypatch.setattr(classify_module, "_merge_steps", lambda *args: built.append(args) or merge_steps(*args))
+        for text in ("p[1]=2000 p[3]=3", "p[1]=1 p[2]=1 p[3]=3 p[4]=2"):
+            assert classify(parse_constraints(text)) == [] and built == [], text
+        assert classify(parse_constraints("p[1]=1 p[2]=1 p[8]=2")) and built == [(24, (8,))]
 
     def test_chain_state_reads_the_built_basket(self):
         # on both sides of every merge, and on every root of the census sets,

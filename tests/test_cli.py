@@ -825,9 +825,11 @@ _VERIFYING = sorted(_CLASSIFYING + ["reidbasket.criteria", "reidbasket.fixtures"
     (["pack", "--basket", "(2,5)"], 0,
      sorted(_PARSING + ["reidbasket.core", "reidbasket.packing"]), True, False),
     (["classify", "--constraints", str(BENCH / "inputs" / "census_p8.txt")], 0, _CLASSIFYING, True, False),
+    (["classify", "--constraints", str(BENCH / "inputs" / "census_rx840.txt"), "--profiles", "840"], 0,
+     _CLASSIFYING, True, False),
     (["verify", "--all", "--jobs", "1"], 0, _VERIFYING, True, False),
     (["verify", "--manifest"], 0, _VERIFYING, True, True),
-], ids=["help", "usage-error", "eval", "canonical", "pack", "classify", "verify-all",
+], ids=["help", "usage-error", "eval", "canonical", "pack", "classify", "classify-profiles", "verify-all",
         "verify-manifest"])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, fractions, hashlib):
     # without a bytecode cache every module loaded is compiled from source,

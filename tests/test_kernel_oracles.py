@@ -20,14 +20,12 @@ import pytest
 
 import reidbasket.classify as classify_module
 import reidbasket.core as core_module
-from conftest import random_basket
+from conftest import candidate_profiles, numerator_assignments, random_basket, scan_multisets
 from reidbasket.canonical import b0_from_plurigenera, unpack
 from reidbasket.classify import (
     ClassificationConstraints,
     S,
     _chain_state,
-    _index_profiles,
-    _multisets,
     _roots,
     _rows,
     _trim,
@@ -947,7 +945,7 @@ def reference_root_set(constraints) -> set:
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
     windows = [(m, *constraints.p_bounds(m)) for m in (2, 3, 4)]
     roots = set()
-    for entries in _multisets(tuple(range(2, 25))):
+    for entries in scan_multisets(tuple(range(2, 25))):
         tail = [r for r in entries if r >= 5]
         if any(r > constraints.tail_max_index for r in tail) or not s5lo <= len(tail) <= s5hi:
             continue
@@ -981,8 +979,8 @@ def reference_profiles(lcm_target: int) -> list[tuple[int, ...]]:
 
 
 class TestIntegerGammaBudgets:
-    """``_multisets`` spends gamma in integers scaled by S = lcm(2..32) for
-    the roots and the profiles; the references spend it in Fractions."""
+    """The roots and the search of an exact r_X spend gamma in integers
+    scaled by S = lcm(2..32); the references spend it in Fractions."""
 
     def test_tails_match_fraction_reference_on_census_tuples(self):
         # whole root lists, tuples and order included, and per root its
@@ -1038,13 +1036,13 @@ class TestIntegerGammaBudgets:
         assert b0_from_plurigenera(0, 6, 13, 31) == sixteen
         assert reference_root_gamma(16, 0, 0, {}) == 0
         # one (1,2) more and nothing is left
-        universe = list(_multisets(tuple(range(2, 25))))
+        universe = list(scan_multisets(tuple(range(2, 25))))
         assert (2,) * 16 in universe and (2,) * 17 not in universe
         assert reference_root_gamma(17, 0, 0, {}) < 0
 
     def test_multiset_universe(self):
         # every level-0 basket with gamma >= 0, the empty one first
-        universe = list(_multisets(tuple(range(2, 25))))
+        universe = list(scan_multisets(tuple(range(2, 25))))
         assert len(universe) == len(set(universe)) == 2152
         assert universe[0] == () and max(map(len, universe)) == 16
         assert all(list(m) == sorted(m) for m in universe)
@@ -1059,12 +1057,19 @@ class TestIntegerGammaBudgets:
 
     @pytest.mark.parametrize("lcm_target", [12, 60, 420, 660, 840])
     def test_profiles_match_fraction_reference(self, lcm_target):
-        got = _index_profiles(lcm_target)
+        # the index multisets of the search's full-cover candidates, each
+        # once per coprime numerator assignment
+        got = candidate_profiles(lcm_target)
         assert sorted(got) == reference_profiles(lcm_target)
-        assert all(list(p) == sorted(p, reverse=True) for p in got)
+        assert all(count == numerator_assignments(profile) for profile, count in got.items())
 
     def test_profile_spending_the_whole_budget(self):
-        # 12 + 4 + 3 + 3 + 2 + 2 - (1/12 + 1/4 + 2/3 + 1) = 24
-        profile = (12, 4, 3, 3, 2, 2)
-        assert sum(d - Fraction(1, d) for d in profile) == 24
-        assert profile in _index_profiles(12)
+        # 12 + 4 + 3 + 3 + 2 + 2 - (1/12 + 1/4 + 2/3 + 1) = 24: gamma = 0
+        basket = Basket.of((1, 12), (1, 4), (1, 3), (1, 3), (1, 2), (1, 2))
+        assert reference_gamma(basket) == 0
+        c = parse_constraints("p[1]=0 rx=12 filters=gamma")
+        candidates = [Basket.of(*((b, r) for b, r, k in triples for _ in range(k)))
+                      for triples in classify_module._pair_multisets(c)]
+        assert basket in candidates
+        # with (5,12) in place of (1,12): gamma reads the indices alone
+        assert candidate_profiles(12)[(12, 4, 3, 3, 2, 2)] == 2
