@@ -621,7 +621,9 @@ def _pair_multisets(constraints: ClassificationConstraints) -> Iterator[tuple[tu
     under the gamma filter, else its level-0 cost (never more: gamma falls
     along packing).  The lcm is r_X when each prime power of r_X divides an
     index, one cover bit each: a multiset grows only while the least cost
-    of the bits it still misses fits."""
+    of the bits it still misses fits.  Every pair adds at least 1 to each
+    of P_{-2..4}, so a multiset past an upper end of theirs at the least
+    P_{-1} is cut with every extension: its span of P_{-1} is empty."""
     rx = constraints.rx_exact
     indices = [r for r in range(2, min(_rmax_ceiling(constraints), TOP) + 1) if rx % r == 0]
     if math.lcm(*indices) != rx:
@@ -637,34 +639,54 @@ def _pair_multisets(constraints: ClassificationConstraints) -> Iterator[tuple[tu
     tail, use_gamma = min(constraints.tail_max_index, 24), constraints.filters.gamma_nonneg
     s5lo, s5hi = constraints.sigma5 or (0, math.inf)
     covers = [sum(1 << j for j, q in enumerate(powers) if r % q == 0) for r in indices]
+    need = (1 << len(powers)) - 1
+
+    def cover_table(cheapest: list[int]) -> list[list[int]]:
+        # least[i][m]: the least cost of the bits m with indices[i:], past
+        # the budget if they cannot; an index taken twice holds no more
+        least = [[0] + [25 * S] * need]
+        for cost, cover in zip(cheapest[::-1], covers[::-1]):
+            after = least[-1]
+            least.append([min(after[m], cost + after[m & ~cover]) for m in range(need + 1)])
+        return least[::-1]
+
+    # under the gamma filter every pair of index r costs r S - S/r: a cover
+    # that does not fit at those costs needs no pair read
+    if use_gamma and cover_table([r * S - S // r for r in indices])[0][need] > 24 * S:
+        return
+    # the room under the upper ends of P_{-2..4} at the least P_{-1}; each pair narrows it
+    p1 = constraints.p1_values().start
+    ms = [m for m in (2, 3, 4) if constraints.p_bounds(m)[1] is not None]
+    room = tuple(constraints.p_bounds(m)[1] - _V[m] - p1 * _U[m] for m in ms)
+    if min(room, default=0) < 0:
+        return
     pairs, cheapest = [], [25 * S] * len(indices)
     for i, r in enumerate(indices):
         for b in range(1, r // 2 + 1):
             if math.gcd(b, r) == 1 and (level0 := _level0(b, r)) is not None and level0[2] <= tail:
-                pairs.append((b, r, r * S - S // r if use_gamma else level0[0], level0[1], i))
-                cheapest[i] = min(cheapest[i], pairs[-1][2])
-    # least[i][m]: the least cost of the bits m with indices[i:], past the
-    # budget if they cannot; an index taken twice holds no more
-    need = (1 << len(powers)) - 1
-    least = [[0] + [25 * S] * need]
-    for cost, cover in zip(cheapest[::-1], covers[::-1]):
-        after = least[-1]
-        least.append([min(after[m], cost + after[m & ~cover]) for m in range(need + 1)])
-    least.reverse()
-    # (multiset, position of the next pair, budget left, bits missing, sigma5 share)
-    stack = [((), 0, 24 * S, need, 0)]
+                cost, shares = r * S - S // r if use_gamma else level0[0], _pair_terms(b, r) if ms else ()
+                pairs.append((b, r, cost, level0[1], i, tuple(map(shares.__getitem__, ms))))
+                cheapest[i] = min(cheapest[i], cost)
+    least = cover_table(cheapest)
+    # (multiset, position of the next pair, budget left, bits missing, sigma5 share, room)
+    stack = [((), 0, 24 * S, need, 0, room)]
     while stack:
-        triples, start, budget, missing, share = stack.pop()
+        triples, start, budget, missing, share, room = stack.pop()
         if not missing and share >= s5lo:
             yield triples
         for j in range(start, len(pairs)):
-            b, r, cost, own, i = pairs[j]
+            b, r, cost, own, i, adds = pairs[j]
             if least[i][missing] > budget:
                 break
             # the other pairs of index r hold no bit that this one does not
             rest, k, left = missing & ~covers[i], 1, budget - cost
+            after = room
             while left >= least[i + 1][rest] and share + k * own <= s5hi:
-                stack.append((triples + ((b, r, k),), j + 1, left, rest, share + k * own))
+                if ms:
+                    after = tuple(map(sub, after, adds))
+                    if min(after) < 0:
+                        break
+                stack.append((triples + ((b, r, k),), j + 1, left, rest, share + k * own, after))
                 k, left = k + 1, left - cost
 
 

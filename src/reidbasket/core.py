@@ -38,9 +38,9 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, groupby, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from operator import add, attrgetter, ge, itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "OrbifoldPair",
@@ -106,8 +106,8 @@ class OrbifoldPair(_Frozen):
             raise ValueError(f"pair ({b},{r}): r must be >= 2")
         if 2 * b > r:
             raise ValueError(f"pair ({b},{r}): needs 2b <= r")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
+        _SET_B(self, b)
+        _SET_R(self, r)
 
     def __reduce__(self):
         return (OrbifoldPair, (self.b, self.r))
@@ -213,6 +213,7 @@ class Basket(_Frozen):
 _SET_ENTRIES = Basket.entries.__set__
 _SET_HASH = Basket._hash.__set__
 _SET_INTS = Basket._ints.__set__
+_SET_B, _SET_R = OrbifoldPair.b.__set__, OrbifoldPair.r.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,8 @@ def parse_basket(text: str) -> Basket:
             raise BasketSyntaxError(
                 f"bad basket item at {text[pos:pos + 20]!r} (expected '[Nx](b,r)')"
             )
-        mult = int(m.group(1)) if m.group(1) else 1
+        mult, b, r = m.groups()
+        mult = int(mult) if mult else 1
         if mult < 1:
             raise BasketSyntaxError(f"bad multiplicity in {m.group(0).strip()!r}")
         total += mult
@@ -369,9 +371,8 @@ def parse_basket(text: str) -> Basket:
                 f"too many basket entries at {m.group(0).strip()!r} "
                 f"(at most {MAX_BASKET_ENTRIES} in all)"
             )
-        b, r = int(m.group(2)), int(m.group(3))
         try:
-            pair = OrbifoldPair(b, r)
+            pair = OrbifoldPair(int(b), int(r))
         except ValueError as exc:
             raise BasketSyntaxError(str(exc)) from exc
         pairs.extend([pair] * mult)
@@ -391,9 +392,12 @@ def format_basket(basket: Basket) -> str:
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Serialize exactly: "p/q" in lowest terms, plain "p" for integers."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """Serialize exactly: "p/q" in lowest terms, plain "p" for integers; an
+    int or a Fraction is read as it is, any other input through Fraction."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -559,10 +563,13 @@ _V = tuple(2 * (m - 1) - 3 * (_U[m] - 1) if m else 0 for m in range(FILTER_HORIZ
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_terms(b: int, r: int) -> tuple[int, ...]:
-    """T_{b,r}[0..FILTER_HORIZON]: one pair's share of every P_{-m}."""
-    total, out = 0, [0]
+    """T_{b,r}[0..FILTER_HORIZON]: one pair's share of every P_{-m}, with
+    its Delta^j read as ``_delta`` reads it."""
+    total, out, bj = 0, [0], 0
     for j in range(1, FILTER_HORIZON + 1):
-        total += b * (j * (j - 1) // 2) - _delta(((b, r, 1),), j)
+        bj += b
+        s = bj % r
+        total += b * (j * (j - 1) // 2) - (s * (r - s) - bj * (r - bj)) // (2 * r)
         out.append(total)
     return tuple(out)
 
@@ -724,18 +731,38 @@ class FilterResult(_Frozen):
                  rmax: int, p: list[int]) -> None:
         for put, value in zip(_PUT, (config, volume, gamma, den, rx, rmax, p)):
             put(self, value)
-        _SET_OK(self, not any(failed(self) for _, failed, _ in compress(_CHECKS, config)))
+        _SET_OK(self, next(self._failed(), None) is None)
 
-    def _failed(self) -> Iterator[tuple[str, Callable[[FilterResult], str]]]:
-        return ((name, word) for name, failed, word in compress(_CHECKS, self._config) if failed(self))
+    def _failed(self) -> Iterator[str]:
+        """The fields of the enabled checks these integers fail, in
+        ``FilterConfig`` order: each rule, once."""
+        c, volume, rx, rmax, p = self._config, self._volume, self._rx, self._rmax, self._p
+        if c.volume_positive and volume <= 0:
+            yield "volume_positive"
+        if c.min_volume and 330 * volume < self._den:
+            yield "min_volume"
+        if c.gamma_nonneg and self._gamma < 0:
+            yield "gamma_nonneg"
+        if c.rmax_le_24 and rmax > 24:
+            yield "rmax_le_24"
+        if c.index_bound and rx > 660 and (rx != 840 or rmax != 8):
+            yield "index_bound"
+        if c.integrality and min(p) < 0:
+            yield "integrality"
+        if c.p_positive_from_6 and min(p[6:]) < 1:
+            yield "p_positive_from_6"
+        if c.p8_at_least_2 and p[8] < 2:
+            yield "p8_at_least_2"
+        if c.superadditivity and _superadditivity_failure(p) is not None:
+            yield "superadditivity"
 
     @property
     def failures(self) -> tuple[str, ...]:
-        return tuple(f"{name}: {word(self)}" for name, word in self._failed())
+        return tuple(f"{name}: {_CHECKS[name](self)}" for name in self._failed())
 
     @property
     def first_failure(self) -> str | None:
-        return next((f"{name}: {word(self)}" for name, word in self._failed()), None)
+        return next((f"{name}: {_CHECKS[name](self)}" for name in self._failed()), None)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -756,20 +783,18 @@ class FilterResult(_Frozen):
 _SET_OK, *_PUT = [getattr(FilterResult, name).__set__ for name in FilterResult.__slots__]
 
 
-# The checks in ``FilterConfig`` field order, each once: its field, whether
-# a FilterResult's integers fail it, and the wording of that failure
-_CHECKS = (
-    ("volume_positive", lambda f: f._volume <= 0, lambda f: f"-K^3 = {f._over(f._volume)} <= 0"),
-    ("min_volume", lambda f: 330 * f._volume < f._den, lambda f: f"-K^3 = {f._over(f._volume)} < 1/330"),
-    ("gamma_nonneg", lambda f: f._gamma < 0, lambda f: f"gamma = {f._over(f._gamma)} < 0"),
-    ("rmax_le_24", lambda f: f._rmax > 24, lambda f: f"r_max = {f._rmax}"),
-    ("index_bound", lambda f: f._rx > 660 and (f._rx != 840 or f._rmax != 8),
-     lambda f: f"r_X = {f._rx}" if f._rx != 840 else f"r_X = 840 needs r_max = 8, got {f._rmax}"),
-    ("integrality", lambda f: min(f._p) < 0, lambda f: f._first_below(1, 0)),
-    ("p_positive_from_6", lambda f: min(f._p[6:]) < 1, lambda f: f._first_below(6, 1)),
-    ("p8_at_least_2", lambda f: f._p[8] < 2, lambda f: f"P[-8] = {f._p[8]}"),
-    ("superadditivity", lambda f: _superadditivity_failure(f._p) is not None, FilterResult._superadditivity),
-)
+# The wording of each check's failure, by its ``FilterConfig`` field
+_CHECKS = {
+    "volume_positive": lambda f: f"-K^3 = {f._over(f._volume)} <= 0",
+    "min_volume": lambda f: f"-K^3 = {f._over(f._volume)} < 1/330",
+    "gamma_nonneg": lambda f: f"gamma = {f._over(f._gamma)} < 0",
+    "rmax_le_24": lambda f: f"r_max = {f._rmax}",
+    "index_bound": lambda f: f"r_X = {f._rx}" if f._rx != 840 else f"r_X = 840 needs r_max = 8, got {f._rmax}",
+    "integrality": lambda f: f._first_below(1, 0),
+    "p_positive_from_6": lambda f: f._first_below(6, 1),
+    "p8_at_least_2": lambda f: f"P[-8] = {f._p[8]}",
+    "superadditivity": FilterResult._superadditivity,
+}
 
 
 def geometric_filter(wb: WeightedBasket, config: FilterConfig = FilterConfig()) -> FilterResult:

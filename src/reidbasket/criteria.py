@@ -112,19 +112,24 @@ def floor_plus_sqrt(mu: Fraction | int, v: Fraction | int) -> int:
 def lambda_of(m_big: int, rx: int) -> Fraction:
     """lambda(M) = M for M <= 3, else
     max{3, M/r_X, 2*floor(sqrt(M/2)), M/ceil(sqrt(M/2))}.
+
+    Read on integers: floor(sqrt(M/2)) is isqrt(M // 2), the ceiling
+    follows from it, and the largest candidate is picked by
+    cross-multiplication, so one Fraction is built.
     """
     if m_big < 1:
         raise ValueError("lambda_of needs M >= 1")
+    if rx < 1:
+        raise ValueError("lambda_of needs r_X >= 1")
     if m_big <= 3:
         return Fraction(m_big)
-    half = Fraction(m_big, 2)
-    lo, hi = floor_sqrt(half), ceil_sqrt(half)
-    return max(
-        Fraction(3),
-        Fraction(m_big, rx),
-        Fraction(2 * lo),
-        Fraction(m_big, hi),
-    )
+    lo = math.isqrt(m_big // 2)
+    hi = lo if 2 * lo * lo == m_big else lo + 1
+    num, den = max(3, 2 * lo), 1
+    for d in (rx, hi):
+        if m_big * den > num * d:
+            num, den = m_big, d
+    return Fraction(num, den)
 
 
 def theta(m_big: int, rx: int, n_part: int) -> Fraction:
@@ -309,7 +314,7 @@ class CriterionInputs(_CriterionFields):
         cls, k3: Fraction, rx: int, rmax: int, m_big: int, m0: int, m1: int,
         mu0: Fraction, nu0: int = 1, n0: int | None = None,
     ) -> "CriterionInputs":
-        if m_big != rx * k3:
+        if m_big * k3.denominator != rx * k3.numerator:
             raise ValueError("M must equal r_X * (-K^3) exactly")
         if m1 < m0:
             raise ValueError("m1 >= m0 is required")
@@ -346,18 +351,20 @@ def birational_bound_b(inputs: CriterionInputs, case: int) -> int:
                 floor(mu0) + m1 + 2 r_max}
     case 3: max{m0 + m1 + a(m0), floor(mu0) + m1 + 2 nu0 r_max}
     """
-    m0, m1, mu0 = inputs.m0, inputs.m1, inputs.mu0
+    m0, m1 = inputs.m0, inputs.m1
+    # every floor is a floor division of mu0's numerator and denominator
+    num, den = inputs.mu0.numerator, inputs.mu0.denominator
     base = m0 + m1 + inputs.a_m0
     if case == 1:
-        return max(base, math.floor(3 * mu0) + 3 * m1)
+        return max(base, 3 * num // den + 3 * m1)
     if case == 2:
         return max(
             base,
-            math.floor(Fraction(5, 3) * mu0 + Fraction(5, 3) * m1),
-            math.floor(mu0) + m1 + 2 * inputs.rmax,
+            5 * (num + m1 * den) // (3 * den),
+            num // den + m1 + 2 * inputs.rmax,
         )
     if case == 3:
-        return max(base, math.floor(mu0) + m1 + 2 * inputs.nu0 * inputs.rmax)
+        return max(base, num // den + m1 + 2 * inputs.nu0 * inputs.rmax)
     raise ValueError(f"case must be 1, 2 or 3, got {case}")
 
 
@@ -528,7 +535,9 @@ def table_pipeline(wb: WeightedBasket, policy: PipelinePolicy = PipelinePolicy()
     branches refine the bound under finer pencil assumptions.  The basket
     is read once, by the filter: its M = r_X * (-K^3), r_X and P_{-1..24}
     feed the n1 scan, m0 and nu0 (at most 8, as P_{-8} >= 2 passed) and
-    -K^3.  r_max follows the same rule as ``for_weighted_basket``.
+    -K^3.  r_max follows the same rule as ``for_weighted_basket``.  Every
+    step reads integers; the only Fractions built are the ones the report
+    returns: -K^3, lambda and each branch's mu0'.
     """
     check = geometric_filter(wb)
     if not check.ok:

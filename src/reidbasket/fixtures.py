@@ -17,10 +17,14 @@ tables:
                   rest of its own row; v is the value forced by the row
                   (reported as a known discrepancy, not a failure).
 
-The harness recomputes every comparable cell from scratch and diffs; a
-``classify`` table lists baskets only, and is diffed both ways against
-``classify`` on its ``# constraints:`` line.  Fixture integrity is pinned
-by a SHA-256 manifest; the directory can be overridden with the
+The harness recomputes every comparable cell from scratch and diffs.  A
+cell equals its recomputed value when it is the value's canonical text
+(``format_rational``: "p/q" in lowest terms, "p" for an integer), as every
+bundled cell is; any other spelling ("2/4", "0.5") is read by
+``parse_rational`` and compared exactly.  A ``classify`` table lists
+baskets only, and is diffed both ways against ``classify`` on its
+``# constraints:`` line.  Fixture integrity is pinned by a SHA-256
+manifest; the directory can be overridden with the
 ``REID_BASKET_FIXTURES`` environment variable.
 """
 
@@ -148,6 +152,9 @@ def load_table(table_id: int) -> TableFixture | None:
         if not line.strip():
             continue
         if line.startswith("#"):
+            # the rows are read under the kind the header gives
+            if rows:
+                raise ValueError(f"table {table_id}: header line {line!r} after the first row")
             body = line[1:].strip()
             if ":" in body:
                 key, value = body.split(":", 1)
@@ -155,7 +162,7 @@ def load_table(table_id: int) -> TableFixture | None:
             continue
         parts = line.split("\t")
         basket_text = parts[0]
-        if meta.get("kind") != "pipeline":
+        if meta.get("kind", "pipeline") != "pipeline":
             rows.append(TableRow(basket_text, {}, frozenset(), {}))
             continue
         cells: dict[str, str] = {}
@@ -198,19 +205,20 @@ def _check_cell(report: TableReport, index: int, row: TableRow, column: str, com
 
     A cell printed as ``<0`` asks for the sign alone.  A ``typo:col=v``
     cell is a known discrepancy when the row forces v, and a failure
-    otherwise; any other cell must equal the value exactly.
+    otherwise; any other cell must equal the value exactly.  A cell (or v)
+    that is the value's canonical text (``format_rational``) is equal
+    without being parsed; only other text is read by ``parse_rational``.
     """
     printed = row.cells[column]
     wanted = row.typos.get(column, printed)
-    ok = computed < 0 if wanted == "<0" else parse_rational(wanted) == computed
+    text = format_rational(computed)
+    ok = computed < 0 if wanted == "<0" else wanted == text or parse_rational(wanted) == computed
     report.cells_checked += 1
     if column in row.typos and ok:
-        report.known_discrepancies.append(
-            CellDiff(index, row.basket_text, column, printed, format_rational(computed), known=True)
-        )
+        report.known_discrepancies.append(CellDiff(index, row.basket_text, column, printed, text, known=True))
     elif not ok:
         expected = f"{printed} (annotated {wanted})" if column in row.typos else printed
-        report.mismatches.append(CellDiff(index, row.basket_text, column, expected, format_rational(computed)))
+        report.mismatches.append(CellDiff(index, row.basket_text, column, expected, text))
 
 
 def _verify_pipeline_row(

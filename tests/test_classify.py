@@ -47,6 +47,7 @@ from reidbasket.core import (
     Basket,
     FilterConfig,
     WeightedBasket,
+    _basket,
     _pair_terms,
     _table,
     anti_volume,
@@ -600,6 +601,33 @@ class TestIndexProfiles:
         assert classify(c._replace(max_visited=candidates)) == classify(c)
         with pytest.raises(ClosureTruncated, match=f"after visiting {candidates - 1} states"):
             classify(c._replace(max_visited=candidates - 1))
+
+    def test_every_pair_adds_to_p2_p3_and_p4(self):
+        # what lets the pair search cut a multiset with all its extensions
+        # once it is past an upper end of P_{-2..4}: the least shares are
+        # 1, 3 and 7, each at (1,2)
+        pairs = [(b, r) for r in range(2, TOP + 1) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1]
+        for m, least in ((2, 1), (3, 3), (4, 7)):
+            shares = {pair: _pair_terms(*pair)[m] for pair in pairs}
+            assert min(shares.values()) == least == shares[(1, 2)]
+
+    def test_a_record_past_its_p3_end_yields_no_candidate(self):
+        # at P_{-1} = 2000 every multiset has P_{-3} > 3: the search cuts the
+        # empty one, where the 682 full covers it would build all fail
+        c = parse_constraints("p[1]=2000 p[3]=3 rx=30 filters=none")
+        assert list(_pair_multisets(c)) == [] and classify(c) == []
+        covers = list(_pair_multisets(c._replace(p_fixed={1: 2000})))
+        assert len(covers) == 682
+        assert all(plurigenus_sequence(WeightedBasket(_basket(triples), 2000), 3)[3] > 3 for triples in covers)
+
+    def test_a_cover_past_the_gamma_budget_reads_no_pair(self, monkeypatch):
+        # r_X = 2520 needs 8, 9, 5 and 7, whose costs alone pass 24: the
+        # index table says so before any pair's level 0 is read
+        calls = []
+        level0 = classify_module._level0
+        monkeypatch.setattr(classify_module, "_level0", lambda b, r: calls.append((b, r)) or level0(b, r))
+        assert classify(parse_constraints("p[1]=0..3 rx=2520")) == [] and calls == []
+        assert len(classify(parse_constraints("p[1]=1 p[2]=1 rx=840"))) == 5 and calls
 
     def test_630_case_split(self):
         c = ClassificationConstraints(

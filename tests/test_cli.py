@@ -557,6 +557,33 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: not an exact rational: '1/0'\n"
 
+    @pytest.mark.parametrize("cell, code, report", [
+        ("6", 1, "table 1: 5 rows, 35 cells checked, 1 mismatch(es)\n"
+                 "  MISMATCH: row 3 {(1,2),(3,7),(2,5),4x(1,3)} lambda: table says 6, recomputed 17/3\n"),
+        ("12/2", 1, "table 1: 5 rows, 35 cells checked, 1 mismatch(es)\n"
+                    "  MISMATCH: row 3 {(1,2),(3,7),(2,5),4x(1,3)} lambda: table says 12/2, recomputed 17/3\n"),
+        ("34/6", 0, "table 1: 5 rows, 35 cells checked, OK\n"),
+    ], ids=["canonical-mismatch", "non-canonical-mismatch", "non-canonical-equal"])
+    def test_a_changed_cell_reads_as_before(self, tmp_path, monkeypatch, cell, code, report):
+        # one lambda cell of table 1 (17/3) respelled: a cell that is not
+        # canonical text is parsed and compared exactly, as every cell was
+        from reidbasket.fixtures import fixtures_dir
+
+        text = (fixtures_dir() / "table1.tsv").read_text()
+        assert text.count("\t17\t17/3\t") == 1
+        (tmp_path / "table1.tsv").write_text(text.replace("\t17\t17/3\t", f"\t17\t{cell}\t"))
+        monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+        assert run_cli("verify", "--table", "1") == (code, report, "")
+
+    def test_a_header_line_after_a_row_is_a_usage_error(self, tmp_path, monkeypatch):
+        (tmp_path / "table50.tsv").write_text(
+            "# table: 50\n# p1: 1\n(1,2),(1,3),(2,5),(2,11)\t1/330\t-\t-\t-\t-\t-\t-\t-\n# case: 3\n"
+        )
+        monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+        assert run_cli("verify", "--table", "50") == (
+            2, "", "error: table 50: header line '# case: 3' after the first row\n"
+        )
+
     def test_audit_mode_downgrades_mismatches(self, tmp_path, monkeypatch):
         (tmp_path / "table50.tsv").write_text(
             "# table: 50\n# kind: pipeline\n# p1: 1\n# n1_window: 1\n# case: 3\n"
@@ -827,10 +854,12 @@ _VERIFYING = sorted(_CLASSIFYING + ["reidbasket.criteria", "reidbasket.fixtures"
     (["classify", "--constraints", str(BENCH / "inputs" / "census_p8.txt")], 0, _CLASSIFYING, True, False),
     (["classify", "--constraints", str(BENCH / "inputs" / "census_rx840.txt"), "--profiles", "840"], 0,
      _CLASSIFYING, True, False),
+    (["criteria", "--basket", "2x(1,2),(1,4),(3,13)", "--p1", "1"], 0,
+     sorted(_PARSING + ["reidbasket.core", "reidbasket.criteria"]), True, False),
     (["verify", "--all", "--jobs", "1"], 0, _VERIFYING, True, False),
     (["verify", "--manifest"], 0, _VERIFYING, True, True),
-], ids=["help", "usage-error", "eval", "canonical", "pack", "classify", "classify-profiles", "verify-all",
-        "verify-manifest"])
+], ids=["help", "usage-error", "eval", "canonical", "pack", "classify", "classify-profiles", "criteria",
+        "verify-all", "verify-manifest"])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, fractions, hashlib):
     # without a bytecode cache every module loaded is compiled from source,
     # so an import that a command does not use costs its start-up time

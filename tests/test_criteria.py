@@ -260,6 +260,8 @@ ARGUMENT_CHECKS = {
     "floor_sqrt": (lambda: floor_sqrt(-1), "floor_sqrt needs q >= 0"),
     "floor_plus_sqrt": (lambda: floor_plus_sqrt(0, Fraction(-1, 2)), "floor_plus_sqrt needs v >= 0"),
     "lambda_of": (lambda: lambda_of(0, 1), "lambda_of needs M >= 1"),
+    # M/r_X is compared by cross-multiplication, which needs r_X > 0
+    "lambda_of-rx": (lambda: lambda_of(5, -2), "lambda_of needs r_X >= 1"),
     "theta": (lambda: theta(10, 2, 0), "theta needs N >= 1"),
     "lambda_ratio_bound": (lambda: lambda_ratio_bound(Fraction(0), 2), "lambda_ratio_bound needs -K^3 > 0"),
     # -K^3 = -6 on the empty basket at P_{-1} = 0, and r_X = 1

@@ -215,13 +215,29 @@ def test_basket_list_reports_both_directions(tmp_path, monkeypatch):
     (f"{EXTREMAL_HEADER}(1,2),(1,3),(2,5),(2,11)\t1/330\t1\t1\t37\t5\t11\t64\tstar\n",
      "table 50 has a star row but no star_case"),
     ("# table: 50\n# kind: basket_list\n# constraints: p[1]=0\n(1,2)\n", "unknown fixture kind 'basket_list'"),
-], ids=["star-row-without-star-case", "unknown-kind"])
+    # the rows are read under the kind the header gives, so it comes first
+    (f"{EXTREMAL_HEADER}(1,2),(1,3),(2,5),(2,11)\t1/330\t1\t1\t37\t5\t11\t64\t-\n# kind: classify\n",
+     "table 50: header line '# kind: classify' after the first row"),
+], ids=["star-row-without-star-case", "unknown-kind", "header-after-a-row"])
 def test_malformed_fixture_names_its_fault(tmp_path, monkeypatch, text, message):
     (tmp_path / "table50.tsv").write_text(text)
     monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
     with pytest.raises(ValueError) as info:
         verify_table(50)
     assert str(info.value) == message
+
+
+def test_a_fixture_without_a_kind_line_checks_its_cells(tmp_path, monkeypatch):
+    # the kind defaults to pipeline, and its rows are read as pipeline rows
+    lines = (fixtures_dir() / "table30.tsv").read_text().splitlines(keepends=True)
+    assert lines.count("# kind: pipeline\n") == 1
+    (tmp_path / "table30.tsv").write_text("".join(line for line in lines if line != "# kind: pipeline\n"))
+    bundled = verify_table(30)
+    monkeypatch.setenv("REID_BASKET_FIXTURES", str(tmp_path))
+    assert load_table(30).kind == "pipeline"
+    report = verify_table(30)
+    assert (report.rows_checked, report.cells_checked) == (74, 195)
+    assert report.lines() == bundled.lines()
 
 
 def test_missing_manifest_is_the_one_problem(tmp_path, monkeypatch):

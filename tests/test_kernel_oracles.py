@@ -232,8 +232,7 @@ class TestGeometricFilter:
         def refuse(result):
             raise AssertionError("a failure was worded")
 
-        checks = [(name, failed, refuse) for name, failed, _ in core_module._CHECKS]
-        monkeypatch.setattr(core_module, "_CHECKS", tuple(checks))
+        monkeypatch.setattr(core_module, "_CHECKS", dict.fromkeys(core_module._CHECKS, refuse))
         result = geometric_filter(wb)
         assert result.ok is False and not result
         assert not ClassificationConstraints(p_fixed={1: 0}).admits(wb)
